@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import alpha_value, reciprocal_b123
+from .recurrence import _refined_upper, alpha_value, reciprocal_b123
 
 __all__ = [
     "BoundPair",
@@ -165,10 +165,7 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lower = ((3 * n + 2 * a) * (6 * n - (a + 1))) / (9 * (a + 1) * (a + 5))
-    upper = ((n + 1) * (5 * n + 2 * (a + 1))) / (
-        5 * (a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 3.0)
-    )
-    return RefinedBounds(lower, upper, n > (a + 1) / 6)
+    return RefinedBounds(lower, _refined_upper(a, n), n > (a + 1) / 6)
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:

@@ -392,7 +392,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, alpha=False, n=False):
-    sub.add_argument("--tol", type=float, default=1e-13, help="bisection tolerance")
+    sub.add_argument(
+        "--tol", type=float, default=1e-13, help="relative width of the certified bracket"
+    )
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if alpha:
         sub.add_argument("--alpha", type=float, required=True, help="weight exponent, > -1")

@@ -1,21 +1,38 @@
 """Extreme eigenvalues of the symmetric tridiagonal matrix attached to Q_n.
 
-The Jacobi matrix with diagonal d_0..d_{n-1} and positive off-diagonal
+The Jacobi matrix T_n with diagonal d_0..d_{n-1} and positive off-diagonal
 lam_1..lam_{n-1} has Q_n as its characteristic polynomial, so its smallest
 eigenvalue is the smallest zero of Q_n and its inverse square root is the
-sharp Markov constant c_n(alpha).  Eigenvalues are located by bisection on
-the Sturm sign count, which certifies an enclosing bracket for the result.
+sharp Markov constant c_n(alpha).
+
+T_n factors exactly as B B^T, where B is lower bidiagonal with diagonal
+sqrt(q_k), q_k = 1 + alpha/(k+1) = lam_{k+1}^2, and unit subdiagonal.  The
+pivots of T_n - sigma = L D L^T are then q_k + s_k, where
+
+    s_0 = -sigma,    s_{k+1} = s_k / (q_k + s_k) - sigma,
+
+the stationary qd recurrence (Fernando & Parlett 1994).  It works on the
+factor, not on the entries of T_n, so its sign count places even the
+smallest eigenvalue to high relative accuracy (Demmel & Kahan 1990).  The
+number of negative pivots is the number of eigenvalues below sigma; an
+exact zero pivot counts as negative.
+
+``smallest_eigenvalue`` runs safeguarded Newton on det(T_n - sigma), with
+the derivative taken in the same pass, from the reciprocal of the refined
+upper bound on c_n(alpha)^2, which lies below the eigenvalue.  Every pass
+also yields a sign count, and the result is the midpoint of a bracket whose
+two ends were certified by it.  ``largest_eigenvalue`` bisects on the same
+count.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
-
-from .recurrence import recurrence_coeffs
+from .recurrence import _refined_upper, alpha_value
 
 __all__ = [
     "TridiagMatrix",
@@ -30,25 +47,41 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_EPS = sys.float_info.epsilon
-_MAX_BISECT = 200
+_MAX_PASSES = 200
 
 
 @dataclass(frozen=True)
 class TridiagMatrix:
-    """Symmetric tridiagonal matrix; only diagonal and one off-diagonal stored."""
+    """Jacobi matrix T_n = B B^T, stored as alpha and the factor's squared
+    diagonal q_k = 1 + alpha/(k+1), k = 0 .. n-1.
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    ``diag`` and ``offdiag`` are the entries of T_n, formed on request.
+    """
+
+    alpha: float
+    q: tuple[float, ...]
 
     @property
     def order(self) -> int:
-        return len(self.diag)
+        return len(self.q)
+
+    @property
+    def diag(self) -> tuple[float, ...]:
+        return self.q[:1] + tuple(qk + 1.0 for qk in self.q[1:])
+
+    @property
+    def offdiag(self) -> tuple[float, ...]:
+        return tuple(math.sqrt(qk) for qk in self.q[:-1])
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """One eigenvalue with its certified bracket: lo <= value <= hi."""
+    """One eigenvalue with its certified bracket: lo <= value <= hi.
+
+    The sign count at sigma = lo finds no eigenvalue below it, the one at
+    hi finds the wanted eigenvalue below it, and hi - lo <= tol * value.
+    ``iterations`` is the number of sign-count passes that took.
+    """
 
     value: float
     bracket: tuple[float, float]
@@ -57,13 +90,18 @@ class EigenResult:
 
 
 def build_jacobi(alpha, n: int) -> TridiagMatrix:
-    """Jacobi matrix of order n whose eigenvalues are the zeros of Q_n."""
-    rc = recurrence_coeffs(alpha, n)
-    diag = np.array([float(x) for x in rc.d])
-    offdiag = np.sqrt([float(x) for x in rc.lambda_sq])
-    diag.setflags(write=False)
-    offdiag.setflags(write=False)
-    return TridiagMatrix(diag, offdiag)
+    """Jacobi matrix of order n whose eigenvalues are the zeros of Q_n.
+
+    Each q_k is rounded once from its exact value when alpha is exact.
+    """
+    a = alpha_value(alpha)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(a, Fraction):
+        q = [float(1 + a / k) for k in range(1, n + 1)]
+    else:
+        q = [1.0 + a / k for k in range(1, n + 1)]
+    return TridiagMatrix(float(a), tuple(q))
 
 
 def gershgorin_bracket(T: TridiagMatrix) -> tuple[float, float]:
@@ -72,94 +110,186 @@ def gershgorin_bracket(T: TridiagMatrix) -> tuple[float, float]:
     The clamp is valid because all zeros of Q_n are positive (the
     orthogonality measure of the family is supported on the positive axis).
     """
-    n = T.order
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += T.offdiag
-        radius[1:] += T.offdiag
-    lo = float(np.min(T.diag - radius))
-    hi = float(np.max(T.diag + radius))
+    diag, off = T.diag, T.offdiag
+    radius = [0.0] * len(diag)
+    for k, e in enumerate(off):
+        radius[k] += e
+        radius[k + 1] += e
+    lo = min(d - r for d, r in zip(diag, radius))
+    hi = max(d + r for d, r in zip(diag, radius))
     return max(0.0, lo), hi
 
 
-def _sturm_count(diag, offdiag_sq, sigma, off_norm):
-    """Number of eigenvalues strictly below sigma (negative-pivot count).
+def _count(q, sigma: float) -> int:
+    """Negative pivots of T - sigma by the stationary qd recurrence."""
+    count = 0
+    s = -sigma
+    it = iter(q)
+    while True:
+        try:
+            for qk in it:
+                p = qk + s
+                if p <= 0.0:
+                    count += 1
+                s = s / p - sigma
+            return count
+        except ZeroDivisionError:
+            # The pivot q_k + s_k was exactly 0, counted as 0-: the next pivot
+            # is +inf, and the one after it sees s = 1 - sigma.
+            next(it, None)
+            s = 1.0 - sigma
 
-    A vanishing pivot is replaced by -eps * max(1, |d_k|, off_norm) so the
-    count is defined for every sigma.
+
+def _newton_pass(q, sigma: float) -> tuple[int, float | None]:
+    """Sign count at sigma and the Newton step -f/f' for f = det(T - sigma).
+
+    f'/f = sum_k s_k'/p_k, with s_0' = -1 and s_{k+1}' = s_k' q_k/p_k^2 - 1.
+    The step is None where it is undefined: at a zero pivot, or when the
+    derivative overflows.
     """
     count = 0
-    q = diag[0] - sigma
-    if q == 0.0:
-        q = -_EPS * max(1.0, abs(diag[0]), off_norm)
-    if q < 0.0:
-        count += 1
-    for k in range(1, len(diag)):
-        q = (diag[k] - sigma) - offdiag_sq[k - 1] / q
-        if q == 0.0:
-            q = -_EPS * max(1.0, abs(diag[k]), off_norm)
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _sturm_data(T: TridiagMatrix):
-    diag = T.diag.tolist()
-    off_sq = (T.offdiag * T.offdiag).tolist()
-    off_norm = float(np.linalg.norm(T.offdiag)) if T.order > 1 else 0.0
-    return diag, off_sq, off_norm
+    s = -sigma
+    ds = -1.0
+    dlog = 0.0
+    it = iter(q)
+    try:
+        for qk in it:
+            p = qk + s
+            if p <= 0.0:
+                count += 1
+            r = 1.0 / p
+            u = ds * r
+            dlog += u
+            ds = u * qk * r - 1.0
+            s = s / p - sigma
+    except ZeroDivisionError:
+        if next(it, None) is None:
+            # The last pivot is 0: det(T - sigma) = 0.
+            return count, 0.0
+        return _count(q, sigma), None
+    if dlog == 0.0 or not math.isfinite(dlog):
+        return count, None
+    return count, -1.0 / dlog
 
 
 def sturm_count(T: TridiagMatrix, sigma: float) -> int:
-    """Number of eigenvalues of T strictly less than sigma."""
-    diag, off_sq, off_norm = _sturm_data(T)
-    return _sturm_count(diag, off_sq, float(sigma), off_norm)
+    """Number of eigenvalues of T below sigma (sigma itself included when
+    it is one exactly)."""
+    return _count(T.q, float(sigma))
 
 
-def _bisect(T: TridiagMatrix, tol: float, want: int, nudge_hi: bool) -> EigenResult:
-    """Bisect the Gershgorin bracket for the eigenvalue with count threshold
-    ``want``: predicate count(sigma) >= want is false left of the target and
-    true right of it."""
+def _check_tol(tol: float) -> None:
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    diag, off_sq, off_norm = _sturm_data(T)
-    lo, hi = gershgorin_bracket(T)
-    if nudge_hi and T.order > 1:
-        # The largest eigenvalue may sit exactly on the Gershgorin edge;
-        # nudge so the count predicate is true at the right endpoint.
-        hi = hi + 4.0 * _EPS * max(1.0, abs(hi))
 
-    iterations = 0
-    value = 0.5 * (lo + hi)
-    while hi - lo > tol * max(1.0, abs(value)):
-        if iterations >= _MAX_BISECT:
-            raise RuntimeError(
-                f"bisection did not converge to tol={tol} in {_MAX_BISECT} steps"
-            )
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise RuntimeError(
-                f"tol={tol} is below binary64 resolution of bracket [{lo}, {hi}]"
-            )
-        if _sturm_count(diag, off_sq, mid, off_norm) >= want:
-            hi = mid
-        else:
-            lo = mid
-        value = 0.5 * (lo + hi)
-        iterations += 1
-    log.debug("bisection(want=%d): value=%.17g in [%g, %g] after %d steps",
-              want, value, lo, hi, iterations)
-    return EigenResult(value, (lo, hi), iterations, tol)
+
+def _unresolved(tol: float, lo: float, hi: float) -> RuntimeError:
+    return RuntimeError(f"tol={tol} is below binary64 resolution of bracket [{lo}, {hi}]")
 
 
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Smallest eigenvalue of T with a certified enclosing bracket."""
-    return _bisect(T, tol, want=1, nudge_hi=False)
+    """Smallest eigenvalue of T with a certified enclosing bracket.
+
+    The first pass is at sigma = 1/refined_upper(alpha, n), below the
+    eigenvalue for n >= 2; a start that the sign count places above it
+    (rounding, at n = 2) becomes the upper end, and the next pass is at
+    sigma = 0, where every pivot is q_k > 0.  Each pass moves one end of the
+    bracket [lo, hi] to sigma, by its count, and gives the Newton step.
+    Newton is used from counts 0 and 1 only, and only when its estimate
+    sigma + step lies in the bracket.  The next sigma is, in this order:
+
+    * once |step| <= tol*sigma/2, the estimate moved tol*sigma/4 past it,
+      so that one more count can close the bracket;
+    * from below, when the step is over half the previous one (slower than
+      bisection): a third of the way to where the secant through the two
+      steps vanishes, and at least two steps ahead;
+    * the estimate less tol*sigma/4 towards sigma, from below, or from above
+      when the step is at most half the previous move;
+    * otherwise the midpoint of the bracket, geometric while hi > 2 lo.
+
+    It stops when hi - lo <= tol * value, value being the midpoint.
+    """
+    _check_tol(tol)
+    q = T.q
+    n = len(q)
+    if n == 1:
+        # The only eigenvalue is q_0 itself: a zero pivot there.
+        return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
+    # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
+    # being exactly 0.
+    lo, hi = 0.0, q[0]
+    sigma = 1.0 / _refined_upper(T.alpha, n)
+    count, step = _newton_pass(q, sigma)
+    passes = 1
+    if count:
+        hi, sigma = sigma, 0.0
+        count, step = _newton_pass(q, sigma)
+        passes += 1
+    prev = move = math.inf
+    while True:
+        if count == 0:
+            lo = sigma
+        else:
+            hi = sigma
+        value = 0.5 * (lo + hi)
+        if hi - lo <= tol * value:
+            break
+        if passes == _MAX_PASSES:
+            raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
+        # Newton targets stop short of the estimate by `margin`, on sigma's
+        # side, so that the closing pair of passes straddles the eigenvalue
+        # at about `margin` on either side rather than within rounding of it.
+        margin = (0.25 if count else -0.25) * tol * sigma
+        nxt = None
+        if count <= 1 and step is not None and lo <= sigma + step <= hi:
+            if abs(step) <= 2.0 * abs(margin):
+                nxt = sigma + step - margin
+            elif count == 0 and step > 0.5 * prev:
+                rate = step / prev
+                reach = 2.0 if rate >= 1.0 else max(2.0, 1.0 / (3.0 * (1.0 - rate)))
+                nxt = sigma + reach * step
+            elif count == 0 or abs(step) <= 0.5 * move:
+                nxt = sigma + step + margin
+        if nxt is not None and lo < nxt < hi:
+            move = abs(nxt - sigma)
+        else:
+            nxt = math.sqrt(lo * hi) if hi > 2.0 * lo > 0.0 else value
+            if not lo < nxt < hi:
+                raise _unresolved(tol, lo, hi)
+            move = math.inf
+        prev = step if count == 0 and step is not None else math.inf
+        sigma = nxt
+        count, step = _newton_pass(q, sigma)
+        passes += 1
+    log.debug("newton: value=%.17g in [%g, %g] after %d passes", value, lo, hi, passes)
+    return EigenResult(value, (lo, hi), passes, tol)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Largest eigenvalue of T with a certified enclosing bracket."""
-    return _bisect(T, tol, want=T.order, nudge_hi=True)
+    """Largest eigenvalue of T with a certified enclosing bracket, by
+    bisection on the sign count."""
+    _check_tol(tol)
+    n = T.order
+    lo, hi = gershgorin_bracket(T)
+    if n > 1:
+        # The largest eigenvalue may sit on the Gershgorin edge; nudge the
+        # right end so that its count is n.
+        hi += 4.0 * math.ulp(hi)
+    value = 0.5 * (lo + hi)
+    passes = 0
+    while hi - lo > tol * value:
+        if passes == _MAX_PASSES:
+            raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
+        if not lo < value < hi:
+            raise _unresolved(tol, lo, hi)
+        if _count(T.q, value) >= n:
+            hi = value
+        else:
+            lo = value
+        value = 0.5 * (lo + hi)
+        passes += 1
+    log.debug("bisection: value=%.17g in [%g, %g] after %d passes", value, lo, hi, passes)
+    return EigenResult(value, (lo, hi), passes, tol)
 
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:

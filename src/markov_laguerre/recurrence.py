@@ -48,7 +48,8 @@ RATIONAL = "rational"
 class WeightAlpha:
     """Validated exponent of the weight t^alpha * exp(-t) on (0, inf).
 
-    Construction rejects alpha <= -1 (the weight is not integrable there).
+    Construction rejects alpha <= -1 (the weight is not integrable there)
+    and an infinite alpha.
     ``value`` is a float, or a Fraction when an int/Fraction was supplied,
     so that exact arithmetic survives downstream.
     """
@@ -63,6 +64,8 @@ class WeightAlpha:
             object.__setattr__(self, "value", Fraction(v))
         if not self.value > -1:
             raise ValueError(f"alpha must be > -1, got {v}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"alpha must be finite, got {v}")
 
     @property
     def is_exact(self) -> bool:
@@ -236,3 +239,16 @@ def reciprocal_b123(alpha, n: int):
         * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
     ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
     return b1, b2, b3
+
+
+def _refined_upper(a: float, n: int) -> float:
+    """Refined upper bound on c_n(a)^2 for a float a:
+
+        (n+1)(5n + 2(a+1)) / (5 (a+1) ((a+3)(a+5))^(1/3)).
+
+    ``bounds.refined_bounds`` reports it; the eigenvalue solver starts at
+    its reciprocal, which lies below the smallest zero of Q_n for n >= 2.
+    """
+    return ((n + 1) * (5 * n + 2 * (a + 1))) / (
+        5 * (a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 3.0)
+    )

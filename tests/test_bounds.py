@@ -97,6 +97,10 @@ class TestRefinedBounds:
         with pytest.raises(ValueError):
             refined_bounds(0.0, 0)
 
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(ValueError):
+            refined_bounds(float("inf"), 3)
+
 
 class TestDorfler:
     def test_examples(self):
@@ -150,6 +154,10 @@ class TestAsymptoticBounds:
         c0 = 2 / math.pi
         assert 1.006 < c0 / lower < 1.006585
         assert 1.0002 < upper / c0 < 1.000242
+
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(ValueError):
+            asymptotic_bounds(float("inf"))
 
     def test_ratio_tends_to_one(self):
         assert ratio_r(-0.999999) == pytest.approx(1.0, abs=1e-5)

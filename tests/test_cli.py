@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,11 @@ class TestConstant:
         code, _, err = run_cli(capsys, "constant", "--alpha", "-1.5", "--n", "3")
         assert code == 2
         assert "alpha" in err
+
+    def test_infinite_alpha_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "constant", "--alpha", "inf", "--n", "3")
+        assert code == 2
+        assert out == "" and "finite" in err
 
     def test_invalid_n_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "constant", "--alpha", "0", "--n", "0")
@@ -214,3 +223,14 @@ class TestLogging:
         monkeypatch.setenv("MARKOV_LAGUERRE_LOG", "debug")
         code, _, _ = run_cli(capsys, "constant", "--alpha", "0", "--n", "2")
         assert code == 0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, markov_laguerre.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

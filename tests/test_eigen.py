@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_laguerre import (
     RATIONAL,
@@ -11,10 +14,13 @@ from markov_laguerre import (
     largest_eigenvalue,
     markov_constant,
     qn_coefficients,
+    recurrence_coeffs,
+    refined_bounds,
     smallest_eigenvalue,
     sturm_count,
     turan_constant,
 )
+from markov_laguerre.eigen import _newton_pass
 
 
 def dense(T):
@@ -28,22 +34,22 @@ class TestBuildJacobi:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 7.25])
     def test_order_one(self, alpha):
         T = build_jacobi(alpha, 1)
-        assert T.diag.tolist() == [1 + alpha]
-        assert T.offdiag.size == 0
+        assert list(T.diag) == [1 + alpha]
+        assert len(T.offdiag) == 0
 
     def test_alpha0_n2(self):
         T = build_jacobi(0.0, 2)
-        assert T.diag.tolist() == [1.0, 2.0]
-        assert T.offdiag.tolist() == [1.0]
+        assert list(T.diag) == [1.0, 2.0]
+        assert list(T.offdiag) == [1.0]
 
     def test_alpha2_n2(self):
         T = build_jacobi(2.0, 2)
-        assert T.diag.tolist() == [3.0, 3.0]
-        assert T.offdiag.tolist() == [math.sqrt(3.0)]
+        assert list(T.diag) == [3.0, 3.0]
+        assert list(T.offdiag) == [math.sqrt(3.0)]
 
     def test_entries_read_only(self):
         T = build_jacobi(1.0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             T.diag[0] = 0.0
 
     @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(5, 2)])
@@ -128,6 +134,18 @@ def eval_exact(coeffs, x: F) -> F:
     return out
 
 
+def exact_zeros_below(alpha, n, x: F) -> int:
+    """Zeros of Q_n below x, for x not a zero: n less the sign changes of
+    the exact Sturm sequence Q_0(x), ..., Q_n(x), zero entries dropped."""
+    rc = recurrence_coeffs(alpha, n)
+    seq = [F(1), x - rc.d[0]]
+    for k in range(1, n):
+        seq.append((x - rc.d[k]) * seq[-1] - rc.lambda_sq[k - 1] * seq[-2])
+    assert seq[n] != 0
+    signs = [v > 0 for v in seq if v != 0]
+    return n - sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 class TestEigenvalues:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0])
     def test_order_one_exact(self, alpha):
@@ -180,6 +198,87 @@ class TestEigenvalues:
         with pytest.raises(RuntimeError):
             smallest_eigenvalue(build_jacobi(0.0, 2), 1e-30)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-13])
+    def test_non_positive_tolerance_raises(self, tol):
+        with pytest.raises(ValueError):
+            smallest_eigenvalue(build_jacobi(0.0, 5), tol)
+        with pytest.raises(ValueError):
+            largest_eigenvalue(build_jacobi(0.0, 5), tol)
+
+
+class TestKernel:
+    """The qd/Newton solver: relative accuracy at every n, a bracket that
+    the exact polynomial confirms, and a pass count bounded at large alpha."""
+
+    @pytest.mark.parametrize("n", [200, 1000, 4096, 20000])
+    def test_turan_relative_error_does_not_decay_with_n(self, n):
+        got = markov_constant(0.0, n)
+        want = turan_constant(n)
+        assert abs(got - want) / want <= 1e-12
+
+    # alpha = 5, n = 3 is where an earlier qd prototype divided by zero.
+    @pytest.mark.parametrize("alpha", [F(-999999, 1000000), F(0), F(5, 2), F(5), F(100)])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    def test_bracket_holds_a_sign_change_of_exact_qn(self, alpha, n):
+        res = smallest_eigenvalue(build_jacobi(alpha, n))
+        lo, hi = res.bracket
+        assert lo < res.value < hi and res.value == 0.5 * (lo + hi)
+        assert hi - lo <= res.tol * res.value
+        coeffs = qn_coefficients(alpha, n, RATIONAL).coeffs
+        assert eval_exact(coeffs, F(lo)) * eval_exact(coeffs, F(hi)) < 0
+        # and the zero in between is the smallest one
+        assert exact_zeros_below(alpha, n, F(lo)) == 0
+        assert exact_zeros_below(alpha, n, F(hi)) == 1
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e6])
+    def test_pass_count_bounded_at_large_alpha(self, alpha):
+        T = build_jacobi(alpha, 20000)
+        res = smallest_eigenvalue(T)
+        assert 0 < res.iterations <= 60
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+
+    def test_zero_pivot_inside_the_recurrence(self):
+        # sigma = d_0 zeroes the first pivot; the count goes on past it and
+        # agrees with LAPACK's eigenvalues, and the Newton pass gives the
+        # same count and no step.
+        for alpha, n in [(0.0, 6), (2.5, 30), (40.0, 200)]:
+            T = build_jacobi(alpha, n)
+            sigma = T.diag[0]
+            eig = np.linalg.eigvalsh(dense(T))
+            assert np.min(np.abs(eig - sigma)) > 1e-9
+            assert sturm_count(T, sigma) == int(np.sum(eig < sigma))
+            assert _newton_pass(T.q, sigma) == (sturm_count(T, sigma), None)
+
+    def test_start_above_the_eigenvalue_falls_back_to_zero(self):
+        # The start is 1/refined_upper(alpha, n); an alpha of 100 puts it
+        # above every eigenvalue of the alpha = 0 matrix.
+        T = build_jacobi(0.0, 5)
+        res = smallest_eigenvalue(replace(T, alpha=100.0))
+        assert sturm_count(T, 1 / refined_bounds(100.0, 5).upper) == 5
+        assert res.value == pytest.approx(4 * math.sin(math.pi / 22) ** 2, rel=1e-13)
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+
+    def test_iterations_count_passes(self):
+        assert smallest_eigenvalue(build_jacobi(0.0, 1)).iterations == 0
+        for n in (2, 3, 50):
+            assert smallest_eigenvalue(build_jacobi(0.0, n)).iterations > 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        alpha=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
+        n=st.integers(min_value=1, max_value=2000),
+    )
+    def test_sign_count_certifies_both_ends(self, alpha, n):
+        T = build_jacobi(alpha, n)
+        res = smallest_eigenvalue(T)
+        lo, hi = res.bracket
+        assert lo <= res.value <= hi
+        assert hi - lo <= res.tol * res.value
+        assert sturm_count(T, lo) == 0
+        assert sturm_count(T, hi) >= 1
+
 
 class TestMarkovConstant:
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 10.0, 47.5])
@@ -207,6 +306,10 @@ class TestMarkovConstant:
             cur = markov_constant(alpha, n)
             assert cur > prev
             prev = cur
+
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(ValueError):
+            markov_constant(float("inf"), 3)
 
     def test_turan_agreement_sample(self):
         for n in (1, 2, 10, 40, 120, 200):

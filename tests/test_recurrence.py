@@ -21,7 +21,7 @@ RATIONAL_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
 
 
 class TestWeightAlpha:
-    @pytest.mark.parametrize("bad", [-1, -1.0, -1.5, F(-3, 2), float("nan")])
+    @pytest.mark.parametrize("bad", [-1, -1.0, -1.5, F(-3, 2), float("nan"), float("inf"), float("-inf")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             WeightAlpha(bad)
