@@ -107,7 +107,7 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
                 f"{enclosure_hi}]; enclosure or series accuracy violated"
             )
     iterations = 0
-    while hi - lo > tol * max(1.0, 0.5 * (lo + hi)):
+    while hi - lo > tol * 0.5 * (lo + hi):
         if iterations >= _MAX_BISECT:
             raise RuntimeError(f"zero bisection did not converge to tol={tol}")
         mid = 0.5 * (lo + hi)

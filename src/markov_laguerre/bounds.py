@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _refined_upper, alpha_value, reciprocal_b123
+from .recurrence import _refined_lower, _refined_upper, alpha_value, reciprocal_b123
 
 __all__ = [
     "BoundPair",
@@ -114,6 +114,11 @@ class BoundsReport:
     turan: float | None
 
 
+def _require_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def power_sums(b1, b2, b3) -> PowerSumTriple:
     """Newton's identities: (p1, p2, p3) from the leading coefficients.
 
@@ -132,6 +137,7 @@ def largest_root_bounds(b1, b2, b3, n: int):
     The cubic upper bound uses p3^(1/3) = (b1^3 - 3 b1 b2 + 3 b3)^(1/3); the
     lower bounds are attained only when all roots coincide.
     """
+    _require_n(n)
     b1, b2, b3 = float(b1), float(b2), float(b3)
     p1, p2, p3 = power_sums(b1, b2, b3)
     if p2 <= 0.0:
@@ -162,15 +168,14 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
     0.0300), where the refined lower bound is valid but weaker.
     """
     a = float(alpha_value(alpha))
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lower = ((3 * n + 2 * a) * (6 * n - (a + 1))) / (9 * (a + 1) * (a + 5))
-    return RefinedBounds(lower, _refined_upper(a, n), n > (a + 1) / 6)
+    _require_n(n)
+    return RefinedBounds(_refined_lower(a, n), _refined_upper(a, n), n > (a + 1) / 6)
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:
     """Classical enclosure n^2/((a+1)(a+3)) <= c_n^2 <= n(n+1)/(2(a+1))."""
     a = float(alpha_value(alpha))
+    _require_n(n)
     return BoundPair(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)))
 
 
@@ -180,6 +185,7 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
 
         (b1 -+ sqrt((n-1)^2 b1^2 - 2 (n-1) n b2)) / n.
     """
+    _require_n(n)
     b1, b2 = float(b1), float(b2)
     disc = (n - 1) ** 2 * b1 * b1 - 2 * (n - 1) * n * b2
     if disc < 0.0:
@@ -219,8 +225,8 @@ def bessel_zero_enclosure(nu: float) -> BoundPair:
         2^(5/6) sqrt(nu+1) ((nu+2)(nu+3))^(1/6) < j_{nu,1} < sqrt(2(nu+1)(nu+3)).
     """
     nu = float(nu)
-    if not nu > -1.0:
-        raise ValueError(f"nu must be > -1, got {nu}")
+    if not (nu > -1.0 and math.isfinite(nu)):
+        raise ValueError(f"nu must be finite and > -1, got {nu}")
     lower = 2.0 ** (5.0 / 6.0) * math.sqrt(nu + 1.0) * ((nu + 2.0) * (nu + 3.0)) ** (1.0 / 6.0)
     upper = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
     return BoundPair(lower, upper)
@@ -235,8 +241,7 @@ def ratio_r(alpha) -> float:
 
 def turan_constant(n: int) -> float:
     """Exact sharp constant at alpha = 0: c_n(0) = 1/(2 sin(pi/(4n+2)))."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_n(n)
     return 0.5 / math.sin(math.pi / (4 * n + 2))
 
 
@@ -293,49 +298,40 @@ def identity_residuals(alpha) -> IdentityResidual:
     return IdentityResidual(g_lower, g, (c1, c2, c3))
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    m = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (m - len(a))
-    b = list(b) + [Fraction(0)] * (m - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _power_sum_polys(a):
-    """p2 and p3 as exact polynomials in n (coefficient lists, constant first)."""
-    zero, one = Fraction(0), Fraction(1)
-    b1 = [zero, one / (2 * (a + 1)), one / (2 * (a + 1))]
-    cubic = _poly_mul(_poly_mul([-one, one], [zero, one]), [one, one])
-    c2 = one / (24 * (a + 1) * (a + 2) * (a + 3))
-    b2 = [c2 * x for x in _poly_mul(cubic, [2 * (a + 6), 3 * (a + 2)])]
-    quartic = _poly_mul(cubic, [-2 * one, one])
-    inner = [
-        12 * (a + 20),
-        5 * (a + 2) * (a + 4) + 8 * (7 * a + 20),
-        5 * (a + 2) * (a + 4),
-    ]
-    c3 = one / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
-    b3 = [c3 * x for x in _poly_mul(quartic, inner)]
-    p2 = _poly_sub(_poly_mul(b1, b1), [2 * x for x in b2])
-    p3 = _poly_sub(
-        _poly_mul(_poly_mul(b1, b1), b1),
-        _poly_sub([3 * x for x in _poly_mul(b1, b2)], [3 * x for x in b3]),
-    )
-    return p2, p3
-
-
 def _exact_alpha(alpha):
     a = alpha_value(alpha)
     if isinstance(a, Fraction):
         return a, True
     return Fraction(a), False
+
+
+def _coefficients_from_values(values):
+    """Coefficients (n^0 first) of the polynomial of degree < len(values)
+    that takes ``values`` at n = 0, 1, 2, ...: Newton's forward-difference
+    form sum_k (Delta^k v)(0) * binom(n, k), expanded exactly."""
+    coeffs = [Fraction(0)] * len(values)
+    binom = [Fraction(1)]  # binom(n, k) as coefficients in n, for k = 0
+    diffs = list(values)
+    for k in range(len(values)):
+        for j, c in enumerate(binom):
+            coeffs[j] += diffs[0] * c
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        # binom(n, k+1) = binom(n, k) * (n - k) / (k + 1)
+        shifted = [Fraction(0)] + binom
+        binom = [(s - k * c) / (k + 1) for s, c in zip(shifted, binom + [Fraction(0)])]
+    return coeffs
+
+
+def _scaled_residual_poly(alpha, side: int, scale):
+    """Coefficients in n (n^0 .. n^6) of residual ``side`` of
+    :func:`residual_sandwich_check` times ``scale(a)``.  Both residuals are
+    polynomials of degree <= 6 in n, so their values at n = 0..6 fix them."""
+    a, exact = _exact_alpha(alpha)
+    factor = scale(a)
+    out = _coefficients_from_values(
+        [factor * residual_sandwich_check(a, n)[side] for n in range(7)]
+    )
+    return tuple(out) if exact else tuple(float(x) for x in out)
 
 
 def lower_residual_poly(alpha):
@@ -349,13 +345,9 @@ def lower_residual_poly(alpha):
     exact alpha; a float alpha is lifted to its exact binary value and
     results are rounded once at the end.
     """
-    a, exact = _exact_alpha(alpha)
-    p2, p3 = _power_sum_polys(a)
-    quad = _poly_mul([2 * a / 3, Fraction(1)], [-(a + 1) / 6, Fraction(1)])
-    gap = _poly_sub(p3, [2 / ((a + 1) * (a + 5)) * x for x in _poly_mul(quad, p2)])
-    scale = (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-    out = [scale * x for x in gap] + [Fraction(0)] * (7 - len(gap))
-    return tuple(out) if exact else tuple(float(x) for x in out)
+    return _scaled_residual_poly(
+        alpha, 0, lambda a: (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+    )
 
 
 def upper_residual_poly(alpha):
@@ -368,15 +360,9 @@ def upper_residual_poly(alpha):
     equal the ``upper_gap`` values of :func:`identity_residuals`.  Exactness
     policy as in :func:`lower_residual_poly`.
     """
-    a, exact = _exact_alpha(alpha)
-    _, p3 = _power_sum_polys(a)
-    lin = _poly_mul([Fraction(1), Fraction(1)], [2 * (a + 1) / 5, Fraction(1)])
-    cube = _poly_mul(_poly_mul(lin, lin), lin)
-    ucubed = [x / ((a + 1) ** 3 * (a + 3) * (a + 5)) for x in cube]
-    gap = _poly_sub(ucubed, p3)
-    scale = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-    out = [scale * x for x in gap] + [Fraction(0)] * (7 - len(gap))
-    return tuple(out) if exact else tuple(float(x) for x in out)
+    return _scaled_residual_poly(
+        alpha, 1, lambda a: (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+    )
 
 
 def residual_sandwich_check(alpha, n: int):
@@ -385,17 +371,17 @@ def residual_sandwich_check(alpha, n: int):
         lower_residual = p3 - lower * p2      (>= 0 for n >= 3, n > (a+1)/6),
         upper_residual = upper^3 - p3         (>= 0 for n >= 2).
 
-    Exact rational arithmetic when alpha is an int or Fraction.
+    Exact rational arithmetic when alpha is an int or Fraction.  The only
+    place the two residuals are formed; the residual polynomials are
+    recovered from its values.
     """
     a = alpha_value(alpha)
     b1, b2, b3 = reciprocal_b123(a, n)
     _, p2, p3 = power_sums(b1, b2, b3)
-    lower = 2 * (n + 2 * a / 3) * (n - (a + 1) / 6) / ((a + 1) * (a + 5))
-    lower_residual = p3 - lower * p2
     ucubed = ((n + 1) ** 3 * (5 * n + 2 * (a + 1)) ** 3) / (
         125 * (a + 1) ** 3 * (a + 3) * (a + 5)
     )
-    return lower_residual, ucubed - p3
+    return p3 - _refined_lower(a, n) * p2, ucubed - p3
 
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:

@@ -22,14 +22,7 @@ from fractions import Fraction
 
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import (
-    RATIONAL,
-    coeff_a0,
-    coeff_a1,
-    coeff_a2,
-    coeff_a3,
-    qn_coefficient_rows,
-)
+from .recurrence import RATIONAL, coeff_a0, qn_coefficient_rows, reciprocal_b123
 
 log = logging.getLogger(__name__)
 
@@ -86,15 +79,23 @@ def _emit_rows(rows, columns, fmt, out):
             writer.writerow([_fmt(v) for v in r])
 
 
+def _sandwich_violations(rep) -> list[str]:
+    """The finite-n claims a bounds report breaks: the strict two-sided
+    estimate where it applies (n >= 3 and n > (alpha+1)/6) and the classical
+    enclosure.  Behind the CSV's sandwich_violation and the sandwich suite."""
+    out = []
+    c_sq, refined, dorfler = rep.exact_c_sq, rep.refined, rep.dorfler
+    if rep.n >= 3 and refined.lower_valid and not refined.lower < c_sq < refined.upper:
+        out.append("two-sided estimate violated")
+    if not dorfler.lower <= c_sq <= dorfler.upper:
+        out.append("classical enclosure violated")
+    return out
+
+
 def sweep_row(alpha: float, n: int, tol: float) -> tuple:
     """One flattened bounds row; pure function of its arguments."""
     rep = bounds.bounds_report(alpha, n, tol)
     exact_c = math.sqrt(rep.exact_c_sq)
-    applicable = n >= 3 and rep.refined.lower_valid
-    violation = bool(
-        (applicable and not rep.refined.lower < rep.exact_c_sq < rep.refined.upper)
-        or not rep.dorfler.lower <= rep.exact_c_sq <= rep.dorfler.upper
-    )
     ratio = None
     if alpha <= _ALPHA_MAX_BESSEL:
         ratio = exact_c / (n * _asymptotic_cached(alpha, tol))
@@ -118,7 +119,7 @@ def sweep_row(alpha: float, n: int, tol: float) -> tuple:
         rep.laguerre_samuelson.upper,
         rep.turan,
         ratio,
-        violation,
+        bool(_sandwich_violations(rep)),
     )
 
 
@@ -162,9 +163,12 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def _alpha_grid(lo: float, hi: float, step: float) -> list[float]:
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo + k*step for k = 0, 1, ... while it stays within hi (+1e-9 steps)."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
-        raise ValueError(f"alpha step must be > 0, got {step}")
+        raise ValueError(f"grid step must be > 0, got {step}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + k * step for k in range(count)]
 
@@ -173,7 +177,7 @@ def cmd_sweep(args) -> int:
     if args.alpha is not None:
         alphas = [args.alpha]
     else:
-        alphas = _alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
+        alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step)
     ns = _parse_n_list(args.n_list)
     if not ns or not alphas:
         raise ValueError("sweep needs at least one alpha and one n")
@@ -202,7 +206,7 @@ def cmd_figure1(args) -> int:
     flagged = 0
     increasing = True
     prev = None
-    for a in _alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step):
+    for a in _grid(args.alpha_min, args.alpha_max, args.alpha_step):
         r = bounds.ratio_r(a)
         rows.append((a, r))
         if r >= 2.0 and a < 500.0:
@@ -235,37 +239,29 @@ VERIFY_ALPHAS = (
     Fraction(10),
 )
 
-GRID_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
+_GRID_ALPHAS_EXACT = tuple(
+    Fraction(a) for a in ("-9/10", "-1/2", "0", "1/2", "1", "2", "5", "10", "25")
+)
+GRID_ALPHAS = tuple(float(a) for a in _GRID_ALPHAS_EXACT)
 GRID_N = range(3, 101)
 
 
-def grid_pairs():
+def grid_pairs(alphas=GRID_ALPHAS):
     """The standard sweep grid: n in 3..100 by alpha, where the two-sided
     estimate applies (n > (alpha+1)/6)."""
-    return [(a, n) for a in GRID_ALPHAS for n in GRID_N if n > (a + 1) / 6]
+    return [(a, n) for a in alphas for n in GRID_N if n > (a + 1) / 6]
 
 
-def _report(name: str, failures: list[str]) -> bool:
-    if failures:
-        print(f"FAIL {name}: {len(failures)} violation(s)")
-        for f in failures[:10]:
-            print(f"  {f}")
-        if len(failures) > 10:
-            print(f"  ... and {len(failures) - 10} more")
-        return False
-    print(f"PASS {name}")
-    return True
-
-
-def verify_coeffs() -> bool:
+def verify_coeffs() -> list[str]:
     """Exact rational match of the four closed-form coefficients against the
     recurrence triangle, n <= 60, plus monicity and the a0 step relation."""
     failures = []
     for a in VERIFY_ALPHAS:
         prev_a0 = None
         for n, row in enumerate(qn_coefficient_rows(a, 60, RATIONAL)):
-            closed = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
-            for k, want in enumerate(closed):
+            a0 = coeff_a0(a, n)
+            b1, b2, b3 = reciprocal_b123(a, n)
+            for k, want in enumerate((a0, -b1 * a0, b2 * a0, -b3 * a0)):
                 if k <= n and row[k] != want:
                     failures.append(f"alpha={a} n={n} k={k}: {row[k]} != {want}")
             if row[-1] != 1:
@@ -273,18 +269,15 @@ def verify_coeffs() -> bool:
             if prev_a0 is not None and row[0] != -(1 + Fraction(a) / n) * prev_a0:
                 failures.append(f"alpha={a} n={n}: a0 step relation broken")
             prev_a0 = row[0]
-    return _report("coefficient closed forms vs recurrence (exact, n<=60)", failures)
+    return failures
 
 
-def verify_sandwich() -> bool:
+def verify_sandwich() -> list[str]:
     failures = []
     dominance_exceptions = []
     for a, n in grid_pairs():
         rep = bounds.bounds_report(a, n)
-        if not rep.refined.lower < rep.exact_c_sq < rep.refined.upper:
-            failures.append(f"alpha={a} n={n}: two-sided estimate violated")
-        if not rep.dorfler.lower <= rep.exact_c_sq <= rep.dorfler.upper:
-            failures.append(f"alpha={a} n={n}: classical enclosure violated")
+        failures += [f"alpha={a} n={n}: {v}" for v in _sandwich_violations(rep)]
         if not rep.refined.lower >= rep.dorfler.lower:
             dominance_exceptions.append((a, n))
     if dominance_exceptions:
@@ -297,10 +290,10 @@ def verify_sandwich() -> bool:
             f"(first {dominance_exceptions[0]}); both remain valid "
             "lower bounds"
         )
-    return _report("finite-n sandwich on the standard grid", failures)
+    return failures
 
 
-def verify_asymptotic() -> bool:
+def verify_asymptotic() -> list[str]:
     failures = []
     for a in (0.0, 1.0, 2.0, 5.0):
         c_inf = bessel.asymptotic_constant(a)
@@ -312,46 +305,31 @@ def verify_asymptotic() -> bool:
             failures.append(f"alpha={a}: ratio at n=4096 is {ratios[4096]}")
         if not abs(ratios[4096] - 1) < abs(ratios[512] - 1):
             failures.append(f"alpha={a}: no monotone approach {ratios}")
-    return _report("c_n/n approaches the inverse first Bessel zero", failures)
+    return failures
 
 
-def verify_bessel() -> bool:
+def verify_bessel() -> list[str]:
     failures = []
-    nu = -0.75
-    while nu <= bessel.NU_MAX + 1e-9:
+    for nu in _grid(-0.75, bessel.NU_MAX, 0.25):
         lo, hi = bounds.bessel_zero_enclosure(nu)
         z = bessel.first_zero(nu)
         if not lo < z < hi:
             failures.append(f"nu={nu}: zero {z} outside ({lo}, {hi})")
-        nu += 0.25
     for nu, want in ((0.5, math.pi), (-0.5, math.pi / 2)):
         if abs(bessel.first_zero(nu) - want) > 1e-12:
             failures.append(f"nu={nu}: half-integer zero off")
-    return _report("first-zero enclosure on the nu grid", failures)
+    return failures
 
 
-def verify_identities() -> bool:
+def verify_identities() -> list[str]:
     failures = []
-    a = -0.99
-    while a <= 500.0:
+    for a in _grid(-0.99, 500.0, 0.1):
         idr = bounds.identity_residuals(a)
         if not all(k > 0 for k in idr.lower_gap):
             failures.append(f"alpha={a}: lower-gap coefficient not positive")
         if not all(t > 0 for t in idr.upper_gap_collapsed):
             failures.append(f"alpha={a}: collapsed upper-gap coefficient not positive")
-        a += 0.1
-    exact_alphas = (
-        Fraction(-9, 10),
-        Fraction(-1, 2),
-        Fraction(0),
-        Fraction(1, 2),
-        Fraction(1),
-        Fraction(2),
-        Fraction(5),
-        Fraction(10),
-        Fraction(25),
-    )
-    for a in exact_alphas:
+    for a in _GRID_ALPHAS_EXACT:
         lp = bounds.lower_residual_poly(a)
         up = bounds.upper_residual_poly(a)
         idr = bounds.identity_residuals(a)
@@ -359,31 +337,39 @@ def verify_identities() -> bool:
             failures.append(f"alpha={a}: lower residual coefficients mismatch")
         if up[6] != 0 or up[:6] != idr.upper_gap:
             failures.append(f"alpha={a}: upper residual coefficients mismatch")
-        for n in GRID_N:
-            if n <= (a + 1) / 6:
-                continue
-            lr, ur = bounds.residual_sandwich_check(a, n)
-            if lr < 0 or ur < 0:
-                failures.append(f"alpha={a} n={n}: residual negative")
+    for a, n in grid_pairs(_GRID_ALPHAS_EXACT):
+        lr, ur = bounds.residual_sandwich_check(a, n)
+        if lr < 0 or ur < 0:
+            failures.append(f"alpha={a} n={n}: residual negative")
     print(
         "note: printed residual coefficient lists match the lower bound "
         "normalized by (alpha+1)(alpha+5); the alternative (alpha+3)(alpha+5) "
         "normalization leaves a degree-6 residual and matches nothing"
     )
-    return _report("residual positivity and exact coefficient identities", failures)
+    return failures
 
 
 VERIFY_MODES = {
-    "coeffs": verify_coeffs,
-    "sandwich": verify_sandwich,
-    "asymptotic": verify_asymptotic,
-    "bessel": verify_bessel,
-    "identities": verify_identities,
+    "coeffs": ("coefficient closed forms vs recurrence (exact, n<=60)", verify_coeffs),
+    "sandwich": ("finite-n sandwich on the standard grid", verify_sandwich),
+    "asymptotic": ("c_n/n approaches the inverse first Bessel zero", verify_asymptotic),
+    "bessel": ("first-zero enclosure on the nu grid", verify_bessel),
+    "identities": ("residual positivity and exact coefficient identities", verify_identities),
 }
 
 
 def cmd_verify(args) -> int:
-    return 0 if VERIFY_MODES[args.mode]() else 1
+    name, suite = VERIFY_MODES[args.mode]
+    failures = suite()
+    if failures:
+        print(f"FAIL {name}: {len(failures)} violation(s)")
+        for f in failures[:10]:
+            print(f"  {f}")
+        if len(failures) > 10:
+            print(f"  ... and {len(failures) - 10} more")
+        return 1
+    print(f"PASS {name}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -191,30 +191,21 @@ def coeff_a0(alpha, n: int):
 
 
 def coeff_a1(alpha, n: int):
-    """Degree-1 coefficient of Q_n: -n(n+1)/(2(alpha+1)) times coeff_a0."""
+    """Degree-1 coefficient of Q_n: -b1 * coeff_a0 (see reciprocal_b123)."""
     a = alpha_value(alpha)
-    return -(n * (n + 1)) / (2 * (a + 1)) * coeff_a0(a, n)
+    return -reciprocal_b123(a, n)[0] * coeff_a0(a, n)
 
 
 def coeff_a2(alpha, n: int):
-    """Degree-2 coefficient of Q_n (zero for n <= 1)."""
+    """Degree-2 coefficient of Q_n: b2 * coeff_a0 (zero for n <= 1)."""
     a = alpha_value(alpha)
-    num = (n - 1) * n * (n + 1) * (3 * (a + 2) * n + 2 * (a + 6))
-    return num / (24 * (a + 1) * (a + 2) * (a + 3)) * coeff_a0(a, n)
+    return reciprocal_b123(a, n)[1] * coeff_a0(a, n)
 
 
 def coeff_a3(alpha, n: int):
-    """Degree-3 coefficient of Q_n (zero for n <= 2)."""
+    """Degree-3 coefficient of Q_n: -b3 * coeff_a0 (zero for n <= 2)."""
     a = alpha_value(alpha)
-    num = (
-        (n - 2)
-        * (n - 1)
-        * n
-        * (n + 1)
-        * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
-    )
-    den = 240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-    return -num / den * coeff_a0(a, n)
+    return -reciprocal_b123(a, n)[2] * coeff_a0(a, n)
 
 
 def reciprocal_b123(alpha, n: int):
@@ -224,7 +215,8 @@ def reciprocal_b123(alpha, n: int):
     reads x^n - b1 x^{n-1} + b2 x^{n-2} - b3 x^{n-3} + ..., so
     b_k = (-1)^k a_{k,n} / a_{0,n}.  All three are positive for n >= 3;
     b2 vanishes for n <= 1 and b3 for n <= 2.  The largest root of P_n is
-    the squared Markov constant.
+    the squared Markov constant.  This is the one statement of b1..b3:
+    coeff_a1..coeff_a3 and every power-sum bound derive from it.
     """
     a = alpha_value(alpha)
     b1 = (n * (n + 1)) / (2 * (a + 1))
@@ -239,6 +231,18 @@ def reciprocal_b123(alpha, n: int):
         * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
     ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
     return b1, b2, b3
+
+
+def _refined_lower(a, n: int):
+    """Refined lower bound on c_n(a)^2:
+
+        (3n + 2a)(6n - (a+1)) / (9 (a+1)(a+5)).
+
+    Generic over the scalar type, so an exact a gives the exact value that
+    ``bounds.residual_sandwich_check`` certifies; ``bounds.refined_bounds``
+    reports it for a float a.
+    """
+    return ((3 * n + 2 * a) * (6 * n - (a + 1))) / (9 * (a + 1) * (a + 5))
 
 
 def _refined_upper(a: float, n: int) -> float:

@@ -14,46 +14,35 @@ as assertions:
   strictly for alpha > 2, is an exact equality at alpha = 2 (both sides
   1/pi) and fails on 1 < alpha < 2, where
   :func:`asymptotic_upper_large_alpha` therefore raises.
+
+Criteria 3, 4, 5a, 7, 8 and 11 are the ``verify`` suites of the CLI: their
+tests run the suite and assert that it reports no failure, so the command
+and the acceptance suite share one implementation and one set of grids.
 """
 
 import math
 import time
-from fractions import Fraction as F
 
 import pytest
 
 from markov_laguerre import (
     asymptotic_constant,
-    bounds_report,
     build_jacobi,
-    coeff_a0,
-    coeff_a1,
-    coeff_a2,
-    coeff_a3,
     asymptotic_bounds,
-    bessel_zero_enclosure,
+    dorfler_bounds,
     exact_c1_sq,
     exact_c2_sq,
-    first_zero,
-    identity_residuals,
     markov_constant,
     power_sums,
     ratio_r,
     reciprocal_b123,
-    residual_sandwich_check,
     smallest_eigenvalue,
     refined_bounds,
     asymptotic_upper_large_alpha,
     turan_constant,
 )
-from markov_laguerre.bounds import lower_residual_poly, upper_residual_poly
-from markov_laguerre.recurrence import RATIONAL, qn_coefficient_rows
-
-GRID_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
-GRID_ALPHAS_EXACT = (
-    F(-9, 10), F(-1, 2), F(0), F(1, 2), F(1), F(2), F(5), F(10), F(25),
-)
-COEFF_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
+from markov_laguerre import cli
+from markov_laguerre.cli import GRID_ALPHAS, grid_pairs
 
 SMALL_N_ALPHAS = (
     -0.98, -0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
@@ -61,25 +50,31 @@ SMALL_N_ALPHAS = (
 )
 
 
-def grid_points():
-    return [
-        (a, n) for a in GRID_ALPHAS for n in range(3, 101) if n > (a + 1) / 6
-    ]
-
-
 @pytest.fixture(scope="module")
 def grid_c_sq():
     """Exact squared constants over the standard grid, computed once."""
     return {
         (a, n): 1.0 / smallest_eigenvalue(build_jacobi(a, n), 1e-13).value
-        for a, n in grid_points()
+        for a, n in grid_pairs()
     }
+
+
+@pytest.fixture(scope="module")
+def sandwich_failures():
+    """Failures of the ``sandwich`` suite (criteria 4 and 5a), run once."""
+    return cli.verify_sandwich()
 
 
 def report(ok: bool, label: str, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"{tag} {label}{suffix}")
+
+
+def timed_suite(suite):
+    start = time.perf_counter()
+    failures = suite()
+    return failures, time.perf_counter() - start
 
 
 def test_criterion_01_turan_exactness():
@@ -114,38 +109,23 @@ def test_criterion_02_small_n_closed_forms():
 
 
 def test_criterion_03_coefficient_oracle():
-    start = time.perf_counter()
-    for a in COEFF_ALPHAS:
-        for n, row in enumerate(qn_coefficient_rows(a, 60, RATIONAL)):
-            want = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
-            for k in range(min(3, n) + 1):
-                assert row[k] == want[k], (a, n, k)
-    elapsed = time.perf_counter() - start
-    ok = elapsed <= 30.0
+    failures, elapsed = timed_suite(cli.verify_coeffs)
+    ok = not failures and elapsed <= 30.0
     report(ok, "criterion 3: exact coefficient identities, n<=60, 7 alphas",
            f"zero-tolerance match, {elapsed:.2f}s")
-    assert ok
+    assert failures == []
+    assert elapsed <= 30.0
 
 
-def test_criterion_04_two_sided_sandwich(grid_c_sq):
-    violations = [
-        (a, n)
-        for (a, n), c_sq in grid_c_sq.items()
-        if not refined_bounds(a, n).lower < c_sq < refined_bounds(a, n).upper
-    ]
+def test_criterion_04_two_sided_sandwich(sandwich_failures):
+    violations = [f for f in sandwich_failures if "two-sided" in f]
     report(not violations, "criterion 4: strict two-sided estimate on the grid",
-           f"{len(grid_c_sq)} points, {len(violations)} violations")
+           f"{len(grid_pairs())} points, {len(violations)} violations")
     assert violations == []
 
 
-def test_criterion_05a_classical_sandwich(grid_c_sq):
-    from markov_laguerre import dorfler_bounds
-
-    violations = [
-        (a, n)
-        for (a, n), c_sq in grid_c_sq.items()
-        if not dorfler_bounds(a, n).lower <= c_sq <= dorfler_bounds(a, n).upper
-    ]
+def test_criterion_05a_classical_sandwich(sandwich_failures):
+    violations = [f for f in sandwich_failures if "classical" in f]
     report(not violations, "criterion 5a: classical enclosure on the grid",
            f"{len(violations)} violations")
     assert violations == []
@@ -173,9 +153,7 @@ def test_criterion_05b_lower_bound_dominance(grid_c_sq):
     of the two bounds tends to 2(alpha+3)/(alpha+5) > 1.  The test asserts
     both, and keeps the spec's counterexample at (alpha, n) = (-0.9, 3).
     """
-    from markov_laguerre import dorfler_bounds
-
-    exact = dict(zip(GRID_ALPHAS, GRID_ALPHAS_EXACT))
+    exact = dict(zip(GRID_ALPHAS, cli._GRID_ALPHAS_EXACT))
     mismatches = []
     exceptions = []
     for a, n in grid_c_sq:
@@ -224,19 +202,7 @@ def test_criterion_06_relative_error_digits():
 
 
 def test_criterion_07_asymptotic_ratio():
-    start = time.perf_counter()
-    failures = []
-    for a in (0.0, 1.0, 2.0, 5.0):
-        c_inf = asymptotic_constant(a)
-        ratio = {}
-        for n in (512, 4096):
-            c_n = math.sqrt(1.0 / smallest_eigenvalue(build_jacobi(a, n), 1e-13).value)
-            ratio[n] = c_n / (n * c_inf)
-        if not 0.99 <= ratio[4096] <= 1.01:
-            failures.append((a, "range", ratio[4096]))
-        if not abs(ratio[4096] - 1) < abs(ratio[512] - 1):
-            failures.append((a, "approach", ratio))
-    elapsed = time.perf_counter() - start
+    failures, elapsed = timed_suite(cli.verify_asymptotic)
     ok = not failures and elapsed <= 60.0
     report(ok, "criterion 7: c_n/(n c) near 1 and approaching it",
            f"{elapsed:.2f}s")
@@ -245,27 +211,10 @@ def test_criterion_07_asymptotic_ratio():
 
 
 def test_criterion_08_bessel_zero_enclosure():
-    failures = []
-    k = 0
-    while True:
-        nu = -0.75 + 0.25 * k
-        if nu > 25.0 + 1e-9:
-            break
-        lo, hi = bessel_zero_enclosure(nu)
-        z = first_zero(nu)
-        if not lo < z < hi:
-            failures.append(nu)
-        k += 1
-    exact_misses = [
-        (nu, want)
-        for nu, want in ((0.5, math.pi), (-0.5, math.pi / 2))
-        if abs(first_zero(nu) - want) > 1e-12
-    ]
-    ok = not failures and not exact_misses
-    report(ok, "criterion 8: strict zero enclosure on the 0.25-step nu grid",
-           f"{k} points; half-integer hits exact to 1e-12")
+    failures = cli.verify_bessel()
+    report(not failures, "criterion 8: strict zero enclosure on the 0.25-step nu grid",
+           "half-integer hits exact to 1e-12")
     assert failures == []
-    assert exact_misses == []
 
 
 def test_criterion_09a_asymptotic_inequalities_as_stated():
@@ -369,46 +318,10 @@ def test_criterion_10_ratio_below_two():
 
 
 def test_criterion_11_residual_identities():
-    positivity_failures = []
-    k = 0
-    while True:
-        a = -0.99 + 0.1 * k
-        if a > 500.0:
-            break
-        idr = identity_residuals(a)
-        if not (all(v > 0 for v in idr.lower_gap) and all(v > 0 for v in idr.upper_gap_collapsed)):
-            positivity_failures.append(a)
-        k += 1
-
-    coefficient_failures = []
-    residual_failures = []
-    for a in GRID_ALPHAS_EXACT:
-        idr = identity_residuals(a)
-        lp = lower_residual_poly(a)
-        up = upper_residual_poly(a)
-        if lp[0] != 0 or lp[6] != 0 or lp[1:6] != idr.lower_gap:
-            coefficient_failures.append((a, "lower"))
-        if up[6] != 0 or up[:6] != idr.upper_gap:
-            coefficient_failures.append((a, "upper"))
-        for n in range(3, 101):
-            if n <= (a + 1) / 6:
-                continue
-            lr, ur = residual_sandwich_check(a, n)
-            if lr < 0 or ur < 0:
-                residual_failures.append((a, n))
-
-    print(
-        "criterion 11 note: the printed residual coefficient lists correspond "
-        "to the lower bound normalized by (alpha+1)(alpha+5); with the "
-        "(alpha+3)(alpha+5) normalization the gap keeps a degree-6 term and "
-        "matches no printed list"
-    )
-    ok = not (positivity_failures or coefficient_failures or residual_failures)
-    report(ok, "criterion 11: residual positivity and exact identities",
-           f"dense grid {k} points + exact rational checks")
-    assert positivity_failures == []
-    assert coefficient_failures == []
-    assert residual_failures == []
+    failures = cli.verify_identities()
+    report(not failures, "criterion 11: residual positivity and exact identities",
+           "dense grid + exact rational checks")
+    assert failures == []
 
 
 def test_criterion_12_power_sum_chain(grid_c_sq):

@@ -88,6 +88,12 @@ class TestFirstZero:
         assert lo < z < hi
         assert z == pytest.approx(mp_first_zero(nu), abs=5e-8)
 
+    @pytest.mark.parametrize("nu", [-0.999, -0.995, -0.99])
+    def test_relative_accuracy_near_minus_one(self, nu):
+        # zeros below 1: the stopping width must be relative to the zero
+        want = mp_first_zero(nu)
+        assert abs(first_zero(nu) - want) <= 1e-13 * want
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             first_zero(0.5, tol=0.0)

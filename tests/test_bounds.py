@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_laguerre import (
     bounds_report,
@@ -25,7 +27,20 @@ from markov_laguerre import (
     asymptotic_upper_large_alpha,
     turan_constant,
 )
-from markov_laguerre.bounds import lower_residual_poly, upper_residual_poly
+from markov_laguerre.bounds import (
+    _coefficients_from_values,
+    lower_residual_poly,
+    upper_residual_poly,
+)
+from markov_laguerre.recurrence import (
+    RATIONAL,
+    _refined_lower,
+    coeff_a0,
+    coeff_a1,
+    coeff_a2,
+    coeff_a3,
+    qn_coefficients,
+)
 
 GRID_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
 
@@ -75,6 +90,10 @@ class TestProp1:
         with pytest.raises(ValueError):
             largest_root_bounds(1.0, 10.0, 0.0, 3)
 
+    def test_rejects_n0(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            largest_root_bounds(1.0, 0.0, 0.0, 0)
+
 
 class TestRefinedBounds:
     def test_alpha0_n3_values(self):
@@ -112,6 +131,11 @@ class TestDorfler:
         assert 1 / smallest_eigenvalue(build_jacobi(0.0, 1)).value == 1.0
         assert dorfler_bounds(0.0, 1).upper == 1.0
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dorfler_bounds(0.0, n)
+
 
 class TestLaguerreSamuelson:
     @pytest.mark.parametrize("n", [2, 4, 7])
@@ -132,6 +156,10 @@ class TestLaguerreSamuelson:
     def test_rejects_negative_discriminant(self):
         with pytest.raises(ValueError):
             laguerre_samuelson(1.0, 10.0, 3)
+
+    def test_rejects_n0(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            laguerre_samuelson(1.0, 0.1, 0)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0])
     @pytest.mark.parametrize("n", [2, 3, 8, 20])
@@ -203,6 +231,11 @@ class TestBesselZeroBounds:
         with pytest.raises(ValueError):
             bessel_zero_enclosure(-1.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_rejects_non_finite_nu(self, nu):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_zero_enclosure(nu)
+
 
 class TestIdentityResiduals:
     def test_values_at_zero(self):
@@ -260,15 +293,34 @@ class TestResidualPolys:
         # dividing the lower bound by (a+3)(a+5) instead of (a+1)(a+5)
         # fails to cancel the n^6 term, so the printed degree-5 lists can
         # only belong to the (a+1)(a+5) normalization
-        from markov_laguerre.bounds import _poly_mul, _poly_sub, _power_sum_polys
-
         a = F(1)
-        p2, p3 = _power_sum_polys(a)
-        quad = _poly_mul([2 * a / 3, F(1)], [-(a + 1) / 6, F(1)])
-        wrong = _poly_sub(
-            p3, [2 / ((a + 3) * (a + 5)) * x for x in _poly_mul(quad, p2)]
-        )
+
+        def wrong_gap(n):
+            _, p2, p3 = power_sums(*reciprocal_b123(a, n))
+            return p3 - _refined_lower(a, n) * (a + 1) / (a + 3) * p2
+
+        wrong = _coefficients_from_values([wrong_gap(n) for n in range(7)])
         assert wrong[6] != 0
+        assert lower_residual_poly(a)[6] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.fractions(min_value=F(-999, 1000), max_value=50, max_denominator=1000),
+        n=st.integers(min_value=0, max_value=40),
+    )
+    def test_single_sources_agree_with_exact_arithmetic(self, a, n):
+        # the exact recurrence row against coeff_a0..a3, which derive from
+        # reciprocal_b123, and the residual polynomials at n against the
+        # scaled residual_sandwich_check they are recovered from
+        row = qn_coefficients(a, n, RATIONAL).coeffs
+        closed = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
+        for k in range(min(3, n) + 1):
+            assert row[k] == closed[k]
+        lr, ur = residual_sandwich_check(a, n)
+        scale_up = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+        at_n = lambda coeffs: sum(c * n**j for j, c in enumerate(coeffs))
+        assert at_n(lower_residual_poly(a)) == lr * (a + 1) * scale_up
+        assert at_n(upper_residual_poly(a)) == ur * scale_up
 
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2)])
     @pytest.mark.parametrize("n", [3, 4, 10, 57])

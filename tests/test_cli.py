@@ -9,7 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from markov_laguerre.cli import SWEEP_COLUMNS, _parse_n_list, main
+from markov_laguerre import bessel, bounds, cli
+from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main
+
+_coeff_a0 = cli.coeff_a0
+_asymptotic_constant = bessel.asymptotic_constant
+_lower_gap_values = bounds._lower_gap_values
+
+# One wrong input per verify suite, as (module, attribute, replacement).
+BROKEN_INPUTS = {
+    "coeffs": (cli, "coeff_a0", lambda a, n: 2 * _coeff_a0(a, n)),
+    "sandwich": (bounds, "dorfler_bounds", lambda a, n: bounds.BoundPair(0.0, 0.0)),
+    "asymptotic": (
+        bessel, "asymptotic_constant", lambda a, tol=1e-13: 1.1 * _asymptotic_constant(a, tol)
+    ),
+    "bessel": (bounds, "bessel_zero_enclosure", lambda nu: bounds.BoundPair(0.0, 1e-3)),
+    "identities": (bounds, "_lower_gap_values", lambda a: (-1,) + _lower_gap_values(a)[1:]),
+}
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +170,14 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--n-list", "", "--jobs", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ["--alpha-min", "--alpha-max", "--alpha-step"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_grid_exits_2(self, capsys, bound, value):
+        code, out, err = run_cli(capsys, "sweep", bound, value, "--n-list", "3", "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_no_violations_on_standard_grid(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -198,6 +222,12 @@ class TestFigure1:
         assert "flagged_r_ge_2=0" in err
         assert "monotone_increasing_for_alpha_ge_0=true" in err
 
+    def test_infinite_alpha_max_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "figure1", "--alpha-max", "inf")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -211,6 +241,18 @@ class TestVerify:
     def test_identities_records_normalization(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--mode", "identities")
         assert "(alpha+1)(alpha+5)" in out
+
+    @pytest.mark.parametrize("mode", sorted(VERIFY_MODES))
+    def test_every_suite_can_fail(self, capsys, monkeypatch, mode):
+        module, name, broken = BROKEN_INPUTS[mode]
+        monkeypatch.setattr(module, name, broken)
+        _, suite = VERIFY_MODES[mode]
+        assert suite() != []
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verify", "--mode", mode)
+        assert code == 1
+        assert any(line.startswith("FAIL ") for line in out.splitlines())
+        assert "PASS" not in out
 
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:
