@@ -2,40 +2,81 @@
 
 The asymptotic Markov constant is c(alpha) = 1/j_{(alpha-1)/2,1}, so locating
 the first Bessel zero turns the finite-n machinery into asymptotic checks.
-The zero is found by bisection inside the enclosure provided by
-:func:`markov_laguerre.bounds.bessel_zero_enclosure`, which makes that
-enclosure load-bearing: a bracket whose endpoints do not straddle a sign
-change is reported as an error, never papered over.
 
-Precision envelope
-------------------
-J_nu(x) is summed by the ascending alternating series, so binary64 loses
-roughly log10(I_nu(x) / |J_nu(x)|) digits to cancellation.  The certified
-envelope is -1 < nu <= 25 and 0 < x <= 40, which covers every bracket the
-zero finder needs (the widest, at nu = 25, reaches x ~ 38.2).  Near the far
-corner the absolute error grows to ~1e-7, which still locates j_{25,1} to
-~1e-6 against enclosure margins above 3; for small x the series is accurate
-to ~1e-15.  Larger nu is out of scope rather than silently inaccurate.
+Zeros as eigenvalues
+--------------------
+The reciprocal zeros +-1/j_{nu,k} are the eigenvalues of Ikebe's infinite
+symmetric tridiagonal matrix with zero diagonal and off-diagonal
+b_k = 1/(2 sqrt((nu+k)(nu+k+1))), k = 1, 2, ... (Ikebe 1975; Ikebe, Kikuchi
+& Fujishiro 1991); its eigenvector is (sqrt(nu+k) J_{nu+k}(j))_k.  The matrix
+is the Golub-Kahan form of the lower bidiagonal C with diagonal b_1, b_3, ...
+and subdiagonal b_2, b_4, ..., so 4/j_{nu,1}^2 is the largest eigenvalue of
+4 C C^T = B B^T, where B has squared diagonal q_i = 1/((nu+2i+1)(nu+2i+2))
+and squared subdiagonal e_i = 1/((nu+2i+2)(nu+2i+3)).  ``first_zero``
+solves it with the qd sign count and safeguarded Newton of
+:mod:`markov_laguerre.eigen` (``_newton_pass_e``, ``_largest``), from above,
+and returns j = 2/sqrt(lambda_max).
+
+Which side is proved
+--------------------
+Cutting the matrix at order m keeps a leading principal block, so its
+largest eigenvalue is a Rayleigh quotient over a subspace and can only lie
+below 4/j^2: truncation never moves the result below j.  The order is the
+first at which Kapteyn's inequality bounds the eigenvector's component
+where the matrix is cut far below tol, evaluated at an upper bound on j.
+The eigenvalue of the truncated matrix lies in a bracket of relative width
+tol whose two ends the sign count certifies, and j comes from its midpoint.
+
+The enclosure of :func:`markov_laguerre.bounds.bessel_zero_enclosure` is
+load-bearing: Newton starts at 4/lower^2, and a count that finds the zero
+outside the enclosure at either end raises RuntimeError.
+
+Domain
+------
+``first_zero`` takes -1 < nu <= ZERO_NU_MAX = 1000, the range its tests
+check against mpmath and by the sign count; other nu raise ValueError.  The
+order grows like nu^(1/3), and once 2m is below half an ulp of nu (nu above
+about 2e24) nu + 2m rounds to nu and no order meets the truncation rule.
+
+Series envelope
+---------------
+``bessel_j`` sums the ascending alternating series, so binary64 loses
+roughly log10(I_nu(x) / |J_nu(x)|) digits to cancellation.  Its certified
+envelope is -1 < nu <= NU_MAX = 25 and 0 < x <= X_MAX = 40; near the far
+corner the absolute error grows to ~1e-7, while for small x the series is
+accurate to ~1e-15.  The envelope bounds ``bessel_j`` only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 
 from .bounds import bessel_zero_enclosure
+from .eigen import EigenResult, _check_tol, _largest, _newton_pass_e
 from .recurrence import alpha_value
 
-__all__ = ["NU_MAX", "X_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
+__all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
 
 log = logging.getLogger(__name__)
 
 NU_MAX = 25.0
 X_MAX = 40.0
+ZERO_NU_MAX = 1000.0
 
 _MIN_TERMS = 30
 _MAX_TERMS = 400
-_MAX_BISECT = 200
+
+# First zero of the Airy function Ai.
+_AIRY_A1 = -2.338107410459767
+# The truncation target is this factor below tol.
+_TRUNCATION_MARGIN = 1e-3
+# Relative outward widening of the enclosure's bracket, for the rounding of
+# the enclosure formulas and of 4/x^2 (a few ulp); near nu = -1 the two ends
+# of the enclosure meet in binary64.
+_WIDEN = 16 * sys.float_info.epsilon
 
 
 def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
@@ -69,67 +110,75 @@ def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
     raise RuntimeError(f"series for J_{nu}({x}) did not settle in {_MAX_TERMS} terms")
 
 
-def first_zero(nu: float, tol: float = 1e-13) -> float:
-    """First positive zero of J_nu, located by bisection.
+def _order(nu: float, upper: float, tol: float) -> int:
+    """Order m of the factor B that ``first_zero`` solves.
 
-    The search starts from the bessel_zero_enclosure interval.  J_nu is
-    positive on (0, j_{nu,1}), so the series value must be positive at the
-    lower endpoint; a nonpositive value there would falsify the enclosure (or
-    the series) and raises RuntimeError.  The upper endpoint may lie past
-    later zeros (for nu above ~12 the enclosure is wider than the spacing of
-    the zeros), so the first sign change is located by a unit-step scan --
-    safe because consecutive zeros of J_nu are more than two apart for every
-    nu > -1 -- and the zero is then bisected inside that subinterval.
+    x is an upper bound on j_{nu,1}: the enclosure's ``upper``, or from
+    nu = 1 on, where it is the sharper one, the bound
+    nu - a_1 (nu/2)^(1/3) + (3/20) a_1^2 (nu/2)^(-1/3) of Qu & Wong (1999),
+    a_1 the first zero of Ai.  m is the first order at which Kapteyn's
+    inequality |J_mu(x)| <= exp(mu g(x/mu)), with mu = nu + 2m and
+    g(z) = log z + sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)), puts the squared
+    eigenvector component at the cut, which sets the truncation error,
+    below tol * _TRUNCATION_MARGIN.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    enclosure_lo, enclosure_hi = bessel_zero_enclosure(nu)
-    f_lo = bessel_j(nu, enclosure_lo)
-    if not f_lo > 0.0:
-        raise RuntimeError(
-            f"J_{nu}({enclosure_lo}) = {f_lo} <= 0 at the lower enclosure "
-            "endpoint; enclosure or series accuracy violated"
-        )
-    lo, hi = enclosure_lo, enclosure_hi
-    t = lo
+    x = upper
+    if nu >= 1.0:
+        t = (0.5 * nu) ** (1.0 / 3.0)
+        x = min(x, nu - _AIRY_A1 * t + 0.15 * _AIRY_A1 * _AIRY_A1 / t)
+    target = math.log(tol * _TRUNCATION_MARGIN)
+    m = max(1, math.ceil(0.5 * (x - nu)))
     while True:
-        t = min(t + 1.0, enclosure_hi)
-        ft = bessel_j(nu, t)
-        if ft < 0.0:
-            hi = t
-            break
-        if ft == 0.0:
-            return t
-        lo = t
-        if t >= enclosure_hi:
-            raise RuntimeError(
-                f"no sign change of J_{nu} found in [{enclosure_lo}, "
-                f"{enclosure_hi}]; enclosure or series accuracy violated"
-            )
-    iterations = 0
-    while hi - lo > tol * 0.5 * (lo + hi):
-        if iterations >= _MAX_BISECT:
-            raise RuntimeError(f"zero bisection did not converge to tol={tol}")
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = bessel_j(nu, mid)
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
-        else:
-            return mid
-        iterations += 1
-    zero = 0.5 * (lo + hi)
-    log.debug("first_zero(nu=%g) = %.17g after %d steps", nu, zero, iterations)
+        mu = nu + 2 * m
+        z = x / mu
+        if z < 1.0:
+            w = math.sqrt(1.0 - z * z)
+            if 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= target:
+                return m
+        m += 1
+
+
+def _ikebe_factor(nu: float, m: int) -> tuple[list[float], list[float]]:
+    """Squared diagonal q and squared subdiagonal e of B at order m (e has
+    m entries; the last one, past the cut, is unused).
+
+    Lists, not tuples: short tuples freed by the thousand (one pair per
+    zero) grew the resident set of a long run by ~1 MiB; lists do not."""
+    q = [1.0 / ((nu + 2 * i + 1) * (nu + 2 * i + 2)) for i in range(m)]
+    e = [1.0 / ((nu + 2 * i + 2) * (nu + 2 * i + 3)) for i in range(m)]
+    return q, e
+
+
+def _zero_eigenvalue(nu: float, m: int, enclosure, tol: float) -> EigenResult:
+    """Largest eigenvalue of B B^T at order m, bracketed by the enclosure
+    (lower, upper) of j widened outward by _WIDEN: 4/upper^2 must count
+    fewer than m eigenvalues and 4/lower^2 all m."""
+    lower, upper = enclosure
+    q, e = _ikebe_factor(nu, m)
+    return _largest(functools.partial(_newton_pass_e, q, e), m,
+                    4.0 / (upper * upper) * (1.0 - _WIDEN),
+                    4.0 / (lower * lower) * (1.0 + _WIDEN), tol)
+
+
+def first_zero(nu: float, tol: float = 1e-13) -> float:
+    """First positive zero j_{nu,1} of J_nu, for -1 < nu <= ZERO_NU_MAX.
+
+    j = 2/sqrt(lambda), lambda the largest eigenvalue of Ikebe's matrix
+    4 C C^T truncated at order ``_order``, bracketed to relative width tol
+    by certified sign counts (see the module docstring).
+    """
+    _check_tol(tol)
+    nu = float(nu)
+    if not -1.0 < nu <= ZERO_NU_MAX:
+        raise ValueError(f"nu={nu} outside the domain (-1, {ZERO_NU_MAX}] of first_zero")
+    enclosure = bessel_zero_enclosure(nu)
+    res = _zero_eigenvalue(nu, _order(nu, enclosure.upper, tol), enclosure, tol)
+    zero = 2.0 / math.sqrt(res.value)
+    log.debug("first_zero(nu=%g) = %.17g after %d passes", nu, zero, res.iterations)
     return zero
 
 
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
-    """Asymptotic constant c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}.
-
-    Requires (alpha-1)/2 inside the Bessel envelope, i.e. alpha <= 51.
-    """
+    """Asymptotic constant c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}."""
     a = float(alpha_value(alpha))
     return 1.0 / first_zero((a - 1.0) / 2.0, tol)

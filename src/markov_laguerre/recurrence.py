@@ -74,6 +74,10 @@ class WeightAlpha:
 
 def alpha_value(alpha) -> float | Fraction:
     """Validate and unwrap an alpha given as a number or a WeightAlpha."""
+    # A plain float in the domain is its own value; NaN, +-inf, bools and
+    # float subclasses take the validating path.
+    if type(alpha) is float and -1.0 < alpha < math.inf:
+        return alpha
     if isinstance(alpha, WeightAlpha):
         return alpha.value
     return WeightAlpha(alpha).value

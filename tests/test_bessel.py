@@ -1,16 +1,22 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_laguerre import (
     asymptotic_constant,
+    bessel,
     bessel_j,
     bessel_zero_enclosure,
+    bounds,
     first_zero,
     asymptotic_upper_large_alpha,
 )
-from markov_laguerre.bessel import NU_MAX, X_MAX
+from markov_laguerre.bessel import NU_MAX, X_MAX, ZERO_NU_MAX, _ikebe_factor, _order, _zero_eigenvalue
+from markov_laguerre.eigen import _newton_pass_e
 
 mpmath.mp.dps = 40
 
@@ -27,6 +33,33 @@ def mp_first_zero(nu):
     while f(t) > 0:
         t += step
     return float(mpmath.findroot(f, (t - step, t), solver="bisect", tol=1e-30))
+
+
+def mp_zero(nu):
+    """Oracle for any nu > -1: the scan below nu = 1; from nu = 1 on, the
+    root of mpmath's J_nu found from the asymptotic
+    nu + 1.8557571 nu^(1/3) + 1.033150 nu^(-1/3), which lies within 0.06 of
+    j_{nu,1} there, far inside half the spacing of the zeros."""
+    if nu < 1.0:
+        return mp_first_zero(nu)
+    start = nu + 1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3)
+    return float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), mpmath.mpf(start)))
+
+
+def order(nu, tol):
+    return _order(nu, bessel_zero_enclosure(nu).upper, tol)
+
+
+def zero_eigenvalue(nu, m, tol):
+    return _zero_eigenvalue(nu, m, bessel_zero_enclosure(nu), tol)
+
+
+def dense_factor_product(q, e):
+    """B B^T as a dense matrix, B lower bidiagonal with squared diagonal q
+    and squared subdiagonal e."""
+    m = len(q)
+    B = np.diag(np.sqrt(q)) + np.diag(np.sqrt(e[: m - 1]), -1)
+    return B @ B.T
 
 
 class TestSeries:
@@ -86,11 +119,80 @@ class TestFirstZero:
         lo, hi = bessel_zero_enclosure(nu)
         z = first_zero(nu)
         assert lo < z < hi
-        assert z == pytest.approx(mp_first_zero(nu), abs=5e-8)
+        assert z == pytest.approx(mp_first_zero(nu), rel=1e-13)
 
     @pytest.mark.parametrize("nu", [-0.999, -0.995, -0.99])
     def test_relative_accuracy_near_minus_one(self, nu):
         # zeros below 1: the stopping width must be relative to the zero
+        want = mp_first_zero(nu)
+        assert abs(first_zero(nu) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize(
+        "nu",
+        [-0.9999, -0.95, -0.5, 0.3, 1.0, 3.3, 10.0, 23.835, 25.0, 25.5, 60.0, 100.0, 175.0, 250.0,
+         500.0, 1000.0],
+    )
+    def test_relative_accuracy_on_a_wide_grid(self, nu):
+        # 23.835 is where the ascending-series bisection was 3.7e-10 off
+        want = mp_zero(nu)
+        assert abs(first_zero(nu) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("nu", [math.nextafter(ZERO_NU_MAX, math.inf), 1e24, 1e40, 1e300])
+    def test_beyond_the_domain_raises(self, nu):
+        # above about 2e24, nu + 2m rounds to nu and no truncation order
+        # would ever satisfy the rule: the domain check must come first
+        assert ZERO_NU_MAX == 1000.0
+        with pytest.raises(ValueError, match="domain"):
+            first_zero(nu)
+        with pytest.raises(ValueError, match="domain"):
+            asymptotic_constant(2 * nu + 1)
+
+    def test_half_orders_within_one_ulp(self):
+        assert abs(first_zero(0.5) - math.pi) <= math.ulp(math.pi)
+        assert abs(first_zero(-0.5) - math.pi / 2) <= math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8])
+    @pytest.mark.parametrize("nu", [-0.95, 0.0, 3.3, 25.0, 100.0, 250.0, 1000.0])
+    def test_doubling_the_order_moves_the_zero_by_at_most_tol(self, nu, tol):
+        m = order(nu, tol)
+        z = 2 / math.sqrt(zero_eigenvalue(nu, m, tol).value)
+        z2 = 2 / math.sqrt(zero_eigenvalue(nu, 2 * m, tol).value)
+        assert abs(z2 - z) <= tol * z
+
+    @pytest.mark.parametrize("nu", [0.0, 3.3, 40.0])
+    @pytest.mark.parametrize("factors", [(0.5, 0.9), (1.1, 2.0)])
+    def test_enclosure_that_misses_the_zero_raises(self, monkeypatch, nu, factors):
+        # an enclosure below the zero leaves every eigenvalue under
+        # 4/upper^2; one above it leaves the largest over the start 4/lower^2
+        j = first_zero(nu)
+        monkeypatch.setattr(
+            bessel, "bessel_zero_enclosure", lambda nu: bounds.BoundPair(factors[0] * j, factors[1] * j)
+        )
+        with pytest.raises(RuntimeError, match="misses"):
+            first_zero(nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True))
+    def test_sign_count_certifies_both_ends(self, nu):
+        tol = 1e-13
+        m = order(nu, tol)
+        q, e = _ikebe_factor(nu, m)
+        res = zero_eigenvalue(nu, m, tol)
+        lo, hi = res.bracket
+        assert lo <= res.value <= hi
+        assert hi - lo <= tol * res.value
+        assert _newton_pass_e(q, e, lo)[0] < m
+        assert _newton_pass_e(q, e, hi)[0] == m
+        # independent: LAPACK's largest eigenvalue of the dense B B^T, to
+        # its own absolute accuracy of a few eps * lambda
+        top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
+        assert lo * (1 - 1e-14) <= top <= hi * (1 + 1e-14)
+
+    @pytest.mark.parametrize("nu", [-0.9999999999999999, -1 + 1e-12])
+    def test_enclosure_collapsed_in_binary64(self, nu):
+        # the enclosure's relative width is about nu + 1, and at the first
+        # float above -1 its two ends are one number; the ascending series
+        # raised at both points, the count still places the zero
         want = mp_first_zero(nu)
         assert abs(first_zero(nu) - want) <= 1e-13 * want
 
@@ -118,8 +220,14 @@ class TestAsymptoticConstant:
         assert asymptotic_constant(1.0) == pytest.approx(1 / 2.404825557695773, rel=1e-11)
 
     def test_envelope(self):
-        with pytest.raises(ValueError):
-            asymptotic_constant(52.0)
+        # the cap is alpha <= 2001 (nu <= 1000): c(52) = 1/j_{25.5,1};
+        # alpha <= -1, nan, inf and alpha past the cap raise
+        assert asymptotic_constant(52.0) == pytest.approx(1 / mp_zero(25.5), rel=1e-13)
+        for bad in (-1.0, -3.0, math.nan, math.inf, 2003.0, 1e30):
+            with pytest.raises(ValueError):
+                asymptotic_constant(bad)
+            with pytest.raises(ValueError):
+                first_zero((bad - 1) / 2)
 
     def test_inverse_zero_bound_true_domain(self):
         # c(alpha) < 2/(alpha + 2pi - 2) holds for alpha > 2 with equality

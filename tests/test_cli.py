@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from markov_laguerre import bessel, bounds, cli
@@ -138,6 +139,36 @@ class TestSweep:
         keys = [(float(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_asymptotic_ratio_filled_above_alpha_51(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--alpha-min", "52", "--alpha-max", "152", "--alpha-step", "100",
+            "--n-list", "500", "--jobs", "1",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        col = header.index("asymptotic_ratio")
+        for row in rows:
+            a, n, exact_c = float(row[0]), int(row[1]), float(row[2])
+            want = exact_c * float(mpmath.besseljzero((a - 1) / 2, 1)) / n
+            assert float(row[col]) == pytest.approx(want, rel=1e-12)
+
+    def test_asymptotic_ratio_blank_past_alpha_2001(self, capsys):
+        # first_zero's domain ends at nu = 1000, i.e. alpha = 2001
+        code, out, _ = run_cli(
+            capsys, "sweep", "--alpha-min", "2001", "--alpha-max", "2003", "--alpha-step", "2",
+            "--n-list", "500", "--jobs", "1",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        col = header.index("asymptotic_ratio")
+        assert [row[col] != "" for row in rows] == [True, False]
+        want = float(rows[0][2]) * bessel.first_zero(1000.0) / 500
+        assert float(rows[0][col]) == pytest.approx(want, rel=1e-15)
+        code, out, _ = run_cli(capsys, "sweep", "--alpha", "1e40", "--n-list", "3", "--jobs", "1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert rows[0][header.index("asymptotic_ratio")] == ""
+
     def test_round_trip_is_bit_exact(self, capsys):
         _, out, _ = run_cli(
             capsys,
@@ -201,8 +232,15 @@ class TestBesselZero:
         assert float(rows[0][1]) == pytest.approx(math.pi, abs=1e-12)
 
     def test_out_of_envelope_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "bessel-zero", "--nu", "30")
-        assert code == 2
+        # the domain is -1 < nu <= 1000, nu = 30 included
+        code, out, _ = run_cli(capsys, "bessel-zero", "--nu", "30")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0][1]) == pytest.approx(float(mpmath.besseljzero(30, 1)), rel=1e-13)
+        for bad in ("-1", "nan", "inf", "1000.5", "1e40"):
+            code, out, _ = run_cli(capsys, "bessel-zero", "--nu", bad)
+            assert code == 2
+            assert out == ""
 
 
 class TestFigure1:

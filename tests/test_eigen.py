@@ -20,7 +20,7 @@ from markov_laguerre import (
     sturm_count,
     turan_constant,
 )
-from markov_laguerre.eigen import _newton_pass
+from markov_laguerre.eigen import _largest, _newton_pass, _newton_pass_e
 
 
 def dense(T):
@@ -249,6 +249,31 @@ class TestKernel:
             assert np.min(np.abs(eig - sigma)) > 1e-9
             assert sturm_count(T, sigma) == int(np.sum(eig < sigma))
             assert _newton_pass(T.q, sigma) == (sturm_count(T, sigma), None)
+
+    def test_factored_pass_with_unit_subdiagonal_is_the_jacobi_pass(self):
+        # e = 1 makes _newton_pass_e the recurrence of _newton_pass, bit for
+        # bit, through a zero pivot inside (sigma = d_0) or at the end (n = 1)
+        for alpha, n in [(0.0, 1), (0.0, 6), (2.5, 30), (40.0, 200)]:
+            T = build_jacobi(alpha, n)
+            ones = [1.0] * n
+            for sigma in (T.diag[0], 0.3 * T.diag[0], 0.5, 3.7, 1e3):
+                assert _newton_pass_e(T.q, ones, sigma) == _newton_pass(T.q, sigma)
+
+    def test_largest_raises_when_the_bracket_misses(self):
+        T = build_jacobi(1.5, 8)
+        top = largest_eigenvalue(T).value
+        newton_pass = lambda sigma: _newton_pass(T.q, sigma)
+        for lo, hi in [(1.1 * top, 2 * top), (0.0, 0.9 * top)]:
+            with pytest.raises(RuntimeError, match="misses"):
+                _largest(newton_pass, 8, lo, hi, 1e-13)
+
+    def test_largest_matches_lapack(self):
+        for alpha, n in [(-0.9, 2), (0.0, 7), (3.0, 40), (1e4, 300)]:
+            T = build_jacobi(alpha, n)
+            res = largest_eigenvalue(T)
+            lo, hi = res.bracket
+            assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
+            assert res.value == pytest.approx(np.linalg.eigvalsh(dense(T))[-1], rel=1e-13)
 
     def test_start_above_the_eigenvalue_falls_back_to_zero(self):
         # The start is 1/refined_upper(alpha, n); an alpha of 100 puts it

@@ -15,7 +15,7 @@ from markov_laguerre import (
     recurrence_coeffs,
     reciprocal_b123,
 )
-from markov_laguerre.recurrence import qn_coefficient_rows
+from markov_laguerre.recurrence import alpha_value, qn_coefficient_rows
 
 RATIONAL_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
 
@@ -29,6 +29,21 @@ class TestWeightAlpha:
     def test_rejects_non_numbers(self):
         with pytest.raises(TypeError):
             WeightAlpha("0.5")
+
+    @pytest.mark.parametrize("bad", [-1.0, -1.5, float("nan"), float("inf"), float("-inf")])
+    def test_alpha_value_rejects_out_of_range_floats(self, bad):
+        with pytest.raises(ValueError):
+            alpha_value(bad)
+
+    def test_alpha_value_validates_bools_and_float_subclasses(self):
+        class Real(float):
+            pass
+
+        with pytest.raises(TypeError):
+            alpha_value(True)
+        with pytest.raises(ValueError):
+            alpha_value(Real("nan"))
+        assert alpha_value(0.25) == 0.25 and alpha_value(Real(0.25)) == 0.25
 
     def test_int_becomes_exact(self):
         assert WeightAlpha(2).value == F(2)
