@@ -174,6 +174,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.alpha is not None:
         alphas = [args.alpha]
     else:
@@ -411,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, default=10.0)
     p.add_argument("--alpha-step", type=float, default=1.0)
     p.add_argument("--n-list", required=True, help="e.g. '1,2,5' or '3..100'")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes, >= 1 (default: one per core)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run one verification suite")

@@ -91,6 +91,12 @@ class TestConstant:
             main(["constant", "--alpha", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_unusable_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "constant", "--alpha", "0", "--n", "10", "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol" in err
+
 
 class TestBounds:
     def test_alpha0_n3_ordering(self, capsys):
@@ -197,6 +203,13 @@ class TestSweep:
         _, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--alpha", "0", "--n-list", "3",
+                                 "--jobs", jobs)
+        assert code == 2
+        assert out == "" and "--jobs" in err
+
     def test_empty_n_list_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n-list", "", "--jobs", "1")
         assert code == 2
@@ -241,6 +254,12 @@ class TestBesselZero:
             code, out, _ = run_cli(capsys, "bessel-zero", "--nu", bad)
             assert code == 2
             assert out == ""
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_unusable_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "bessel-zero", "--nu", "0.5", "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol" in err
 
 
 class TestFigure1:

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -20,7 +21,16 @@ from markov_laguerre import (
     sturm_count,
     turan_constant,
 )
-from markov_laguerre.eigen import _largest, _newton_pass, _newton_pass_e
+from markov_laguerre.bessel import first_zero
+from markov_laguerre.eigen import (
+    _CLOSE_LAGUERRE,
+    _count,
+    _laguerre_pass,
+    _largest,
+    _newton,
+    _newton_pass,
+    _newton_pass_e,
+)
 
 
 def dense(T):
@@ -205,6 +215,18 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             largest_eigenvalue(build_jacobi(0.0, 5), tol)
 
+    # An infinite tol once returned c_10(0) = 1.399 (it is 6.691) and
+    # first_zero(0.5) = 3.185 (it is pi).
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 2.0])
+    def test_unusable_tolerance_raises(self, tol):
+        for solve in (smallest_eigenvalue, largest_eigenvalue):
+            with pytest.raises(ValueError, match="tol"):
+                solve(build_jacobi(0.0, 10), tol)
+        with pytest.raises(ValueError, match="tol"):
+            markov_constant(0.0, 10, tol)
+        with pytest.raises(ValueError, match="tol"):
+            first_zero(0.5, tol)
+
 
 class TestKernel:
     """The qd/Newton solver: relative accuracy at every n, a bracket that
@@ -234,9 +256,67 @@ class TestKernel:
     def test_pass_count_bounded_at_large_alpha(self, alpha):
         T = build_jacobi(alpha, 20000)
         res = smallest_eigenvalue(T)
-        assert 0 < res.iterations <= 60
+        assert 0 < res.iterations <= 30
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+
+    def test_pass_count_on_point_draws(self):
+        # Draws as in the benchmark's point workload, at n <= 2000.  Newton
+        # steps without the counting close took 8.5 passes on average, 11 at
+        # most.
+        rng = random.Random(7)
+        passes = []
+        for _ in range(60):
+            alpha = 100.0 - 101.0 * rng.random()
+            n = round(math.exp(rng.uniform(math.log(500), math.log(2000))))
+            passes.append(smallest_eigenvalue(build_jacobi(alpha, n)).iterations)
+        assert sum(passes) / len(passes) <= 6.5
+        assert max(passes) <= 9
+
+    @pytest.mark.parametrize("bias", [10.0, -10.0])
+    @pytest.mark.parametrize("alpha, n", [(0.0, 50), (5.0, 1000), (60.0, 3000)])
+    def test_close_gallops_and_bisects(self, alpha, n, bias):
+        # Steps off by 10 tol put the estimate beyond the first count on one
+        # side (above it for +10, below for -10): the close gallops there,
+        # then bisects, and must still return a tight bracket.
+        tol = 1e-13
+        T = build_jacobi(alpha, n)
+        counted = []
+
+        def biased(sigma):
+            c, step = _laguerre_pass(T.q, sigma)
+            return c, None if step is None else step + bias * tol * sigma
+
+        def count(sigma):
+            counted.append(sigma)
+            return _count(T.q, sigma)
+
+        res = _newton(biased, count, 0.0, T.q[0], 0.0, tol, _CLOSE_LAGUERRE)
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+        assert hi - lo <= tol * res.value
+        assert lo < res.value < hi
+        # The estimate lies 2 tol to 10 tol beyond the eigenvalue: an offset
+        # that doubles from tol/4 misses at least four times and lands by the
+        # seventh count, one more count lands on the other side, and
+        # bisection from a width of at most 8 tol takes at most four.
+        assert 5 <= len(counted) <= 12
+
+    @pytest.mark.parametrize("alpha, n", [(-0.9, 40), (0.0, 300), (25.0, 1000)])
+    def test_laguerre_step_lands_between_newton_and_the_eigenvalue(self, alpha, n):
+        T = build_jacobi(alpha, n)
+        top = np.linalg.eigvalsh(dense(T))[0]
+        for sigma in (0.0, 0.5 * top, 0.99 * top):
+            count, step = _laguerre_pass(T.q, sigma)
+            assert count == 0
+            newton = _newton_pass(T.q, sigma)[1]
+            assert newton <= step * (1 + 1e-12) and sigma + step <= top * (1 + 1e-12)
+        # above the eigenvalue the step is Newton's
+        count, step = _laguerre_pass(T.q, 1.001 * top)
+        assert count == 1
+        assert step == pytest.approx(_newton_pass(T.q, 1.001 * top)[1], rel=1e-12)
+        # a zero pivot inside the recurrence: the count goes on, no step
+        assert _laguerre_pass(T.q, T.diag[0]) == (sturm_count(T, T.diag[0]), None)
 
     def test_zero_pivot_inside_the_recurrence(self):
         # sigma = d_0 zeroes the first pivot; the count goes on past it and
