@@ -13,9 +13,9 @@ is the Golub-Kahan form of the lower bidiagonal C with diagonal b_1, b_3, ...
 and subdiagonal b_2, b_4, ..., so 4/j_{nu,1}^2 is the largest eigenvalue of
 4 C C^T = B B^T, where B has squared diagonal q_i = 1/((nu+2i+1)(nu+2i+2))
 and squared subdiagonal e_i = 1/((nu+2i+2)(nu+2i+3)).  ``first_zero``
-solves it with the qd sign count and safeguarded Newton of
-:mod:`markov_laguerre.eigen` (``_newton_pass_e``, ``_largest``), from above,
-and returns j = 2/sqrt(lambda_max).
+solves it with the qd sign count and safeguarded Laguerre steps of
+:mod:`markov_laguerre.eigen` (``_laguerre_pass_e``, ``_largest``), from
+above, and returns j = 2/sqrt(lambda_max).
 
 Which side is proved
 --------------------
@@ -28,7 +28,7 @@ The eigenvalue of the truncated matrix lies in a bracket of relative width
 tol whose two ends the sign count certifies, and j comes from its midpoint.
 
 The enclosure of :func:`markov_laguerre.bounds.bessel_zero_enclosure` is
-load-bearing: Newton starts at 4/lower^2, and a count that finds the zero
+load-bearing: the solve starts at 4/lower^2, and a count that finds the zero
 outside the enclosure at either end raises RuntimeError.
 
 Domain
@@ -55,7 +55,7 @@ import math
 import sys
 
 from .bounds import bessel_zero_enclosure
-from .eigen import EigenResult, _check_tol, _largest, _newton_pass_e
+from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
 from .recurrence import alpha_value
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
@@ -155,7 +155,7 @@ def _zero_eigenvalue(nu: float, m: int, enclosure, tol: float) -> EigenResult:
     fewer than m eigenvalues and 4/lower^2 all m."""
     lower, upper = enclosure
     q, e = _ikebe_factor(nu, m)
-    return _largest(functools.partial(_newton_pass_e, q, e), m,
+    return _largest(functools.partial(_laguerre_pass_e, q, e), m,
                     4.0 / (upper * upper) * (1.0 - _WIDEN),
                     4.0 / (lower * lower) * (1.0 + _WIDEN), tol)
 

@@ -119,6 +119,13 @@ def _require_n(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _finite(lower: float, upper: float, a: float) -> tuple[float, float]:
+    """(lower, upper), or OverflowError for a nan lower or an upper not in (0, inf)."""
+    if math.isnan(lower) or not 0.0 < upper < math.inf:
+        raise OverflowError(f"the bounds at alpha={a} overflow binary64")
+    return lower, upper
+
+
 def power_sums(b1, b2, b3) -> PowerSumTriple:
     """Newton's identities: (p1, p2, p3) from the leading coefficients.
 
@@ -165,11 +172,13 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
 
     q_a(n) < 0 near a = -1 at small n (a = -0.9: n <= 25) and in a thin
     window just above n = (a+1)/6 at large a (a = 50, n = 9: 0.0151 against
-    0.0300), where the refined lower bound is valid but weaker.
+    0.0300), where the refined lower bound is valid but weaker.  Past a of
+    about 1e154 the products overflow binary64: OverflowError.
     """
     a = float(alpha_value(alpha))
     _require_n(n)
-    return RefinedBounds(_refined_lower(a, n), _refined_upper(a, n), n > (a + 1) / 6)
+    return RefinedBounds(*_finite(_refined_lower(a, n), _refined_upper(a, n), a),
+                         n > (a + 1) / 6)
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:
@@ -198,11 +207,13 @@ def asymptotic_bounds(alpha) -> BoundPair:
     """Bounds for the asymptotic constant c(alpha) = lim c_n(alpha)/n:
 
         sqrt(2)/sqrt((a+1)(a+5)) <= c(alpha) <= 1/(sqrt(a+1) ((a+3)(a+5))^(1/6)).
+
+    Past a of about 1.3e154 both overflow to 0: OverflowError.
     """
     a = float(alpha_value(alpha))
     lower = math.sqrt(2.0 / ((a + 1) * (a + 5)))
     upper = 1.0 / (math.sqrt(a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 6.0))
-    return BoundPair(lower, upper)
+    return BoundPair(*_finite(lower, upper, a))
 
 
 def asymptotic_upper_large_alpha(alpha) -> float:
@@ -389,6 +400,7 @@ def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
     a = float(alpha_value(alpha))
     res = smallest_eigenvalue(build_jacobi(a, n), tol)
     exact_c_sq = 1.0 / res.value
+    refined = refined_bounds(a, n)  # first: it raises where the products overflow
     b1, b2, b3 = reciprocal_b123(a, n)
     pair_i, pair_ii, pair_iii = largest_root_bounds(b1, b2, b3, n)
     return BoundsReport(
@@ -398,7 +410,7 @@ def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
         linear=pair_i,
         quadratic=pair_ii,
         cubic=pair_iii,
-        refined=refined_bounds(a, n),
+        refined=refined,
         dorfler=dorfler_bounds(a, n),
         laguerre_samuelson=laguerre_samuelson(b1, b2, n),
         turan=turan_constant(n) if a == 0.0 else None,

@@ -4,7 +4,8 @@ Subcommands: constant, bounds, sweep, verify, bessel-zero, figure1.
 Output is CSV (default) or JSON (--format json); floats are serialized with
 17 significant digits so the decimal form round-trips binary64 exactly.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error.
-The env var MARKOV_LAGUERRE_LOG in {error, info, debug} sets log verbosity.
+The env var MARKOV_LAGUERRE_LOG in {error, info, debug} sets log verbosity;
+any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -379,10 +380,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, alpha=False, n=False):
-    sub.add_argument(
-        "--tol", type=float, default=1e-13, help="relative width of the certified bracket"
-    )
+def _add_common(sub, alpha=False, n=False, tol=True):
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-13,
+                         help="relative width of the certified bracket")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if alpha:
         sub.add_argument("--alpha", type=float, required=True, help="weight exponent, > -1")
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bessel_zero)
 
     p = sub.add_parser("figure1", help="ratio of asymptotic-constant bounds vs alpha")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.add_argument("--alpha-min", type=float, default=-0.99)
     p.add_argument("--alpha-max", type=float, default=500.0)
     p.add_argument("--alpha-step", type=float, default=0.1)
@@ -437,16 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging():
-    level = os.environ.get("MARKOV_LAGUERRE_LOG", "error").lower()
+    level = (os.environ.get("MARKOV_LAGUERRE_LOG") or "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR))
+    if level not in levels:
+        raise ValueError(f"MARKOV_LAGUERRE_LOG must be error|info|debug, got {level!r}")
+    logging.basicConfig(level=levels[level])
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

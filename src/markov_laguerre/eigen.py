@@ -15,24 +15,23 @@ the stationary qd recurrence (Fernando & Parlett 1994).  It works on the
 factor, not on the entries of T_n, so its sign count places even the
 smallest eigenvalue to high relative accuracy (Demmel & Kahan 1990).  The
 number of negative pivots is the number of eigenvalues below sigma; an
-exact zero pivot counts as negative.  ``_newton_pass_e`` runs the same
+exact zero pivot counts as negative.  ``_laguerre_pass_e`` runs the same
 recurrence, s_{k+1} = e_k s_k/(q_k + s_k) - sigma, for a factor with
 squared subdiagonal e_k; the Bessel zeros of :mod:`markov_laguerre.bessel`
 use it.
 
-One driver, ``_newton``, takes safeguarded steps on det(M - sigma), with
-the derivatives from the sign-count pass: Laguerre's for T_n, Newton's
-otherwise.  Once a step is small, a close that only counts brackets the
-estimate, and the result is the midpoint of a bracket whose ends the sign
-count placed.  ``smallest_eigenvalue`` starts at the reciprocal of the
-refined upper bound on c_n(alpha)^2, below the eigenvalue; a largest
-eigenvalue (``_largest``) is the smallest of -M, solved from above.
+One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
+from either side, both derivatives from the sign-count pass.  Once a step
+is small, a close that only counts brackets the estimate, and the result
+is the midpoint of a bracket whose ends the sign count placed.
+``smallest_eigenvalue`` starts at the reciprocal of the refined upper
+bound on c_n(alpha)^2, below the eigenvalue; a largest eigenvalue
+(``_largest``) is the smallest of -M, solved from above.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -54,9 +53,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MAX_PASSES = 200
-# Steps of at most this share of sigma go to the close (cubic, quadratic).
-_CLOSE_LAGUERRE = 1e-6
-_CLOSE_NEWTON = 1e-7
+# Steps of at most this share of sigma go to the close.
+_CLOSE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,9 @@ class EigenResult:
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
     value.  The count certifies the ends but does not prove them: on random
     inputs with n up to 20000 it is wrong at about one end in eight.
-    ``iterations`` is the number of passes that took, step passes and
-    count-only passes together.
+    ``iterations`` is the number of passes that took: Laguerre step passes
+    and count-only passes together, and for a largest eigenvalue the pass
+    that checks its lower end.
     """
 
     value: float
@@ -152,62 +151,24 @@ def _count(q, sigma: float) -> int:
             s = 1.0 - sigma
 
 
-def _newton_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
-    """Sign count at sigma and the Newton step -f/f' for f = det(B B^T -
-    sigma), B with diagonal sqrt(q_k) and subdiagonal sqrt(e_k): s_0 =
-    -sigma, s_{k+1} = e_k s_k/p_k - sigma, f'/f = sum_k s_k'/p_k, s_0' = -1,
-    s_{k+1}' = e_k s_k' q_k/p_k^2 - 1.
-
-    e holds len(q) entries; the last one only feeds an s that no pivot
-    uses.  An exact zero pivot counts as negative; the next pivot is then
-    +inf, the one after it sees s = e_{k+1} - sigma, and the step is None,
-    as where f' overflows (0 for a zero last pivot, where f = 0).
-    """
-    count = 0
-    s = -sigma
-    ds = -1.0
-    dlog = 0.0
-    it = zip(q, e)
-    while True:
-        try:
-            for qk, ek in it:
-                p = qk + s
-                if p <= 0.0:
-                    count += 1
-                r = 1.0 / p
-                u = ds * r
-                dlog += u
-                ds = ek * u * qk * r - 1.0
-                s = ek * s / p - sigma
-            break
-        except ZeroDivisionError:
-            nxt = next(it, None)
-            if nxt is None:
-                # The last pivot is 0: det(T - sigma) = 0.
-                return count, 0.0
-            s = nxt[1] - sigma
-            dlog = math.nan
-    if dlog == 0.0 or not math.isfinite(dlog):
-        return count, None
-    return count, -1.0 / dlog
-
-
-def _newton_pass(q, sigma: float) -> tuple[int, float | None]:
-    """Sign count at sigma and the Newton step -f/f' for f = det(T - sigma):
-    ``_newton_pass_e`` with unit subdiagonal, bit for bit."""
-    return _newton_pass_e(q, itertools.repeat(1.0), sigma)
+def _laguerre_step(n: int, s1: float, s2: float) -> float | None:
+    """Laguerre's step n/(S1 + sgn(S1) sqrt((n-1)(n S2 - S1^2))), with S1 =
+    -f'/f = sum 1/(lambda_i - sigma) and S2 = -(f'/f)', or None.  It heads
+    the way Newton's 1/S1 does and converges cubically and monotonically
+    from either side of an eigenvalue (Parlett 1964; Li & Zeng 1994)."""
+    if s1 == 0.0 or not math.isfinite(s1 + s2):
+        return None
+    return n / (s1 + math.copysign(math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1))), s1))
 
 
 def _laguerre_pass(q, sigma: float) -> tuple[int, float | None]:
-    """Sign count at sigma and a step towards the smallest eigenvalue of T:
-    Laguerre's from count 0, Newton's 1/S1 from count >= 1.
+    """Sign count at sigma and Laguerre's step for f = det(T - sigma).
 
-    Laguerre's step n/(S1 + sqrt((n-1)(n S2 - S1^2))), with S1 = -f'/f =
-    sum 1/(lambda_i - sigma) and S2 = -(f'/f)', converges cubically and
-    monotonically from below every eigenvalue (Parlett 1964; Li & Zeng
-    1994).  With u_k = s_k'/p_k and v_k = s_k''/p_k - u_k^2, S1 = -sum u_k,
-    S2 = -sum v_k, s_0'' = 0 and s_{k+1}'' = (v_k - u_k^2) q_k/p_k.  Zero
-    pivots as in ``_newton_pass_e``.
+    With u_k = s_k'/p_k and v_k = s_k''/p_k - u_k^2, S1 = -sum u_k,
+    S2 = -sum v_k, s_0' = -1, s_{k+1}' = u_k q_k/p_k - 1, s_0'' = 0 and
+    s_{k+1}'' = (v_k - u_k^2) q_k/p_k.  An exact zero pivot counts as
+    negative and gives no step, or the step 0 when it is the last pivot
+    (f = 0); the count then goes on as in ``_count``.
     """
     count = 0
     s = -sigma
@@ -233,12 +194,45 @@ def _laguerre_pass(q, sigma: float) -> tuple[int, float | None]:
         if next(it, None) is None:
             return count, 0.0
         return _count(q, sigma), None
-    if s1 == 0.0 or not math.isfinite(s1 + s2):
-        return count, None
-    if count:
-        return count, 1.0 / s1
-    n = len(q)
-    return count, n / (s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1))))
+    return count, _laguerre_step(len(q), s1, s2)
+
+
+def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
+    """``_laguerre_pass`` for B B^T, B with diagonal sqrt(q_k) and
+    subdiagonal sqrt(e_k): s_{k+1} = e_k s_k/p_k - sigma, and the
+    derivatives take e_k q_k/p_k for q_k/p_k; with e_k = 1 it is
+    ``_laguerre_pass``, bit for bit.  e holds len(q) entries, the last only
+    feeding an s that no pivot uses.  After an exact zero pivot the next
+    pivot is +inf, and the one after it sees s = e_{k+1} - sigma.
+    """
+    count = 0
+    s = -sigma
+    ds = -1.0
+    d2s = s1 = s2 = 0.0
+    it = zip(q, e)
+    while True:
+        try:
+            for qk, ek in it:
+                p = qk + s
+                if p <= 0.0:
+                    count += 1
+                r = 1.0 / p
+                u = ds * r
+                uu = u * u
+                v = d2s * r - uu
+                s1 -= u
+                s2 -= v
+                w = ek * qk * r
+                ds = u * w - 1.0
+                d2s = (v - uu) * w
+                s = ek * s / p - sigma
+            return count, _laguerre_step(len(q), s1, s2)
+        except ZeroDivisionError:
+            nxt = next(it, None)
+            if nxt is None:
+                return count, 0.0
+            s = nxt[1] - sigma
+            s1 = math.nan
 
 
 def sturm_count(T: TridiagMatrix, sigma: float) -> int:
@@ -256,8 +250,7 @@ def _unresolved(tol: float, lo: float, hi: float) -> RuntimeError:
     return RuntimeError(f"tol={tol} is below binary64 resolution of bracket [{lo}, {hi}]")
 
 
-def _newton(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
-            close: float) -> EigenResult:
+def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> EigenResult:
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
     that it lies there.  ``step_pass(sigma)`` returns the number of
     eigenvalues of M at or below sigma and a step towards the smallest one
@@ -268,21 +261,16 @@ def _newton(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     count none.  Each later pass moves one end of the bracket to sigma, by
     its count, unless its step is 0 (a zero last pivot: sigma is the
     eigenvalue).  Only steps from counts 0 and 1 are used.  Once |step| <=
-    close*|sigma|, the estimate sigma + step, clamped to the bracket, goes to
-    the close.  Before that, a step whose estimate lies in the bracket gives
-    the next sigma, in this order:
-
-    * from below, when the step is over half the previous one (slower than
-      bisection): a third of the way to where the secant through the last
-      two steps vanishes, and at least two steps ahead;
-    * the estimate, from below, or from above when the step is at most half
-      the previous move.
-
-    Otherwise the next sigma is the bracket's midpoint, geometric while
-    hi > 2 lo > 0.  Close: counts at est -+ tol*|est|/4; where one misses,
-    the offset on that side doubles until a count lands, and then counts
-    bisect.  Both phases stop once hi - lo <= tol * |value|, value being the
-    midpoint, which is returned.
+    _CLOSE*|sigma|, the estimate sigma + step, clamped to the bracket, goes
+    to the close.  Before that, a step whose estimate lies in the bracket
+    gives the next sigma: the estimate, or, from below when the step is over
+    half the previous one (slower than bisection), a third of the way to
+    where the secant through the last two steps vanishes, and at least two
+    steps ahead.  Otherwise the next sigma is the bracket's midpoint,
+    geometric while hi > 2 lo > 0.  Close: counts at est -+ tol*|est|/4;
+    where one misses, the offset on that side doubles until a count lands,
+    and then counts bisect.  Both phases stop once hi - lo <= tol * |value|,
+    value being the midpoint, which is returned.
     """
     c, step = step_pass(sigma)
     steps = 1
@@ -301,26 +289,23 @@ def _newton(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
                 lo = sigma
             else:
                 hi = sigma
-        if hi - lo <= tol * abs(0.5 * (lo + hi)):
+        if hi - lo <= tol * abs(0.5 * lo + 0.5 * hi):
             break
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
         usable = c <= 1 and step is not None
-        if usable and abs(step) <= close * abs(sigma):
+        if usable and abs(step) <= _CLOSE * abs(sigma):
             est = min(max(sigma + step, lo), hi)
             break
-        nxt = None
-        if usable and lo <= sigma + step <= hi:
-            if c == 0 and step > 0.5 * prev:
-                reach = 2.0 if step >= prev else max(2.0, move / (3.0 * (prev - step)))
-                nxt = sigma + reach * step
-            elif c == 0 or abs(step) <= 0.5 * move:
-                nxt = sigma + step
-        if nxt is not None and lo < nxt < hi:
+        nxt = sigma + step if usable else math.nan
+        if c == 0 and lo < nxt <= hi and step > 0.5 * prev:
+            reach = 2.0 if step >= prev else max(2.0, move / (3.0 * (prev - step)))
+            nxt = sigma + reach * step
+        if lo < nxt < hi:
             move = abs(nxt - sigma)
             prev = step if c == 0 else math.inf
         else:
-            nxt = math.sqrt(lo * hi) if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
+            nxt = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * lo + 0.5 * hi
             if not lo < nxt < hi:
                 raise _unresolved(tol, lo, hi)
             move = prev = math.inf
@@ -340,38 +325,37 @@ def _newton(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
                     break
                 d += d
                 x = est + side * d
-        while hi - lo > tol * abs(0.5 * (lo + hi)):
-            x = 0.5 * (lo + hi)
+        while hi - lo > tol * abs(0.5 * lo + 0.5 * hi):
+            x = 0.5 * lo + 0.5 * hi
             if not lo < x < hi:
                 raise _unresolved(tol, lo, hi)
             counts += 1
             lo, hi = (lo, x) if count(x) else (x, hi)
-    value = 0.5 * (lo + hi)
-    log.debug("newton: value=%.17g in [%g, %g] after %d step and %d count passes",
+    value = 0.5 * lo + 0.5 * hi
+    log.debug("solve: value=%.17g in [%g, %g] after %d step and %d count passes",
               value, lo, hi, steps, counts)
     return EigenResult(value, (lo, hi), steps + counts, tol)
 
 
-def _largest(newton_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult:
-    """Largest eigenvalue in (lo, hi] of an order-n matrix M, whose
-    ``newton_pass`` is a ``step_pass`` of ``_newton`` with Newton's step:
-    the smallest eigenvalue of -M, by ``_newton`` from -hi, i.e. from above.
+def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult:
+    """Largest eigenvalue in (lo, hi] of an order-n matrix M, given the
+    ``step_pass`` of M (a Laguerre pass, whose step negates with M): the
+    smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above.
 
     A lower end that counts all n eigenvalues at or below it, or an upper
-    end that counts fewer (the lower end of -M's bracket, in ``_newton``),
+    end that counts fewer (the lower end of -M's bracket, in ``_solve``),
     raises RuntimeError: both ends are certified by the count before the
     bracket is used.
     """
-    if newton_pass(lo)[0] >= n:
+    if step_pass(lo)[0] >= n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"all {n} lie at or below its lower end")
 
     def negated(sigma):
-        count, step = newton_pass(-sigma)
+        count, step = step_pass(-sigma)
         return n - count, None if step is None else -step
 
-    res = _newton(negated, lambda sigma: n - newton_pass(-sigma)[0], -hi, -lo, -hi, tol,
-                  _CLOSE_NEWTON)
+    res = _solve(negated, lambda sigma: n - step_pass(-sigma)[0], -hi, -lo, -hi, tol)
     lo, hi = res.bracket
     return EigenResult(-res.value, (-hi, -lo), res.iterations + 1, tol)
 
@@ -379,10 +363,10 @@ def _largest(newton_pass, n: int, lo: float, hi: float, tol: float) -> EigenResu
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     """Smallest eigenvalue of T with a certified enclosing bracket.
 
-    ``_newton`` with Laguerre steps starts at sigma = 1/refined_upper(alpha,
-    n), below the eigenvalue for n >= 2; a start that the sign count places
-    above it (rounding, at n = 2) falls back to sigma = 0, where every pivot
-    is q_k > 0.
+    ``_solve`` starts at sigma = 1/refined_upper(alpha, n), below the
+    eigenvalue for n >= 2; a start that the sign count places above it
+    (rounding, at n = 2) falls back to sigma = 0, where every pivot is
+    q_k > 0.  So does a bound that overflows (alpha above about 1.3e154).
     """
     _check_tol(tol)
     q = T.q
@@ -392,13 +376,14 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
-    return _newton(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                   0.0, q[0], 1.0 / _refined_upper(T.alpha, n), tol, _CLOSE_LAGUERRE)
+    upper = _refined_upper(T.alpha, n)
+    return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
+                  0.0, q[0], 1.0 / upper if 0.0 < upper < math.inf else 0.0, tol)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Largest eigenvalue of T with a certified enclosing bracket, by Newton
-    from the upper end of the Gershgorin interval (``_largest``)."""
+    """Largest eigenvalue of T with a certified enclosing bracket, from the
+    upper end of the Gershgorin interval (``_largest``)."""
     _check_tol(tol)
     q = T.q
     if len(q) == 1:
@@ -407,7 +392,7 @@ def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     # The largest eigenvalue may sit on the Gershgorin edge; nudge the right
     # end so that its count is n.
     hi += 4.0 * math.ulp(hi)
-    return _largest(functools.partial(_newton_pass, q), len(q), lo, hi, tol)
+    return _largest(functools.partial(_laguerre_pass, q), len(q), lo, hi, tol)
 
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:

@@ -16,7 +16,7 @@ from markov_laguerre import (
     asymptotic_upper_large_alpha,
 )
 from markov_laguerre.bessel import NU_MAX, X_MAX, ZERO_NU_MAX, _ikebe_factor, _order, _zero_eigenvalue
-from markov_laguerre.eigen import _newton_pass_e
+from markov_laguerre.eigen import _laguerre_pass_e
 
 mpmath.mp.dps = 40
 
@@ -181,12 +181,43 @@ class TestFirstZero:
         lo, hi = res.bracket
         assert lo <= res.value <= hi
         assert hi - lo <= tol * res.value
-        assert _newton_pass_e(q, e, lo)[0] < m
-        assert _newton_pass_e(q, e, hi)[0] == m
+        assert _laguerre_pass_e(q, e, lo)[0] < m
+        assert _laguerre_pass_e(q, e, hi)[0] == m
         # independent: LAPACK's largest eigenvalue of the dense B B^T, to
         # its own absolute accuracy of a few eps * lambda
         top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
         assert lo * (1 - 1e-14) <= top <= hi * (1 + 1e-14)
+
+    def test_passes_per_zero(self):
+        # Laguerre steps from above; Newton steps took 13.3 passes per zero
+        # on this grid, 21 at most
+        passes = []
+        for k in range(700):
+            nu = -0.999 + 0.37 * k
+            passes.append(zero_eigenvalue(nu, order(nu, 1e-13), 1e-13).iterations)
+        assert sum(passes) / len(passes) <= 9
+        assert max(passes) <= 10
+
+    def test_step_from_above_the_spectrum(self):
+        # Laguerre's step from above every eigenvalue of an Ikebe factor is
+        # negative and lands between the largest eigenvalue and sigma
+        for nu in (-0.9, 0.0, 3.3, 40.0):
+            m = order(nu, 1e-13)
+            q, e = _ikebe_factor(nu, m)
+            top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
+            sigma = 1.001 * top
+            count, step = _laguerre_pass_e(q, e, sigma)
+            assert count == m
+            assert step < 0 and top * (1 - 1e-12) <= sigma + step < sigma
+
+    def test_zero_pivot_in_the_factored_pass(self):
+        # sigma = q_0 zeroes the first pivot; the count restarts from
+        # e_1 - sigma and agrees with LAPACK's eigenvalues, with no step
+        for nu in (-0.5, 0.0, 3.3, 40.0):
+            q, e = _ikebe_factor(nu, order(nu, 1e-13))
+            eig = np.linalg.eigvalsh(dense_factor_product(q, e))
+            assert np.min(np.abs(eig - q[0])) > 1e-6
+            assert _laguerre_pass_e(q, e, q[0]) == (int(np.sum(eig < q[0])), None)
 
     @pytest.mark.parametrize("nu", [-0.9999999999999999, -1 + 1e-12])
     def test_enclosure_collapsed_in_binary64(self, nu):

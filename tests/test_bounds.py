@@ -121,6 +121,13 @@ class TestRefinedBounds:
             refined_bounds(float("inf"), 3)
 
 
+    @pytest.mark.parametrize("alpha", [1e160, 1.7e308])
+    def test_overflow_raises(self, alpha):
+        # (a+3)(a+5) overflows past a ~ 1.3e154: the pair came out (nan, 0)
+        with pytest.raises(OverflowError):
+            refined_bounds(alpha, 5)
+
+
 class TestDorfler:
     def test_examples(self):
         assert dorfler_bounds(0.0, 1) == pytest.approx((1 / 3, 1.0))
@@ -186,6 +193,12 @@ class TestAsymptoticBounds:
     def test_rejects_infinite_alpha(self):
         with pytest.raises(ValueError):
             asymptotic_bounds(float("inf"))
+
+    @pytest.mark.parametrize("alpha", [1e160, 1.7e308])
+    def test_overflow_raises(self, alpha):
+        # both bounds came out 0 past a ~ 1.3e154
+        with pytest.raises(OverflowError):
+            asymptotic_bounds(alpha)
 
     def test_ratio_tends_to_one(self):
         assert ratio_r(-0.999999) == pytest.approx(1.0, abs=1e-5)

@@ -121,6 +121,14 @@ class TestBounds:
         assert dict(zip(header, rows[0]))["turan"] == ""
 
 
+    @pytest.mark.parametrize("alpha", ["1e160", "1.7e308"])
+    def test_overflowing_bounds_exit_1(self, capsys, alpha):
+        # past alpha ~ 1e154 the bound formulas overflow binary64
+        code, out, err = run_cli(capsys, "bounds", "--alpha", alpha, "--n", "5")
+        assert code == 1
+        assert out == "" and "overflow" in err and "Traceback" not in err
+
+
 class TestNList:
     def test_forms(self):
         assert _parse_n_list("1,2,5") == [1, 2, 5]
@@ -285,6 +293,12 @@ class TestFigure1:
         assert out == ""
         assert "finite" in err
 
+    def test_has_no_tol(self):
+        # figure1 solves nothing: no tolerance to set
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--tol", "1e-9"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -322,6 +336,13 @@ class TestLogging:
         monkeypatch.setenv("MARKOV_LAGUERRE_LOG", "debug")
         code, _, _ = run_cli(capsys, "constant", "--alpha", "0", "--n", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["verbose", "warning", "0"])
+    def test_unknown_env_var_value_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MARKOV_LAGUERRE_LOG", value)
+        code, out, err = run_cli(capsys, "constant", "--alpha", "0", "--n", "2")
+        assert code == 2
+        assert out == "" and "error|info|debug" in err
 
 
 def test_cli_import_leaves_numpy_unloaded():

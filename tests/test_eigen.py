@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,11 @@ from markov_laguerre import (
 )
 from markov_laguerre.bessel import first_zero
 from markov_laguerre.eigen import (
-    _CLOSE_LAGUERRE,
     _count,
     _laguerre_pass,
+    _laguerre_pass_e,
     _largest,
-    _newton,
-    _newton_pass,
-    _newton_pass_e,
+    _solve,
 )
 
 
@@ -118,6 +117,18 @@ class TestSturmCount:
         else:
             assert counts[0] == 0
         assert sturm_count(T, hi * (1 + 1e-12) + 1e-12) == n
+
+
+def mp_smallest(alpha, n):
+    """Smallest eigenvalue of the dense T_n, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        A = mpmath.zeros(n, n)
+        for k in range(n):
+            A[k, k] = 1 + a if k == 0 else 2 + a / (k + 1)
+            if k:
+                A[k, k - 1] = A[k - 1, k] = mpmath.sqrt(1 + a / k)
+        return min(mpmath.eigsy(A, eigvals_only=True))
 
 
 def bisect_kth(T, k, tol=1e-13):
@@ -229,7 +240,7 @@ class TestEigenvalues:
 
 
 class TestKernel:
-    """The qd/Newton solver: relative accuracy at every n, a bracket that
+    """The qd/Laguerre solver: relative accuracy at every n, a bracket that
     the exact polynomial confirms, and a pass count bounded at large alpha."""
 
     @pytest.mark.parametrize("n", [200, 1000, 4096, 20000])
@@ -291,7 +302,7 @@ class TestKernel:
             counted.append(sigma)
             return _count(T.q, sigma)
 
-        res = _newton(biased, count, 0.0, T.q[0], 0.0, tol, _CLOSE_LAGUERRE)
+        res = _solve(biased, count, 0.0, T.q[0], 0.0, tol)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
         assert hi - lo <= tol * res.value
@@ -305,22 +316,27 @@ class TestKernel:
     @pytest.mark.parametrize("alpha, n", [(-0.9, 40), (0.0, 300), (25.0, 1000)])
     def test_laguerre_step_lands_between_newton_and_the_eigenvalue(self, alpha, n):
         T = build_jacobi(alpha, n)
-        top = np.linalg.eigvalsh(dense(T))[0]
+        eig = np.linalg.eigvalsh(dense(T))
+        top = eig[0]
         for sigma in (0.0, 0.5 * top, 0.99 * top):
             count, step = _laguerre_pass(T.q, sigma)
             assert count == 0
-            newton = _newton_pass(T.q, sigma)[1]
+            newton = 1 / np.sum(1 / (eig - sigma))
             assert newton <= step * (1 + 1e-12) and sigma + step <= top * (1 + 1e-12)
-        # above the eigenvalue the step is Newton's
-        count, step = _laguerre_pass(T.q, 1.001 * top)
+        # Laguerre's step from count 1 is negative and lands between the
+        # eigenvalue and sigma (LAPACK's eigenvalue is only accurate to a few
+        # eps * |T|; the kernel's bracket is relatively accurate)
+        sigma = 1.001 * top
+        count, step = _laguerre_pass(T.q, sigma)
         assert count == 1
-        assert step == pytest.approx(_newton_pass(T.q, 1.001 * top)[1], rel=1e-12)
+        lo = smallest_eigenvalue(T).bracket[0]
+        assert step < 0 and lo * (1 - 1e-13) <= sigma + step < sigma
         # a zero pivot inside the recurrence: the count goes on, no step
         assert _laguerre_pass(T.q, T.diag[0]) == (sturm_count(T, T.diag[0]), None)
 
     def test_zero_pivot_inside_the_recurrence(self):
         # sigma = d_0 zeroes the first pivot; the count goes on past it and
-        # agrees with LAPACK's eigenvalues, and the Newton pass gives the
+        # agrees with LAPACK's eigenvalues, and the Laguerre pass gives the
         # same count and no step.
         for alpha, n in [(0.0, 6), (2.5, 30), (40.0, 200)]:
             T = build_jacobi(alpha, n)
@@ -328,24 +344,25 @@ class TestKernel:
             eig = np.linalg.eigvalsh(dense(T))
             assert np.min(np.abs(eig - sigma)) > 1e-9
             assert sturm_count(T, sigma) == int(np.sum(eig < sigma))
-            assert _newton_pass(T.q, sigma) == (sturm_count(T, sigma), None)
+            assert _laguerre_pass(T.q, sigma) == (sturm_count(T, sigma), None)
 
     def test_factored_pass_with_unit_subdiagonal_is_the_jacobi_pass(self):
-        # e = 1 makes _newton_pass_e the recurrence of _newton_pass, bit for
-        # bit, through a zero pivot inside (sigma = d_0) or at the end (n = 1)
+        # e = 1 makes _laguerre_pass_e the recurrence of _laguerre_pass, bit
+        # for bit, through a zero pivot inside (sigma = d_0) or at the end
+        # (n = 1)
         for alpha, n in [(0.0, 1), (0.0, 6), (2.5, 30), (40.0, 200)]:
             T = build_jacobi(alpha, n)
             ones = [1.0] * n
             for sigma in (T.diag[0], 0.3 * T.diag[0], 0.5, 3.7, 1e3):
-                assert _newton_pass_e(T.q, ones, sigma) == _newton_pass(T.q, sigma)
+                assert _laguerre_pass_e(T.q, ones, sigma) == _laguerre_pass(T.q, sigma)
 
     def test_largest_raises_when_the_bracket_misses(self):
         T = build_jacobi(1.5, 8)
         top = largest_eigenvalue(T).value
-        newton_pass = lambda sigma: _newton_pass(T.q, sigma)
+        step_pass = lambda sigma: _laguerre_pass(T.q, sigma)
         for lo, hi in [(1.1 * top, 2 * top), (0.0, 0.9 * top)]:
             with pytest.raises(RuntimeError, match="misses"):
-                _largest(newton_pass, 8, lo, hi, 1e-13)
+                _largest(step_pass, 8, lo, hi, 1e-13)
 
     def test_largest_matches_lapack(self):
         for alpha, n in [(-0.9, 2), (0.0, 7), (3.0, 40), (1e4, 300)]:
@@ -354,6 +371,13 @@ class TestKernel:
             lo, hi = res.bracket
             assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
             assert res.value == pytest.approx(np.linalg.eigvalsh(dense(T))[-1], rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, n, newton_passes", [(-0.9, 2, 7), (0.0, 7, 9), (3.0, 40, 15),
+                                                         (1e4, 300, 12)])
+    def test_largest_takes_fewer_passes_than_newton(self, alpha, n, newton_passes):
+        # Laguerre steps from above the spectrum, against the Newton steps
+        # that took newton_passes on the same matrices
+        assert largest_eigenvalue(build_jacobi(alpha, n)).iterations < newton_passes
 
     def test_start_above_the_eigenvalue_falls_back_to_zero(self):
         # The start is 1/refined_upper(alpha, n); an alpha of 100 puts it
@@ -364,6 +388,19 @@ class TestKernel:
         assert res.value == pytest.approx(4 * math.sin(math.pi / 22) ** 2, rel=1e-13)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300, 1.7e308])
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_overflowing_start_falls_back_to_zero(self, alpha, n):
+        # past alpha ~ 1.3e154 refined_upper overflows to 0 or nan; the
+        # solve starts at 0 instead (it raised ZeroDivisionError or came out
+        # nan), and the midpoints must not overflow either
+        res = smallest_eigenvalue(build_jacobi(alpha, n))
+        want = mp_smallest(alpha, n)
+        assert abs(res.value - want) <= 1.9e-14 * want
+        lo, hi = res.bracket
+        assert lo < res.value < hi and hi - lo <= res.tol * res.value
+        assert markov_constant(alpha, n) == res.value ** -0.5
 
     def test_iterations_count_passes(self):
         assert smallest_eigenvalue(build_jacobi(0.0, 1)).iterations == 0
