@@ -32,7 +32,6 @@ from .eigen import (
     EigenResult,
     TridiagMatrix,
     build_jacobi,
-    gershgorin_bracket,
     largest_eigenvalue,
     markov_constant,
     smallest_eigenvalue,
@@ -41,7 +40,6 @@ from .eigen import (
 from .recurrence import (
     FLOAT,
     RATIONAL,
-    MonicPoly,
     RecurrenceCoeffs,
     WeightAlpha,
     coeff_a0,

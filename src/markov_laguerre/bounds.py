@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _refined_lower, _refined_upper, alpha_value, reciprocal_b123
+from .recurrence import _normal, _refined_lower, _refined_upper, alpha_value, reciprocal_b123
 
 __all__ = [
     "BoundPair",
@@ -141,18 +141,29 @@ def largest_root_bounds(b1, b2, b3, n: int):
     polynomial x^n - b1 x^{n-1} + b2 x^{n-2} - b3 x^{n-3} + ... with positive
     roots, from the first three power sums.
 
-    The cubic upper bound uses p3^(1/3) = (b1^3 - 3 b1 b2 + 3 b3)^(1/3); the
-    lower bounds are attained only when all roots coincide.
+    The cubic upper bound uses p3^(1/3) = (b1^3 - 3 b1 b2 + 3 b3)^(1/3),
+    rounded upward; the lower bounds are attained only when all roots
+    coincide.  A p2 or p3 that is not a positive normal float raises
+    OverflowError.
     """
     _require_n(n)
     b1, b2, b3 = float(b1), float(b2), float(b3)
-    p1, p2, p3 = power_sums(b1, b2, b3)
+    _, p2, p3 = power_sums(b1, b2, b3)
     if p2 <= 0.0:
         raise ValueError(f"p2 = {p2} <= 0: inputs are not from a positive-root polynomial")
-    pair_i = BoundPair(b1 / n, b1)
-    pair_ii = BoundPair(b1 - 2 * b2 / b1, math.sqrt(p2))
-    pair_iii = BoundPair(p3 / p2, p3 ** (1.0 / 3.0))
-    return pair_i, pair_ii, pair_iii
+    if not _normal(p2, p3):
+        raise OverflowError(f"the power sums p2 = {p2}, p3 = {p3} overflow or underflow binary64")
+    # u = 2^-53.  reciprocal_b123 rounds each +, *, / and int-to-float
+    # conversion once, on positive terms (7a + 20 > 13 > -7a counts twice): b1, b2
+    # and b3 lie within 3, 13 and 21 u, so t1 = b1^3, t2 = 3 b1 b2 and
+    # t3 = 3 b3 within 11, 18 and 22 u, and the two sums of p3 = t1 - t2 + t3
+    # add u (t1 + t2 + t3): p3 is within 24 u (t1 + t2 + t3), to first order,
+    # and K = 40 covers the rest.  The factor covers pow, the exponent
+    # 1/3 - u/6 (|ln p3u| u/6) and the last roundings.
+    p3u = p3 + 40 * 2.0**-53 * (b1 * b1 * b1 + 3 * b1 * b2 + 3 * b3)
+    upper = p3u ** (1.0 / 3.0) * (1.0 + (4.0 + abs(math.log(p3u))) * 2.0**-53)
+    return (BoundPair(b1 / n, b1), BoundPair(b1 - 2 * b2 / b1, math.sqrt(p2)),
+            BoundPair(p3 / p2, upper))
 
 
 def refined_bounds(alpha, n: int) -> RefinedBounds:
@@ -182,10 +193,11 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:
-    """Classical enclosure n^2/((a+1)(a+3)) <= c_n^2 <= n(n+1)/(2(a+1))."""
+    """Classical enclosure n^2/((a+1)(a+3)) <= c_n^2 <= n(n+1)/(2(a+1));
+    an upper bound that underflows to 0 (a near 1.7e308): OverflowError."""
     a = float(alpha_value(alpha))
     _require_n(n)
-    return BoundPair(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)))
+    return BoundPair(*_finite(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)), a))
 
 
 def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
@@ -197,8 +209,8 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
     _require_n(n)
     b1, b2 = float(b1), float(b2)
     disc = (n - 1) ** 2 * b1 * b1 - 2 * (n - 1) * n * b2
-    if disc < 0.0:
-        raise ValueError(f"negative discriminant {disc}: inputs are not from a real-root polynomial")
+    if not disc >= 0.0:
+        raise ValueError(f"discriminant {disc} is not >= 0: not a real-root polynomial")
     root = math.sqrt(disc)
     return BoundPair((b1 - root) / n, (b1 + root) / n)
 
@@ -309,13 +321,6 @@ def identity_residuals(alpha) -> IdentityResidual:
     return IdentityResidual(g_lower, g, (c1, c2, c3))
 
 
-def _exact_alpha(alpha):
-    a = alpha_value(alpha)
-    if isinstance(a, Fraction):
-        return a, True
-    return Fraction(a), False
-
-
 def _coefficients_from_values(values):
     """Coefficients (n^0 first) of the polynomial of degree < len(values)
     that takes ``values`` at n = 0, 1, 2, ...: Newton's forward-difference
@@ -337,7 +342,8 @@ def _scaled_residual_poly(alpha, side: int, scale):
     """Coefficients in n (n^0 .. n^6) of residual ``side`` of
     :func:`residual_sandwich_check` times ``scale(a)``.  Both residuals are
     polynomials of degree <= 6 in n, so their values at n = 0..6 fix them."""
-    a, exact = _exact_alpha(alpha)
+    a = alpha_value(alpha)
+    exact, a = isinstance(a, Fraction), Fraction(a)
     factor = scale(a)
     out = _coefficients_from_values(
         [factor * residual_sandwich_check(a, n)[side] for n in range(7)]

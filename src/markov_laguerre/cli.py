@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bessel, bounds
@@ -124,10 +123,6 @@ def sweep_row(alpha: float, n: int, tol: float) -> tuple:
     )
 
 
-def _sweep_task(args):
-    return sweep_row(*args)
-
-
 def cmd_constant(args) -> int:
     res = smallest_eigenvalue(build_jacobi(args.alpha, args.n), args.tol)
     c_sq = 1.0 / res.value
@@ -187,8 +182,9 @@ def cmd_sweep(args) -> int:
     tasks = [(a, n, args.tol) for a in sorted(alphas) for n in sorted(ns)]
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweeps pay its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks, chunksize=32))
+            rows = list(pool.map(sweep_row, *zip(*tasks), chunksize=32))
     else:
         rows = [sweep_row(*t) for t in tasks]
     _emit_rows(rows, SWEEP_COLUMNS, args.format, sys.stdout)
@@ -313,7 +309,7 @@ def verify_asymptotic() -> list[str]:
 
 def verify_bessel() -> list[str]:
     failures = []
-    for nu in _grid(-0.75, 25.0, 0.25):
+    for nu in _grid(-0.75, 25.0, 0.25) + _grid(27.5, 250.0, 2.5):
         lo, hi = bounds.bessel_zero_enclosure(nu)
         z = bessel.first_zero(nu)
         if not lo < z < hi:

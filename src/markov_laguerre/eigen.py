@@ -43,7 +43,6 @@ __all__ = [
     "TridiagMatrix",
     "EigenResult",
     "build_jacobi",
-    "gershgorin_bracket",
     "sturm_count",
     "smallest_eigenvalue",
     "largest_eigenvalue",
@@ -60,25 +59,12 @@ _CLOSE = 1e-6
 @dataclass(frozen=True)
 class TridiagMatrix:
     """Jacobi matrix T_n = B B^T, stored as alpha and the factor's squared
-    diagonal q_k = 1 + alpha/(k+1), k = 0 .. n-1.
-
-    ``diag`` and ``offdiag`` are the entries of T_n, formed on request.
+    diagonal q_k = 1 + alpha/(k+1), k = 0 .. n-1; n is len(q).  T_n has
+    diagonal q_0, q_1 + 1, ..., q_{n-1} + 1 and off-diagonal sqrt(q_0), ...
     """
 
     alpha: float
     q: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.q)
-
-    @property
-    def diag(self) -> tuple[float, ...]:
-        return self.q[:1] + tuple(qk + 1.0 for qk in self.q[1:])
-
-    @property
-    def offdiag(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(qk) for qk in self.q[:-1])
 
 
 @dataclass(frozen=True)
@@ -113,22 +99,6 @@ def build_jacobi(alpha, n: int) -> TridiagMatrix:
     else:
         q = [1.0 + a / k for k in range(1, n + 1)]
     return TridiagMatrix(float(a), tuple(q))
-
-
-def gershgorin_bracket(T: TridiagMatrix) -> tuple[float, float]:
-    """Interval containing all eigenvalues, clamped below at 0.
-
-    The clamp is valid because all zeros of Q_n are positive (the
-    orthogonality measure of the family is supported on the positive axis).
-    """
-    diag, off = T.diag, T.offdiag
-    radius = [0.0] * len(diag)
-    for k, e in enumerate(off):
-        radius[k] += e
-        radius[k + 1] += e
-    lo = min(d - r for d, r in zip(diag, radius))
-    hi = max(d + r for d, r in zip(diag, radius))
-    return max(0.0, lo), hi
 
 
 def _count(q, sigma: float) -> int:
@@ -382,17 +352,18 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Largest eigenvalue of T with a certified enclosing bracket, from the
-    upper end of the Gershgorin interval (``_largest``)."""
+    """Largest eigenvalue of T with a certified enclosing bracket, by
+    ``_largest`` on (0, (1 + sqrt(max q))^2]: every eigenvalue is positive,
+    and ||B|| <= max sqrt(q_k) + 1, the norm of B's diagonal plus that of
+    its unit subdiagonal."""
     _check_tol(tol)
     q = T.q
     if len(q) == 1:
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
-    lo, hi = gershgorin_bracket(T)
-    # The largest eigenvalue may sit on the Gershgorin edge; nudge the right
-    # end so that its count is n.
+    hi = (1.0 + math.sqrt(max(q))) ** 2
+    # Nudge the upper end past the rounding of the bound, so that its count is n.
     hi += 4.0 * math.ulp(hi)
-    return _largest(functools.partial(_laguerre_pass, q), len(q), lo, hi, tol)
+    return _largest(functools.partial(_laguerre_pass, q), len(q), 0.0, hi, tol)
 
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:

@@ -20,6 +20,7 @@ the test suite, since the low-order coefficient formulas are exact identities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ __all__ = [
     "RATIONAL",
     "WeightAlpha",
     "RecurrenceCoeffs",
-    "MonicPoly",
     "alpha_value",
     "recurrence_coeffs",
     "qn_coefficients",
@@ -67,9 +67,10 @@ class WeightAlpha:
         if not math.isfinite(self.value):
             raise ValueError(f"alpha must be finite, got {v}")
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
+
+def _normal(*xs) -> bool:
+    """Whether every x is a positive normal binary64 number."""
+    return all(sys.float_info.min <= x < math.inf for x in xs)
 
 
 def alpha_value(alpha) -> float | Fraction:
@@ -107,21 +108,6 @@ def recurrence_coeffs(alpha, n: int) -> RecurrenceCoeffs:
     d = [1 + a] + [2 + a / (k + 1) for k in range(1, n)]
     lam_sq = [1 + a / k for k in range(1, n)]
     return RecurrenceCoeffs(tuple(d), tuple(lam_sq))
-
-
-@dataclass(frozen=True)
-class MonicPoly:
-    """Dense monic polynomial; coeffs[k] multiplies x**k, coeffs[degree] == 1."""
-
-    degree: int
-    coeffs: tuple
-    mode: str
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count does not match degree")
-        if self.coeffs[-1] != 1:
-            raise ValueError("polynomial is not monic")
 
 
 def _series_alpha(alpha, mode: str):
@@ -169,8 +155,8 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
         yield tuple(cur)
 
 
-def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> MonicPoly:
-    """Full coefficient vector of Q_n, low degree first.
+def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
+    """Full coefficient tuple of Q_n, low degree first; the last entry is 1.
 
     In float mode an overflowing coefficient (possible only for extreme
     n*alpha combinations) raises OverflowError rather than returning inf.
@@ -180,7 +166,7 @@ def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> MonicPoly:
         pass
     if mode == FLOAT and not all(math.isfinite(c) for c in row):
         raise OverflowError(f"coefficients of Q_{n} overflow binary64")
-    return MonicPoly(n, row, mode)
+    return row
 
 
 def coeff_a0(alpha, n: int):
@@ -220,7 +206,9 @@ def reciprocal_b123(alpha, n: int):
     b_k = (-1)^k a_{k,n} / a_{0,n}.  All three are positive for n >= 3;
     b2 vanishes for n <= 1 and b3 for n <= 2.  The largest root of P_n is
     the squared Markov constant.  This is the one statement of b1..b3:
-    coeff_a1..coeff_a3 and every power-sum bound derive from it.
+    coeff_a1..coeff_a3 and every power-sum bound derive from it.  For a
+    float alpha, a b_k (k <= n) that is not a positive normal float raises
+    OverflowError: the denominators overflow from alpha of about 1.5e61.
     """
     a = alpha_value(alpha)
     b1 = (n * (n + 1)) / (2 * (a + 1))
@@ -234,6 +222,8 @@ def reciprocal_b123(alpha, n: int):
         * (n + 1)
         * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
     ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
+    if isinstance(a, float) and not _normal(*(b1, b2, b3)[:n]):
+        raise OverflowError(f"b1..b3 at alpha={a}, n={n} overflow binary64")
     return b1, b2, b3
 
 

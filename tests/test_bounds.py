@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -325,7 +326,7 @@ class TestResidualPolys:
         # the exact recurrence row against coeff_a0..a3, which derive from
         # reciprocal_b123, and the residual polynomials at n against the
         # scaled residual_sandwich_check they are recovered from
-        row = qn_coefficients(a, n, RATIONAL).coeffs
+        row = qn_coefficients(a, n, RATIONAL)
         closed = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
         for k in range(min(3, n) + 1):
             assert row[k] == closed[k]
@@ -415,23 +416,27 @@ class TestEveryBoundOnItsSide:
     # near alpha = -1 one root dominates and the power-sum bounds are tight
     # to within the bracket's width
     @example(alpha=-0.9999999999, n=2)
+    # just below alpha = 1.5e61, past which b3's denominator overflows
+    @example(alpha=1e61, n=1)
+    @example(alpha=1e61, n=2)
+    @example(alpha=1e61, n=3)
+    @example(alpha=1e61, n=40)
     def test_bounds_straddle_the_certified_constant(self, alpha, n):
         # Each lower bound lies at or below the bracket of c_n^2 and each
         # upper bound at or above it, where the bound claims to apply: the
         # power-sum chain, Dorfler and Laguerre-Samuelson at every n, the
         # refined upper bound from n = 3 and the refined lower bound where it
         # is also valid.  The bracket is widened by 4n eps, a stand-in for
-        # the O(n eps) rounding of the binary64 sign count, which the fixed
-        # Newton margin does not yet cover at large n (ROADMAP item 2).  The
-        # cubic upper bound at n = 1 is left to the xfail test below.
+        # the O(n eps) rounding of the binary64 sign count, which the
+        # solver's fixed margin does not yet cover at large n (ROADMAP
+        # item 1).
         res = smallest_eigenvalue(build_jacobi(alpha, n))
         lo, hi = res.bracket
         slack = 4 * n * 2.0**-52
         c_sq_lo, c_sq_hi = (1 - slack) / hi, (1 + slack) / lo
         b1, b2, b3 = reciprocal_b123(alpha, n)
-        linear, quadratic, cubic = largest_root_bounds(b1, b2, b3, n)
-        pairs = [linear, quadratic, dorfler_bounds(alpha, n), laguerre_samuelson(b1, b2, n)]
-        pairs.append((cubic.lower, math.inf) if n == 1 else cubic)
+        pairs = [*largest_root_bounds(b1, b2, b3, n), dorfler_bounds(alpha, n),
+                 laguerre_samuelson(b1, b2, n)]
         refined = refined_bounds(alpha, n)
         if n >= 3:
             pairs.append((refined.lower if refined.lower_valid else 0.0, refined.upper))
@@ -439,14 +444,58 @@ class TestEveryBoundOnItsSide:
             assert lower <= c_sq_hi, (alpha, n, lower, upper)
             assert upper >= c_sq_lo, (alpha, n, lower, upper)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="largest_root_bounds forms the cubic upper bound as p3 ** (1/3), which "
-        "rounds below c_1^2 near alpha = -1 (ROADMAP item 5)",
-    )
     @pytest.mark.parametrize("alpha", [-0.9999999999998074, -0.9999999999])
     def test_cubic_upper_at_n1_is_above_the_exact_constant(self, alpha):
         # c_1^2 = 1/(1 + alpha) exactly, compared in rationals: no slack
         b1, b2, b3 = reciprocal_b123(alpha, 1)
         cubic = largest_root_bounds(b1, b2, b3, 1)[2]
         assert F(cubic.upper) >= 1 / (1 + F(alpha))
+
+    def test_cubic_upper_is_above_the_exact_cube_root(self):
+        # p3 = t1 - t2 + t3 cancels at large n (t1 + t2 + t3 is 2.8e8 p3 at
+        # a = 1e5, n = 20000) and the exponent 1/3 is rounded; the bound is
+        # rounded upward past both, compared with the exact p3 in rationals
+        rng = random.Random(11)
+        points = [(1e5, 20000), (-0.9999999999998074, 1)]
+        for _ in range(300):
+            alpha = rng.choice([-1 + 10 ** rng.uniform(-15, 0), 10 ** rng.uniform(-3, 6)])
+            points.append((alpha, round(10 ** rng.uniform(0, math.log10(20000)))))
+        for alpha, n in points:
+            upper = largest_root_bounds(*reciprocal_b123(alpha, n), n)[2].upper
+            assert F(upper) ** 3 >= power_sums(*reciprocal_b123(F(alpha), n)).p3, (alpha, n)
+
+
+class TestOverflow:
+    """Past the binary64 range of b1..b3 or p2, p3 every bound raises
+    OverflowError; it printed complex numbers, zeros or inverted pairs."""
+
+    @pytest.mark.parametrize("alpha, n", [(1.6e61, 3), (1e62, 5), (1e100, 5), (1e160, 5),
+                                          (3e102, 2), (1.7e308, 1), (1.7e308, 40)])
+    def test_reciprocal_b123_raises(self, alpha, n):
+        with pytest.raises(OverflowError):
+            reciprocal_b123(alpha, n)
+
+    def test_reciprocal_b123_checks_only_the_coefficients_of_degree_n(self):
+        # b3 vanishes for n <= 2 and b2 for n = 1: their overflow is not checked
+        assert reciprocal_b123(1e62, 2)[2] == 0.0
+        assert reciprocal_b123(1e200, 1)[0] == pytest.approx(1e-200, rel=1e-15)
+        assert reciprocal_b123(F(10**100), 5)[2] > 0  # exact: nothing overflows
+
+    @pytest.mark.parametrize("b1", [1e-155, 1e-105, math.inf])
+    def test_largest_root_bounds_raises_on_power_sums_out_of_range(self, b1):
+        # n = 1: p2 = b1^2 and p3 = b1^3 fall below the normal range or overflow
+        with pytest.raises(OverflowError):
+            largest_root_bounds(b1, 0.0, 0.0, 1)
+
+    def test_dorfler_raises(self):
+        with pytest.raises(OverflowError):
+            dorfler_bounds(1.7e308, 5)
+
+    def test_laguerre_samuelson_rejects_a_nan_discriminant(self):
+        with pytest.raises(ValueError, match="discriminant"):
+            laguerre_samuelson(math.inf, math.inf, 3)
+
+    @pytest.mark.parametrize("alpha, n", [(1e62, 3), (1e62, 5), (1e103, 2), (1e106, 1)])
+    def test_bounds_report_raises(self, alpha, n):
+        with pytest.raises(OverflowError):
+            bounds_report(alpha, n)

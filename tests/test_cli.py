@@ -121,9 +121,10 @@ class TestBounds:
         assert dict(zip(header, rows[0]))["turan"] == ""
 
 
-    @pytest.mark.parametrize("alpha", ["1e160", "1.7e308"])
+    @pytest.mark.parametrize("alpha", ["1e62", "1e160", "1.7e308"])
     def test_overflowing_bounds_exit_1(self, capsys, alpha):
-        # past alpha ~ 1e154 the bound formulas overflow binary64
+        # past alpha ~ 1.5e61 b3 overflows binary64 (the cubic upper bound
+        # came out complex), past ~ 1e154 the refined bounds too
         code, out, err = run_cli(capsys, "bounds", "--alpha", alpha, "--n", "5")
         assert code == 1
         assert out == "" and "overflow" in err and "Traceback" not in err
@@ -345,12 +346,22 @@ class TestLogging:
         assert out == "" and "error|info|debug" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def loaded_after_cli_import(*names):
+    """Which of ``names`` a fresh interpreter holds after importing the CLI."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, markov_laguerre.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, markov_laguerre.cli; print(sorted(set({names!r}) & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with more than one job imports it
+    assert loaded_after_cli_import("concurrent.futures.process", "multiprocessing") == "[]"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert loaded_after_cli_import("numpy") == "[]"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from markov_laguerre import (
     RATIONAL,
     build_jacobi,
-    gershgorin_bracket,
     largest_eigenvalue,
     markov_constant,
     qn_coefficients,
@@ -33,33 +32,48 @@ from markov_laguerre.eigen import (
 
 
 def dense(T):
-    A = np.diag(T.diag)
-    if T.order > 1:
-        A += np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
-    return A
+    """T_n = B B^T as a dense matrix, B lower bidiagonal with squared
+    diagonal T.q and unit subdiagonal."""
+    B = np.diag(np.sqrt(T.q)) + np.diag(np.ones(len(T.q) - 1), -1)
+    return B @ B.T
+
+
+def norm_bracket(T):
+    """(0, (1 + sqrt(max q))^2]: every eigenvalue is positive and ||B|| is at
+    most max sqrt(q_k) plus the norm 1 of the unit subdiagonal."""
+    return 0.0, (1.0 + math.sqrt(max(T.q))) ** 2
 
 
 class TestBuildJacobi:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 7.25])
     def test_order_one(self, alpha):
         T = build_jacobi(alpha, 1)
-        assert list(T.diag) == [1 + alpha]
-        assert len(T.offdiag) == 0
+        assert T.q == (1 + alpha,)
+        assert dense(T) == pytest.approx(np.array([[1 + alpha]]), rel=1e-15)
 
     def test_alpha0_n2(self):
-        T = build_jacobi(0.0, 2)
-        assert list(T.diag) == [1.0, 2.0]
-        assert list(T.offdiag) == [1.0]
+        assert dense(build_jacobi(0.0, 2)).tolist() == [[1.0, 1.0], [1.0, 2.0]]
 
     def test_alpha2_n2(self):
         T = build_jacobi(2.0, 2)
-        assert list(T.diag) == [3.0, 3.0]
-        assert list(T.offdiag) == [math.sqrt(3.0)]
+        assert T.q == (3.0, 2.0)
+        assert dense(T) == pytest.approx(np.array([[3.0, math.sqrt(3.0)], [math.sqrt(3.0), 3.0]]),
+                                         rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 2.5, 40.0])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_dense_matrix_has_the_recurrence_entries(self, alpha, n):
+        rc = recurrence_coeffs(alpha, n)
+        A = dense(build_jacobi(alpha, n))
+        assert np.diag(A) == pytest.approx(rc.d, rel=1e-15)
+        assert np.diag(A, -1) ** 2 == pytest.approx(rc.lambda_sq, rel=1e-15)
+        assert A == pytest.approx(A.T, rel=1e-15)
+        assert not np.triu(A, 2).any() and not np.tril(A, -2).any()
 
     def test_entries_read_only(self):
         T = build_jacobi(1.0, 4)
         with pytest.raises(TypeError):
-            T.diag[0] = 0.0
+            T.q[0] = 0.0
 
     @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -67,26 +81,8 @@ class TestBuildJacobi:
         # np.poly goes through LAPACK eigenvalues, an independent route.
         T = build_jacobi(alpha, n)
         char = np.poly(dense(T))[::-1]
-        coeffs = [float(c) for c in qn_coefficients(alpha, n, RATIONAL).coeffs]
+        coeffs = [float(c) for c in qn_coefficients(alpha, n, RATIONAL)]
         assert char == pytest.approx(coeffs, rel=1e-9, abs=1e-9)
-
-
-class TestGershgorin:
-    def test_order_one(self):
-        lo, hi = gershgorin_bracket(build_jacobi(3.5, 1))
-        assert lo == hi == 4.5
-
-    def test_alpha0_n2(self):
-        assert gershgorin_bracket(build_jacobi(0.0, 2)) == (0.0, 3.0)
-
-    def test_alpha0_n3(self):
-        assert gershgorin_bracket(build_jacobi(0.0, 3)) == (0.0, 4.0)
-
-    def test_clamped_at_zero(self):
-        # raw left edge is negative for every n >= 2 at alpha = 0
-        lo, hi = gershgorin_bracket(build_jacobi(0.0, 50))
-        assert lo == 0.0
-        assert hi == 4.0
 
 
 class TestSturmCount:
@@ -106,16 +102,11 @@ class TestSturmCount:
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_monotone_and_saturating(self, alpha, n):
         T = build_jacobi(alpha, n)
-        lo, hi = gershgorin_bracket(T)
+        lo, hi = norm_bracket(T)
         sigmas = np.linspace(lo, hi + 1e-9, 37)
         counts = [sturm_count(T, s) for s in sigmas]
         assert counts == sorted(counts)
-        if n == 1:
-            # degenerate bracket: lo is the eigenvalue itself, and the
-            # zero-pivot convention counts an exact hit as below sigma
-            assert sturm_count(T, lo - 1e-9) == 0
-        else:
-            assert counts[0] == 0
+        assert counts[0] == 0
         assert sturm_count(T, hi * (1 + 1e-12) + 1e-12) == n
 
 
@@ -134,7 +125,7 @@ def mp_smallest(alpha, n):
 def bisect_kth(T, k, tol=1e-13):
     """Test-local bisection on the public sturm_count, for the k-th smallest
     eigenvalue (1-based)."""
-    lo, hi = gershgorin_bracket(T)
+    lo, hi = norm_bracket(T)
     hi *= 1 + 1e-14
     hi += 1e-14
     for _ in range(200):
@@ -185,7 +176,7 @@ class TestEigenvalues:
 
     def test_largest_alpha0_n3_vs_cubic_roots(self):
         # independent oracle: numpy companion-matrix roots of the exact cubic
-        coeffs = qn_coefficients(F(0), 3, RATIONAL).coeffs
+        coeffs = qn_coefficients(F(0), 3, RATIONAL)
         roots = np.roots([float(c) for c in coeffs[::-1]])
         got = largest_eigenvalue(build_jacobi(0.0, 3)).value
         assert got == pytest.approx(max(roots.real), rel=1e-12)
@@ -207,7 +198,7 @@ class TestEigenvalues:
     def test_every_eigenvalue_matches_a_rational_root(self, alpha, n):
         tol = 1e-13
         T = build_jacobi(alpha, n)
-        coeffs = qn_coefficients(alpha, n, RATIONAL).coeffs
+        coeffs = qn_coefficients(alpha, n, RATIONAL)
         for k in range(1, n + 1):
             lo, hi = bisect_kth(T, k, tol)
             assert hi - lo <= 10 * tol * max(1.0, abs(hi))
@@ -257,7 +248,7 @@ class TestKernel:
         lo, hi = res.bracket
         assert lo < res.value < hi and res.value == 0.5 * (lo + hi)
         assert hi - lo <= res.tol * res.value
-        coeffs = qn_coefficients(alpha, n, RATIONAL).coeffs
+        coeffs = qn_coefficients(alpha, n, RATIONAL)
         assert eval_exact(coeffs, F(lo)) * eval_exact(coeffs, F(hi)) < 0
         # and the zero in between is the smallest one
         assert exact_zeros_below(alpha, n, F(lo)) == 0
@@ -332,7 +323,7 @@ class TestKernel:
         lo = smallest_eigenvalue(T).bracket[0]
         assert step < 0 and lo * (1 - 1e-13) <= sigma + step < sigma
         # a zero pivot inside the recurrence: the count goes on, no step
-        assert _laguerre_pass(T.q, T.diag[0]) == (sturm_count(T, T.diag[0]), None)
+        assert _laguerre_pass(T.q, T.q[0]) == (sturm_count(T, T.q[0]), None)
 
     def test_zero_pivot_inside_the_recurrence(self):
         # sigma = d_0 zeroes the first pivot; the count goes on past it and
@@ -340,7 +331,7 @@ class TestKernel:
         # same count and no step.
         for alpha, n in [(0.0, 6), (2.5, 30), (40.0, 200)]:
             T = build_jacobi(alpha, n)
-            sigma = T.diag[0]
+            sigma = T.q[0]
             eig = np.linalg.eigvalsh(dense(T))
             assert np.min(np.abs(eig - sigma)) > 1e-9
             assert sturm_count(T, sigma) == int(np.sum(eig < sigma))
@@ -353,7 +344,7 @@ class TestKernel:
         for alpha, n in [(0.0, 1), (0.0, 6), (2.5, 30), (40.0, 200)]:
             T = build_jacobi(alpha, n)
             ones = [1.0] * n
-            for sigma in (T.diag[0], 0.3 * T.diag[0], 0.5, 3.7, 1e3):
+            for sigma in (T.q[0], 0.3 * T.q[0], 0.5, 3.7, 1e3):
                 assert _laguerre_pass_e(T.q, ones, sigma) == _laguerre_pass(T.q, sigma)
 
     def test_largest_raises_when_the_bracket_misses(self):
@@ -371,6 +362,18 @@ class TestKernel:
             lo, hi = res.bracket
             assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
             assert res.value == pytest.approx(np.linalg.eigvalsh(dense(T))[-1], rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [-0.99, 0.0, 3.0, 50.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 40, 1000])
+    def test_largest_from_the_norm_bracket(self, alpha, n):
+        # the solve starts from the upper end of (0, (1 + sqrt(max q))^2]
+        # and returns ends that count fewer than n and all n eigenvalues
+        T = build_jacobi(alpha, n)
+        res = largest_eigenvalue(T)
+        lo, hi = res.bracket
+        assert 0.0 < lo and hi <= norm_bracket(T)[1] * (1 + 1e-15)
+        assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
+        assert res.value == pytest.approx(np.linalg.eigvalsh(dense(T))[-1], rel=1e-13)
 
     @pytest.mark.parametrize("alpha, n, newton_passes", [(-0.9, 2, 7), (0.0, 7, 9), (3.0, 40, 15),
                                                          (1e4, 300, 12)])
