@@ -18,15 +18,17 @@ number of negative pivots is the number of eigenvalues below sigma; an
 exact zero pivot counts as negative.  ``_laguerre_pass_e`` runs the same
 recurrence, s_{k+1} = e_k s_k/(q_k + s_k) - sigma, for a factor with
 squared subdiagonal e_k; the Bessel zeros of :mod:`markov_laguerre.bessel`
-use it.
+use it, and so does ``smallest_eigenvalue`` on T_n/alpha past alpha ~ 1e154.
 
 One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
 from either side, both derivatives from the sign-count pass.  Once a step
-is small, a close that only counts brackets the estimate, and the result
-is the midpoint of a bracket whose ends the sign count placed.
-``smallest_eigenvalue`` starts at the reciprocal of the refined upper
-bound on c_n(alpha)^2, below the eigenvalue; a largest eigenvalue
-(``_largest``) is the smallest of -M, solved from above.
+is small, a close that only counts brackets the estimate to tol/8, and the
+result is the midpoint of a bracket whose ends the sign count placed.
+``smallest_eigenvalue`` starts below the eigenvalue: from n = 300 on at
+Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2, c(alpha) = 1/j_{(alpha-1)/2,1}
+from :mod:`markov_laguerre.bessel`, else at the reciprocal of the refined
+upper bound on c_n(alpha)^2.  A largest eigenvalue (``_largest``) is the
+smallest of -M, solved from above.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _MAX_PASSES = 200
+# Smallest n at which ``smallest_eigenvalue`` starts from Dörfler's limit.
+# That start costs one Bessel zero, 0.06 ms on average over a in (-1, 100]
+# (0.02 ms near a = -1, 0.28 ms at a = 2001), and saves Laguerre passes of
+# 0.28 us per entry: 0.66 of a pass at n = 128 (24 us), 0.77 at 256 (55 us),
+# 0.93 at 384 (99 us) and 1.7 from n = 2000 on (300 draws of a per n;
+# Python 3.11, 2 vCPUs).  The two break even near n = 280.
+_START_MIN_N = 300
 # Steps of at most this share of sigma go to the close.
 _CLOSE = 1e-6
 
@@ -73,7 +82,10 @@ class EigenResult:
 
     The binary64 sign count at sigma = lo finds no eigenvalue below it, the
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
-    value.  The count certifies the ends but does not prove them: on random
+    value.  After a close, hi - lo <= tol/8 * value, or lo and hi are
+    adjacent floats where binary64 cannot resolve tol/8, so value lies within
+    tol/16 of where the count flips whatever the start.  The count certifies
+    the ends but does not prove them: on random
     inputs with n up to 20000 it is wrong at about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
     and count-only passes together, and for a largest eigenvalue the pass
@@ -237,10 +249,13 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
     half the previous one (slower than bisection), a third of the way to
     where the secant through the last two steps vanishes, and at least two
     steps ahead.  Otherwise the next sigma is the bracket's midpoint,
-    geometric while hi > 2 lo > 0.  Close: counts at est -+ tol*|est|/4;
-    where one misses, the offset on that side doubles until a count lands,
-    and then counts bisect.  Both phases stop once hi - lo <= tol * |value|,
-    value being the midpoint, which is returned.
+    geometric while hi > 2 lo > 0.  The step phase stops once hi - lo <=
+    tol * |value|, value being the midpoint, which is returned.  Close:
+    counts at est -+ d, d = tol*|est|/32 but at least one ulp of est; where
+    one misses, the offset on that side doubles until a count lands, and
+    then counts bisect until hi - lo <= tol/8 * |value|.  A bracket that
+    binary64 cannot split further ends the close when it is within tol,
+    and raises RuntimeError otherwise.
     """
     c, step = step_pass(sigma)
     steps = 1
@@ -284,7 +299,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
         steps += 1
     counts = 0
     if est is not None:
-        d = 0.25 * tol * abs(est)
+        d = max(tol * abs(est) / 32.0, math.ulp(est))
         for side in (-1.0, 1.0):
             x = est + side * d
             while lo < x < hi:
@@ -295,9 +310,11 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
                     break
                 d += d
                 x = est + side * d
-        while hi - lo > tol * abs(0.5 * lo + 0.5 * hi):
+        while hi - lo > 0.125 * tol * abs(0.5 * lo + 0.5 * hi):
             x = 0.5 * lo + 0.5 * hi
             if not lo < x < hi:
+                if hi - lo <= tol * abs(x):
+                    break
                 raise _unresolved(tol, lo, hi)
             counts += 1
             lo, hi = (lo, x) if count(x) else (x, hi)
@@ -330,13 +347,57 @@ def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult
     return EigenResult(-res.value, (-hi, -lo), res.iterations + 1, tol)
 
 
+def _start(a: float, n: int, lower: float, top: float) -> float:
+    """Start of the smallest-eigenvalue solve on T_n(a), whose eigenvalue
+    lies in (lower, top), lower = 1/refined_upper and top = q_0.
+
+    Dörfler's limit c_n(a) = c(a)(n + kappa(a)) + O(1/n), with
+    c(a) = 1/j_{(a-1)/2,1} and kappa(a) < (a+3)/4 on every tabled a (0.498
+    against 0.503 at a = -0.99, 23.7 against 25.75 at 100), puts
+    (j/(n + (a+3)/4))^2 just below the eigenvalue: 0.02% below it at
+    a = 100, n = 20000, where lower is 30% below.  It is used where it lies
+    in (lower, top), where n >= _START_MIN_N, so that the zero pays for
+    itself, and where (a-1)/2 lies in first_zero's domain (-1, ZERO_NU_MAX];
+    else the start is lower.
+    """
+    if n < _START_MIN_N:
+        return lower
+    from .bessel import ZERO_NU_MAX, first_zero  # bessel imports this module
+
+    nu = 0.5 * a - 0.5
+    if not -1.0 < nu <= ZERO_NU_MAX:
+        return lower
+    sigma = (first_zero(nu) / (n + 0.25 * a + 0.75)) ** 2
+    return sigma if lower < sigma < top else lower
+
+
+def _smallest_scaled(T: TridiagMatrix, tol: float) -> EigenResult:
+    """Smallest eigenvalue of T = a (B B^T), B with squared diagonal q_k/a
+    and squared subdiagonal 1/a, solved from 0 on B B^T.
+
+    For a past about 1e154, where the refined bound overflows, the pass on
+    T itself underflows: u_k^2 falls below the binary64 range and the step
+    degenerates to n times Newton's.  On B B^T the eigenvalues are of order
+    1/n and the steps keep their cubic rate.
+    """
+    a = T.alpha
+    qs = [qk / a for qk in T.q]
+    step_pass = functools.partial(_laguerre_pass_e, qs, [1.0 / a] * len(qs))
+    res = _solve(step_pass, lambda sigma: step_pass(sigma)[0], 0.0, qs[0], 0.0, tol)
+    lo, hi = res.bracket[0] * a, res.bracket[1] * a
+    return EigenResult(0.5 * lo + 0.5 * hi, (lo, hi), res.iterations, tol)
+
+
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     """Smallest eigenvalue of T with a certified enclosing bracket.
 
-    ``_solve`` starts at sigma = 1/refined_upper(alpha, n), below the
-    eigenvalue for n >= 2; a start that the sign count places above it
-    (rounding, at n = 2) falls back to sigma = 0, where every pivot is
-    q_k > 0.  So does a bound that overflows (alpha above about 1.3e154).
+    ``_solve`` searches (0, q_0] from ``_start``: for n >= _START_MIN_N,
+    Dörfler's limit (c(a)(n + (a+3)/4))^-2 where it lies above the lower
+    bound, else sigma = 1/refined_upper(alpha, n).  Both lie below the
+    eigenvalue, and the close narrows the bracket to tol/8; a start that the sign count places above it (rounding, at
+    n = 2) falls back to sigma = 0, where every pivot is q_k > 0.  Where the
+    refined bound overflows (alpha above about 1.3e154), ``_smallest_scaled``
+    solves T/alpha from 0.
     """
     _check_tol(tol)
     q = T.q
@@ -344,11 +405,13 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     if n == 1:
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
+    upper = _refined_upper(T.alpha, n)
+    if not 0.0 < upper < math.inf:
+        return _smallest_scaled(T, tol)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
-    upper = _refined_upper(T.alpha, n)
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                  0.0, q[0], 1.0 / upper if 0.0 < upper < math.inf else 0.0, tol)
+                  0.0, q[0], _start(T.alpha, n, 1.0 / upper, q[0]), tol)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:

@@ -64,7 +64,8 @@ class WeightAlpha:
             object.__setattr__(self, "value", Fraction(v))
         if not self.value > -1:
             raise ValueError(f"alpha must be > -1, got {v}")
-        if not math.isfinite(self.value):
+        # A Fraction is finite, and may lie past the binary64 range.
+        if isinstance(self.value, float) and not math.isfinite(self.value):
             raise ValueError(f"alpha must be finite, got {v}")
 
 
@@ -212,16 +213,21 @@ def reciprocal_b123(alpha, n: int):
     """
     a = alpha_value(alpha)
     b1 = (n * (n + 1)) / (2 * (a + 1))
-    b2 = ((n - 1) * n * (n + 1) * (3 * (a + 2) * n + 2 * (a + 6))) / (
-        24 * (a + 1) * (a + 2) * (a + 3)
-    )
-    b3 = (
-        (n - 2)
-        * (n - 1)
-        * n
-        * (n + 1)
-        * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
-    ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
+    # Exact zeros below their degree: at a large float alpha the formulas
+    # would give 0 * inf there.
+    b2 = b3 = 0 * b1
+    if n >= 2:
+        b2 = ((n - 1) * n * (n + 1) * (3 * (a + 2) * n + 2 * (a + 6))) / (
+            24 * (a + 1) * (a + 2) * (a + 3)
+        )
+    if n >= 3:
+        b3 = (
+            (n - 2)
+            * (n - 1)
+            * n
+            * (n + 1)
+            * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
+        ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
     if isinstance(a, float) and not _normal(*(b1, b2, b3)[:n]):
         raise OverflowError(f"b1..b3 at alpha={a}, n={n} overflow binary64")
     return b1, b2, b3

@@ -23,12 +23,15 @@ from markov_laguerre import (
 )
 from markov_laguerre.bessel import first_zero
 from markov_laguerre.eigen import (
+    _START_MIN_N,
     _count,
     _laguerre_pass,
     _laguerre_pass_e,
     _largest,
     _solve,
+    _start,
 )
+from markov_laguerre.recurrence import _refined_upper
 
 
 def dense(T):
@@ -265,15 +268,16 @@ class TestKernel:
     def test_pass_count_on_point_draws(self):
         # Draws as in the benchmark's point workload, at n <= 2000.  Newton
         # steps without the counting close took 8.5 passes on average, 11 at
-        # most.
+        # most; Laguerre steps from 1/refined_upper 5.5 and 8; from Dörfler's
+        # limit they take 4.2 and 6.
         rng = random.Random(7)
         passes = []
         for _ in range(60):
             alpha = 100.0 - 101.0 * rng.random()
             n = round(math.exp(rng.uniform(math.log(500), math.log(2000))))
             passes.append(smallest_eigenvalue(build_jacobi(alpha, n)).iterations)
-        assert sum(passes) / len(passes) <= 6.5
-        assert max(passes) <= 9
+        assert sum(passes) / len(passes) <= 4.5
+        assert max(passes) <= 7
 
     @pytest.mark.parametrize("bias", [10.0, -10.0])
     @pytest.mark.parametrize("alpha, n", [(0.0, 50), (5.0, 1000), (60.0, 3000)])
@@ -296,13 +300,14 @@ class TestKernel:
         res = _solve(biased, count, 0.0, T.q[0], 0.0, tol)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
-        assert hi - lo <= tol * res.value
+        assert hi - lo <= tol / 8 * res.value
         assert lo < res.value < hi
-        # The estimate lies 2 tol to 10 tol beyond the eigenvalue: an offset
-        # that doubles from tol/4 misses at least four times and lands by the
-        # seventh count, one more count lands on the other side, and
-        # bisection from a width of at most 8 tol takes at most four.
-        assert 5 <= len(counted) <= 12
+        # The estimate lies 2 tol to 16 tol beyond the eigenvalue (3.3 tol to
+        # 10 tol here): an offset that doubles from tol/32 misses at least six
+        # times and lands by the tenth count; from below, one count lands on
+        # the near side first.  The last missed offset, tol to 8 tol, is the
+        # width left, and bisecting it to tol/8 takes three to six counts.
+        assert 10 <= len(counted) <= 17
 
     @pytest.mark.parametrize("alpha, n", [(-0.9, 40), (0.0, 300), (25.0, 1000)])
     def test_laguerre_step_lands_between_newton_and_the_eigenvalue(self, alpha, n):
@@ -397,13 +402,64 @@ class TestKernel:
     def test_overflowing_start_falls_back_to_zero(self, alpha, n):
         # past alpha ~ 1.3e154 refined_upper overflows to 0 or nan; the
         # solve starts at 0 instead (it raised ZeroDivisionError or came out
-        # nan), and the midpoints must not overflow either
+        # nan), and the midpoints must not overflow either.  It solves
+        # T/alpha: on T itself the pass underflowed and took 40 to 74 passes.
         res = smallest_eigenvalue(build_jacobi(alpha, n))
         want = mp_smallest(alpha, n)
         assert abs(res.value - want) <= 1.9e-14 * want
         lo, hi = res.bracket
         assert lo < res.value < hi and hi - lo <= res.tol * res.value
         assert markov_constant(alpha, n) == res.value ** -0.5
+        assert res.iterations <= 10
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300, 1.7e308])
+    def test_overflowing_start_pass_count_at_large_n(self, alpha):
+        # 60 passes on T itself past 1e300, 16 on T/alpha
+        T = build_jacobi(alpha, 1000)
+        res = smallest_eigenvalue(T)
+        assert res.iterations <= 20
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 5.0, 100.0, 1000.0, 2001.0])
+    @pytest.mark.parametrize("n", [_START_MIN_N, 4096])
+    def test_start_from_dorflers_limit(self, alpha, n):
+        # (c(a)(n + (a+3)/4))^-2 with c(a) = 1/j_{(a-1)/2,1}: above the
+        # refined bound's start and below the eigenvalue
+        T = build_jacobi(alpha, n)
+        lower = 1.0 / _refined_upper(alpha, n)
+        sigma = _start(alpha, n, lower, T.q[0])
+        assert sigma == (first_zero((alpha - 1) / 2) / (n + (alpha + 3) / 4)) ** 2
+        assert lower < sigma and sturm_count(T, sigma) == 0
+
+    @pytest.mark.parametrize("alpha, n", [
+        (5.0, _START_MIN_N - 1),     # below the cut, a zero costs more than it saves
+        (-1 + 2.0 ** -52, _START_MIN_N),  # Dörfler's start is below 1/refined_upper
+        (-1 + 2.0 ** -52, 20000),
+        (-0.9999999999999999, 20000),  # (a-1)/2 rounds to -1, where first_zero raises
+        (2003.0, _START_MIN_N),      # past first_zero's domain
+        (2003.0, 20000),
+    ])
+    def test_start_keeps_the_refined_bound(self, alpha, n):
+        T = build_jacobi(alpha, n)
+        lower = 1.0 / _refined_upper(alpha, n)
+        assert _start(alpha, n, lower, T.q[0]) == lower
+        res = smallest_eigenvalue(T)
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+        assert hi - lo <= res.tol * res.value
+
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_tolerance_below_the_close_stops_at_binary64_resolution(self, n):
+        # the close bisects towards tol/8, which at tol = 2e-16 lies below
+        # the spacing of binary64: it stops at adjacent floats instead of
+        # raising, since the bracket is within tol
+        T = build_jacobi(0.0, n)
+        res = smallest_eigenvalue(T, 2e-16)
+        lo, hi = res.bracket
+        assert hi == math.nextafter(lo, math.inf)
+        assert hi - lo <= res.tol * res.value
+        assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
 
     def test_iterations_count_passes(self):
         assert smallest_eigenvalue(build_jacobi(0.0, 1)).iterations == 0
@@ -457,7 +513,7 @@ class TestMarkovConstant:
             markov_constant(float("inf"), 3)
 
     def test_turan_agreement_sample(self):
-        for n in (1, 2, 10, 40, 120, 200):
+        for n in (1, 2, 10, 40, 120, 200, 1000):
             got = markov_constant(0.0, n, 1e-15)
             want = turan_constant(n)
             assert abs(got - want) / want <= 1e-11

@@ -50,6 +50,16 @@ class TestWeightAlpha:
         assert isinstance(WeightAlpha(2).value, F)
         assert not isinstance(WeightAlpha(2.0).value, F)
 
+    def test_exact_alpha_past_binary64(self):
+        # An exact alpha never becomes a float: its finiteness check raised
+        # OverflowError converting 10**400.
+        alpha = F(10**400)
+        assert WeightAlpha(alpha).value == alpha
+        assert WeightAlpha(10**400).value == alpha
+        assert qn_coefficients(alpha, 2, RATIONAL) == (
+            coeff_a0(alpha, 2), coeff_a1(alpha, 2), 1)
+        assert qn_coefficients(alpha, 2, RATIONAL)[0] == (1 + alpha) * (1 + alpha / 2)
+
 
 class TestRecurrenceCoeffs:
     def test_alpha0_n3(self):
@@ -178,6 +188,22 @@ class TestReciprocal:
         assert b1 == 1 / (alpha + 1)
         assert b2 == 0
         assert b3 == 0
+
+    @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
+    def test_n2(self, alpha):
+        b1, b2, b3 = reciprocal_b123(alpha, 2)
+        assert b2 == coeff_a2(alpha, 2) / coeff_a0(alpha, 2)
+        assert b3 == 0
+
+    @pytest.mark.parametrize("alpha", [1e100, 1e200, 1e300])
+    def test_zeros_below_degree_stay_zero_at_large_alpha(self, alpha):
+        # b2 vanishes for n <= 1 and b3 for n <= 2; the formulas gave
+        # (n - 2) * inf = nan for b3 at n = 1 past alpha ~ 1e154
+        assert reciprocal_b123(alpha, 1) == (2 / (2 * (alpha + 1)), 0.0, 0.0)
+        assert coeff_a3(alpha, 1) == 0.0
+        assert coeff_a2(alpha, 1) == 0.0
+        if alpha < 1e150:
+            assert reciprocal_b123(alpha, 2)[2] == 0.0
 
     def test_alpha0_n3(self):
         assert reciprocal_b123(F(0), 3) == (6, 5, 1)
