@@ -56,7 +56,7 @@ import sys
 
 from .bounds import bessel_zero_enclosure
 from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
-from .recurrence import alpha_value
+from .recurrence import _float_alpha
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
 
@@ -180,5 +180,5 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
 
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
     """Asymptotic constant c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}."""
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     return 1.0 / first_zero((a - 1.0) / 2.0, tol)

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _normal, _refined_lower, _refined_upper, alpha_value, reciprocal_b123
+from .recurrence import (_float_alpha, _normal, _refined_lower, _refined_upper, alpha_value,
+                         reciprocal_b123)
 
 __all__ = [
     "BoundPair",
@@ -186,7 +187,7 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
     0.0300), where the refined lower bound is valid but weaker.  Past a of
     about 1e154 the products overflow binary64: OverflowError.
     """
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     _require_n(n)
     return RefinedBounds(*_finite(_refined_lower(a, n), _refined_upper(a, n), a),
                          n > (a + 1) / 6)
@@ -195,7 +196,7 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
 def dorfler_bounds(alpha, n: int) -> BoundPair:
     """Classical enclosure n^2/((a+1)(a+3)) <= c_n^2 <= n(n+1)/(2(a+1));
     an upper bound that underflows to 0 (a near 1.7e308): OverflowError."""
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     _require_n(n)
     return BoundPair(*_finite(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)), a))
 
@@ -222,7 +223,7 @@ def asymptotic_bounds(alpha) -> BoundPair:
 
     Past a of about 1.3e154 both overflow to 0: OverflowError.
     """
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     lower = math.sqrt(2.0 / ((a + 1) * (a + 5)))
     upper = 1.0 / (math.sqrt(a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 6.0))
     return BoundPair(*_finite(lower, upper, a))
@@ -236,7 +237,7 @@ def asymptotic_upper_large_alpha(alpha) -> float:
     inequality is reversed (alpha = 1.5: c = 0.3596 > 0.3458), so alpha < 2
     raises rather than return a number that is not an upper bound.
     """
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     if not a >= 2.0:
         raise ValueError(f"the bound requires alpha >= 2, got {a}")
     return 2.0 / (a + 2.0 * math.pi - 2.0)
@@ -270,12 +271,12 @@ def turan_constant(n: int) -> float:
 
 def exact_c1_sq(alpha) -> float:
     """Closed form c_1(alpha)^2 = 1/(1 + alpha)."""
-    return 1.0 / (1.0 + float(alpha_value(alpha)))
+    return 1.0 / (1.0 + _float_alpha(alpha))
 
 
 def exact_c2_sq(alpha) -> float:
     """Closed form c_2(alpha)^2 = (3(a+2) + sqrt((a+2)(a+10))) / (2(a+1)(a+2))."""
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     return (3 * (a + 2) + math.sqrt((a + 2) * (a + 10))) / (2 * (a + 1) * (a + 2))
 
 
@@ -403,7 +404,7 @@ def residual_sandwich_check(alpha, n: int):
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
     """Compute the exact squared constant and every finite-n bound at (alpha, n)."""
-    a = float(alpha_value(alpha))
+    a = _float_alpha(alpha)
     res = smallest_eigenvalue(build_jacobi(a, n), tol)
     exact_c_sq = 1.0 / res.value
     refined = refined_bounds(a, n)  # first: it raises where the products overflow

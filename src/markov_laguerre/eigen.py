@@ -18,16 +18,18 @@ number of negative pivots is the number of eigenvalues below sigma; an
 exact zero pivot counts as negative.  ``_laguerre_pass_e`` runs the same
 recurrence, s_{k+1} = e_k s_k/(q_k + s_k) - sigma, for a factor with
 squared subdiagonal e_k; the Bessel zeros of :mod:`markov_laguerre.bessel`
-use it, and so does ``smallest_eigenvalue`` on T_n/alpha past alpha ~ 1e154.
+use it.
 
 One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
 from either side, both derivatives from the sign-count pass.  Once a step
 is small, a close that only counts brackets the estimate to tol/8, and the
 result is the midpoint of a bracket whose ends the sign count placed.
-``smallest_eigenvalue`` starts below the eigenvalue: from n = 300 on at
-Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2, c(alpha) = 1/j_{(alpha-1)/2,1}
-from :mod:`markov_laguerre.bessel`, else at the reciprocal of the refined
-upper bound on c_n(alpha)^2.  A largest eigenvalue (``_largest``) is the
+``smallest_eigenvalue`` starts below the eigenvalue, at every alpha: from
+n = 300 on at Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
+c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`, where
+that lies higher, else at the larger of two proved lower bounds, the
+reciprocal of the refined upper bound on c_n(alpha)^2 and Weyl's
+(sqrt(q_{n-1}) - 1)^2.  A largest eigenvalue (``_largest``) is the
 smallest of -M, solved from above.
 """
 
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import _refined_upper, alpha_value
+from .recurrence import _float_alpha, _refined_upper, alpha_value
 
 __all__ = [
     "TridiagMatrix",
@@ -104,13 +106,14 @@ def build_jacobi(alpha, n: int) -> TridiagMatrix:
     Each q_k is rounded once from its exact value when alpha is exact.
     """
     a = alpha_value(alpha)
+    fa = _float_alpha(a)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(a, Fraction):
         q = [float(1 + a / k) for k in range(1, n + 1)]
     else:
         q = [1.0 + a / k for k in range(1, n + 1)]
-    return TridiagMatrix(float(a), tuple(q))
+    return TridiagMatrix(fa, tuple(q))
 
 
 def _count(q, sigma: float) -> int:
@@ -137,10 +140,15 @@ def _laguerre_step(n: int, s1: float, s2: float) -> float | None:
     """Laguerre's step n/(S1 + sgn(S1) sqrt((n-1)(n S2 - S1^2))), with S1 =
     -f'/f = sum 1/(lambda_i - sigma) and S2 = -(f'/f)', or None.  It heads
     the way Newton's 1/S1 does and converges cubically and monotonically
-    from either side of an eigenvalue (Parlett 1964; Li & Zeng 1994)."""
+    from either side of an eigenvalue (Parlett 1964; Li & Zeng 1994).  By
+    Cauchy-Schwarz the discriminant is positive for n >= 2 distinct
+    eigenvalues; where it reads <= 0 (S2 underflowed, sigma past about
+    1e298) the step is Newton's, which from below stops short of the
+    eigenvalue; the formula's n/S1 would overshoot it up to n times."""
     if s1 == 0.0 or not math.isfinite(s1 + s2):
         return None
-    return n / (s1 + math.copysign(math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1))), s1))
+    d = (n - 1) * (n * s2 - s1 * s1)
+    return n / (s1 + math.copysign(math.sqrt(d), s1)) if d > 0.0 else 1.0 / s1
 
 
 def _laguerre_pass(q, sigma: float) -> tuple[int, float | None]:
@@ -244,13 +252,10 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
     its count, unless its step is 0 (a zero last pivot: sigma is the
     eigenvalue).  Only steps from counts 0 and 1 are used.  Once |step| <=
     _CLOSE*|sigma|, the estimate sigma + step, clamped to the bracket, goes
-    to the close.  Before that, a step whose estimate lies in the bracket
-    gives the next sigma: the estimate, or, from below when the step is over
-    half the previous one (slower than bisection), a third of the way to
-    where the secant through the last two steps vanishes, and at least two
-    steps ahead.  Otherwise the next sigma is the bracket's midpoint,
-    geometric while hi > 2 lo > 0.  The step phase stops once hi - lo <=
-    tol * |value|, value being the midpoint, which is returned.  Close:
+    to the close.  Before that, the estimate is the next sigma where it lies
+    inside the bracket, and the bracket's midpoint where it does not or
+    there is no step.  The step phase stops once hi - lo <= tol * |value|,
+    value being the midpoint, which is returned.  Close:
     counts at est -+ d, d = tol*|est|/32 but at least one ulp of est; where
     one misses, the offset on that side doubles until a count lands, and
     then counts bisect until hi - lo <= tol/8 * |value|.  A bracket that
@@ -266,7 +271,6 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
         if c:
             raise RuntimeError("the bracket misses the eigenvalue: its lower end "
                                "counts one at or below it")
-    prev = move = math.inf
     est = None
     while True:
         if step != 0.0:
@@ -282,19 +286,11 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
         if usable and abs(step) <= _CLOSE * abs(sigma):
             est = min(max(sigma + step, lo), hi)
             break
-        nxt = sigma + step if usable else math.nan
-        if c == 0 and lo < nxt <= hi and step > 0.5 * prev:
-            reach = 2.0 if step >= prev else max(2.0, move / (3.0 * (prev - step)))
-            nxt = sigma + reach * step
-        if lo < nxt < hi:
-            move = abs(nxt - sigma)
-            prev = step if c == 0 else math.inf
-        else:
-            nxt = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo > 0.0 else 0.5 * lo + 0.5 * hi
-            if not lo < nxt < hi:
+        sigma = sigma + step if usable else math.nan
+        if not lo < sigma < hi:
+            sigma = 0.5 * lo + 0.5 * hi
+            if not lo < sigma < hi:
                 raise _unresolved(tol, lo, hi)
-            move = prev = math.inf
-        sigma = nxt
         c, step = step_pass(sigma)
         steps += 1
     counts = 0
@@ -347,18 +343,36 @@ def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult
     return EigenResult(-res.value, (-hi, -lo), res.iterations + 1, tol)
 
 
+def _lower_bound(a: float, q) -> float:
+    """Proved lower bound on the smallest eigenvalue of T_n(a), n >= 2: the
+    larger of 1/refined_upper(a, n), 0 where the refined bound overflows
+    (a past about 1.3e154), and Weyl's (sqrt(q_{n-1}) - 1)^2, a margin below
+    it, so that the sign count too finds no eigenvalue below it."""
+    upper = _refined_upper(a, len(q))
+    # Weyl: sigma_min(B) >= sqrt(min q_k) - 1, and min q_k = q_{n-1} when it
+    # exceeds 1 (a > 0).  (q - 1)/(sqrt(q) + 1) is sqrt(q) - 1 without
+    # cancellation, within 4u, u = 2^-53, so w^2 is within 11u after the
+    # margin's two roundings.  The count at sigma is exact for a factor whose
+    # q_k and unit e_k moved by u and 2u relative (write each rounding of
+    # s_{k+1} into q_{k+1}, those of p_k and s_k/p_k into e_k), so by
+    # Demmel & Kahan its smallest eigenvalue is off by (3n - 2)u at most, to
+    # first order.  The margin, 4n + 12 > 3n + 9 ulps, covers both.
+    w = max(0.0, q[-1] - 1.0) / (math.sqrt(q[-1]) + 1.0)
+    return max(1.0 / upper if upper > 0.0 else 0.0, w * w * (1.0 - (4 * len(q) + 12) * 2.0**-53))
+
+
 def _start(a: float, n: int, lower: float, top: float) -> float:
     """Start of the smallest-eigenvalue solve on T_n(a), whose eigenvalue
-    lies in (lower, top), lower = 1/refined_upper and top = q_0.
+    lies in (lower, top), lower a proved lower bound and top = q_0.
 
     Dörfler's limit c_n(a) = c(a)(n + kappa(a)) + O(1/n), with
     c(a) = 1/j_{(a-1)/2,1} and kappa(a) < (a+3)/4 on every tabled a (0.498
     against 0.503 at a = -0.99, 23.7 against 25.75 at 100), puts
     (j/(n + (a+3)/4))^2 just below the eigenvalue: 0.02% below it at
-    a = 100, n = 20000, where lower is 30% below.  It is used where it lies
-    in (lower, top), where n >= _START_MIN_N, so that the zero pays for
-    itself, and where (a-1)/2 lies in first_zero's domain (-1, ZERO_NU_MAX];
-    else the start is lower.
+    a = 100, n = 20000, where 1/refined_upper is 30% below.  It is used
+    where it lies in (lower, top), where n >= _START_MIN_N, so that the zero
+    pays for itself, and where (a-1)/2 lies in first_zero's domain
+    (-1, ZERO_NU_MAX]; else the start is lower.
     """
     if n < _START_MIN_N:
         return lower
@@ -371,33 +385,17 @@ def _start(a: float, n: int, lower: float, top: float) -> float:
     return sigma if lower < sigma < top else lower
 
 
-def _smallest_scaled(T: TridiagMatrix, tol: float) -> EigenResult:
-    """Smallest eigenvalue of T = a (B B^T), B with squared diagonal q_k/a
-    and squared subdiagonal 1/a, solved from 0 on B B^T.
-
-    For a past about 1e154, where the refined bound overflows, the pass on
-    T itself underflows: u_k^2 falls below the binary64 range and the step
-    degenerates to n times Newton's.  On B B^T the eigenvalues are of order
-    1/n and the steps keep their cubic rate.
-    """
-    a = T.alpha
-    qs = [qk / a for qk in T.q]
-    step_pass = functools.partial(_laguerre_pass_e, qs, [1.0 / a] * len(qs))
-    res = _solve(step_pass, lambda sigma: step_pass(sigma)[0], 0.0, qs[0], 0.0, tol)
-    lo, hi = res.bracket[0] * a, res.bracket[1] * a
-    return EigenResult(0.5 * lo + 0.5 * hi, (lo, hi), res.iterations, tol)
-
-
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     """Smallest eigenvalue of T with a certified enclosing bracket.
 
     ``_solve`` searches (0, q_0] from ``_start``: for n >= _START_MIN_N,
-    Dörfler's limit (c(a)(n + (a+3)/4))^-2 where it lies above the lower
-    bound, else sigma = 1/refined_upper(alpha, n).  Both lie below the
-    eigenvalue, and the close narrows the bracket to tol/8; a start that the sign count places above it (rounding, at
-    n = 2) falls back to sigma = 0, where every pivot is q_k > 0.  Where the
-    refined bound overflows (alpha above about 1.3e154), ``_smallest_scaled``
-    solves T/alpha from 0.
+    Dörfler's limit (c(a)(n + (a+3)/4))^-2 where it lies above
+    ``_lower_bound``, else that bound.  Weyl's term is the larger from
+    alpha of about 100 on (30 at n = 2): at n = 20000 it is 0.987 of the
+    eigenvalue at alpha = 1e4 and 0.9993 at 1e8, where 1/refined_upper is
+    0.19 and 0.0055.  The close narrows the bracket to tol/8.  A start that
+    the sign count places above the eigenvalue (rounding, at n = 2) falls
+    back to sigma = 0, where every pivot is q_k > 0.
     """
     _check_tol(tol)
     q = T.q
@@ -405,13 +403,10 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     if n == 1:
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
-    upper = _refined_upper(T.alpha, n)
-    if not 0.0 < upper < math.inf:
-        return _smallest_scaled(T, tol)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                  0.0, q[0], _start(T.alpha, n, 1.0 / upper, q[0]), tol)
+                  0.0, q[0], _start(T.alpha, n, _lower_bound(T.alpha, q), q[0]), tol)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:

@@ -85,6 +85,17 @@ def alpha_value(alpha) -> float | Fraction:
     return WeightAlpha(alpha).value
 
 
+def _float_alpha(alpha) -> float:
+    """alpha rounded to binary64, for the float paths: an exact alpha past
+    the binary64 range raises OverflowError that says so."""
+    a = alpha_value(alpha)
+    try:
+        return float(a)
+    except OverflowError:
+        raise OverflowError(f"alpha={a} lies past the binary64 range "
+                            f"(at most {sys.float_info.max!r})") from None
+
+
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """Recurrence data for Q_1 .. Q_n.
@@ -118,7 +129,7 @@ def _series_alpha(alpha, mode: str):
             raise ValueError("rational mode requires an exact alpha (int or Fraction)")
         return a, Fraction(1)
     if mode == FLOAT:
-        return float(a), 1.0
+        return _float_alpha(a), 1.0
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -27,7 +27,9 @@ from markov_laguerre.eigen import (
     _count,
     _laguerre_pass,
     _laguerre_pass_e,
+    _laguerre_step,
     _largest,
+    _lower_bound,
     _solve,
     _start,
 )
@@ -259,9 +261,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("alpha", [1e4, 1e6])
     def test_pass_count_bounded_at_large_alpha(self, alpha):
+        # 7 and 11 passes from Weyl's bound, 0.987 and 0.998 of the
+        # eigenvalue; from 1/refined_upper (0.19 and 0.031), with a secant
+        # jump, 10 and 12
         T = build_jacobi(alpha, 20000)
         res = smallest_eigenvalue(T)
-        assert 0 < res.iterations <= 30
+        assert 0 < res.iterations <= 12
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
 
@@ -278,6 +283,48 @@ class TestKernel:
             passes.append(smallest_eigenvalue(build_jacobi(alpha, n)).iterations)
         assert sum(passes) / len(passes) <= 4.5
         assert max(passes) <= 7
+
+    def test_pass_count_on_wide_alpha_draws(self):
+        # alpha log-uniform on [1e2, 1.7e308], n on [2, 2000]: from Weyl's
+        # bound 3.1 passes on average and 6 at most; from 1/refined_upper,
+        # or from 0 on T/alpha past 1.3e154, 11.9 and 30
+        rng = random.Random(5)
+        passes = []
+        for _ in range(150):
+            alpha = math.exp(rng.uniform(math.log(1e2), math.log(1.7e308)))
+            n = round(math.exp(rng.uniform(math.log(2), math.log(2000))))
+            T = build_jacobi(alpha, n)
+            res = smallest_eigenvalue(T)
+            lo, hi = res.bracket
+            assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
+            passes.append(res.iterations)
+        assert sum(passes) / len(passes) <= 4
+        assert max(passes) <= 8
+
+    def test_start_counts_no_eigenvalue_on_wide_draws(self):
+        # The start lies below where the binary64 count flips, at every
+        # alpha.  Without its margin, Weyl's bound (sqrt(q_{n-1}) - 1)^2
+        # counted an eigenvalue on 969 of these draws.
+        rng = random.Random(11)
+        for _ in range(1500):
+            alpha = math.exp(rng.uniform(math.log(1e-3), math.log(1.7e308)))
+            n = round(math.exp(rng.uniform(math.log(2), math.log(20000))))
+            T = build_jacobi(alpha, n)
+            lower = _lower_bound(alpha, T.q)
+            assert lower > 0.0
+            assert _count(T.q, _start(alpha, n, lower, T.q[0])) == 0, (alpha, n)
+
+    def test_laguerre_step_is_newtons_where_s2_underflowed(self):
+        # S2 = 0 puts the discriminant below 0, which exact arithmetic never
+        # does for n >= 2: the step is Newton's 1/S1, not n/S1
+        assert _laguerre_step(40, 2.0, 0.0) == 0.5
+        # where S2 underflows (sigma ~ 1e300), Newton's step from below stops
+        # short of the eigenvalue; n/S1 overshot it
+        T = build_jacobi(1e300, 40)
+        lam = smallest_eigenvalue(T).value
+        for f in (0.5, 0.9, 0.999):
+            count, step = _laguerre_pass(T.q, f * lam)
+            assert count == 0 and f * lam < f * lam + step < lam
 
     @pytest.mark.parametrize("bias", [10.0, -10.0])
     @pytest.mark.parametrize("alpha, n", [(0.0, 50), (5.0, 1000), (60.0, 3000)])
@@ -400,24 +447,26 @@ class TestKernel:
     @pytest.mark.parametrize("alpha", [1e160, 1e300, 1.7e308])
     @pytest.mark.parametrize("n", [2, 5, 40])
     def test_overflowing_start_falls_back_to_zero(self, alpha, n):
-        # past alpha ~ 1.3e154 refined_upper overflows to 0 or nan; the
-        # solve starts at 0 instead (it raised ZeroDivisionError or came out
-        # nan), and the midpoints must not overflow either.  It solves
-        # T/alpha: on T itself the pass underflowed and took 40 to 74 passes.
+        # past alpha ~ 1.3e154 refined_upper overflows to 0 or nan; its
+        # term of the start falls back to 0 (it raised ZeroDivisionError or
+        # came out nan), and Weyl's bound starts the solve.  From 0, on T
+        # itself, the pass underflowed and took 40 to 74 passes; on T/alpha
+        # up to 10.  From Weyl's bound it takes 2 or 3.
         res = smallest_eigenvalue(build_jacobi(alpha, n))
         want = mp_smallest(alpha, n)
         assert abs(res.value - want) <= 1.9e-14 * want
         lo, hi = res.bracket
         assert lo < res.value < hi and hi - lo <= res.tol * res.value
         assert markov_constant(alpha, n) == res.value ** -0.5
-        assert res.iterations <= 10
+        assert res.iterations <= 4
 
     @pytest.mark.parametrize("alpha", [1e160, 1e300, 1.7e308])
     def test_overflowing_start_pass_count_at_large_n(self, alpha):
-        # 60 passes on T itself past 1e300, 16 on T/alpha
+        # 60 passes from 0 on T itself past 1e300, 16 on T/alpha, 3 from
+        # Weyl's bound
         T = build_jacobi(alpha, 1000)
         res = smallest_eigenvalue(T)
-        assert res.iterations <= 20
+        assert res.iterations <= 4
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
 

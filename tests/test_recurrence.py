@@ -7,13 +7,16 @@ from markov_laguerre import (
     FLOAT,
     RATIONAL,
     WeightAlpha,
+    asymptotic_constant,
     coeff_a0,
     coeff_a1,
     coeff_a2,
     coeff_a3,
+    markov_constant,
     qn_coefficients,
     recurrence_coeffs,
     reciprocal_b123,
+    refined_bounds,
 )
 from markov_laguerre.recurrence import alpha_value, qn_coefficient_rows
 
@@ -59,6 +62,19 @@ class TestWeightAlpha:
         assert qn_coefficients(alpha, 2, RATIONAL) == (
             coeff_a0(alpha, 2), coeff_a1(alpha, 2), 1)
         assert qn_coefficients(alpha, 2, RATIONAL)[0] == (1 + alpha) * (1 + alpha / 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda a: markov_constant(a, 3),
+        lambda a: refined_bounds(a, 3),
+        lambda a: asymptotic_constant(a),
+        lambda a: qn_coefficients(a, 3, FLOAT),
+    ], ids=["markov_constant", "refined_bounds", "asymptotic_constant", "qn_coefficients"])
+    def test_float_paths_name_the_binary64_range(self, call):
+        # Each float path rounds alpha once, and an exact alpha past the
+        # range says so; float() raised "integer division result too large
+        # for a float".
+        with pytest.raises(OverflowError, match="past the binary64 range"):
+            call(F(10**400))
 
 
 class TestRecurrenceCoeffs:
