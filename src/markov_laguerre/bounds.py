@@ -12,8 +12,10 @@ This module evaluates every such bound, the classical ones they are compared
 against, the asymptotic-constant bounds, and the residual polynomials that
 certify the main two-sided estimate.  Routines that are pure rational
 arithmetic accept an exact alpha (int/Fraction) and then return exact values;
-the test suite relies on this to check the certifying identities without
-tolerance.
+the ``verify`` suites and the tests rely on this to check the certifying
+identities without tolerance.  At an exact alpha = p/d the residuals run on
+Python ints, integer numerators over one common denominator, and become
+``Fraction``s only when returned.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import (_float_alpha, _normal, _refined_lower, _refined_upper, alpha_value,
-                         reciprocal_b123)
+from .recurrence import (_b123_parts, _float_alpha, _normal, _refined_lower,
+                         _refined_lower_parts, _refined_upper, _require_degree, _split,
+                         alpha_value, reciprocal_b123)
 
 __all__ = [
     "BoundPair",
@@ -323,32 +326,36 @@ def identity_residuals(alpha) -> IdentityResidual:
 
 
 def _coefficients_from_values(values):
-    """Coefficients (n^0 first) of the polynomial of degree < len(values)
-    that takes ``values`` at n = 0, 1, 2, ...: Newton's forward-difference
-    form sum_k (Delta^k v)(0) * binom(n, k), expanded exactly."""
-    coeffs = [Fraction(0)] * len(values)
-    binom = [Fraction(1)]  # binom(n, k) as coefficients in n, for k = 0
+    """Coefficients (n^0 first), as Fractions, of the polynomial of degree
+    < len(values) that takes the exact ``values`` at n = 0, 1, 2, ...:
+    Newton's forward-difference form sum_k (Delta^k v)(0) * binom(n, k).
+    With binom(n, k) = n(n-1)...(n-k+1) / k!, integer values stay integers
+    up to one division by (len(values) - 1)!."""
+    top = math.factorial(len(values) - 1)
+    coeffs = [0] * len(values)
+    falling = [1]  # n(n-1)...(n-k+1) as coefficients in n, for k = 0
     diffs = list(values)
     for k in range(len(values)):
-        for j, c in enumerate(binom):
-            coeffs[j] += diffs[0] * c
+        weight = diffs[0] * (top // math.factorial(k))
+        for j, c in enumerate(falling):
+            coeffs[j] += weight * c
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-        # binom(n, k+1) = binom(n, k) * (n - k) / (k + 1)
-        shifted = [Fraction(0)] + binom
-        binom = [(s - k * c) / (k + 1) for s, c in zip(shifted, binom + [Fraction(0)])]
-    return coeffs
+        falling = [s - k * c for s, c in zip([0] + falling, falling + [0])]
+    return [Fraction(c, top) for c in coeffs]
 
 
 def _scaled_residual_poly(alpha, side: int, scale):
     """Coefficients in n (n^0 .. n^6) of residual ``side`` of
     :func:`residual_sandwich_check` times ``scale(a)``.  Both residuals are
-    polynomials of degree <= 6 in n, so their values at n = 0..6 fix them."""
+    polynomials of degree <= 6 in n, so their values at n = 0..6 fix them;
+    their denominators do not depend on n, so the numerators alone are
+    interpolated."""
     a = alpha_value(alpha)
     exact, a = isinstance(a, Fraction), Fraction(a)
-    factor = scale(a)
-    out = _coefficients_from_values(
-        [factor * residual_sandwich_check(a, n)[side] for n in range(7)]
-    )
+    p, d = _split(a)
+    parts = [_residual_parts(p, d, n)[side] for n in range(7)]
+    factor = scale(a) / parts[0][1]
+    out = [c * factor for c in _coefficients_from_values([num for num, _ in parts])]
     return tuple(out) if exact else tuple(float(x) for x in out)
 
 
@@ -383,23 +390,57 @@ def upper_residual_poly(alpha):
     )
 
 
+def _upper_cubed_parts(p, d, n: int):
+    """(numerator, denominator) of the cube of the refined upper bound at
+    a = p/d,
+
+        (n+1)^3 (5n + 2(a+1))^3 / (125 (a+1)^3 (a+3)(a+5)),
+
+    homogeneous in (p, d) like ``recurrence._b123_parts``."""
+    return ((n + 1) ** 3 * (5 * n * d + 2 * (p + d)) ** 3 * d * d,
+            125 * (p + d) ** 3 * (p + 3 * d) * (p + 5 * d))
+
+
+def _residual_parts(p: int, d: int, n: int):
+    """The two residuals of :func:`residual_sandwich_check` at alpha = p/d
+    (integers, d > 0) as (numerator, denominator) pairs of ints.  The
+    denominators depend on p and d only.
+
+    With b_k = B_k / D over D = lcm of the three denominators of b1..b3,
+    Newton's identities are homogeneous of weight k in b_k, so p_k is
+    ``power_sums(B1, B2 D, B3 D^2)[k-1]`` over D^k.
+    """
+    (n1, d1), (n2, d2), (n3, d3) = _b123_parts(p, d, n)
+    den = math.lcm(d1, d2, d3)
+    _, p2, p3 = power_sums(n1 * (den // d1), n2 * (den // d2) * den,
+                           n3 * (den // d3) * den * den)
+    low, low_den = _refined_lower_parts(p, d, n)
+    up, up_den = _upper_cubed_parts(p, d, n)
+    den3 = den**3
+    return ((p3 * low_den - low * p2 * den, den3 * low_den),
+            (up * den3 - p3 * up_den, den3 * up_den))
+
+
 def residual_sandwich_check(alpha, n: int):
     """Unscaled gaps certifying the refined_bounds sandwich at (alpha, n):
 
         lower_residual = p3 - lower * p2      (>= 0 for n >= 3, n > (a+1)/6),
         upper_residual = upper^3 - p3         (>= 0 for n >= 2).
 
-    Exact rational arithmetic when alpha is an int or Fraction.  The only
-    place the two residuals are formed; the residual polynomials are
-    recovered from its values.
+    The one place the two residuals are formed: for an int or Fraction
+    alpha exactly, as integer numerators over one common denominator
+    (:func:`_residual_parts`, from which the residual polynomials are also
+    recovered) returned as Fractions; for a float alpha in binary64.
+    Requires n >= 0.
     """
     a = alpha_value(alpha)
+    _require_degree(n)
+    if isinstance(a, Fraction):
+        return tuple(Fraction(num, den) for num, den in _residual_parts(*_split(a), n))
     b1, b2, b3 = reciprocal_b123(a, n)
     _, p2, p3 = power_sums(b1, b2, b3)
-    ucubed = ((n + 1) ** 3 * (5 * n + 2 * (a + 1)) ** 3) / (
-        125 * (a + 1) ** 3 * (a + 3) * (a + 5)
-    )
-    return p3 - _refined_lower(a, n) * p2, ucubed - p3
+    up, up_den = _upper_cubed_parts(a, 1, n)
+    return p3 - _refined_lower(a, n) * p2, up / up_den - p3
 
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:

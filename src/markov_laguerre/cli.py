@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import RATIONAL, coeff_a0, qn_coefficient_rows, reciprocal_b123
+from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
 
 log = logging.getLogger(__name__)
 
@@ -252,20 +252,29 @@ def grid_pairs(alphas=GRID_ALPHAS):
 
 
 def verify_coeffs() -> list[str]:
-    """Exact rational match of the four closed-form coefficients against the
-    recurrence triangle, n <= 60, plus monicity and the a0 step relation."""
+    """Exact match of the four closed-form coefficients against the
+    recurrence triangle, n <= 60, plus monicity and the a0 step relation.
+
+    Row n of the triangle is R_n / S_n, integers over the scale
+    S_n = d^n n! for alpha = p/d, so each check is cross-multiplied on
+    integers; a failure prints both sides as Fractions."""
     failures = []
     for a in VERIFY_ALPHAS:
+        p, d = _split(a)
         prev_a0 = None
-        for n, row in enumerate(qn_coefficient_rows(a, 60, RATIONAL)):
+        for n, (row, scale) in enumerate(_scaled_rows(p, d, 60)):
             a0 = coeff_a0(a, n)
             b1, b2, b3 = reciprocal_b123(a, n)
-            for k, want in enumerate((a0, -b1 * a0, b2 * a0, -b3 * a0)):
-                if k <= n and row[k] != want:
-                    failures.append(f"alpha={a} n={n} k={k}: {row[k]} != {want}")
-            if row[-1] != 1:
+            # row[k] / scale == (-1)^k b_k a0, with b_0 = 1
+            for k, b in enumerate((1, b1, b2, b3)[:n + 1]):
+                got = row[k] * b.denominator * a0.denominator
+                if got != (-1) ** k * b.numerator * a0.numerator * scale:
+                    want = (a0, -b1 * a0, b2 * a0, -b3 * a0)[k]
+                    failures.append(f"alpha={a} n={n} k={k}: {Fraction(row[k], scale)} != {want}")
+            if row[-1] != scale:
                 failures.append(f"alpha={a} n={n}: not monic")
-            if prev_a0 is not None and row[0] != -(1 + Fraction(a) / n) * prev_a0:
+            # a0(n) = -(1 + a/n) a0(n-1), and S_n = dn S_{n-1}
+            if prev_a0 is not None and row[0] != -(d * n + p) * prev_a0:
                 failures.append(f"alpha={a} n={n}: a0 step relation broken")
             prev_a0 = row[0]
     return failures

@@ -11,10 +11,14 @@ valid for every alpha > -1.  All zeros of Q_n are positive and distinct, and
 the inverse square root of the smallest zero is the best constant in the
 weighted-L2 inequality between a degree-n polynomial and its derivative.
 
-Every routine here is generic over the scalar type of ``alpha``: a float
-yields binary64 coefficients, an int or ``fractions.Fraction`` yields exact
-rational coefficients.  The rational mode is the verification oracle used by
-the test suite, since the low-order coefficient formulas are exact identities.
+Every routine here takes a float ``alpha``, which yields binary64 values, or
+an int or ``fractions.Fraction``, which yields exact rational ones.  The
+exact paths are the verification oracle of the ``verify`` suites and the
+tests, since the low-order coefficient formulas are exact identities.  They
+run on Python ints: an exact alpha is split as p/d, the coefficient rows
+are integer rows over one scale d^m m!, and every closed form is a pair of
+integer polynomials in (p, d, n), a numerator over a denominator.  A
+``Fraction`` is built once per returned value, at the API.
 """
 
 from __future__ import annotations
@@ -69,9 +73,15 @@ class WeightAlpha:
             raise ValueError(f"alpha must be finite, got {v}")
 
 
+_TINY = sys.float_info.min
+
+
 def _normal(*xs) -> bool:
     """Whether every x is a positive normal binary64 number."""
-    return all(sys.float_info.min <= x < math.inf for x in xs)
+    for x in xs:
+        if not _TINY <= x < math.inf:
+            return False
+    return True
 
 
 def alpha_value(alpha) -> float | Fraction:
@@ -83,6 +93,19 @@ def alpha_value(alpha) -> float | Fraction:
     if isinstance(alpha, WeightAlpha):
         return alpha.value
     return WeightAlpha(alpha).value
+
+
+def _split(a) -> tuple[int, int]:
+    """(p, d) with a = p/d, d > 0 and gcd(p, d) = 1, for an exact alpha value
+    ``a`` (as ``alpha_value`` returns it); ValueError for a float one."""
+    if not isinstance(a, Fraction):
+        raise ValueError("rational mode requires an exact alpha (int or Fraction)")
+    return a.numerator, a.denominator
+
+
+def _require_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
 
 
 def _float_alpha(alpha) -> float:
@@ -122,15 +145,28 @@ def recurrence_coeffs(alpha, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(tuple(d), tuple(lam_sq))
 
 
-def _series_alpha(alpha, mode: str):
-    a = alpha_value(alpha)
-    if mode == RATIONAL:
-        if not isinstance(a, Fraction):
-            raise ValueError("rational mode requires an exact alpha (int or Fraction)")
-        return a, Fraction(1)
-    if mode == FLOAT:
-        return _float_alpha(a), 1.0
-    raise ValueError(f"unknown mode {mode!r}")
+def _scaled_rows(p: int, d: int, n_max: int):
+    """Yield (R_m, S_m) for m = 0 .. n_max at alpha = p/d (integers, d > 0):
+    the coefficient row of Q_m, low degree first, is R_m / S_m, with the
+    integer list R_m and the scale S_m = d^m m!.  Scaling the recurrence of
+    :func:`qn_coefficient_rows` by S_{m+1} = d(m+1) S_m gives
+
+        R_{m+1} = d(m+1) x R_m - (2d(m+1) + p) R_m - d(m+1)(dm + p) R_{m-1}
+
+    for m >= 1, from R_0 = 1 and R_1 = d x - (p + d).  Requires n_max >= 0.
+    """
+    prev, cur, scale = [], [1], 1
+    yield cur, scale
+    if n_max:
+        prev, cur, scale = cur, [-(p + d), d], d
+        yield cur, scale
+    for m in range(1, n_max):
+        step = d * (m + 1)
+        shift, couple = 2 * step + p, step * (d * m + p)
+        prev, cur = cur, [step * x - shift * y - couple * z
+                          for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
+        scale *= step
+        yield cur, scale
 
 
 def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
@@ -141,25 +177,32 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
         a[k, m+1] = a[k-1, m] - (2 + alpha/(m+1)) a[k, m] - (1 + alpha/m) a[k, m-1]
 
     keeping only two rows at a time.  Conventions: a[m, m] = 1 and a[k, m] = 0
-    for k < 0 or k > m, realised here as plain array bounds.
+    for k < 0 or k > m, realised here as plain array bounds.  In rational
+    mode the rows are those of :func:`_scaled_rows`, each divided by its
+    scale into Fractions as it is yielded.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    a, one = _series_alpha(alpha, mode)
-    zero = one - one
-    prev = [one]
+    if mode == RATIONAL:
+        for row, scale in _scaled_rows(*_split(alpha_value(alpha)), n_max):
+            yield tuple(Fraction(c, scale) for c in row)
+        return
+    if mode != FLOAT:
+        raise ValueError(f"unknown mode {mode!r}")
+    a = _float_alpha(alpha)
+    prev = [1.0]
     yield tuple(prev)
     if n_max == 0:
         return
-    cur = [-(a + 1), one]
+    cur = [-(a + 1), 1.0]
     yield tuple(cur)
     for m in range(1, n_max):
         d = 2 + a / (m + 1)
         lam_sq = 1 + a / m
-        nxt = [zero] * (m + 2)
-        nxt[m + 1] = one
+        nxt = [0.0] * (m + 2)
+        nxt[m + 1] = 1.0
         for k in range(m + 1):
-            v = -d * cur[k] - (lam_sq * prev[k] if k < len(prev) else zero)
+            v = -d * cur[k] - (lam_sq * prev[k] if k < len(prev) else 0.0)
             if k > 0:
                 v += cur[k - 1]
             nxt[k] = v
@@ -182,11 +225,18 @@ def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
 
 
 def coeff_a0(alpha, n: int):
-    """Constant coefficient of Q_n: (-1)^n * prod_{k=1..n} (1 + alpha/k)."""
+    """Constant coefficient of Q_n: (-1)^n * prod_{k=1..n} (1 + alpha/k).
+
+    For alpha = p/d exact, one integer product over the scale d^n n!.
+    """
     a = alpha_value(alpha)
-    out = -1 if n % 2 else 1
+    _require_degree(n)
+    sign = -1 if n % 2 else 1
     if isinstance(a, Fraction):
-        out = Fraction(out)
+        p, d = _split(a)
+        return Fraction(sign * math.prod(range(p + d, p + n * d + 1, d)),
+                        d**n * math.factorial(n))
+    out = sign
     for k in range(1, n + 1):
         out *= 1 + a / k
     return out
@@ -210,6 +260,26 @@ def coeff_a3(alpha, n: int):
     return -reciprocal_b123(a, n)[2] * coeff_a0(a, n)
 
 
+def _b123_parts(p, d, n: int):
+    """(numerator, denominator) of b1, b2, b3 (see reciprocal_b123) at
+    alpha = p/d.  The one statement of b1..b3.  Both sides are homogeneous
+    polynomials in (p, d) of the same degree, so integers p, d give integer
+    parts, and (alpha, 1) gives the binary64 expressions operation for
+    operation (multiplying by the int 1 is exact).  The denominators do not
+    depend on n; the numerators vanish below their degree.
+    """
+    e1, e2, e3, e4, e5 = p + d, p + 2 * d, p + 3 * d, p + 4 * d, p + 5 * d
+    return (
+        (n * (n + 1) * d, 2 * e1),
+        ((n - 1) * n * (n + 1) * (3 * e2 * n + 2 * (p + 6 * d)) * d * d,
+         24 * e1 * e2 * e3),
+        ((n - 2) * (n - 1) * n * (n + 1)
+         * (5 * e2 * e4 * n * (n + 1) + 8 * (7 * p + 20 * d) * n * d + 12 * (p + 20 * d) * d)
+         * d * d * d,
+         240 * e1 * e2 * e3 * e4 * e5),
+    )
+
+
 def reciprocal_b123(alpha, n: int):
     """Leading coefficients (b1, b2, b3) of the monic reciprocal of Q_n.
 
@@ -223,37 +293,37 @@ def reciprocal_b123(alpha, n: int):
     OverflowError: the denominators overflow from alpha of about 1.5e61.
     """
     a = alpha_value(alpha)
-    b1 = (n * (n + 1)) / (2 * (a + 1))
+    _require_degree(n)
+    if not isinstance(a, float):  # exact; the cheaper test on the float path
+        return tuple(Fraction(num, den) for num, den in _b123_parts(*_split(a), n))
+    (n1, d1), (n2, d2), (n3, d3) = _b123_parts(a, 1, n)
     # Exact zeros below their degree: at a large float alpha the formulas
-    # would give 0 * inf there.
-    b2 = b3 = 0 * b1
-    if n >= 2:
-        b2 = ((n - 1) * n * (n + 1) * (3 * (a + 2) * n + 2 * (a + 6))) / (
-            24 * (a + 1) * (a + 2) * (a + 3)
-        )
-    if n >= 3:
-        b3 = (
-            (n - 2)
-            * (n - 1)
-            * n
-            * (n + 1)
-            * (5 * (a + 2) * (a + 4) * n * (n + 1) + 8 * (7 * a + 20) * n + 12 * (a + 20))
-        ) / (240 * (a + 1) * (a + 2) * (a + 3) * (a + 4) * (a + 5))
-    if isinstance(a, float) and not _normal(*(b1, b2, b3)[:n]):
+    # give 0 * inf there.
+    b1 = n1 / d1
+    b2 = n2 / d2 if n >= 2 else 0.0
+    b3 = n3 / d3 if n >= 3 else 0.0
+    if not _normal(*(b1, b2, b3)[:n]):
         raise OverflowError(f"b1..b3 at alpha={a}, n={n} overflow binary64")
     return b1, b2, b3
 
 
-def _refined_lower(a, n: int):
-    """Refined lower bound on c_n(a)^2:
+def _refined_lower_parts(p, d, n: int):
+    """(numerator, denominator) of the refined lower bound on c_n(a)^2 at
+    a = p/d,
 
-        (3n + 2a)(6n - (a+1)) / (9 (a+1)(a+5)).
+        (3n + 2a)(6n - (a+1)) / (9 (a+1)(a+5)),
 
-    Generic over the scalar type, so an exact a gives the exact value that
-    ``bounds.residual_sandwich_check`` certifies; ``bounds.refined_bounds``
-    reports it for a float a.
+    homogeneous in (p, d) like :func:`_b123_parts`.  The one statement of
+    the bound: ``bounds.refined_bounds`` reports it and
+    ``bounds.residual_sandwich_check`` certifies it.
     """
-    return ((3 * n + 2 * a) * (6 * n - (a + 1))) / (9 * (a + 1) * (a + 5))
+    return (3 * n * d + 2 * p) * (6 * n * d - (p + d)), 9 * (p + d) * (p + 5 * d)
+
+
+def _refined_lower(a, n: int):
+    """The refined lower bound at a float or Fraction a, in its own type."""
+    num, den = _refined_lower_parts(a, 1, n)
+    return num / den
 
 
 def _refined_upper(a: float, n: int) -> float:

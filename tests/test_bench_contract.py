@@ -1,9 +1,10 @@
 """The names the benchmark harness under ``bench/`` takes from the package.
 
-``bench/spans.py`` traces the functions its ``LAYER_FUNCTIONS`` lists, and
+``bench/spans.py`` traces the functions its ``LAYER_FUNCTIONS`` lists,
 ``bench/worker.py`` and ``bench/workloads.py`` call package and CLI
-attributes by name.  A name that left the package would break a traced or
-timed run without failing any other test.
+attributes by name, and ``bench/test_bench.py`` takes names from the package
+and its modules.  A name that left the package would break a traced or
+timed run, or the benchmark's own tests, without failing any other test.
 """
 
 import ast
@@ -13,7 +14,7 @@ import inspect
 from pathlib import Path
 
 import markov_laguerre as pkg
-from markov_laguerre import cli
+from markov_laguerre import bounds, cli, eigen, recurrence
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -25,9 +26,9 @@ def load_spans():
     return module
 
 
-def harness_attributes(filename):
-    """(owner, name) for each ``pkg.name``, ``cli.name``, ``self.pkg.name``
-    and ``self.cli.name`` in a harness file."""
+def harness_attributes(filename, owners=("pkg", "cli")):
+    """(owner, name) for each ``owner.name`` and ``self.owner.name`` in a
+    harness file, for the owner names in ``owners``."""
     found = set()
     for node in ast.walk(ast.parse((BENCH / filename).read_text())):
         if not isinstance(node, ast.Attribute):
@@ -40,7 +41,7 @@ def harness_attributes(filename):
             owner_name = owner.id
         else:
             continue
-        if owner_name in ("pkg", "cli"):
+        if owner_name in owners:
             found.add((owner_name, node.attr))
     return found
 
@@ -63,6 +64,16 @@ def test_names_the_harness_calls_exist():
     owners = {"pkg": pkg, "cli": cli}
     found = harness_attributes("worker.py") | harness_attributes("workloads.py")
     assert {("pkg", "markov_constant"), ("cli", "main"), ("cli", "sweep_row")} <= found
+    for owner, name in sorted(found):
+        assert hasattr(owners[owner], name), f"{owner}.{name}"
+
+
+def test_names_the_benchmark_tests_take_exist():
+    owners = {"pkg": pkg, "cli": cli, "recurrence": recurrence, "bounds": bounds,
+              "eigen": eigen}
+    found = harness_attributes("test_bench.py", tuple(owners))
+    assert {("cli", "coeff_a0"), ("recurrence", "qn_coefficient_rows"),
+            ("recurrence", "RATIONAL"), ("bounds", "reciprocal_b123")} <= found
     for owner, name in sorted(found):
         assert hasattr(owners[owner], name), f"{owner}.{name}"
 

@@ -30,6 +30,7 @@ from markov_laguerre import (
 )
 from markov_laguerre.bounds import (
     _coefficients_from_values,
+    _residual_parts,
     lower_residual_poly,
     upper_residual_poly,
 )
@@ -372,6 +373,78 @@ class TestResidualSandwich:
         lr, ur = residual_sandwich_check(0.5, 7)
         assert lr > 0 and ur > 0
         assert isinstance(lr, float)
+
+
+def fraction_b123(a, n):
+    """Oracle: b1..b3 read off the four lowest coefficients of Q_n, which the
+    three-term recurrence in plain Fraction arithmetic gives on their own."""
+    prev, cur = [F(0)] * 4, [F(1), F(0), F(0), F(0)]
+    for m in range(n):
+        shift = 1 + a if m == 0 else 2 + a / (m + 1)
+        couple = 1 + a / m if m else 0
+        prev, cur = cur, [(cur[k - 1] if k else 0) - shift * cur[k] - couple * prev[k]
+                          for k in range(4)]
+    return -cur[1] / cur[0], cur[2] / cur[0], -cur[3] / cur[0]
+
+
+def fraction_residuals(a, n):
+    """Oracle: the sandwich residuals p3 - lower p2 and upper^3 - p3 in plain
+    Fraction arithmetic."""
+    b1, b2, b3 = fraction_b123(a, n)
+    p2, p3 = b1**2 - 2 * b2, b1**3 - 3 * b1 * b2 + 3 * b3
+    lower = (3 * n + 2 * a) * (6 * n - (a + 1)) / (9 * (a + 1) * (a + 5))
+    upper_cubed = (n + 1) ** 3 * (5 * n + 2 * (a + 1)) ** 3 / (
+        125 * (a + 1) ** 3 * (a + 3) * (a + 5))
+    return p3 - lower * p2, upper_cubed - p3
+
+
+@st.composite
+def exact_alphas(draw):
+    """p/d > -1 with d up to 1e6 and p/d up to 1000."""
+    d = draw(st.integers(1, 10**6))
+    return F(draw(st.integers(1 - d, 1000 * d)), d)
+
+
+class TestFractionOracle:
+    """The integer paths of reciprocal_b123 and residual_sandwich_check
+    against plain Fraction arithmetic."""
+
+    def check(self, a, n):
+        b = reciprocal_b123(a, n)
+        assert b == fraction_b123(a, n) and all(isinstance(x, F) for x in b)
+        r = residual_sandwich_check(a, n)
+        assert r == fraction_residuals(a, n) and all(isinstance(x, F) for x in r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=exact_alphas(), n=st.integers(0, 40))
+    def test_random_alpha(self, a, n):
+        self.check(a, n)
+
+    @pytest.mark.parametrize("a", [F(10**400, 3), F(-10**400 + 1, 10**400)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
+    def test_past_binary64(self, a, n):
+        self.check(a, n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=exact_alphas())
+    def test_residual_denominators_do_not_depend_on_n(self, a):
+        # the residual polynomials interpolate the numerators alone
+        for side in (0, 1):
+            dens = {_residual_parts(a.numerator, a.denominator, n)[side][1] for n in range(7)}
+            assert len(dens) == 1
+
+
+class TestNegativeDegree:
+    @pytest.mark.parametrize("alpha", [0.5, F(1, 2)])
+    def test_residual_sandwich_check_raises(self, alpha):
+        # residual_sandwich_check(F(1, 2), -2) gave negative residuals
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            residual_sandwich_check(alpha, -2)
+
+    def test_degree_zero_stays_valid(self):
+        # the residual polynomials interpolate n = 0..6
+        assert residual_sandwich_check(F(1, 2), 0) == fraction_residuals(F(1, 2), 0)
+        assert residual_sandwich_check(0.5, 0) == pytest.approx(fraction_residuals(F(1, 2), 0))
 
 
 class TestSmallNClosedForms:

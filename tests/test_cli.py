@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
@@ -325,6 +326,28 @@ class TestVerify:
         assert code == 1
         assert any(line.startswith("FAIL ") for line in out.splitlines())
         assert "PASS" not in out
+
+    def test_coeffs_failure_prints_both_sides_as_fractions(self, monkeypatch):
+        # The suite compares cross-multiplied integers; a failure still
+        # prints both sides as Fractions.
+        real = cli.reciprocal_b123
+
+        def perturbed(a, n):
+            b1, b2, b3 = real(a, n)
+            return (b1 + 1, b2, b3) if (a, n) == (F(1, 3), 5) else (b1, b2, b3)
+
+        monkeypatch.setattr(cli, "reciprocal_b123", perturbed)
+        assert cli.verify_coeffs() == ["alpha=1/3 n=5 k=1: 1820/81 != 17836/729"]
+
+    def test_identities_failure_names_the_pair(self, monkeypatch):
+        real = bounds.residual_sandwich_check
+
+        def perturbed(a, n):
+            lower, upper = real(a, n)
+            return (-lower, upper) if (a, n) == (F(5), 40) else (lower, upper)
+
+        monkeypatch.setattr(bounds, "residual_sandwich_check", perturbed)
+        assert cli.verify_identities() == ["alpha=5 n=40: residual negative"]
 
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_laguerre import (
     FLOAT,
@@ -18,7 +20,7 @@ from markov_laguerre import (
     reciprocal_b123,
     refined_bounds,
 )
-from markov_laguerre.recurrence import alpha_value, qn_coefficient_rows
+from markov_laguerre.recurrence import _scaled_rows, alpha_value, qn_coefficient_rows
 
 RATIONAL_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
 
@@ -233,3 +235,70 @@ class TestReciprocal:
         assert b2 == coeffs[2] / coeffs[0]
         assert b3 == -coeffs[3] / coeffs[0]
         assert b1 > 0 and b2 > 0 and b3 > 0
+
+
+class TestNegativeDegree:
+    @pytest.mark.parametrize("alpha", [0.5, F(1, 2)])
+    @pytest.mark.parametrize("fn", [coeff_a0, coeff_a1, coeff_a2, coeff_a3, reciprocal_b123])
+    def test_raises(self, fn, alpha):
+        # coeff_a0(F(1, 2), -2) was 1 and reciprocal_b123(0.5, -3) was (2.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fn(alpha, -2)
+
+    @pytest.mark.parametrize("alpha", [0.5, F(1, 2)])
+    def test_degree_zero_stays_valid(self, alpha):
+        assert coeff_a0(alpha, 0) == 1
+        assert reciprocal_b123(alpha, 0) == (0, 0, 0)
+
+    def test_rational_coefficients_raise(self):
+        with pytest.raises(ValueError):
+            qn_coefficients(F(1, 2), -1, RATIONAL)
+        with pytest.raises(ValueError):
+            next(qn_coefficient_rows(F(1, 2), -1, RATIONAL))
+
+
+def fraction_rows(a, n_max):
+    """Oracle: the coefficient rows of Q_0 .. Q_{n_max}, low degree first,
+    by the three-term recurrence in plain Fraction arithmetic."""
+    rows, prev = [(F(1),)], ()
+    for m in range(n_max):
+        cur = rows[-1]
+        shift = 1 + a if m == 0 else 2 + a / (m + 1)
+        couple = 1 + a / m if m else 0
+        rows.append(tuple(x - shift * c - couple * q
+                          for x, c, q in zip((0,) + cur, cur + (0,), prev + (0, 0))))
+        prev = cur
+    return rows
+
+
+@st.composite
+def exact_alphas(draw):
+    """p/d > -1 with d up to 1e6 and p/d up to 1000."""
+    d = draw(st.integers(1, 10**6))
+    return F(draw(st.integers(1 - d, 1000 * d)), d)
+
+
+class TestFractionOracle:
+    def check(self, alpha, n):
+        want = fraction_rows(alpha, n)
+        assert list(qn_coefficient_rows(alpha, n, RATIONAL)) == want
+        p, d = alpha.numerator, alpha.denominator
+        for m, (row, scale) in enumerate(_scaled_rows(p, d, n)):
+            assert scale == d**m * math.factorial(m)
+            assert all(isinstance(c, int) for c in row)
+            assert tuple(F(c, scale) for c in row) == want[m]
+        row = want[-1]
+        assert qn_coefficients(alpha, n, RATIONAL) == row
+        assert coeff_a0(alpha, n) == row[0]
+        b = tuple((-1) ** k * row[k] / row[0] if k <= n else 0 for k in (1, 2, 3))
+        assert reciprocal_b123(alpha, n) == b
+        assert all(isinstance(x, F) for x in reciprocal_b123(alpha, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=exact_alphas(), n=st.integers(0, 40))
+    def test_integer_rows_and_closed_forms(self, alpha, n):
+        self.check(alpha, n)
+
+    @pytest.mark.parametrize("alpha", [F(10**400, 3), F(-10**400 + 1, 10**400)])
+    def test_past_binary64(self, alpha):
+        self.check(alpha, 12)
