@@ -23,6 +23,7 @@ integer polynomials in (p, d, n), a numerator over a denominator.  A
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 from dataclasses import dataclass
@@ -215,7 +216,11 @@ def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
 
     In float mode an overflowing coefficient (possible only for extreme
     n*alpha combinations) raises OverflowError rather than returning inf.
+    In rational mode only the last integer row is divided by its scale.
     """
+    if mode == RATIONAL and n >= 0:  # a negative n meets the rows' own check
+        row, scale = collections.deque(_scaled_rows(*_split(alpha_value(alpha)), n), 1)[0]
+        return tuple(Fraction(c, scale) for c in row)
     row = None
     for row in qn_coefficient_rows(alpha, n, mode):
         pass

@@ -1,3 +1,5 @@
+import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_laguerre import bessel, bounds, cli
-from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main
+from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main, sweep_row
+from markov_laguerre.eigen import build_jacobi, smallest_eigenvalue
 
 _coeff_a0 = cli.coeff_a0
 _asymptotic_constant = bessel.asymptotic_constant
@@ -39,6 +44,76 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def reference_document(rows, columns, fmt) -> str:
+    """The CLI's output before its single text emitter: ``csv.writer`` over
+    17-digit cells, or ``json.dump`` of the row dicts and a newline."""
+    out = io.StringIO()
+    if fmt == "json":
+        json.dump([dict(zip(columns, r)) for r in rows], out, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for r in rows:
+            writer.writerow([_reference_cell(v) for v in r])
+    return out.getvalue()
+
+
+def sweep_tasks(argv):
+    """The (alpha, n, tol) grid that ``sweep`` with ``argv`` computes, in order."""
+    args = cli.build_parser().parse_args(["sweep", *argv])
+    alphas = [args.alpha] if args.alpha is not None else cli._grid(
+        args.alpha_min, args.alpha_max, args.alpha_step)
+    return [(a, n, args.tol) for a in sorted(alphas) for n in sorted(_parse_n_list(args.n_list))]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each process pool the CLI starts; the pools are real."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
+def fake_pool_sizes(monkeypatch):
+    """max_workers of each process pool the CLI asks for; none is started,
+    the pool's map is the builtin one."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
 
 
 class TestConstant:
@@ -247,6 +322,167 @@ class TestSweep:
         assert all(r[-1] == "false" for r in rows)
 
 
+FORMATS = ("csv", "json")
+SMALL_GRID = ["--alpha-min", "-0.5", "--alpha-max", "2", "--alpha-step", "0.5",
+              "--n-list", "1..12"]
+
+
+class TestEmitter:
+    """Every command prints the bytes of the reference emitter."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_sweep(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "sweep", *SMALL_GRID, "--jobs", "1", "--format", fmt)
+        assert code == 0
+        rows = [sweep_row(*t) for t in sweep_tasks(SMALL_GRID)]
+        assert out == reference_document(rows, SWEEP_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("alpha, n", [("0", "3"), ("2.5", "40"), ("2003", "1")])
+    def test_bounds(self, capsys, fmt, alpha, n):
+        code, out, _ = run_cli(capsys, "bounds", "--alpha", alpha, "--n", n, "--format", fmt)
+        assert code == 0
+        row = sweep_row(float(alpha), int(n), 1e-13)
+        assert out == reference_document([row], SWEEP_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("alpha, n", [(0.0, 10), (3.0, 1), (-0.9, 250)])
+    def test_constant(self, capsys, fmt, alpha, n):
+        code, out, _ = run_cli(capsys, "constant", "--alpha", repr(alpha), "--n", str(n),
+                               "--format", fmt)
+        assert code == 0
+        res = smallest_eigenvalue(build_jacobi(alpha, n), 1e-13)
+        c_sq = 1.0 / res.value
+        lo, hi = res.bracket
+        row = (alpha, n, math.sqrt(c_sq), c_sq, 1.0 / hi, 1.0 / lo if lo > 0 else None,
+               res.iterations, res.tol)
+        columns = ("alpha", "n", "c", "c_sq", "c_sq_lower", "c_sq_upper", "iterations", "tol")
+        assert out == reference_document([row], columns, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_bessel_zero_and_figure1(self, capsys, fmt):
+        _, out, _ = run_cli(capsys, "bessel-zero", "--nu", "0.5", "--format", fmt)
+        lo, hi = bounds.bessel_zero_enclosure(0.5)
+        zero = bessel.first_zero(0.5)
+        row = (0.5, zero, 1.0 / zero, lo, hi)
+        columns = ("nu", "first_zero", "inverse", "enclosure_lower", "enclosure_upper")
+        assert out == reference_document([row], columns, fmt)
+        _, out, _ = run_cli(capsys, "figure1", "--alpha-max", "3", "--format", fmt)
+        rows = [(a, bounds.ratio_r(a)) for a in cli._grid(-0.99, 3.0, 0.1)]
+        assert out == reference_document(rows, ("alpha", "r"), fmt)
+
+    @pytest.mark.parametrize("fmt, want", [("csv", "alpha,r\n"), ("json", "[]\n")])
+    def test_empty_document(self, capsys, fmt, want):
+        code, out, _ = run_cli(capsys, "figure1", "--alpha-min", "1", "--alpha-max", "0",
+                               "--format", fmt)
+        assert code == 0
+        assert out == want == reference_document([], ("alpha", "r"), fmt)
+
+
+# 252 rows: several chunks at --jobs 2, with a boundary inside one alpha.
+CHUNKED_GRID = ["--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "0.5",
+                "--n-list", "3..30", "--tol", "1e-11"]
+
+
+class TestSweepPool:
+    def test_grid_has_a_chunk_boundary_inside_an_alpha(self):
+        chunks = cli._chunks(sweep_tasks(CHUNKED_GRID), 2)
+        assert len(chunks) >= 3
+        assert any(left[-1][0] == right[0][0] for left, right in zip(chunks, chunks[1:]))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_jobs_do_not_change_chunked_output(self, capsys, pool_sizes, fmt):
+        argv = ["sweep", *CHUNKED_GRID, "--format", fmt]
+        code, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0 and pool_sizes == []
+        code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0 and pool_sizes == [2]
+        assert serial == parallel
+        rows = [sweep_row(*t) for t in sweep_tasks(CHUNKED_GRID)]
+        assert serial == reference_document(rows, SWEEP_COLUMNS, fmt)
+
+    @pytest.mark.parametrize("n_list, pools", [("3", []), ("3,4", [2]), ("3..7", [5])])
+    def test_pool_is_capped_at_the_work(self, capsys, fake_pool_sizes, n_list, pools):
+        # at most one worker per row, and no pool for one row, however many
+        # jobs are asked for
+        argv = ["sweep", "--alpha", "0", "--n-list", n_list]
+        _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert fake_pool_sizes == []
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "64")
+        assert code == 0 and out == serial
+        assert fake_pool_sizes == pools
+
+    def test_default_jobs_are_capped_too(self, capsys, monkeypatch, fake_pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code, _, _ = run_cli(capsys, "sweep", "--alpha", "0", "--n-list", "3,4")
+        assert code == 0 and fake_pool_sizes == [2]
+
+    def test_numeric_failure_in_a_worker_exits_1(self, capsys, pool_sizes):
+        # b3 overflows binary64 past alpha ~ 1.5e61 in every row
+        code, out, err = run_cli(capsys, "sweep", "--alpha", "1e62", "--n-list", "3..10",
+                                 "--jobs", "2")
+        assert pool_sizes == [2]
+        assert code == 1
+        assert out == "" and "numeric failure" in err and "Traceback" not in err
+
+    def test_usage_error_in_a_worker_exits_2(self, capsys, pool_sizes):
+        code, out, err = run_cli(capsys, "sweep", "--alpha-min", "0", "--alpha-max", "3",
+                                 "--alpha-step", "1", "--n-list", "0..3", "--jobs", "2")
+        assert pool_sizes == [2]
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
+def _document(rows, fmt) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit([cli._format_rows(rows, SWEEP_COLUMNS, fmt)], SWEEP_COLUMNS, fmt)
+    return out.getvalue()
+
+
+def _parsed_rows(text, fmt):
+    """Rows of a printed document as (column, value) pairs, values parsed back
+    to Python: a float from its text, bools and None from their spelling."""
+    if fmt == "json":
+        return [list(obj.items()) for obj in json.loads(text)]
+    header, rows = parse_csv(text)
+    spelled = {"": None, "true": True, "false": False}
+    return [[(c, spelled[v] if v in spelled else (int(v) if c == "n" else float(v)))
+             for c, v in zip(header, r)] for r in rows]
+
+
+def _assert_round_trip(rows, fmt):
+    parsed = _parsed_rows(_document(rows, fmt), fmt)
+    assert len(parsed) == len(rows)
+    for row, back in zip(rows, parsed):
+        assert [c for c, _ in back] == list(SWEEP_COLUMNS)
+        for want, (_, got) in zip(row, back):
+            assert type(got) is type(want)
+            if isinstance(want, float):
+                assert got.hex() == want.hex()
+            else:
+                assert got == want
+
+
+class TestRoundTrip:
+    """Floats of sweep rows, printed as CSV or JSON, parse back bit-exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(-0.99, 2500.0), n=st.integers(1, 40), fmt=st.sampled_from(FORMATS))
+    def test_sweep_rows(self, alpha, n, fmt):
+        _assert_round_trip([sweep_row(alpha, n, 1e-13), sweep_row(0.0, n, 1e-13)], fmt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=17, max_size=17),
+           fmt=st.sampled_from(FORMATS))
+    def test_any_float_in_a_row(self, values, fmt):
+        # every float column of a row, whatever its value, -0.0 and inf too
+        template = sweep_row(0.0, 3, 1e-13)
+        floats = iter(values)
+        row = tuple(next(floats) if isinstance(v, float) else v for v in template)
+        _assert_round_trip([row], fmt)
+
+
 class TestBesselZero:
     def test_half_integer(self, capsys):
         code, out, _ = run_cli(capsys, "bessel-zero", "--nu", "0.5")
@@ -369,16 +605,41 @@ class TestLogging:
         assert out == "" and "error|info|debug" in err
 
 
-def loaded_after_cli_import(*names):
-    """Which of ``names`` a fresh interpreter holds after importing the CLI."""
+def _env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def loaded_after_cli_import(*names):
+    """Which of ``names`` a fresh interpreter holds after importing the CLI."""
     probe = f"import sys, markov_laguerre.cli; print(sorted(set({names!r}) & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_closed_pipe_ends_quietly():
+    # The reader leaves after one line, as ``sweep ... | head -1`` does; the
+    # output is far past a pipe's buffer, so a later write meets the closed
+    # pipe.
+    argv = ["sweep", "--alpha-min", "0", "--alpha-max", "25", "--alpha-step", "0.05",
+            "--n-list", "3..10", "--jobs", "1"]
+    proc = subprocess.Popen([sys.executable, "-m", "markov_laguerre.cli", *argv],
+                            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"alpha,n,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -163,6 +163,18 @@ class TestQnCoefficients:
                 else:
                     assert abs(a - float(e)) <= 1e-10 * abs(float(e))
 
+    @pytest.mark.parametrize("alpha, n", [
+        (F(1, 3), 200), (F(1, 3), 1), (F(0), 0), (F(-1, 2), 2), (F(5, 2), 37), (7, 12),
+        (F(-99, 100), 60),
+    ])
+    def test_rational_divides_only_the_last_row(self, alpha, n):
+        # qn_coefficients divides the last integer row by its scale; the
+        # row-by-row Fractions of qn_coefficient_rows are the reference.
+        *_, last = qn_coefficient_rows(alpha, n, RATIONAL)
+        got = qn_coefficients(alpha, n, RATIONAL)
+        assert got == last
+        assert all(isinstance(c, F) for c in got)
+
 
 class TestClosedForms:
     def test_a0_examples(self):
