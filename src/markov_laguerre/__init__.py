@@ -41,7 +41,6 @@ from .recurrence import (
     FLOAT,
     RATIONAL,
     RecurrenceCoeffs,
-    WeightAlpha,
     coeff_a0,
     coeff_a1,
     coeff_a2,

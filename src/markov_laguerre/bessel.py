@@ -50,7 +50,6 @@ accurate to ~1e-15.  The envelope bounds ``bessel_j`` only.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
 
@@ -59,8 +58,6 @@ from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
 from .recurrence import _float_alpha
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
-
-log = logging.getLogger(__name__)
 
 NU_MAX = 25.0
 X_MAX = 40.0
@@ -173,9 +170,7 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
         raise ValueError(f"nu={nu} outside the domain (-1, {ZERO_NU_MAX}] of first_zero")
     enclosure = bessel_zero_enclosure(nu)
     res = _zero_eigenvalue(nu, _order(nu, enclosure.upper, tol), enclosure, tol)
-    zero = 2.0 / math.sqrt(res.value)
-    log.debug("first_zero(nu=%g) = %.17g after %d passes", nu, zero, res.iterations)
-    return zero
+    return 2.0 / math.sqrt(res.value)
 
 
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:

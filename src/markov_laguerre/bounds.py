@@ -21,7 +21,6 @@ Python ints, integer numerators over one common denominator, and become
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -78,8 +77,7 @@ class PowerSumTriple(NamedTuple):
     p3: float
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(NamedTuple):
     """Residual-polynomial coefficient values at one alpha.
 
     ``lower_gap[j-1]`` is the coefficient of n^j (j = 1..5) in the scaled
@@ -102,8 +100,7 @@ class IdentityResidual:
     upper_gap_collapsed: tuple
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Every implemented finite-n bound next to the exact constant."""
 
     n: int

@@ -10,10 +10,9 @@ job, and ``_sweep_chunk`` computes and formats one chunk; a process pool of
 at most one worker per chunk runs them (``--jobs 1``, or a single row, maps
 them in this process), and the parent prints the texts in grid order, so
 the output does not depend on ``--jobs``.
-Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error.  A reader
-that closes the pipe early ends the command with exit code 1, quietly.
-The env var MARKOV_LAGUERRE_LOG in {error, info, debug} sets log verbosity;
-any other value is a usage error.
+Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
+grid among them).  A reader that closes the pipe early ends the command
+with exit code 1, quietly.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -31,8 +29,6 @@ from fractions import Fraction
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
 from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
-
-log = logging.getLogger(__name__)
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -98,18 +94,15 @@ def _emit(chunks, columns, fmt) -> None:
     order and one write per row, framed by the CSV header or by the JSON
     array's brackets and separators.  The bytes are those of ``csv.writer``
     with the cells above, or of ``json.dump(rows, indent=2)`` and a
-    newline."""
+    newline.  There is at least one row: every command refuses an empty
+    grid."""
     texts = itertools.chain.from_iterable(chunks)
     write = sys.stdout.write
     if fmt != "json":
         write(",".join(columns) + "\n")
         sys.stdout.writelines(texts)
         return
-    first = next(texts, None)
-    if first is None:
-        write("[]\n")
-        return
-    write("[\n  " + first)
+    write("[\n  " + next(texts))
     for text in texts:
         write(_JSON_SEP + text)
     write("\n]\n")
@@ -200,12 +193,15 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo + k*step for k = 0, 1, ... while it stays within hi (+1e-9 steps)."""
+    """lo + k*step for k = 0, 1, ... while it stays within hi (+1e-9 steps);
+    ValueError where that is no point at all (hi below lo)."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {step}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    if count < 1:
+        raise ValueError(f"the grid from {lo} to {hi} is empty")
     return [lo + k * step for k in range(count)]
 
 
@@ -238,7 +234,7 @@ def cmd_sweep(args) -> int:
     else:
         alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step)
     ns = _parse_n_list(args.n_list)
-    if not ns or not alphas:
+    if not ns:
         raise ValueError("sweep needs at least one alpha and one n")
     tasks = [(a, n, args.tol) for a in sorted(alphas) for n in sorted(ns)]
     jobs = args.jobs or os.cpu_count() or 1
@@ -274,7 +270,6 @@ def cmd_figure1(args) -> int:
         rows.append((a, r))
         if r >= 2.0 and a < 500.0:
             flagged += 1
-            log.warning("ratio r(%g) = %g >= 2", a, r)
         if prev is not None and a >= 0 and r < prev:
             increasing = False
         if a >= 0:
@@ -506,19 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging():
-    level = (os.environ.get("MARKOV_LAGUERRE_LOG") or "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level not in levels:
-        raise ValueError(f"MARKOV_LAGUERRE_LOG must be error|info|debug, got {level!r}")
-    logging.basicConfig(level=levels[level])
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_logging()
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -36,10 +36,9 @@ smallest of -M, solved from above.
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .recurrence import _float_alpha, _refined_upper, alpha_value
 
@@ -53,8 +52,6 @@ __all__ = [
     "markov_constant",
 ]
 
-log = logging.getLogger(__name__)
-
 _MAX_PASSES = 200
 # Smallest n at which ``smallest_eigenvalue`` starts from Dörfler's limit.
 # That start costs one Bessel zero, 0.06 ms on average over a in (-1, 100]
@@ -67,19 +64,18 @@ _START_MIN_N = 300
 _CLOSE = 1e-6
 
 
-@dataclass(frozen=True)
-class TridiagMatrix:
+class TridiagMatrix(NamedTuple):
     """Jacobi matrix T_n = B B^T, stored as alpha and the factor's squared
-    diagonal q_k = 1 + alpha/(k+1), k = 0 .. n-1; n is len(q).  T_n has
-    diagonal q_0, q_1 + 1, ..., q_{n-1} + 1 and off-diagonal sqrt(q_0), ...
+    diagonal q_k = 1 + alpha/(k+1), k = 0 .. n-1.  The record is a pair, so
+    len(T) is 2; the order n is len(T.q).  T_n has diagonal q_0, q_1 + 1,
+    ..., q_{n-1} + 1 and off-diagonal sqrt(q_0), ...
     """
 
     alpha: float
     q: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """One eigenvalue with its bracket: lo <= value <= hi.
 
     The binary64 sign count at sigma = lo finds no eigenvalue below it, the
@@ -314,10 +310,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
                 raise _unresolved(tol, lo, hi)
             counts += 1
             lo, hi = (lo, x) if count(x) else (x, hi)
-    value = 0.5 * lo + 0.5 * hi
-    log.debug("solve: value=%.17g in [%g, %g] after %d step and %d count passes",
-              value, lo, hi, steps, counts)
-    return EigenResult(value, (lo, hi), steps + counts, tol)
+    return EigenResult(0.5 * lo + 0.5 * hi, (lo, hi), steps + counts, tol)
 
 
 def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult:

@@ -26,13 +26,12 @@ from __future__ import annotations
 import collections
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "FLOAT",
     "RATIONAL",
-    "WeightAlpha",
     "RecurrenceCoeffs",
     "alpha_value",
     "recurrence_coeffs",
@@ -49,31 +48,6 @@ FLOAT = "float"
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
-class WeightAlpha:
-    """Validated exponent of the weight t^alpha * exp(-t) on (0, inf).
-
-    Construction rejects alpha <= -1 (the weight is not integrable there)
-    and an infinite alpha.
-    ``value`` is a float, or a Fraction when an int/Fraction was supplied,
-    so that exact arithmetic survives downstream.
-    """
-
-    value: float | Fraction
-
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
-            raise TypeError(f"alpha must be a real number, got {type(v).__name__}")
-        if isinstance(v, int):
-            object.__setattr__(self, "value", Fraction(v))
-        if not self.value > -1:
-            raise ValueError(f"alpha must be > -1, got {v}")
-        # A Fraction is finite, and may lie past the binary64 range.
-        if isinstance(self.value, float) and not math.isfinite(self.value):
-            raise ValueError(f"alpha must be finite, got {v}")
-
-
 _TINY = sys.float_info.min
 
 
@@ -86,14 +60,25 @@ def _normal(*xs) -> bool:
 
 
 def alpha_value(alpha) -> float | Fraction:
-    """Validate and unwrap an alpha given as a number or a WeightAlpha."""
+    """The exponent of the weight t^alpha * exp(-t) on (0, inf), validated:
+    a float, or a Fraction for an int or Fraction, so that exact arithmetic
+    survives downstream.  TypeError for a bool or a non-number; ValueError
+    for alpha <= -1, where the weight is not integrable, and for an
+    infinite or NaN float.  A Fraction is finite, and may lie past the
+    binary64 range.
+    """
     # A plain float in the domain is its own value; NaN, +-inf, bools and
     # float subclasses take the validating path.
     if type(alpha) is float and -1.0 < alpha < math.inf:
         return alpha
-    if isinstance(alpha, WeightAlpha):
-        return alpha.value
-    return WeightAlpha(alpha).value
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction)):
+        raise TypeError(f"alpha must be a real number, got {type(alpha).__name__}")
+    a = Fraction(alpha) if isinstance(alpha, int) else alpha
+    if not a > -1:
+        raise ValueError(f"alpha must be > -1, got {alpha}")
+    if isinstance(a, float) and not math.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return a
 
 
 def _split(a) -> tuple[int, int]:
@@ -120,8 +105,7 @@ def _float_alpha(alpha) -> float:
                             f"(at most {sys.float_info.max!r})") from None
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(NamedTuple):
     """Recurrence data for Q_1 .. Q_n.
 
     ``d[k]`` is the shift d_k for k = 0 .. n-1.  ``lambda_sq[k]`` holds

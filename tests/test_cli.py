@@ -371,12 +371,15 @@ class TestEmitter:
         rows = [(a, bounds.ratio_r(a)) for a in cli._grid(-0.99, 3.0, 0.1)]
         assert out == reference_document(rows, ("alpha", "r"), fmt)
 
-    @pytest.mark.parametrize("fmt, want", [("csv", "alpha,r\n"), ("json", "[]\n")])
-    def test_empty_document(self, capsys, fmt, want):
-        code, out, _ = run_cli(capsys, "figure1", "--alpha-min", "1", "--alpha-max", "0",
-                               "--format", fmt)
-        assert code == 0
-        assert out == want == reference_document([], ("alpha", "r"), fmt)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_empty_document(self, capsys, fmt):
+        # An empty grid is a usage error, for figure1 and the range form of
+        # sweep alike: no document, not even a header-only one.
+        for argv in (["figure1"], ["sweep", "--n-list", "3", "--jobs", "1"]):
+            code, out, err = run_cli(capsys, *argv, "--alpha-min", "1", "--alpha-max", "0",
+                                     "--format", fmt)
+            assert code == 2
+            assert out == "" and err == "error: the grid from 1.0 to 0.0 is empty\n"
 
 
 # 252 rows: several chunks at --jobs 2, with a boundary inside one alpha.
@@ -591,20 +594,6 @@ class TestVerify:
         assert exc.value.code == 2
 
 
-class TestLogging:
-    def test_env_var_sets_level(self, capsys, monkeypatch):
-        monkeypatch.setenv("MARKOV_LAGUERRE_LOG", "debug")
-        code, _, _ = run_cli(capsys, "constant", "--alpha", "0", "--n", "2")
-        assert code == 0
-
-    @pytest.mark.parametrize("value", ["verbose", "warning", "0"])
-    def test_unknown_env_var_value_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MARKOV_LAGUERRE_LOG", value)
-        code, out, err = run_cli(capsys, "constant", "--alpha", "0", "--n", "2")
-        assert code == 2
-        assert out == "" and "error|info|debug" in err
-
-
 def _env():
     """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -649,3 +638,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_cli_import_leaves_numpy_unloaded():
     assert loaded_after_cli_import("numpy") == "[]"
+
+
+@pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect", "ast", "dis"])
+def test_cli_import_leaves_unused_stdlib_unloaded(module):
+    # The package uses none of them: its records are NamedTuples and it has
+    # no logging layer.  dataclasses alone would load inspect, ast and dis.
+    assert loaded_after_cli_import(module) == "[]"

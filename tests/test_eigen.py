@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -438,7 +437,7 @@ class TestKernel:
         # The start is 1/refined_upper(alpha, n); an alpha of 100 puts it
         # above every eigenvalue of the alpha = 0 matrix.
         T = build_jacobi(0.0, 5)
-        res = smallest_eigenvalue(replace(T, alpha=100.0))
+        res = smallest_eigenvalue(T._replace(alpha=100.0))
         assert sturm_count(T, 1 / refined_bounds(100.0, 5).upper) == 5
         assert res.value == pytest.approx(4 * math.sin(math.pi / 22) ** 2, rel=1e-13)
         lo, hi = res.bracket

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from markov_laguerre import (
     FLOAT,
     RATIONAL,
-    WeightAlpha,
     asymptotic_constant,
     coeff_a0,
     coeff_a1,
@@ -26,14 +25,16 @@ RATIONAL_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
 
 
 class TestWeightAlpha:
+    """``alpha_value``, the one validator of the weight's exponent."""
+
     @pytest.mark.parametrize("bad", [-1, -1.0, -1.5, F(-3, 2), float("nan"), float("inf"), float("-inf")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            WeightAlpha(bad)
+            alpha_value(bad)
 
     def test_rejects_non_numbers(self):
         with pytest.raises(TypeError):
-            WeightAlpha("0.5")
+            alpha_value("0.5")
 
     @pytest.mark.parametrize("bad", [-1.0, -1.5, float("nan"), float("inf"), float("-inf")])
     def test_alpha_value_rejects_out_of_range_floats(self, bad):
@@ -51,16 +52,16 @@ class TestWeightAlpha:
         assert alpha_value(0.25) == 0.25 and alpha_value(Real(0.25)) == 0.25
 
     def test_int_becomes_exact(self):
-        assert WeightAlpha(2).value == F(2)
-        assert isinstance(WeightAlpha(2).value, F)
-        assert not isinstance(WeightAlpha(2.0).value, F)
+        assert alpha_value(2) == F(2)
+        assert isinstance(alpha_value(2), F)
+        assert not isinstance(alpha_value(2.0), F)
 
     def test_exact_alpha_past_binary64(self):
         # An exact alpha never becomes a float: its finiteness check raised
         # OverflowError converting 10**400.
         alpha = F(10**400)
-        assert WeightAlpha(alpha).value == alpha
-        assert WeightAlpha(10**400).value == alpha
+        assert alpha_value(alpha) == alpha
+        assert alpha_value(10**400) == alpha
         assert qn_coefficients(alpha, 2, RATIONAL) == (
             coeff_a0(alpha, 2), coeff_a1(alpha, 2), 1)
         assert qn_coefficients(alpha, 2, RATIONAL)[0] == (1 + alpha) * (1 + alpha / 2)
