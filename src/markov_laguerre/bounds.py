@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
 from .recurrence import (_b123_parts, _float_alpha, _normal, _refined_lower,
-                         _refined_lower_parts, _refined_upper, _require_degree, _split,
-                         alpha_value, reciprocal_b123)
+                         _refined_lower_parts, _refined_upper, _require_degree, _require_n,
+                         _split, alpha_value, reciprocal_b123)
 
 __all__ = [
     "BoundPair",
@@ -113,11 +113,6 @@ class BoundsReport(NamedTuple):
     dorfler: BoundPair
     laguerre_samuelson: BoundPair
     turan: float | None
-
-
-def _require_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
 
 
 def _finite(lower: float, upper: float, a: float) -> tuple[float, float]:
@@ -219,14 +214,25 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
 def asymptotic_bounds(alpha) -> BoundPair:
     """Bounds for the asymptotic constant c(alpha) = lim c_n(alpha)/n:
 
-        sqrt(2)/sqrt((a+1)(a+5)) <= c(alpha) <= 1/(sqrt(a+1) ((a+3)(a+5))^(1/6)).
+        sqrt(2)/sqrt((a+1)(a+5)) <= c(alpha) <= 1/(sqrt(a+1) ((a+3)(a+5))^(1/6)),
 
-    Past a of about 1.3e154 both overflow to 0: OverflowError.
+    each rounded outward: near a = -1 the two sides meet, and their binary64
+    values would cross c(alpha).  Past a of about 1.3e154 both overflow to
+    0: OverflowError.
     """
     a = _float_alpha(alpha)
-    lower = math.sqrt(2.0 / ((a + 1) * (a + 5)))
-    upper = 1.0 / (math.sqrt(a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 6.0))
-    return BoundPair(*_finite(lower, upper, a))
+    x = (a + 3) * (a + 5)
+    lower, upper = _finite(math.sqrt(2.0 / ((a + 1) * (a + 5))),
+                           1.0 / (math.sqrt(a + 1) * x ** (1.0 / 6.0)), a)
+    # u = 2^-53.  The lower radicand rounds four times, so it is within 4u,
+    # its root within 2u and the rounded root within 3u.  Upper: sqrt(a+1)
+    # is within 1.5u; x is within 3u, so x^(1/6) is within 0.5u from x, u
+    # from pow and (ln x)/6 u from the exponent 1/6 rounded (x > 8, so
+    # ln x > 0); the product and the quotient add 2u: 5u + (ln x)/6 u in
+    # all, to first order.  K = 8 covers both sides, the rest and the
+    # margins' own roundings.
+    return BoundPair(lower * (1.0 - 8 * 2.0**-53),
+                     upper * (1.0 + (8.0 + math.log(x) / 6.0) * 2.0**-53))
 
 
 def asymptotic_upper_large_alpha(alpha) -> float:

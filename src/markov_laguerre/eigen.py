@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .recurrence import _float_alpha, _refined_upper, alpha_value
+from .recurrence import _float_alpha, _refined_upper, _require_n, _split, alpha_value
 
 __all__ = [
     "TridiagMatrix",
@@ -99,16 +98,17 @@ class EigenResult(NamedTuple):
 def build_jacobi(alpha, n: int) -> TridiagMatrix:
     """Jacobi matrix of order n whose eigenvalues are the zeros of Q_n.
 
-    Each q_k is rounded once from its exact value when alpha is exact.
+    When alpha = p/d is exact, each q_{k-1} = (dk + p)/(dk), k = 1 .. n, is
+    rounded once, by the correctly rounded true division of two ints.
     """
     a = alpha_value(alpha)
     fa = _float_alpha(a)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(a, Fraction):
-        q = [float(1 + a / k) for k in range(1, n + 1)]
-    else:
+    _require_n(n)
+    if isinstance(a, float):
         q = [1.0 + a / k for k in range(1, n + 1)]
+    else:
+        p, d = _split(a)
+        q = [(d * k + p) / (d * k) for k in range(1, n + 1)]
     return TridiagMatrix(fa, tuple(q))
 
 

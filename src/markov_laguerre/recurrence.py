@@ -94,6 +94,11 @@ def _require_degree(n: int) -> None:
         raise ValueError(f"n must be >= 0, got {n}")
 
 
+def _require_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _float_alpha(alpha) -> float:
     """alpha rounded to binary64, for the float paths: an exact alpha past
     the binary64 range raises OverflowError that says so."""
@@ -123,8 +128,7 @@ def recurrence_coeffs(alpha, n: int) -> RecurrenceCoeffs:
     Exact when alpha is an int or Fraction.  Requires n >= 1.
     """
     a = alpha_value(alpha)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_n(n)
     d = [1 + a] + [2 + a / (k + 1) for k in range(1, n)]
     lam_sq = [1 + a / k for k in range(1, n)]
     return RecurrenceCoeffs(tuple(d), tuple(lam_sq))
@@ -162,9 +166,12 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
         a[k, m+1] = a[k-1, m] - (2 + alpha/(m+1)) a[k, m] - (1 + alpha/m) a[k, m-1]
 
     keeping only two rows at a time.  Conventions: a[m, m] = 1 and a[k, m] = 0
-    for k < 0 or k > m, realised here as plain array bounds.  In rational
-    mode the rows are those of :func:`_scaled_rows`, each divided by its
-    scale into Fractions as it is yielded.
+    for k < 0 or k > m, realised as zero padding.  In float mode the shifts
+    and couplings are those of :func:`recurrence_coeffs`, with lam_0^2 = 0
+    for the row of Q_1; each entry is (-d y - lam^2 z) + x, so the last one
+    comes out as exactly 1.  In rational mode the rows are those of
+    :func:`_scaled_rows`, each divided by its scale into Fractions as it is
+    yielded.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -174,24 +181,12 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
         return
     if mode != FLOAT:
         raise ValueError(f"unknown mode {mode!r}")
-    a = _float_alpha(alpha)
-    prev = [1.0]
-    yield tuple(prev)
-    if n_max == 0:
-        return
-    cur = [-(a + 1), 1.0]
-    yield tuple(cur)
-    for m in range(1, n_max):
-        d = 2 + a / (m + 1)
-        lam_sq = 1 + a / m
-        nxt = [0.0] * (m + 2)
-        nxt[m + 1] = 1.0
-        for k in range(m + 1):
-            v = -d * cur[k] - (lam_sq * prev[k] if k < len(prev) else 0.0)
-            if k > 0:
-                v += cur[k - 1]
-            nxt[k] = v
-        prev, cur = cur, nxt
+    shifts, couplings = recurrence_coeffs(_float_alpha(alpha), n_max + 1)
+    prev, cur = [], [1.0]
+    yield (1.0,)
+    for d, lam_sq in zip(shifts[:n_max], (0.0,) + couplings):
+        prev, cur = cur, [(-d * y - lam_sq * z) + x
+                          for x, y, z in zip([0.0] + cur, cur + [0.0], prev + [0.0, 0.0])]
         yield tuple(cur)
 
 
@@ -205,9 +200,7 @@ def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
     if mode == RATIONAL and n >= 0:  # a negative n meets the rows' own check
         row, scale = collections.deque(_scaled_rows(*_split(alpha_value(alpha)), n), 1)[0]
         return tuple(Fraction(c, scale) for c in row)
-    row = None
-    for row in qn_coefficient_rows(alpha, n, mode):
-        pass
+    row = collections.deque(qn_coefficient_rows(alpha, n, mode), 1)[0]
     if mode == FLOAT and not all(math.isfinite(c) for c in row):
         raise OverflowError(f"coefficients of Q_{n} overflow binary64")
     return row
@@ -233,20 +226,17 @@ def coeff_a0(alpha, n: int):
 
 def coeff_a1(alpha, n: int):
     """Degree-1 coefficient of Q_n: -b1 * coeff_a0 (see reciprocal_b123)."""
-    a = alpha_value(alpha)
-    return -reciprocal_b123(a, n)[0] * coeff_a0(a, n)
+    return -reciprocal_b123(alpha, n)[0] * coeff_a0(alpha, n)
 
 
 def coeff_a2(alpha, n: int):
     """Degree-2 coefficient of Q_n: b2 * coeff_a0 (zero for n <= 1)."""
-    a = alpha_value(alpha)
-    return reciprocal_b123(a, n)[1] * coeff_a0(a, n)
+    return reciprocal_b123(alpha, n)[1] * coeff_a0(alpha, n)
 
 
 def coeff_a3(alpha, n: int):
     """Degree-3 coefficient of Q_n: -b3 * coeff_a0 (zero for n <= 2)."""
-    a = alpha_value(alpha)
-    return -reciprocal_b123(a, n)[2] * coeff_a0(a, n)
+    return -reciprocal_b123(alpha, n)[2] * coeff_a0(alpha, n)
 
 
 def _b123_parts(p, d, n: int):

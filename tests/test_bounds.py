@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,23 @@ class TestAsymptoticBounds:
         # both bounds came out 0 past a ~ 1.3e154
         with pytest.raises(OverflowError):
             asymptotic_bounds(alpha)
+
+    def test_encloses_the_limit_near_minus_one(self):
+        # The two sides meet as a -> -1, closer than binary64 rounding:
+        # rounded to nearest, they fall on the wrong side of c(a) at 90 of
+        # these alphas, the upper one 6.7e-17 below it at a = -0.999999 and
+        # the lower one 1.0e-16 above it at a = -1 + 1e-10.
+        rng = random.Random(14)
+        alphas = [-1.0 + 0.1 * 10.0 ** -rng.uniform(0.0, 10.0) for _ in range(214)]
+        misses = []
+        with mpmath.workdps(60):
+            for a in alphas + [-0.999999, -1 + 1e-10]:
+                nu = (mpmath.mpf(a) - 1) / 2
+                c = 1 / mpmath.findroot(lambda x: mpmath.besselj(nu, x), 2 * mpmath.sqrt(nu + 1))
+                lower, upper = asymptotic_bounds(a)
+                if not lower <= c <= upper:
+                    misses.append(a)
+        assert misses == []
 
     def test_ratio_tends_to_one(self):
         assert ratio_r(-0.999999) == pytest.approx(1.0, abs=1e-5)

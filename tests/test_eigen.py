@@ -79,6 +79,29 @@ class TestBuildJacobi:
         with pytest.raises(TypeError):
             T.q[0] = 0.0
 
+    @staticmethod
+    def assert_rounded_once(alpha, n):
+        a = F(alpha)
+        assert build_jacobi(alpha, n).q == tuple(float(1 + a / k) for k in range(1, n + 1))
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 50, 10**6, 2**53 + 1, 10**300])
+    def test_int_alpha_rounds_each_q_once(self, alpha):
+        self.assert_rounded_once(alpha, 300)
+
+    @pytest.mark.parametrize("alpha", [F(7, 1000003), F(-999999, 1000000), F(10**20 + 1, 3)])
+    def test_fraction_alpha_rounds_each_q_once(self, alpha):
+        self.assert_rounded_once(alpha, 300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**30).flatmap(
+        lambda d: st.tuples(st.integers(1 - d, 10**40), st.just(d))), st.integers(1, 80))
+    def test_any_exact_alpha_rounds_each_q_once(self, pd, n):
+        self.assert_rounded_once(F(*pd), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    def test_int_zero_is_fraction_zero(self, n):
+        assert markov_constant(0, n) == markov_constant(F(0), n)
+
     @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_characteristic_polynomial_is_qn(self, alpha, n):
