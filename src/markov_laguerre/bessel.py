@@ -5,17 +5,18 @@ the first Bessel zero turns the finite-n machinery into asymptotic checks.
 
 Zeros as eigenvalues
 --------------------
-The reciprocal zeros +-1/j_{nu,k} are the eigenvalues of Ikebe's infinite
-symmetric tridiagonal matrix with zero diagonal and off-diagonal
-b_k = 1/(2 sqrt((nu+k)(nu+k+1))), k = 1, 2, ... (Ikebe 1975; Ikebe, Kikuchi
-& Fujishiro 1991); its eigenvector is (sqrt(nu+k) J_{nu+k}(j))_k.  The matrix
-is the Golub-Kahan form of the lower bidiagonal C with diagonal b_1, b_3, ...
-and subdiagonal b_2, b_4, ..., so 4/j_{nu,1}^2 is the largest eigenvalue of
-4 C C^T = B B^T, where B has squared diagonal q_i = 1/((nu+2i+1)(nu+2i+2))
-and squared subdiagonal e_i = 1/((nu+2i+2)(nu+2i+3)).  ``first_zero``
-solves it with the qd sign count and safeguarded Laguerre steps of
-:mod:`markov_laguerre.eigen` (``_laguerre_pass_e``, ``_largest``), from
-above, and returns j = 2/sqrt(lambda_max).
+The layer's one variable is h = nu + 1 = (alpha+1)/2, exact where nu
+cancels near -1.  The reciprocal zeros +-1/j_{nu,k} are the eigenvalues of
+Ikebe's infinite symmetric tridiagonal matrix with zero diagonal and
+off-diagonal b_k = 1/(2 sqrt((h+k-1)(h+k))), k = 1, 2, ... (Ikebe 1975;
+Ikebe, Kikuchi & Fujishiro 1991); its eigenvector is (sqrt(nu+k)
+J_{nu+k}(j))_k.  The matrix is the Golub-Kahan form of the lower bidiagonal
+C with diagonal b_1, b_3, ... and subdiagonal b_2, b_4, ..., so 4/j_{nu,1}^2
+is the largest eigenvalue of 4 C C^T = B B^T, where B has squared diagonal
+q_i = 1/((h+2i)(h+2i+1)) and squared subdiagonal e_i = 1/((h+2i+1)(h+2i+2)).
+``first_zero`` solves it with the qd sign count and safeguarded Laguerre
+steps of :mod:`markov_laguerre.eigen` (``_laguerre_pass_e``, ``_largest``),
+from above, and returns j = 2/sqrt(lambda_max).
 
 Which side is proved
 --------------------
@@ -25,18 +26,19 @@ below 4/j^2: truncation never moves the result below j.  The order is the
 first at which Kapteyn's inequality bounds the eigenvector's component
 where the matrix is cut far below tol, evaluated at an upper bound on j.
 The eigenvalue of the truncated matrix lies in a bracket of relative width
-tol whose two ends the sign count certifies, and j comes from its midpoint.
+tol whose ends the sign count places but does not prove; j is its midpoint.
 
-The enclosure of :func:`markov_laguerre.bounds.bessel_zero_enclosure` is
+The paper's enclosure of the zero (``bounds._bessel_zero_bounds``) is
 load-bearing: the solve starts at 4/lower^2, and a count that finds the zero
 outside the enclosure at either end raises RuntimeError.
 
 Domain
 ------
-``first_zero`` takes -1 < nu <= ZERO_NU_MAX = 1000, the range its tests
-check against mpmath and by the sign count; other nu raise ValueError.  The
-order grows like nu^(1/3), and once 2m is below half an ulp of nu (nu above
-about 2e24) nu + 2m rounds to nu and no order meets the truncation rule.
+``first_zero`` takes -1 < nu <= ZERO_NU_MAX = 1000 (alpha <= 2001 for
+c(alpha)), the range its tests check against mpmath and by the sign count;
+other arguments raise ValueError.  The order grows like nu^(1/3), and once
+2m is below half an ulp of nu (nu above about 2e24) nu + 2m rounds to nu
+and no order meets the truncation rule.
 
 Series envelope
 ---------------
@@ -53,7 +55,7 @@ import functools
 import math
 import sys
 
-from .bounds import bessel_zero_enclosure
+from .bounds import _bessel_zero_bounds
 from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
 from .recurrence import _float_alpha
 
@@ -62,6 +64,7 @@ __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptot
 NU_MAX = 25.0
 X_MAX = 40.0
 ZERO_NU_MAX = 1000.0
+_ALPHA_MAX = 2 * ZERO_NU_MAX + 1  # asymptotic_constant's: (alpha-1)/2 <= ZERO_NU_MAX
 
 _MIN_TERMS = 30
 _MAX_TERMS = 400
@@ -71,7 +74,7 @@ _AIRY_A1 = -2.338107410459767
 # The truncation target is this factor below tol.
 _TRUNCATION_MARGIN = 1e-3
 # Relative outward widening of the enclosure's bracket, for the rounding of
-# the enclosure formulas and of 4/x^2 (a few ulp); near nu = -1 the two ends
+# the enclosure formulas and of 4/x^2 (a few ulp); near h = 0 the two ends
 # of the enclosure meet in binary64.
 _WIDEN = 16 * sys.float_info.epsilon
 
@@ -107,18 +110,19 @@ def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
     raise RuntimeError(f"series for J_{nu}({x}) did not settle in {_MAX_TERMS} terms")
 
 
-def _order(nu: float, upper: float, tol: float) -> int:
-    """Order m of the factor B that ``first_zero`` solves.
+def _order(h: float, upper: float, tol: float) -> int:
+    """Order m of the factor B that ``first_zero`` solves at h = nu + 1.
 
-    x is an upper bound on j_{nu,1}: the enclosure's ``upper``, or from
-    nu = 1 on, where it is the sharper one, the bound
-    nu - a_1 (nu/2)^(1/3) + (3/20) a_1^2 (nu/2)^(-1/3) of Qu & Wong (1999),
-    a_1 the first zero of Ai.  m is the first order at which Kapteyn's
-    inequality |J_mu(x)| <= exp(mu g(x/mu)), with mu = nu + 2m and
-    g(z) = log z + sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)), puts the squared
-    eigenvector component at the cut, which sets the truncation error,
-    below tol * _TRUNCATION_MARGIN.
+    x is an upper bound on j_{nu,1}: the enclosure's ``upper``, or from nu = 1
+    on, where it is the sharper one, the bound of Qu & Wong (1999)
+    nu - a_1 (nu/2)^(1/3) + (3/20) a_1^2 (nu/2)^(-1/3), a_1 the first zero of
+    Ai.  m is the first order at which Kapteyn's inequality
+    |J_mu(x)| <= exp(mu g(x/mu)), mu = h + (2m - 1) and g(z) = log z +
+    sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)), puts the squared eigenvector
+    component at the cut, which sets the truncation error, below
+    tol * _TRUNCATION_MARGIN.
     """
+    nu = h - 1.0
     x = upper
     if nu >= 1.0:
         t = (0.5 * nu) ** (1.0 / 3.0)
@@ -126,7 +130,7 @@ def _order(nu: float, upper: float, tol: float) -> int:
     target = math.log(tol * _TRUNCATION_MARGIN)
     m = max(1, math.ceil(0.5 * (x - nu)))
     while True:
-        mu = nu + 2 * m
+        mu = h + (2 * m - 1)
         z = x / mu
         if z < 1.0:
             w = math.sqrt(1.0 - z * z)
@@ -135,45 +139,51 @@ def _order(nu: float, upper: float, tol: float) -> int:
         m += 1
 
 
-def _ikebe_factor(nu: float, m: int) -> tuple[list[float], list[float]]:
+def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:
     """Squared diagonal q and squared subdiagonal e of B at order m (e has
     m entries; the last one, past the cut, is unused).
 
     Lists, not tuples: short tuples freed by the thousand (one pair per
     zero) grew the resident set of a long run by ~1 MiB; lists do not."""
-    q = [1.0 / ((nu + 2 * i + 1) * (nu + 2 * i + 2)) for i in range(m)]
-    e = [1.0 / ((nu + 2 * i + 2) * (nu + 2 * i + 3)) for i in range(m)]
+    q = [1.0 / ((h + 2 * i) * (h + 2 * i + 1)) for i in range(m)]
+    e = [1.0 / ((h + 2 * i + 1) * (h + 2 * i + 2)) for i in range(m)]
     return q, e
 
 
-def _zero_eigenvalue(nu: float, m: int, enclosure, tol: float) -> EigenResult:
+def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
     """Largest eigenvalue of B B^T at order m, bracketed by the enclosure
     (lower, upper) of j widened outward by _WIDEN: 4/upper^2 must count
     fewer than m eigenvalues and 4/lower^2 all m."""
     lower, upper = enclosure
-    q, e = _ikebe_factor(nu, m)
+    q, e = _ikebe_factor(h, m)
     return _largest(functools.partial(_laguerre_pass_e, q, e), m,
                     4.0 / (upper * upper) * (1.0 - _WIDEN),
                     4.0 / (lower * lower) * (1.0 + _WIDEN), tol)
 
 
-def first_zero(nu: float, tol: float = 1e-13) -> float:
-    """First positive zero j_{nu,1} of J_nu, for -1 < nu <= ZERO_NU_MAX.
-
-    j = 2/sqrt(lambda), lambda the largest eigenvalue of Ikebe's matrix
-    4 C C^T truncated at order ``_order``, bracketed to relative width tol
-    by certified sign counts (see the module docstring).
-    """
+def _first_zero(h: float, tol: float) -> float:
+    """``first_zero`` at nu = h - 1, from the pair rounded to nearest."""
     _check_tol(tol)
-    nu = float(nu)
-    if not -1.0 < nu <= ZERO_NU_MAX:
-        raise ValueError(f"nu={nu} outside the domain (-1, {ZERO_NU_MAX}] of first_zero")
-    enclosure = bessel_zero_enclosure(nu)
-    res = _zero_eigenvalue(nu, _order(nu, enclosure.upper, tol), enclosure, tol)
+    enclosure = _bessel_zero_bounds(h)
+    res = _zero_eigenvalue(h, _order(h, enclosure[1], tol), enclosure, tol)
     return 2.0 / math.sqrt(res.value)
 
 
+def first_zero(nu: float, tol: float = 1e-13) -> float:
+    """First positive zero j_{nu,1} of J_nu, for -1 < nu <= ZERO_NU_MAX.
+
+    j = 2/sqrt(lambda), lambda the largest eigenvalue of Ikebe's matrix 4 C C^T
+    cut at order ``_order``, bracketed to relative width tol by sign counts.
+    """
+    nu = float(nu)
+    if not -1.0 < nu <= ZERO_NU_MAX:
+        raise ValueError(f"nu={nu} outside the domain (-1, {ZERO_NU_MAX}] of first_zero")
+    return _first_zero(nu + 1.0, tol)
+
+
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
-    """Asymptotic constant c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}."""
+    """c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}, for -1 < alpha <= 2001."""
     a = _float_alpha(alpha)
-    return 1.0 / first_zero((a - 1.0) / 2.0, tol)
+    if not a <= _ALPHA_MAX:
+        raise ValueError(f"alpha={a} outside the domain (-1, {_ALPHA_MAX}] of asymptotic_constant")
+    return 1.0 / _first_zero(0.5 * a + 0.5, tol)

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import (_b123_parts, _float_alpha, _normal, _refined_lower,
-                         _refined_lower_parts, _refined_upper, _require_degree, _require_n,
-                         _split, alpha_value, reciprocal_b123)
+from .recurrence import (_b123_parts, _float_alpha, _normal, _refined_lower_parts,
+                         _refined_upper, _require_degree, _require_n, _split, alpha_value,
+                         reciprocal_b123)
 
 __all__ = [
     "BoundPair",
@@ -184,8 +184,8 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
     """
     a = _float_alpha(alpha)
     _require_n(n)
-    return RefinedBounds(*_finite(_refined_lower(a, n), _refined_upper(a, n), a),
-                         n > (a + 1) / 6)
+    num, den = _refined_lower_parts(a, 1, n)
+    return RefinedBounds(*_finite(num / den, _refined_upper(a, n), a), n > (a + 1) / 6)
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:
@@ -211,28 +211,36 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
     return BoundPair((b1 - root) / n, (b1 + root) / n)
 
 
+def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
+    """The paper's 2^(5/6) sqrt(h) ((h+1)(h+2))^(1/6) < j < sqrt(2h(h+2)) on
+    j = j_{h-1,1}, h = nu + 1 = (alpha+1)/2, rounded to nearest or outward."""
+    x = (h + 1.0) * (h + 2.0)
+    lower = 2.0 ** (5.0 / 6.0) * math.sqrt(h) * x ** (1.0 / 6.0)
+    upper = math.sqrt(2.0 * h * (h + 2.0))
+    if not outward:
+        return lower, upper
+    # u = 2^-53.  h is within u, which moves the lower side by 5u/6 and the
+    # upper by u.  Upper: h + 2, the product and the root add 2u.  Lower:
+    # 2^(5/6) is within 1.6u (exponent and pow), sqrt(h) within u, x within
+    # 3u and x^(1/6) so within 0.5u + u (pow) + (ln x)/6 u (exponent; x > 2);
+    # the products add 2u: 7u + (ln x)/6 u to first order.  With 1.5u for the
+    # widening's own roundings, K = 9 covers both sides.
+    k = (9.0 + math.log(x) / 6.0) * 2.0**-53
+    return lower * (1.0 - k), upper * (1.0 + k)
+
+
 def asymptotic_bounds(alpha) -> BoundPair:
     """Bounds for the asymptotic constant c(alpha) = lim c_n(alpha)/n:
 
         sqrt(2)/sqrt((a+1)(a+5)) <= c(alpha) <= 1/(sqrt(a+1) ((a+3)(a+5))^(1/6)),
 
-    each rounded outward: near a = -1 the two sides meet, and their binary64
-    values would cross c(alpha).  Past a of about 1.3e154 both overflow to
-    0: OverflowError.
+    the reciprocals of the zero's enclosure at h = (a+1)/2, rounded outward,
+    as the two sides meet near a = -1.  Past a of about 1.9e154: OverflowError.
     """
     a = _float_alpha(alpha)
-    x = (a + 3) * (a + 5)
-    lower, upper = _finite(math.sqrt(2.0 / ((a + 1) * (a + 5))),
-                           1.0 / (math.sqrt(a + 1) * x ** (1.0 / 6.0)), a)
-    # u = 2^-53.  The lower radicand rounds four times, so it is within 4u,
-    # its root within 2u and the rounded root within 3u.  Upper: sqrt(a+1)
-    # is within 1.5u; x is within 3u, so x^(1/6) is within 0.5u from x, u
-    # from pow and (ln x)/6 u from the exponent 1/6 rounded (x > 8, so
-    # ln x > 0); the product and the quotient add 2u: 5u + (ln x)/6 u in
-    # all, to first order.  K = 8 covers both sides, the rest and the
-    # margins' own roundings.
-    return BoundPair(lower * (1.0 - 8 * 2.0**-53),
-                     upper * (1.0 + (8.0 + math.log(x) / 6.0) * 2.0**-53))
+    lower, upper = _finite(*_bessel_zero_bounds(0.5 * a + 0.5, outward=True), a)
+    # One step outward covers the rounding of each reciprocal.
+    return BoundPair(math.nextafter(1.0 / upper, 0.0), math.nextafter(1.0 / lower, math.inf))
 
 
 def asymptotic_upper_large_alpha(alpha) -> float:
@@ -250,16 +258,14 @@ def asymptotic_upper_large_alpha(alpha) -> float:
 
 
 def bessel_zero_enclosure(nu: float) -> BoundPair:
-    """Enclosure of the first positive zero of the Bessel function J_nu:
+    """Enclosure, rounded outward, of the first positive zero of J_nu:
 
         2^(5/6) sqrt(nu+1) ((nu+2)(nu+3))^(1/6) < j_{nu,1} < sqrt(2(nu+1)(nu+3)).
     """
     nu = float(nu)
     if not (nu > -1.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be finite and > -1, got {nu}")
-    lower = 2.0 ** (5.0 / 6.0) * math.sqrt(nu + 1.0) * ((nu + 2.0) * (nu + 3.0)) ** (1.0 / 6.0)
-    upper = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
-    return BoundPair(lower, upper)
+    return BoundPair(*_bessel_zero_bounds(nu + 1.0, outward=True))
 
 
 def ratio_r(alpha) -> float:
@@ -393,17 +399,6 @@ def upper_residual_poly(alpha):
     )
 
 
-def _upper_cubed_parts(p, d, n: int):
-    """(numerator, denominator) of the cube of the refined upper bound at
-    a = p/d,
-
-        (n+1)^3 (5n + 2(a+1))^3 / (125 (a+1)^3 (a+3)(a+5)),
-
-    homogeneous in (p, d) like ``recurrence._b123_parts``."""
-    return ((n + 1) ** 3 * (5 * n * d + 2 * (p + d)) ** 3 * d * d,
-            125 * (p + d) ** 3 * (p + 3 * d) * (p + 5 * d))
-
-
 def _residual_parts(p: int, d: int, n: int):
     """The two residuals of :func:`residual_sandwich_check` at alpha = p/d
     (integers, d > 0) as (numerator, denominator) pairs of ints.  The
@@ -411,14 +406,16 @@ def _residual_parts(p: int, d: int, n: int):
 
     With b_k = B_k / D over D = lcm of the three denominators of b1..b3,
     Newton's identities are homogeneous of weight k in b_k, so p_k is
-    ``power_sums(B1, B2 D, B3 D^2)[k-1]`` over D^k.
+    ``power_sums(B1, B2 D, B3 D^2)[k-1]`` over D^k.  The cube of the refined
+    upper bound is (n+1)^3 (5n + 2(a+1))^3 / (125 (a+1)^3 (a+3)(a+5)).
     """
     (n1, d1), (n2, d2), (n3, d3) = _b123_parts(p, d, n)
     den = math.lcm(d1, d2, d3)
     _, p2, p3 = power_sums(n1 * (den // d1), n2 * (den // d2) * den,
                            n3 * (den // d3) * den * den)
     low, low_den = _refined_lower_parts(p, d, n)
-    up, up_den = _upper_cubed_parts(p, d, n)
+    up = (n + 1) ** 3 * (5 * n * d + 2 * (p + d)) ** 3 * d * d
+    up_den = 125 * (p + d) ** 3 * (p + 3 * d) * (p + 5 * d)
     den3 = den**3
     return ((p3 * low_den - low * p2 * den, den3 * low_den),
             (up * den3 - p3 * up_den, den3 * up_den))
@@ -430,20 +427,22 @@ def residual_sandwich_check(alpha, n: int):
         lower_residual = p3 - lower * p2      (>= 0 for n >= 3, n > (a+1)/6),
         upper_residual = upper^3 - p3         (>= 0 for n >= 2).
 
-    The one place the two residuals are formed: for an int or Fraction
-    alpha exactly, as integer numerators over one common denominator
-    (:func:`_residual_parts`, from which the residual polynomials are also
-    recovered) returned as Fractions; for a float alpha in binary64.
-    Requires n >= 0.
+    The one place the two residuals are formed, as integer numerators over
+    one common denominator (:func:`_residual_parts`, from which the residual
+    polynomials are also recovered), returned as Fractions for an int or
+    Fraction alpha.  A float alpha is lifted to its exact binary value and
+    each residual rounded once; a nonzero one that leaves the binary64 range
+    raises OverflowError.  Requires n >= 0.
     """
     a = alpha_value(alpha)
     _require_degree(n)
+    parts = _residual_parts(*_split(Fraction(a)), n)
     if isinstance(a, Fraction):
-        return tuple(Fraction(num, den) for num, den in _residual_parts(*_split(a), n))
-    b1, b2, b3 = reciprocal_b123(a, n)
-    _, p2, p3 = power_sums(b1, b2, b3)
-    up, up_den = _upper_cubed_parts(a, 1, n)
-    return p3 - _refined_lower(a, n) * p2, up / up_den - p3
+        return tuple(Fraction(num, den) for num, den in parts)
+    out = tuple(num / den for num, den in parts)  # OverflowError above binary64
+    if any(num and not r for (num, _), r in zip(parts, out)):
+        raise OverflowError(f"the residuals at alpha={a}, n={n} underflow binary64")
+    return out
 
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:

@@ -53,24 +53,19 @@ SWEEP_COLUMNS = (
     "sandwich_violation",
 )
 
-_ALPHA_MAX_BESSEL = 2 * bessel.ZERO_NU_MAX + 1
-
-
 @functools.lru_cache(maxsize=None)
 def _asymptotic_cached(alpha: float, tol: float) -> float:
     return bessel.asymptotic_constant(alpha, tol)
 
 
 def _cell(value) -> str:
-    """One CSV cell: 17 significant digits for a float, true/false for a
-    bool, empty for None.  No cell holds a comma, quote or newline, so none
-    is quoted."""
+    """One CSV cell that is not a float (``_format_rows`` formats those):
+    true/false for a bool, empty for None.  No cell holds a comma, quote or
+    newline, so none is quoted."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
     return str(value)
 
 
@@ -130,7 +125,7 @@ def sweep_row(alpha: float, n: int, tol: float) -> tuple:
     rep = bounds.bounds_report(alpha, n, tol)
     exact_c = math.sqrt(rep.exact_c_sq)
     ratio = None
-    if alpha <= _ALPHA_MAX_BESSEL:
+    if alpha <= bessel._ALPHA_MAX:
         ratio = exact_c / (n * _asymptotic_cached(alpha, tol))
     return (
         rep.alpha,
@@ -447,7 +442,8 @@ def cmd_verify(args) -> int:
 def _add_common(sub, alpha=False, n=False, tol=True):
     if tol:
         sub.add_argument("--tol", type=float, default=1e-13,
-                         help="relative width of the certified bracket")
+                         help="relative width of the solver's bracket, whose ends the "
+                         "sign count places but does not prove")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if alpha:
         sub.add_argument("--alpha", type=float, required=True, help="weight exponent, > -1")
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constant", help="exact c_n(alpha) with certified bracket")
+    p = sub.add_parser("constant", help="exact c_n(alpha) with the bracket the sign count places")
     _add_common(p, alpha=True, n=True)
     p.set_defaults(func=cmd_constant)
 

@@ -81,7 +81,7 @@ class EigenResult(NamedTuple):
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
     value.  After a close, hi - lo <= tol/8 * value, or lo and hi are
     adjacent floats where binary64 cannot resolve tol/8, so value lies within
-    tol/16 of where the count flips whatever the start.  The count certifies
+    tol/16 of where the count flips whatever the start.  The count places
     the ends but does not prove them: on random
     inputs with n up to 20000 it is wrong at about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
@@ -320,8 +320,8 @@ def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult
 
     A lower end that counts all n eigenvalues at or below it, or an upper
     end that counts fewer (the lower end of -M's bracket, in ``_solve``),
-    raises RuntimeError: both ends are certified by the count before the
-    bracket is used.
+    raises RuntimeError: the count checks both ends before the bracket is
+    used.
     """
     if step_pass(lo)[0] >= n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
@@ -364,22 +364,22 @@ def _start(a: float, n: int, lower: float, top: float) -> float:
     (j/(n + (a+3)/4))^2 just below the eigenvalue: 0.02% below it at
     a = 100, n = 20000, where 1/refined_upper is 30% below.  It is used
     where it lies in (lower, top), where n >= _START_MIN_N, so that the zero
-    pays for itself, and where (a-1)/2 lies in first_zero's domain
-    (-1, ZERO_NU_MAX]; else the start is lower.
+    pays for itself, and where a lies in asymptotic_constant's domain
+    (a <= 2001); else the start is lower.
     """
     if n < _START_MIN_N:
         return lower
-    from .bessel import ZERO_NU_MAX, first_zero  # bessel imports this module
+    from .bessel import _ALPHA_MAX, _first_zero  # bessel imports this module
 
-    nu = 0.5 * a - 0.5
-    if not -1.0 < nu <= ZERO_NU_MAX:
+    if not a <= _ALPHA_MAX:
         return lower
-    sigma = (first_zero(nu) / (n + 0.25 * a + 0.75)) ** 2
+    sigma = (_first_zero(0.5 * a + 0.5, 1e-13) / (n + 0.25 * a + 0.75)) ** 2
     return sigma if lower < sigma < top else lower
 
 
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Smallest eigenvalue of T with a certified enclosing bracket.
+    """Smallest eigenvalue of T with a bracket whose ends the binary64 sign
+    count places; the count does not prove them (see ``EigenResult``).
 
     ``_solve`` searches (0, q_0] from ``_start``: for n >= _START_MIN_N,
     Dörfler's limit (c(a)(n + (a+3)/4))^-2 where it lies above
@@ -403,8 +403,8 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
-    """Largest eigenvalue of T with a certified enclosing bracket, by
-    ``_largest`` on (0, (1 + sqrt(max q))^2]: every eigenvalue is positive,
+    """Largest eigenvalue of T with a bracket that the sign count places,
+    by ``_largest`` on (0, (1 + sqrt(max q))^2]: every eigenvalue is positive,
     and ||B|| <= max sqrt(q_k) + 1, the norm of B's diagonal plus that of
     its unit subdiagonal."""
     _check_tol(tol)

@@ -299,12 +299,6 @@ def _refined_lower_parts(p, d, n: int):
     return (3 * n * d + 2 * p) * (6 * n * d - (p + d)), 9 * (p + d) * (p + 5 * d)
 
 
-def _refined_lower(a, n: int):
-    """The refined lower bound at a float or Fraction a, in its own type."""
-    num, den = _refined_lower_parts(a, 1, n)
-    return num / den
-
-
 def _refined_upper(a: float, n: int) -> float:
     """Refined upper bound on c_n(a)^2 for a float a:
 

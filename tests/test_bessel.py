@@ -47,11 +47,15 @@ def mp_zero(nu):
 
 
 def order(nu, tol):
-    return _order(nu, bessel_zero_enclosure(nu).upper, tol)
+    return _order(nu + 1.0, bessel_zero_enclosure(nu).upper, tol)
 
 
 def zero_eigenvalue(nu, m, tol):
-    return _zero_eigenvalue(nu, m, bessel_zero_enclosure(nu), tol)
+    return _zero_eigenvalue(nu + 1.0, m, bessel_zero_enclosure(nu), tol)
+
+
+def ikebe_factor(nu, m):
+    return _ikebe_factor(nu + 1.0, m)
 
 
 def dense_factor_product(q, e):
@@ -166,7 +170,7 @@ class TestFirstZero:
         # 4/upper^2; one above it leaves the largest over the start 4/lower^2
         j = first_zero(nu)
         monkeypatch.setattr(
-            bessel, "bessel_zero_enclosure", lambda nu: bounds.BoundPair(factors[0] * j, factors[1] * j)
+            bessel, "_bessel_zero_bounds", lambda h: bounds.BoundPair(factors[0] * j, factors[1] * j)
         )
         with pytest.raises(RuntimeError, match="misses"):
             first_zero(nu)
@@ -176,7 +180,7 @@ class TestFirstZero:
     def test_sign_count_certifies_both_ends(self, nu):
         tol = 1e-13
         m = order(nu, tol)
-        q, e = _ikebe_factor(nu, m)
+        q, e = ikebe_factor(nu, m)
         res = zero_eigenvalue(nu, m, tol)
         lo, hi = res.bracket
         assert lo <= res.value <= hi
@@ -203,7 +207,7 @@ class TestFirstZero:
         # negative and lands between the largest eigenvalue and sigma
         for nu in (-0.9, 0.0, 3.3, 40.0):
             m = order(nu, 1e-13)
-            q, e = _ikebe_factor(nu, m)
+            q, e = ikebe_factor(nu, m)
             top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
             sigma = 1.001 * top
             count, step = _laguerre_pass_e(q, e, sigma)
@@ -214,7 +218,7 @@ class TestFirstZero:
         # sigma = q_0 zeroes the first pivot; the count restarts from
         # e_1 - sigma and agrees with LAPACK's eigenvalues, with no step
         for nu in (-0.5, 0.0, 3.3, 40.0):
-            q, e = _ikebe_factor(nu, order(nu, 1e-13))
+            q, e = ikebe_factor(nu, order(nu, 1e-13))
             eig = np.linalg.eigvalsh(dense_factor_product(q, e))
             assert np.min(np.abs(eig - q[0])) > 1e-6
             assert _laguerre_pass_e(q, e, q[0]) == (int(np.sum(eig < q[0])), None)
@@ -259,6 +263,18 @@ class TestAsymptoticConstant:
                 asymptotic_constant(bad)
             with pytest.raises(ValueError):
                 first_zero((bad - 1) / 2)
+
+    @pytest.mark.parametrize("alpha", [-0.99999, -0.999999, -1 + 1e-8, -1 + 1e-15,
+                                       -0.9999999999999999])
+    def test_relative_accuracy_near_minus_one(self, alpha):
+        # solved at nu = (alpha-1)/2, which cancels near alpha = -1, c(alpha)
+        # was 5.6e-12, 5.6e-11, 5.6e-9 and 6.1e-2 off at the first four, and
+        # the first float above -1 raised; in h = (alpha+1)/2 it is exact
+        with mpmath.workdps(60):
+            h = (mpmath.mpf(alpha) + 1) / 2
+            j = mpmath.findroot(lambda x: mpmath.besselj(h - 1, x), 2 * mpmath.sqrt(h))
+            want = float(1 / j)
+        assert abs(asymptotic_constant(alpha) - want) <= 1e-13 * want
 
     def test_inverse_zero_bound_true_domain(self):
         # c(alpha) < 2/(alpha + 2pi - 2) holds for alpha > 2 with equality

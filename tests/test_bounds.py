@@ -37,7 +37,7 @@ from markov_laguerre.bounds import (
 )
 from markov_laguerre.recurrence import (
     RATIONAL,
-    _refined_lower,
+    _refined_lower_parts,
     coeff_a0,
     coeff_a1,
     coeff_a2,
@@ -269,6 +269,21 @@ class TestBesselZeroBounds:
         with pytest.raises(ValueError, match="finite"):
             bessel_zero_enclosure(nu)
 
+    def test_encloses_the_zero_near_minus_one(self):
+        # rounded to nearest, the pair missed j_{nu,1} at 136 of these nu;
+        # solved in h = nu + 1 and rounded outward it misses none
+        rng = random.Random(14)
+        nus = [-1.0 + 2.4e-5 * 10.0 ** -rng.uniform(0.0, 10.0) for _ in range(214)]
+        misses = []
+        with mpmath.workdps(60):
+            for nu in nus:
+                h = mpmath.mpf(nu) + 1
+                j = mpmath.findroot(lambda x: mpmath.besselj(h - 1, x), 2 * mpmath.sqrt(h))
+                lower, upper = bessel_zero_enclosure(nu)
+                if not lower <= j <= upper:
+                    misses.append(nu)
+        assert misses == []
+
 
 class TestIdentityResiduals:
     def test_values_at_zero(self):
@@ -330,7 +345,8 @@ class TestResidualPolys:
 
         def wrong_gap(n):
             _, p2, p3 = power_sums(*reciprocal_b123(a, n))
-            return p3 - _refined_lower(a, n) * (a + 1) / (a + 3) * p2
+            num, den = _refined_lower_parts(a, 1, n)
+            return p3 - num / den * (a + 1) / (a + 3) * p2
 
         wrong = _coefficients_from_values([wrong_gap(n) for n in range(7)])
         assert wrong[6] != 0
@@ -391,6 +407,23 @@ class TestResidualSandwich:
         lr, ur = residual_sandwich_check(0.5, 7)
         assert lr > 0 and ur > 0
         assert isinstance(lr, float)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(min_value=-1.0, max_value=1e6, exclude_min=True),
+           n=st.integers(min_value=0, max_value=400))
+    @example(a=-0.9999999999999999, n=50)
+    def test_float_alpha_is_the_rounded_exact_residual(self, a, n):
+        # binary64 arithmetic on the float alpha cancelled: 8.6e-10 off
+        # relative on seeded points, and an upper residual of 1.74e41 at
+        # the first float above -1, n = 50, where the residual is 7.17e39
+        exact = residual_sandwich_check(F(a), n)
+        assert residual_sandwich_check(a, n) == tuple(float(r) for r in exact)
+
+    def test_float_residual_that_underflows_raises(self):
+        # at alpha = 1e300 both nonzero residuals round to 0.0
+        assert residual_sandwich_check(F(1e300), 5)[1] != 0
+        with pytest.raises(OverflowError, match="binary64"):
+            residual_sandwich_check(1e300, 5)
 
 
 def fraction_b123(a, n):

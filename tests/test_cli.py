@@ -197,6 +197,18 @@ class TestBounds:
         assert dict(zip(header, rows[0]))["turan"] == ""
 
 
+    @pytest.mark.parametrize("argv", [("bounds", "--n", "3"),
+                                      ("sweep", "--n-list", "3", "--jobs", "1")])
+    def test_first_float_above_minus_one(self, capsys, argv):
+        # (alpha - 1)/2 rounds to -1 there, and both commands exited 2 with
+        # "nu=-1.0 outside the domain" for a valid alpha; as alpha -> -1,
+        # c_3^2 -> 6/(a+1) and c(a)^2 -> 1/(2(a+1)), so the ratio -> 2/sqrt(3)
+        code, out, err = run_cli(capsys, argv[0], "--alpha", "-0.9999999999999999", *argv[1:])
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        ratio = float(rows[0][header.index("asymptotic_ratio")])
+        assert ratio == pytest.approx(2 / math.sqrt(3), rel=1e-12)
+
     @pytest.mark.parametrize("alpha", ["1e62", "1e160", "1.7e308"])
     def test_overflowing_bounds_exit_1(self, capsys, alpha):
         # past alpha ~ 1.5e61 b3 overflows binary64 (the cubic upper bound
