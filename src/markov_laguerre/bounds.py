@@ -115,10 +115,11 @@ class BoundsReport(NamedTuple):
     turan: float | None
 
 
-def _finite(lower: float, upper: float, a: float) -> tuple[float, float]:
-    """(lower, upper), or OverflowError for a nan lower or an upper not in (0, inf)."""
+def _finite(lower: float, upper: float, value: float, name: str = "alpha") -> tuple[float, float]:
+    """(lower, upper), or OverflowError, naming the argument ``name=value``,
+    for a nan lower or an upper not in (0, inf)."""
     if math.isnan(lower) or not 0.0 < upper < math.inf:
-        raise OverflowError(f"the bounds at alpha={a} overflow binary64")
+        raise OverflowError(f"the bounds at {name}={value} overflow binary64")
     return lower, upper
 
 
@@ -143,7 +144,13 @@ def largest_root_bounds(b1, b2, b3, n: int):
     OverflowError.
     """
     _require_n(n)
-    b1, b2, b3 = float(b1), float(b2), float(b3)
+    linear, quadratic, cubic = _root_bounds(float(b1), float(b2), float(b3), n)
+    return BoundPair(*linear), BoundPair(*quadratic), BoundPair(*cubic)
+
+
+def _root_bounds(b1: float, b2: float, b3: float, n: int):
+    """The body of :func:`largest_root_bounds`, on floats and a valid n:
+    the three (lower, upper) pairs as plain tuples."""
     _, p2, p3 = power_sums(b1, b2, b3)
     if p2 <= 0.0:
         raise ValueError(f"p2 = {p2} <= 0: inputs are not from a positive-root polynomial")
@@ -158,8 +165,7 @@ def largest_root_bounds(b1, b2, b3, n: int):
     # 1/3 - u/6 (|ln p3u| u/6) and the last roundings.
     p3u = p3 + 40 * 2.0**-53 * (b1 * b1 * b1 + 3 * b1 * b2 + 3 * b3)
     upper = p3u ** (1.0 / 3.0) * (1.0 + (4.0 + abs(math.log(p3u))) * 2.0**-53)
-    return (BoundPair(b1 / n, b1), BoundPair(b1 - 2 * b2 / b1, math.sqrt(p2)),
-            BoundPair(p3 / p2, upper))
+    return (b1 / n, b1), (b1 - 2 * b2 / b1, math.sqrt(p2)), (p3 / p2, upper)
 
 
 def refined_bounds(alpha, n: int) -> RefinedBounds:
@@ -184,8 +190,14 @@ def refined_bounds(alpha, n: int) -> RefinedBounds:
     """
     a = _float_alpha(alpha)
     _require_n(n)
+    return RefinedBounds(*_refined(a, n))
+
+
+def _refined(a: float, n: int) -> tuple[float, float, bool]:
+    """The body of :func:`refined_bounds` at a float a and a valid n, as a
+    plain tuple."""
     num, den = _refined_lower_parts(a, 1, n)
-    return RefinedBounds(*_finite(num / den, _refined_upper(a, n), a), n > (a + 1) / 6)
+    return *_finite(num / den, _refined_upper(a, n), a), n > (a + 1) / 6
 
 
 def dorfler_bounds(alpha, n: int) -> BoundPair:
@@ -193,7 +205,12 @@ def dorfler_bounds(alpha, n: int) -> BoundPair:
     an upper bound that underflows to 0 (a near 1.7e308): OverflowError."""
     a = _float_alpha(alpha)
     _require_n(n)
-    return BoundPair(*_finite(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)), a))
+    return BoundPair(*_dorfler(a, n))
+
+
+def _dorfler(a: float, n: int) -> tuple[float, float]:
+    """The body of :func:`dorfler_bounds` at a float a and a valid n."""
+    return _finite(n * n / ((a + 1) * (a + 3)), n * (n + 1) / (2 * (a + 1)), a)
 
 
 def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
@@ -203,12 +220,16 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
         (b1 -+ sqrt((n-1)^2 b1^2 - 2 (n-1) n b2)) / n.
     """
     _require_n(n)
-    b1, b2 = float(b1), float(b2)
+    return BoundPair(*_samuelson(float(b1), float(b2), n))
+
+
+def _samuelson(b1: float, b2: float, n: int) -> tuple[float, float]:
+    """The body of :func:`laguerre_samuelson`, on floats and a valid n."""
     disc = (n - 1) ** 2 * b1 * b1 - 2 * (n - 1) * n * b2
     if not disc >= 0.0:
         raise ValueError(f"discriminant {disc} is not >= 0: not a real-root polynomial")
     root = math.sqrt(disc)
-    return BoundPair((b1 - root) / n, (b1 + root) / n)
+    return (b1 - root) / n, (b1 + root) / n
 
 
 def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
@@ -261,11 +282,13 @@ def bessel_zero_enclosure(nu: float) -> BoundPair:
     """Enclosure, rounded outward, of the first positive zero of J_nu:
 
         2^(5/6) sqrt(nu+1) ((nu+2)(nu+3))^(1/6) < j_{nu,1} < sqrt(2(nu+1)(nu+3)).
+
+    Past nu of about 9.5e153 an end leaves binary64: OverflowError.
     """
     nu = float(nu)
     if not (nu > -1.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be finite and > -1, got {nu}")
-    return BoundPair(*_bessel_zero_bounds(nu + 1.0, outward=True))
+    return BoundPair(*_finite(*_bessel_zero_bounds(nu + 1.0, outward=True), nu, "nu"))
 
 
 def ratio_r(alpha) -> float:

@@ -7,9 +7,12 @@ Every command prints through one emitter: ``_format_rows`` turns rows into
 text, ``_emit`` frames the texts with the CSV header or the JSON brackets.
 ``sweep`` cuts its sorted (alpha, n) grid into contiguous chunks, eight per
 job, and ``_sweep_chunk`` computes and formats one chunk; a process pool of
-at most one worker per chunk runs them (``--jobs 1``, or a single row, maps
-them in this process), and the parent prints the texts in grid order, so
-the output does not depend on ``--jobs``.
+at most one worker per chunk runs them, and the parent prints the texts in
+grid order, so the output does not depend on ``--jobs``.  ``--jobs 1``, or
+a single row, computes the whole grid as one chunk in this process.  Rows
+are computed per alpha group (``_sweep_rows``): the run of a chunk's rows
+that share alpha is validated, its factor built and c(alpha) computed
+once.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
 grid among them).  A reader that closes the pipe early ends the command
 with exit code 1, quietly.
@@ -18,7 +21,6 @@ with exit code 1, quietly.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -27,8 +29,10 @@ import sys
 from fractions import Fraction
 
 from . import bessel, bounds
-from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
+from .bounds import _dorfler, _refined, _root_bounds, _samuelson
+from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
+from .recurrence import (_b123_float, _float_alpha, _require_n, _scaled_rows, _split, coeff_a0,
+                         reciprocal_b123)
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -52,11 +56,6 @@ SWEEP_COLUMNS = (
     "asymptotic_ratio",
     "sandwich_violation",
 )
-
-@functools.lru_cache(maxsize=None)
-def _asymptotic_cached(alpha: float, tol: float) -> float:
-    return bessel.asymptotic_constant(alpha, tol)
-
 
 def _cell(value) -> str:
     """One CSV cell that is not a float (``_format_rows`` formats those):
@@ -107,48 +106,63 @@ def _print_rows(rows, columns, fmt) -> None:
     _emit([_format_rows(rows, columns, fmt)], columns, fmt)
 
 
-def _sandwich_violations(rep) -> list[str]:
-    """The finite-n claims a bounds report breaks: the strict two-sided
-    estimate where it applies (n >= 3 and n > (alpha+1)/6) and the classical
-    enclosure.  Behind the CSV's sandwich_violation and the sandwich suite."""
+def _sandwich_violations(n: int, c_sq: float, refined, dorfler) -> list[str]:
+    """The finite-n claims that c_n^2 = ``c_sq`` breaks, given the refined
+    (lower, upper, lower_valid) and classical (lower, upper) bounds: the
+    strict two-sided estimate where it applies (n >= 3 and n > (alpha+1)/6)
+    and the classical enclosure.  Behind the CSV's sandwich_violation and
+    the sandwich suite."""
     out = []
-    c_sq, refined, dorfler = rep.exact_c_sq, rep.refined, rep.dorfler
-    if rep.n >= 3 and refined.lower_valid and not refined.lower < c_sq < refined.upper:
+    lower, upper, lower_valid = refined
+    if n >= 3 and lower_valid and not lower < c_sq < upper:
         out.append("two-sided estimate violated")
-    if not dorfler.lower <= c_sq <= dorfler.upper:
+    if not dorfler[0] <= c_sq <= dorfler[1]:
         out.append("classical enclosure violated")
     return out
 
 
+def _sweep_rows(alpha, ns, tol: float) -> list[tuple]:
+    """The flattened bounds rows at one alpha, one per n of the non-empty
+    ``ns``, in its order: ``bounds.bounds_report``'s values, the same bits
+    and the same errors in the same order, next to c_n, c_n/(n c(alpha))
+    and the sandwich verdict.
+
+    alpha and every n are validated once, and the factor q_k = 1 + a/k,
+    which does not depend on n, is built once at max(ns): each n is solved
+    on its leading slice, the floats ``build_jacobi(a, n)`` holds.  The
+    closed forms are the bodies of the public bounds, which validate their
+    arguments at each call.  c(alpha) is computed once, after the first
+    row's bounds, where alpha lies in its domain.
+    """
+    a = _float_alpha(alpha)
+    for n in ns:
+        _require_n(n)
+    q = build_jacobi(a, max(ns)).q
+    with_ratio = alpha <= bessel._ALPHA_MAX
+    c_inf = None
+    rows = []
+    for n in ns:
+        c_sq = 1.0 / smallest_eigenvalue(TridiagMatrix(a, q[:n]), tol).value
+        refined = _refined(a, n)  # first: it raises where the products overflow
+        b1, b2, b3 = _b123_float(a, n)
+        linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
+        dorfler = _dorfler(a, n)
+        samuelson = _samuelson(b1, b2, n)
+        exact_c = math.sqrt(c_sq)
+        ratio = None
+        if with_ratio:
+            if c_inf is None:
+                c_inf = bessel.asymptotic_constant(a, tol)
+            ratio = exact_c / (n * c_inf)
+        rows.append((a, n, exact_c, c_sq, *linear, *quadratic, *cubic, *refined, *dorfler,
+                     *samuelson, bounds.turan_constant(n) if a == 0.0 else None, ratio,
+                     bool(_sandwich_violations(n, c_sq, refined, dorfler))))
+    return rows
+
+
 def sweep_row(alpha: float, n: int, tol: float) -> tuple:
     """One flattened bounds row; pure function of its arguments."""
-    rep = bounds.bounds_report(alpha, n, tol)
-    exact_c = math.sqrt(rep.exact_c_sq)
-    ratio = None
-    if alpha <= bessel._ALPHA_MAX:
-        ratio = exact_c / (n * _asymptotic_cached(alpha, tol))
-    return (
-        rep.alpha,
-        rep.n,
-        exact_c,
-        rep.exact_c_sq,
-        rep.linear.lower,
-        rep.linear.upper,
-        rep.quadratic.lower,
-        rep.quadratic.upper,
-        rep.cubic.lower,
-        rep.cubic.upper,
-        rep.refined.lower,
-        rep.refined.upper,
-        rep.refined.lower_valid,
-        rep.dorfler.lower,
-        rep.dorfler.upper,
-        rep.laguerre_samuelson.lower,
-        rep.laguerre_samuelson.upper,
-        rep.turan,
-        ratio,
-        bool(_sandwich_violations(rep)),
-    )
+    return _sweep_rows(alpha, (n,), tol)[0]
 
 
 def cmd_constant(args) -> int:
@@ -201,16 +215,22 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _sweep_chunk(tasks, fmt) -> list[str]:
-    """Row texts of one contiguous chunk of the sweep grid; the unit of work
-    of the process pool.  ``sweep_row`` is looked up as a module global at
-    each call."""
-    return _format_rows([sweep_row(*t) for t in tasks], SWEEP_COLUMNS, fmt)
+    """Row texts of one contiguous chunk of the sweep grid, (alpha, n, tol)
+    tasks; the unit of work of the process pool.  Each run of tasks that
+    share alpha and tol is one ``_sweep_rows`` group; a chunk may begin or
+    end inside an alpha, whose rows then form one group in each chunk."""
+    texts = []
+    for (alpha, tol), group in itertools.groupby(tasks, lambda t: (t[0], t[2])):
+        texts += _format_rows(_sweep_rows(alpha, [n for _, n, _ in group], tol),
+                              SWEEP_COLUMNS, fmt)
+    return texts
 
 
 # Eight chunks per job let the pool balance rows of unequal cost: one chunk
 # per job made a deep grid (one alpha, n = 3..2000) 30% slower on two
-# workers.  Chunks have no minimum size, since a row costs from 60 us
-# (n <= 10) to tens of ms (n = 20000).
+# workers.  Chunks have no minimum size, since a row costs from 45 us
+# (n <= 10, in its alpha's group; Python 3.11, 2 vCPUs) to tens of ms
+# (n = 20000).
 _CHUNKS_PER_JOB = 8
 
 
@@ -235,13 +255,12 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     chunks = _chunks(tasks, jobs)
     workers = min(jobs, len(chunks))
-    formats = itertools.repeat(args.format)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps pay its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            texts = list(pool.map(_sweep_chunk, chunks, formats))
+            texts = list(pool.map(_sweep_chunk, chunks, itertools.repeat(args.format)))
     else:
-        texts = list(map(_sweep_chunk, chunks, formats))
+        texts = [_sweep_chunk(tasks, args.format)]
     _emit(texts, SWEEP_COLUMNS, args.format)
     return 0
 
@@ -339,7 +358,8 @@ def verify_sandwich() -> list[str]:
     dominance_exceptions = []
     for a, n in grid_pairs():
         rep = bounds.bounds_report(a, n)
-        failures += [f"alpha={a} n={n}: {v}" for v in _sandwich_violations(rep)]
+        failures += [f"alpha={a} n={n}: {v}"
+                     for v in _sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler)]
         if not rep.refined.lower >= rep.dorfler.lower:
             dominance_exceptions.append((a, n))
     if dominance_exceptions:

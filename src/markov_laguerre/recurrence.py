@@ -275,6 +275,11 @@ def reciprocal_b123(alpha, n: int):
     _require_degree(n)
     if not isinstance(a, float):  # exact; the cheaper test on the float path
         return tuple(Fraction(num, den) for num, den in _b123_parts(*_split(a), n))
+    return _b123_float(a, n)
+
+
+def _b123_float(a: float, n: int):
+    """The float branch of :func:`reciprocal_b123`, at a float a and n >= 0."""
     (n1, d1), (n2, d2), (n3, d3) = _b123_parts(a, 1, n)
     # Exact zeros below their degree: at a large float alpha the formulas
     # give 0 * inf there.

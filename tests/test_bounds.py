@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -267,6 +268,16 @@ class TestBesselZeroBounds:
     @pytest.mark.parametrize("nu", [math.inf, math.nan])
     def test_rejects_non_finite_nu(self, nu):
         with pytest.raises(ValueError, match="finite"):
+            bessel_zero_enclosure(nu)
+
+    def test_finite_up_to_1e153(self):
+        lo, hi = bessel_zero_enclosure(1e153)
+        assert 0.0 < lo < hi < math.inf
+
+    @pytest.mark.parametrize("nu", [1e154, 2e154, 1e200])
+    def test_overflow_raises(self, nu):
+        # it returned (3.84e128, inf) at 1e154 and (-inf, inf) from 2e154
+        with pytest.raises(OverflowError, match="nu=" + re.escape(repr(nu))):
             bessel_zero_enclosure(nu)
 
     def test_encloses_the_zero_near_minus_one(self):

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import csv
@@ -69,6 +70,19 @@ def reference_document(rows, columns, fmt) -> str:
         for r in rows:
             writer.writerow([_reference_cell(v) for v in r])
     return out.getvalue()
+
+
+def reference_row(alpha, n, tol=1e-13) -> tuple:
+    """A sweep row from the per-point API, not through the sweep's engine:
+    ``bounds_report``, and c(alpha) from ``asymptotic_constant`` where alpha
+    lies in its domain (alpha <= 2001)."""
+    rep = bounds.bounds_report(alpha, n, tol)
+    exact_c = math.sqrt(rep.exact_c_sq)
+    ratio = exact_c / (n * bessel.asymptotic_constant(alpha, tol)) if alpha <= 2001 else None
+    violations = cli._sandwich_violations(rep.n, rep.exact_c_sq, rep.refined, rep.dorfler)
+    return (rep.alpha, rep.n, exact_c, rep.exact_c_sq, *rep.linear, *rep.quadratic, *rep.cubic,
+            *rep.refined, *rep.dorfler, *rep.laguerre_samuelson, rep.turan, ratio,
+            bool(violations))
 
 
 def sweep_tasks(argv):
@@ -346,7 +360,7 @@ class TestEmitter:
     def test_sweep(self, capsys, fmt):
         code, out, _ = run_cli(capsys, "sweep", *SMALL_GRID, "--jobs", "1", "--format", fmt)
         assert code == 0
-        rows = [sweep_row(*t) for t in sweep_tasks(SMALL_GRID)]
+        rows = [reference_row(*t) for t in sweep_tasks(SMALL_GRID)]
         assert out == reference_document(rows, SWEEP_COLUMNS, fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -354,7 +368,7 @@ class TestEmitter:
     def test_bounds(self, capsys, fmt, alpha, n):
         code, out, _ = run_cli(capsys, "bounds", "--alpha", alpha, "--n", n, "--format", fmt)
         assert code == 0
-        row = sweep_row(float(alpha), int(n), 1e-13)
+        row = reference_row(float(alpha), int(n))
         assert out == reference_document([row], SWEEP_COLUMNS, fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -413,7 +427,7 @@ class TestSweepPool:
         code, parallel, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert code == 0 and pool_sizes == [2]
         assert serial == parallel
-        rows = [sweep_row(*t) for t in sweep_tasks(CHUNKED_GRID)]
+        rows = [reference_row(*t) for t in sweep_tasks(CHUNKED_GRID)]
         assert serial == reference_document(rows, SWEEP_COLUMNS, fmt)
 
     @pytest.mark.parametrize("n_list, pools", [("3", []), ("3,4", [2]), ("3..7", [5])])
@@ -467,7 +481,12 @@ def _parsed_rows(text, fmt):
 
 
 def _assert_round_trip(rows, fmt):
-    parsed = _parsed_rows(_document(rows, fmt), fmt)
+    _assert_cells(_document(rows, fmt), fmt, rows)
+
+
+def _assert_cells(text, fmt, rows):
+    """The printed document ``text`` holds ``rows``: every float to the bit."""
+    parsed = _parsed_rows(text, fmt)
     assert len(parsed) == len(rows)
     for row, back in zip(rows, parsed):
         assert [c for c, _ in back] == list(SWEEP_COLUMNS)
@@ -496,6 +515,76 @@ class TestRoundTrip:
         floats = iter(values)
         row = tuple(next(floats) if isinstance(v, float) else v for v in template)
         _assert_round_trip([row], fmt)
+
+
+REFERENCE_ALPHAS = ("0", repr(-1 + 2**-53), "0.5", "2001", "2003", "1e40")
+REFERENCE_GRIDS = [["--alpha", a, "--n-list", ns] for a in REFERENCE_ALPHAS
+                   for ns in ("1..12", "5,3,4", "3,3,7")] + [CHUNKED_GRID]
+
+
+class TestSweepReference:
+    """``sweep`` against rows built point by point from ``bounds_report``."""
+
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=" ".join)
+    def test_every_cell_matches_the_per_point_api(self, capsys, grid):
+        rows = [reference_row(*t) for t in sweep_tasks(grid)]
+        for fmt in FORMATS:
+            for jobs in ("1", "2"):
+                code, out, err = run_cli(capsys, "sweep", *grid, "--jobs", jobs, "--format", fmt)
+                assert code == 0 and err == ""
+                _assert_cells(out, fmt, rows)
+
+    def test_the_engine_takes_any_order_of_n(self):
+        ns = [5, 3, 4, 3, 1, 7]
+        assert cli._sweep_rows(0.5, ns, 1e-13) == [reference_row(0.5, n) for n in ns]
+
+    @pytest.mark.parametrize("alpha", [2, F(5, 2), F(2001) + F(1, 10**30)])
+    def test_sweep_row_takes_an_exact_alpha(self, alpha):
+        assert sweep_row(alpha, 6, 1e-13) == reference_row(alpha, 6)
+
+    @pytest.mark.parametrize("argv, first, code, err", [
+        (["--alpha", "1e62", "--n-list", "3..10"], (1e62, 3), 1,
+         "numeric failure: b1..b3 at alpha=1e+62, n=3 overflow binary64\n"),
+        (["--alpha", "1e155", "--n-list", "3"], (1e155, 3), 1,
+         "numeric failure: the bounds at alpha=1e+155 overflow binary64\n"),
+        (["--alpha", "2e102", "--n-list", "2"], (2e102, 2), 1,
+         "numeric failure: b1..b3 at alpha=2e+102, n=2 overflow binary64\n"),
+        (["--n-list", "0..3"], (0.0, 0), 2, "error: n must be >= 1, got 0\n"),
+    ])
+    def test_errors_are_those_of_the_first_row(self, capsys, argv, first, code, err):
+        with pytest.raises((ValueError, OverflowError)) as exc:
+            reference_row(*first)
+        assert err.endswith(f": {exc.value}\n")
+        for jobs in ("1", "2"):
+            assert run_cli(capsys, "sweep", *argv, "--jobs", jobs) == (code, "", err)
+
+    def test_one_factor_and_one_limit_per_alpha_group(self, capsys, monkeypatch,
+                                                      fake_pool_sizes):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, bounds):
+            monkeypatch.setattr(module, "build_jacobi", counted("build", build_jacobi))
+        monkeypatch.setattr(cli, "smallest_eigenvalue", counted("solve", smallest_eigenvalue))
+        monkeypatch.setattr(bessel, "asymptotic_constant",
+                            counted("limit", bessel.asymptotic_constant))
+        code, out, _ = run_cli(capsys, "sweep", "--alpha", "0.5", "--n-list", "3..40",
+                               "--jobs", "1")
+        assert code == 0 and len(parse_csv(out)[1]) == 38
+        assert calls == {"build": 1, "solve": 38, "limit": 1}
+        # the pool's chunks, mapped in this process: a chunk boundary inside
+        # an alpha splits it into two groups
+        calls.clear()
+        code, _, _ = run_cli(capsys, "sweep", *CHUNKED_GRID, "--jobs", "2")
+        assert code == 0 and fake_pool_sizes == [2]
+        groups = sum(len({a for a, _, _ in chunk}) for chunk in
+                     cli._chunks(sweep_tasks(CHUNKED_GRID), 2))
+        assert groups > 9 and calls == {"build": groups, "solve": 252, "limit": groups}
 
 
 class TestBesselZero:
