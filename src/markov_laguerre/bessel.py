@@ -57,7 +57,7 @@ import sys
 
 from .bounds import _bessel_zero_bounds
 from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
-from .recurrence import _float_alpha
+from .recurrence import _float_alpha, alpha_value
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
 
@@ -183,7 +183,8 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
 
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
     """c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}, for -1 < alpha <= 2001."""
-    a = _float_alpha(alpha)
+    a = alpha_value(alpha)
+    fa = _float_alpha(a)
     if not a <= _ALPHA_MAX:
         raise ValueError(f"alpha={a} outside the domain (-1, {_ALPHA_MAX}] of asymptotic_constant")
-    return 1.0 / _first_zero(0.5 * a + 0.5, tol)
+    return 1.0 / _first_zero(0.5 * fa + 0.5, tol)

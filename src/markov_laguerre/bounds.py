@@ -10,10 +10,13 @@ the roots (Newton's identities) and the chain of enclosures
 which yields two-sided estimates of c_n(alpha)^2 valid for all alpha > -1.
 This module evaluates every such bound, the classical ones they are compared
 against, the asymptotic-constant bounds, and the residual polynomials that
-certify the main two-sided estimate.  Routines that are pure rational
-arithmetic accept an exact alpha (int/Fraction) and then return exact values;
-the ``verify`` suites and the tests rely on this to check the certifying
-identities without tolerance.  At an exact alpha = p/d the residuals run on
+certify the main two-sided estimate.  One engine, ``_rows``, puts c_n^2
+beside every finite-n bound, one row per n at one alpha, on one factor
+built for all of them; ``bounds_report`` is its row at one n, and the
+``sweep`` and ``bounds`` commands print its rows.  Routines that are pure
+rational arithmetic accept an exact alpha (int/Fraction) and then return
+exact values; the ``verify`` suites and the tests rely on this to check the
+certifying identities without tolerance.  At an exact alpha = p/d the residuals run on
 Python ints, integer numerators over one common denominator, and become
 ``Fraction``s only when returned.
 """
@@ -24,10 +27,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import (_b123_parts, _float_alpha, _normal, _refined_lower_parts,
-                         _refined_upper, _require_degree, _require_n, _split, alpha_value,
-                         reciprocal_b123)
+from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
+from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
+                         _refined_upper, _require_degree, _require_n, _split, alpha_value)
+from .recurrence import reciprocal_b123  # noqa: F401  (bench/test_bench.py reads it here)
 
 __all__ = [
     "BoundPair",
@@ -468,23 +471,54 @@ def residual_sandwich_check(alpha, n: int):
     return out
 
 
-def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
-    """Compute the exact squared constant and every finite-n bound at (alpha, n)."""
+def _sandwich_violations(n: int, c_sq: float, refined, dorfler) -> list[str]:
+    """The finite-n claims that c_n^2 = ``c_sq`` breaks, given the refined
+    (lower, upper, lower_valid) and classical (lower, upper) bounds: the
+    strict two-sided estimate where it applies (n >= 3 and n > (alpha+1)/6)
+    and the classical enclosure.  Behind the sweep's sandwich_violation and
+    the sandwich suite."""
+    out = []
+    lower, upper, lower_valid = refined
+    if n >= 3 and lower_valid and not lower < c_sq < upper:
+        out.append("two-sided estimate violated")
+    if not dorfler[0] <= c_sq <= dorfler[1]:
+        out.append("classical enclosure violated")
+    return out
+
+
+def _rows(alpha, ns, tol: float) -> list[tuple]:
+    """The bounds rows at one alpha, one per n of the non-empty ``ns``, in
+    its order: the cells of the sweep's columns but asymptotic_ratio, from
+    alpha to turan and then the sandwich verdict.
+
+    alpha and every n are validated once, and the factor q_k = 1 + a/k,
+    which does not depend on n, is built once at max(ns) from the caller's
+    alpha, exact or float: each n is solved on its leading slice, the
+    floats ``build_jacobi(alpha, n)`` holds.  The closed forms are the
+    bodies of the public bounds, which validate their arguments at each
+    call; a row raises in the order solve, refined pair, b1..b3, power sums.
+    """
     a = _float_alpha(alpha)
-    res = smallest_eigenvalue(build_jacobi(a, n), tol)
-    exact_c_sq = 1.0 / res.value
-    refined = refined_bounds(a, n)  # first: it raises where the products overflow
-    b1, b2, b3 = reciprocal_b123(a, n)
-    pair_i, pair_ii, pair_iii = largest_root_bounds(b1, b2, b3, n)
-    return BoundsReport(
-        n=n,
-        alpha=a,
-        exact_c_sq=exact_c_sq,
-        linear=pair_i,
-        quadratic=pair_ii,
-        cubic=pair_iii,
-        refined=refined,
-        dorfler=dorfler_bounds(a, n),
-        laguerre_samuelson=laguerre_samuelson(b1, b2, n),
-        turan=turan_constant(n) if a == 0.0 else None,
-    )
+    for n in ns:
+        _require_n(n)
+    q = build_jacobi(alpha, max(ns)).q
+    rows = []
+    for n in ns:
+        c_sq = 1.0 / smallest_eigenvalue(TridiagMatrix(a, q[:n]), tol).value
+        refined = _refined(a, n)  # first: it raises where the products overflow
+        b1, b2, b3 = _b123_float(a, n)
+        linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
+        dorfler = _dorfler(a, n)
+        rows.append((a, n, math.sqrt(c_sq), c_sq, *linear, *quadratic, *cubic, *refined,
+                     *dorfler, *_samuelson(b1, b2, n), turan_constant(n) if a == 0.0 else None,
+                     bool(_sandwich_violations(n, c_sq, refined, dorfler))))
+    return rows
+
+
+def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
+    """Compute the exact squared constant and every finite-n bound at (alpha, n):
+    the row of ``_rows`` at (n,), repacked."""
+    r = _rows(alpha, (n,), tol)[0]
+    return BoundsReport(r[1], r[0], r[3], BoundPair(*r[4:6]), BoundPair(*r[6:8]),
+                        BoundPair(*r[8:10]), RefinedBounds(*r[10:13]), BoundPair(*r[13:15]),
+                        BoundPair(*r[15:17]), r[17])

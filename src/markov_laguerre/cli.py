@@ -10,9 +10,10 @@ job, and ``_sweep_chunk`` computes and formats one chunk; a process pool of
 at most one worker per chunk runs them, and the parent prints the texts in
 grid order, so the output does not depend on ``--jobs``.  ``--jobs 1``, or
 a single row, computes the whole grid as one chunk in this process.  Rows
-are computed per alpha group (``_sweep_rows``): the run of a chunk's rows
-that share alpha is validated, its factor built and c(alpha) computed
-once.
+are computed per alpha group: the run of a chunk's rows that share alpha
+is one call of the bounds engine, ``bounds._rows``, which validates alpha
+and builds its factor once, and ``_sweep_rows`` adds c_n/(n c(alpha)),
+with c(alpha) computed once per group.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
 grid among them).  A reader that closes the pipe early ends the command
 with exit code 1, quietly.
@@ -29,10 +30,8 @@ import sys
 from fractions import Fraction
 
 from . import bessel, bounds
-from .bounds import _dorfler, _refined, _root_bounds, _samuelson
-from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
-from .recurrence import (_b123_float, _float_alpha, _require_n, _scaled_rows, _split, coeff_a0,
-                         reciprocal_b123)
+from .eigen import build_jacobi, markov_constant, smallest_eigenvalue
+from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -106,58 +105,15 @@ def _print_rows(rows, columns, fmt) -> None:
     _emit([_format_rows(rows, columns, fmt)], columns, fmt)
 
 
-def _sandwich_violations(n: int, c_sq: float, refined, dorfler) -> list[str]:
-    """The finite-n claims that c_n^2 = ``c_sq`` breaks, given the refined
-    (lower, upper, lower_valid) and classical (lower, upper) bounds: the
-    strict two-sided estimate where it applies (n >= 3 and n > (alpha+1)/6)
-    and the classical enclosure.  Behind the CSV's sandwich_violation and
-    the sandwich suite."""
-    out = []
-    lower, upper, lower_valid = refined
-    if n >= 3 and lower_valid and not lower < c_sq < upper:
-        out.append("two-sided estimate violated")
-    if not dorfler[0] <= c_sq <= dorfler[1]:
-        out.append("classical enclosure violated")
-    return out
-
-
 def _sweep_rows(alpha, ns, tol: float) -> list[tuple]:
-    """The flattened bounds rows at one alpha, one per n of the non-empty
-    ``ns``, in its order: ``bounds.bounds_report``'s values, the same bits
-    and the same errors in the same order, next to c_n, c_n/(n c(alpha))
-    and the sandwich verdict.
-
-    alpha and every n are validated once, and the factor q_k = 1 + a/k,
-    which does not depend on n, is built once at max(ns): each n is solved
-    on its leading slice, the floats ``build_jacobi(a, n)`` holds.  The
-    closed forms are the bodies of the public bounds, which validate their
-    arguments at each call.  c(alpha) is computed once, after the first
-    row's bounds, where alpha lies in its domain.
-    """
-    a = _float_alpha(alpha)
-    for n in ns:
-        _require_n(n)
-    q = build_jacobi(a, max(ns)).q
-    with_ratio = alpha <= bessel._ALPHA_MAX
-    c_inf = None
-    rows = []
-    for n in ns:
-        c_sq = 1.0 / smallest_eigenvalue(TridiagMatrix(a, q[:n]), tol).value
-        refined = _refined(a, n)  # first: it raises where the products overflow
-        b1, b2, b3 = _b123_float(a, n)
-        linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
-        dorfler = _dorfler(a, n)
-        samuelson = _samuelson(b1, b2, n)
-        exact_c = math.sqrt(c_sq)
-        ratio = None
-        if with_ratio:
-            if c_inf is None:
-                c_inf = bessel.asymptotic_constant(a, tol)
-            ratio = exact_c / (n * c_inf)
-        rows.append((a, n, exact_c, c_sq, *linear, *quadratic, *cubic, *refined, *dorfler,
-                     *samuelson, bounds.turan_constant(n) if a == 0.0 else None, ratio,
-                     bool(_sandwich_violations(n, c_sq, refined, dorfler))))
-    return rows
+    """The sweep rows at one alpha, one per n of the non-empty ``ns``, in
+    its order: the rows of ``bounds._rows``, one factor for all of them,
+    with c_n/(n c(alpha)) inserted before the sandwich verdict.  c(alpha)
+    is computed once, after the rows, where alpha lies in its domain; the
+    cell is empty elsewhere."""
+    rows = bounds._rows(alpha, ns, tol)
+    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
+    return [(*r[:-1], None if c_inf is None else r[2] / (r[1] * c_inf), r[-1]) for r in rows]
 
 
 def sweep_row(alpha: float, n: int, tol: float) -> tuple:
@@ -358,8 +314,8 @@ def verify_sandwich() -> list[str]:
     dominance_exceptions = []
     for a, n in grid_pairs():
         rep = bounds.bounds_report(a, n)
-        failures += [f"alpha={a} n={n}: {v}"
-                     for v in _sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler)]
+        failures += [f"alpha={a} n={n}: {v}" for v in
+                     bounds._sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler)]
         if not rep.refined.lower >= rep.dorfler.lower:
             dominance_exceptions.append((a, n))
     if dominance_exceptions:
@@ -381,8 +337,7 @@ def verify_asymptotic() -> list[str]:
         c_inf = bessel.asymptotic_constant(a)
         ratios = {}
         for n in (512, 4096):
-            c_n = 1.0 / math.sqrt(smallest_eigenvalue(build_jacobi(a, n), 1e-13).value)
-            ratios[n] = c_n / (n * c_inf)
+            ratios[n] = markov_constant(a, n) / (n * c_inf)
         if not 0.99 <= ratios[4096] <= 1.01:
             failures.append(f"alpha={a}: ratio at n=4096 is {ratios[4096]}")
         if not abs(ratios[4096] - 1) < abs(ratios[512] - 1):

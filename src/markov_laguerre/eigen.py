@@ -424,4 +424,4 @@ def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:
         raise RuntimeError(
             f"smallest eigenvalue {res.value} is not positive (alpha={alpha}, n={n})"
         )
-    return res.value ** -0.5
+    return math.sqrt(1.0 / res.value)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import mpmath
 import numpy as np
@@ -263,6 +264,14 @@ class TestAsymptoticConstant:
                 asymptotic_constant(bad)
             with pytest.raises(ValueError):
                 first_zero((bad - 1) / 2)
+
+    def test_an_exact_alpha_is_held_to_the_domain(self):
+        # F(2001) + F(1, 10**30) rounds to 2001.0, inside the domain; the
+        # check reads the exact alpha, as the sweep's empty cell does
+        assert asymptotic_constant(F(2001)) == asymptotic_constant(2001.0)
+        for bad in (math.nextafter(2001.0, math.inf), F(2001) + F(1, 10**30)):
+            with pytest.raises(ValueError, match="outside the domain"):
+                asymptotic_constant(bad)
 
     @pytest.mark.parametrize("alpha", [-0.99999, -0.999999, -1 + 1e-8, -1 + 1e-15,
                                        -0.9999999999999999])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from markov_laguerre import bessel, bounds, cli
 from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main, sweep_row
-from markov_laguerre.eigen import build_jacobi, smallest_eigenvalue
+from markov_laguerre.eigen import build_jacobi, markov_constant, smallest_eigenvalue
 
 _coeff_a0 = cli.coeff_a0
 _asymptotic_constant = bessel.asymptotic_constant
@@ -27,7 +28,7 @@ _lower_gap_values = bounds._lower_gap_values
 # One wrong input per verify suite, as (module, attribute, replacement).
 BROKEN_INPUTS = {
     "coeffs": (cli, "coeff_a0", lambda a, n: 2 * _coeff_a0(a, n)),
-    "sandwich": (bounds, "dorfler_bounds", lambda a, n: bounds.BoundPair(0.0, 0.0)),
+    "sandwich": (bounds, "_dorfler", lambda a, n: (0.0, 0.0)),
     "asymptotic": (
         bessel, "asymptotic_constant", lambda a, tol=1e-13: 1.1 * _asymptotic_constant(a, tol)
     ),
@@ -79,7 +80,7 @@ def reference_row(alpha, n, tol=1e-13) -> tuple:
     rep = bounds.bounds_report(alpha, n, tol)
     exact_c = math.sqrt(rep.exact_c_sq)
     ratio = exact_c / (n * bessel.asymptotic_constant(alpha, tol)) if alpha <= 2001 else None
-    violations = cli._sandwich_violations(rep.n, rep.exact_c_sq, rep.refined, rep.dorfler)
+    violations = bounds._sandwich_violations(rep.n, rep.exact_c_sq, rep.refined, rep.dorfler)
     return (rep.alpha, rep.n, exact_c, rep.exact_c_sq, *rep.linear, *rep.quadratic, *rep.cubic,
             *rep.refined, *rep.dorfler, *rep.laguerre_samuelson, rep.turan, ratio,
             bool(violations))
@@ -542,6 +543,46 @@ class TestSweepReference:
     def test_sweep_row_takes_an_exact_alpha(self, alpha):
         assert sweep_row(alpha, 6, 1e-13) == reference_row(alpha, 6)
 
+    def test_markov_constant_is_the_printed_c(self):
+        # it returned value ** -0.5, the CLI prints sqrt(1/value): 57 of
+        # these points differed in the last bit
+        rng = random.Random(3)
+        for _ in range(400):
+            alpha, n = rng.uniform(-0.99, 50.0), rng.randint(2, 400)
+            assert markov_constant(alpha, n) == sweep_row(alpha, n, 1e-13)[2], (alpha, n)
+
+    def test_an_exact_alpha_reaches_the_factor_unrounded(self):
+        # the rows solved build_jacobi(float(alpha), n): 137 of these
+        # smallest eigenvalues differed from build_jacobi(alpha, n)'s
+        rng = random.Random(11)
+        for _ in range(300):
+            q = rng.randint(1, 100)
+            alpha, n = F(rng.randint(1 - q, 5000), q), rng.randint(2, 500)
+            c_sq = 1.0 / smallest_eigenvalue(build_jacobi(alpha, n)).value
+            assert bounds.bounds_report(alpha, n).exact_c_sq == c_sq, (alpha, n)
+            assert sweep_row(alpha, n, 1e-13)[2:4] == (math.sqrt(c_sq), c_sq), (alpha, n)
+
+    @pytest.mark.parametrize("alpha, n", [(0.0, 3), (2003.0, 1), (2.5, 40)])
+    def test_every_report_field_is_the_engine_cell_of_its_column(self, alpha, n):
+        # the engine's row is the sweep's but asymptotic_ratio; a cell it
+        # gains that the report or the columns lack fails here
+        engine = [c for c in SWEEP_COLUMNS if c != "asymptotic_ratio"]
+        cells = dict(zip(engine, bounds._rows(alpha, (n,), 1e-13)[0], strict=True))
+        rep = bounds.bounds_report(alpha, n)
+        fields = {}
+        for name, value in zip(rep._fields, rep):
+            if isinstance(value, tuple):
+                prefix = "ls" if name == "laguerre_samuelson" else name
+                fields.update((f"{prefix}_{k}", v) for k, v in zip(value._fields, value))
+            else:
+                fields[name] = value
+        assert fields == {c: v for c, v in cells.items()
+                          if c not in ("exact_c", "sandwich_violation")}
+        assert cells["exact_c"] == math.sqrt(rep.exact_c_sq)
+        assert cells["sandwich_violation"] == bool(
+            bounds._sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler))
+        assert (cells["turan"] is None) == (alpha != 0.0)
+
     @pytest.mark.parametrize("argv, first, code, err", [
         (["--alpha", "1e62", "--n-list", "3..10"], (1e62, 3), 1,
          "numeric failure: b1..b3 at alpha=1e+62, n=3 overflow binary64\n"),
@@ -568,9 +609,8 @@ class TestSweepReference:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (cli, bounds):
-            monkeypatch.setattr(module, "build_jacobi", counted("build", build_jacobi))
-        monkeypatch.setattr(cli, "smallest_eigenvalue", counted("solve", smallest_eigenvalue))
+        monkeypatch.setattr(bounds, "build_jacobi", counted("build", build_jacobi))
+        monkeypatch.setattr(bounds, "smallest_eigenvalue", counted("solve", smallest_eigenvalue))
         monkeypatch.setattr(bessel, "asymptotic_constant",
                             counted("limit", bessel.asymptotic_constant))
         code, out, _ = run_cli(capsys, "sweep", "--alpha", "0.5", "--n-list", "3..40",
