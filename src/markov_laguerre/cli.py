@@ -9,11 +9,11 @@ text, ``_emit`` frames the texts with the CSV header or the JSON brackets.
 job, and ``_sweep_chunk`` computes and formats one chunk; a process pool of
 at most one worker per chunk runs them, and the parent prints the texts in
 grid order, so the output does not depend on ``--jobs``.  ``--jobs 1``, or
-a single row, computes the whole grid as one chunk in this process.  Rows
-are computed per alpha group: the run of a chunk's rows that share alpha
-is one call of the bounds engine, ``bounds._rows``, which validates alpha
-and builds its factor once, and ``_sweep_rows`` adds c_n/(n c(alpha)),
-with c(alpha) computed once per group.
+a single row, computes the whole grid as one chunk in this process.  Each
+run of rows that share alpha is one ``_grid_rows`` group: one call of the
+bounds engine ``bounds._rows`` (alpha validated, the factor built once)
+and one c(alpha) for the c_n/(n c(alpha)) that ``_sweep_rows`` adds.  The
+``verify`` suites judge the printed rows: sweep and ``bessel-zero`` rows.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
 grid among them).  A reader that closes the pipe early ends the command
 with exit code 1, quietly.
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import bessel, bounds
-from .eigen import build_jacobi, markov_constant, smallest_eigenvalue
+from .eigen import build_jacobi, smallest_eigenvalue
 from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
 
 SWEEP_COLUMNS = (
@@ -116,6 +116,13 @@ def _sweep_rows(alpha, ns, tol: float) -> list[tuple]:
     return [(*r[:-1], None if c_inf is None else r[2] / (r[1] * c_inf), r[-1]) for r in rows]
 
 
+def _grid_rows(pairs, tol: float):
+    """The sweep rows of the sorted (alpha, n) ``pairs``, in order: each run
+    of pairs that share alpha is one ``_sweep_rows`` group."""
+    for alpha, group in itertools.groupby(pairs, lambda p: p[0]):
+        yield from _sweep_rows(alpha, [n for _, n in group], tol)
+
+
 def sweep_row(alpha: float, n: int, tol: float) -> tuple:
     """One flattened bounds row; pure function of its arguments."""
     return _sweep_rows(alpha, (n,), tol)[0]
@@ -146,12 +153,16 @@ def cmd_bounds(args) -> int:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Comma-separated n values; 'a..b' spans an inclusive integer range."""
+    """Comma-separated n values; 'a..b' spans an inclusive integer range,
+    and ValueError where it holds no n (b below a)."""
     out: list[int] = []
     for piece in filter(None, (p.strip() for p in text.split(","))):
         if ".." in piece:
             lo, hi = piece.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(f"the n range {piece} is empty")
+            out.extend(span)
         else:
             out.append(int(piece))
     return out
@@ -170,16 +181,11 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _sweep_chunk(tasks, fmt) -> list[str]:
-    """Row texts of one contiguous chunk of the sweep grid, (alpha, n, tol)
-    tasks; the unit of work of the process pool.  Each run of tasks that
-    share alpha and tol is one ``_sweep_rows`` group; a chunk may begin or
-    end inside an alpha, whose rows then form one group in each chunk."""
-    texts = []
-    for (alpha, tol), group in itertools.groupby(tasks, lambda t: (t[0], t[2])):
-        texts += _format_rows(_sweep_rows(alpha, [n for _, n, _ in group], tol),
-                              SWEEP_COLUMNS, fmt)
-    return texts
+def _sweep_chunk(pairs, tol, fmt) -> list[str]:
+    """Row texts of one contiguous chunk of the sweep grid, (alpha, n)
+    pairs; the unit of work of the process pool.  A chunk may begin or end
+    inside an alpha, whose rows then form one group in each chunk."""
+    return _format_rows(_grid_rows(pairs, tol), SWEEP_COLUMNS, fmt)
 
 
 # Eight chunks per job let the pool balance rows of unequal cost: one chunk
@@ -207,43 +213,39 @@ def cmd_sweep(args) -> int:
     ns = _parse_n_list(args.n_list)
     if not ns:
         raise ValueError("sweep needs at least one alpha and one n")
-    tasks = [(a, n, args.tol) for a in sorted(alphas) for n in sorted(ns)]
+    tasks = [(a, n) for a in sorted(alphas) for n in sorted(ns)]
     jobs = args.jobs or os.cpu_count() or 1
     chunks = _chunks(tasks, jobs)
     workers = min(jobs, len(chunks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps pay its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            texts = list(pool.map(_sweep_chunk, chunks, itertools.repeat(args.format)))
+            texts = list(pool.map(_sweep_chunk, chunks, itertools.repeat(args.tol),
+                                  itertools.repeat(args.format)))
     else:
-        texts = [_sweep_chunk(tasks, args.format)]
+        texts = [_sweep_chunk(tasks, args.tol, args.format)]
     _emit(texts, SWEEP_COLUMNS, args.format)
     return 0
 
 
+def _bessel_row(nu: float, tol: float) -> tuple:
+    """The ``bessel-zero`` row at nu: J_nu's first zero, its inverse, its enclosure."""
+    zero = bessel.first_zero(nu, tol)
+    lo, hi = bounds.bessel_zero_enclosure(nu)
+    return (nu, zero, 1.0 / zero, lo, hi)
+
+
 def cmd_bessel_zero(args) -> int:
-    zero = bessel.first_zero(args.nu, args.tol)
-    lo, hi = bounds.bessel_zero_enclosure(args.nu)
-    row = (args.nu, zero, 1.0 / zero, lo, hi)
     columns = ("nu", "first_zero", "inverse", "enclosure_lower", "enclosure_upper")
-    _print_rows([row], columns, args.format)
+    _print_rows([_bessel_row(args.nu, args.tol)], columns, args.format)
     return 0
 
 
 def cmd_figure1(args) -> int:
-    rows = []
-    flagged = 0
-    increasing = True
-    prev = None
-    for a in _grid(args.alpha_min, args.alpha_max, args.alpha_step):
-        r = bounds.ratio_r(a)
-        rows.append((a, r))
-        if r >= 2.0 and a < 500.0:
-            flagged += 1
-        if prev is not None and a >= 0 and r < prev:
-            increasing = False
-        if a >= 0:
-            prev = r
+    rows = [(a, bounds.ratio_r(a)) for a in _grid(args.alpha_min, args.alpha_max, args.alpha_step)]
+    flagged = sum(r >= 2.0 and a < 500.0 for a, r in rows)
+    tail = [r for a, r in rows if a >= 0]
+    increasing = not any(r < prev for prev, r in zip(tail, tail[1:]))
     _print_rows(rows, ("alpha", "r"), args.format)
     print(
         f"# samples={len(rows)} flagged_r_ge_2={flagged} "
@@ -310,13 +312,15 @@ def verify_coeffs() -> list[str]:
 
 
 def verify_sandwich() -> list[str]:
+    c_sq, refined, dorfler = (SWEEP_COLUMNS.index(c)
+                              for c in ("exact_c_sq", "refined_lower", "dorfler_lower"))
     failures = []
     dominance_exceptions = []
-    for a, n in grid_pairs():
-        rep = bounds.bounds_report(a, n)
-        failures += [f"alpha={a} n={n}: {v}" for v in
-                     bounds._sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler)]
-        if not rep.refined.lower >= rep.dorfler.lower:
+    for row in _grid_rows(grid_pairs(), 1e-13):
+        a, n = row[:2]
+        failures += [f"alpha={a} n={n}: {v}" for v in bounds._sandwich_violations(
+            n, row[c_sq], row[refined:refined + 3], row[dorfler:dorfler + 2])]
+        if not row[refined] >= row[dorfler]:
             dominance_exceptions.append((a, n))
     if dominance_exceptions:
         # Expected exactly where q_alpha(n) < 0, the quadratic in n on
@@ -332,12 +336,10 @@ def verify_sandwich() -> list[str]:
 
 
 def verify_asymptotic() -> list[str]:
+    ratio = SWEEP_COLUMNS.index("asymptotic_ratio")
     failures = []
     for a in (0.0, 1.0, 2.0, 5.0):
-        c_inf = bessel.asymptotic_constant(a)
-        ratios = {}
-        for n in (512, 4096):
-            ratios[n] = markov_constant(a, n) / (n * c_inf)
+        ratios = {r[1]: r[ratio] for r in _sweep_rows(a, (512, 4096), 1e-13)}
         if not 0.99 <= ratios[4096] <= 1.01:
             failures.append(f"alpha={a}: ratio at n=4096 is {ratios[4096]}")
         if not abs(ratios[4096] - 1) < abs(ratios[512] - 1):
@@ -348,12 +350,11 @@ def verify_asymptotic() -> list[str]:
 def verify_bessel() -> list[str]:
     failures = []
     for nu in _grid(-0.75, 25.0, 0.25) + _grid(27.5, 250.0, 2.5):
-        lo, hi = bounds.bessel_zero_enclosure(nu)
-        z = bessel.first_zero(nu)
+        _, z, _, lo, hi = _bessel_row(nu, 1e-13)
         if not lo < z < hi:
             failures.append(f"nu={nu}: zero {z} outside ({lo}, {hi})")
     for nu, want in ((0.5, math.pi), (-0.5, math.pi / 2)):
-        if abs(bessel.first_zero(nu) - want) > 1e-12:
+        if abs(_bessel_row(nu, 1e-13)[1] - want) > 1e-12:
             failures.append(f"nu={nu}: half-integer zero off")
     return failures
 

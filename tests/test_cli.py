@@ -240,6 +240,16 @@ class TestNList:
         assert _parse_n_list("1,4..6,9") == [1, 4, 5, 6, 9]
         assert _parse_n_list("") == []
 
+    def test_a_reversed_range_is_an_error(self, capsys):
+        # it was dropped: "3,10..5" swept n = 3 only, "10..5" alone said
+        # the grid had no n
+        with pytest.raises(ValueError, match=r"the n range 10\.\.5 is empty"):
+            _parse_n_list("3,10..5")
+        for n_list in ("3,10..5", "10..5"):
+            assert run_cli(capsys, "sweep", "--alpha", "0", "--n-list", n_list, "--jobs", "1") == (
+                2, "", "error: the n range 10..5 is empty\n")
+        assert _parse_n_list("5..5") == [5]
+
 
 class TestSweep:
     def test_lexicographic_order_and_cardinality(self, capsys):
@@ -733,6 +743,98 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "everything"])
         assert exc.value.code == 2
+
+    def test_sandwich_builds_one_factor_and_one_limit_per_grid_alpha(self, capsys,
+                                                                       monkeypatch):
+        # it called bounds_report at each of the 880 grid points
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bounds, "build_jacobi", counted("build", build_jacobi))
+        monkeypatch.setattr(bessel, "asymptotic_constant",
+                            counted("limit", bessel.asymptotic_constant))
+        assert cli.verify_sandwich() == []
+        assert calls == {"build": len(cli.GRID_ALPHAS), "limit": len(cli.GRID_ALPHAS)}
+
+
+def _printed(capsys, *argv) -> dict:
+    """The cells of the one CSV row that the command ``argv`` prints."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    return dict(zip(header, rows[0], strict=True))
+
+
+def _hex(cell: str) -> str:
+    return float(cell).hex()
+
+
+class TestVerifyJudgesThePrintedRows:
+    """Every number a suite judges is, to the bit, the cell that ``bounds``,
+    ``sweep`` or ``bessel-zero`` prints at that point."""
+
+    SANDWICH_POINTS = [(-0.9, 3), (0.5, 40), (25.0, 5), (25.0, 100)]
+
+    def test_sandwich(self, capsys, monkeypatch):
+        # The judged numbers are the arguments of _sandwich_violations;
+        # returned as the violation, they reach the suite's failures, which
+        # name the point.
+        def judged(n, c_sq, refined, dorfler):
+            return [" ".join([c_sq.hex(), *(v.hex() for v in refined[:2]), str(refined[2]),
+                              *(v.hex() for v in dorfler)])]
+
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_sandwich_violations", judged)
+            failures = cli.verify_sandwich()
+        capsys.readouterr()
+        assert len(failures) == len(cli.grid_pairs())
+        for a, n in self.SANDWICH_POINTS:
+            assert (a, n) in cli.grid_pairs()
+            cells = _printed(capsys, "bounds", "--alpha", repr(a), "--n", str(n))
+            want = [_hex(cells["exact_c_sq"]), _hex(cells["refined_lower"]),
+                    _hex(cells["refined_upper"]), cells["refined_lower_valid"].title(),
+                    _hex(cells["dorfler_lower"]), _hex(cells["dorfler_upper"])]
+            assert f"alpha={a} n={n}: {' '.join(want)}" in failures
+
+    def test_asymptotic(self, capsys, monkeypatch):
+        rows = {}
+        real = cli._sweep_rows
+
+        def recorded(alpha, ns, tol):
+            out = real(alpha, ns, tol)
+            rows.update(((alpha, r[1]), r) for r in out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_sweep_rows", recorded)
+            assert cli.verify_asymptotic() == []
+        ratio = SWEEP_COLUMNS.index("asymptotic_ratio")
+        assert sorted(rows) == [(a, n) for a in (0.0, 1.0, 2.0, 5.0) for n in (512, 4096)]
+        for (a, n), row in rows.items():
+            cells = _printed(capsys, "bounds", "--alpha", repr(a), "--n", str(n))
+            assert row[ratio].hex() == _hex(cells["asymptotic_ratio"]), (a, n)
+
+    def test_bessel(self, capsys, monkeypatch):
+        rows = {}
+        real = cli._bessel_row
+
+        def recorded(nu, tol):
+            rows[nu] = real(nu, tol)
+            return rows[nu]
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_bessel_row", recorded)
+            assert cli.verify_bessel() == []
+        for nu in (-0.75, 0.5, 250.0):
+            cells = _printed(capsys, "bessel-zero", "--nu", repr(nu))
+            _, zero, _, lo, hi = rows[nu]
+            assert [zero.hex(), lo.hex(), hi.hex()] == [
+                _hex(cells[c]) for c in ("first_zero", "enclosure_lower", "enclosure_upper")], nu
 
 
 def _env():
