@@ -28,7 +28,8 @@ where the matrix is cut far below tol, evaluated at an upper bound on j.
 The eigenvalue of the truncated matrix lies in a bracket of relative width
 tol whose ends the sign count places but does not prove; j is its midpoint.
 
-The paper's enclosure of the zero (``bounds._bessel_zero_bounds``) is
+The paper's enclosure of the zero, ``_bessel_zero_bounds``, is defined
+here; ``bounds`` rounds it outward into its public forms.  It is
 load-bearing: the solve starts at 4/lower^2, and a count that finds the zero
 outside the enclosure at either end raises RuntimeError.
 
@@ -55,7 +56,6 @@ import functools
 import math
 import sys
 
-from .bounds import _bessel_zero_bounds
 from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
 from .recurrence import _float_alpha, alpha_value
 
@@ -108,6 +108,24 @@ def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
         if m >= _MIN_TERMS and abs(term) <= series_rel_tol * abs(total):
             return total
     raise RuntimeError(f"series for J_{nu}({x}) did not settle in {_MAX_TERMS} terms")
+
+
+def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
+    """The paper's 2^(5/6) sqrt(h) ((h+1)(h+2))^(1/6) < j < sqrt(2h(h+2)) on
+    j = j_{h-1,1}, h = nu + 1 = (alpha+1)/2, rounded to nearest or outward."""
+    x = (h + 1.0) * (h + 2.0)
+    lower = 2.0 ** (5.0 / 6.0) * math.sqrt(h) * x ** (1.0 / 6.0)
+    upper = math.sqrt(2.0 * h * (h + 2.0))
+    if not outward:
+        return lower, upper
+    # u = 2^-53.  h is within u, which moves the lower side by 5u/6 and the
+    # upper by u.  Upper: h + 2, the product and the root add 2u.  Lower:
+    # 2^(5/6) is within 1.6u (exponent and pow), sqrt(h) within u, x within
+    # 3u and x^(1/6) so within 0.5u + u (pow) + (ln x)/6 u (exponent; x > 2);
+    # the products add 2u: 7u + (ln x)/6 u to first order.  With 1.5u for the
+    # widening's own roundings, K = 9 covers both sides.
+    k = (9.0 + math.log(x) / 6.0) * 2.0**-53
+    return lower * (1.0 - k), upper * (1.0 + k)
 
 
 def _order(h: float, upper: float, tol: float) -> int:

@@ -12,8 +12,10 @@ This module evaluates every such bound, the classical ones they are compared
 against, the asymptotic-constant bounds, and the residual polynomials that
 certify the main two-sided estimate.  One engine, ``_rows``, puts c_n^2
 beside every finite-n bound, one row per n at one alpha, on one factor
-built for all of them; ``bounds_report`` is its row at one n, and the
-``sweep`` and ``bounds`` commands print its rows.  Routines that are pure
+built for all of them, with c_n/(n c(alpha)) from :mod:`bessel` and the
+sandwich verdict.  Its rows are ``BoundsReport`` records, whose fields are
+the columns that the ``sweep`` and ``bounds`` commands print;
+``bounds_report`` is its row at one n.  Routines that are pure
 rational arithmetic accept an exact alpha (int/Fraction) and then return
 exact values; the ``verify`` suites and the tests rely on this to check the
 certifying identities without tolerance.  At an exact alpha = p/d the residuals run on
@@ -27,6 +29,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import bessel
+from .bessel import _bessel_zero_bounds
 from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
 from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
                          _refined_upper, _require_degree, _require_n, _split, alpha_value)
@@ -104,18 +108,30 @@ class IdentityResidual(NamedTuple):
 
 
 class BoundsReport(NamedTuple):
-    """Every implemented finite-n bound next to the exact constant."""
+    """One bounds row at (alpha, n): c_n(alpha) and c_n^2 beside every
+    finite-n bound, c_n/(n c(alpha)) and the sandwich verdict.  The fields
+    are the columns of the ``sweep`` and ``bounds`` commands, in order."""
 
-    n: int
     alpha: float
+    n: int
+    exact_c: float
     exact_c_sq: float
-    linear: BoundPair
-    quadratic: BoundPair
-    cubic: BoundPair
-    refined: RefinedBounds
-    dorfler: BoundPair
-    laguerre_samuelson: BoundPair
+    linear_lower: float
+    linear_upper: float
+    quadratic_lower: float
+    quadratic_upper: float
+    cubic_lower: float
+    cubic_upper: float
+    refined_lower: float
+    refined_upper: float
+    refined_lower_valid: bool
+    dorfler_lower: float
+    dorfler_upper: float
+    ls_lower: float
+    ls_upper: float
     turan: float | None
+    asymptotic_ratio: float | None  # None past c(alpha)'s domain, alpha > 2001
+    sandwich_violation: bool
 
 
 def _finite(lower: float, upper: float, value: float, name: str = "alpha") -> tuple[float, float]:
@@ -233,24 +249,6 @@ def _samuelson(b1: float, b2: float, n: int) -> tuple[float, float]:
         raise ValueError(f"discriminant {disc} is not >= 0: not a real-root polynomial")
     root = math.sqrt(disc)
     return (b1 - root) / n, (b1 + root) / n
-
-
-def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
-    """The paper's 2^(5/6) sqrt(h) ((h+1)(h+2))^(1/6) < j < sqrt(2h(h+2)) on
-    j = j_{h-1,1}, h = nu + 1 = (alpha+1)/2, rounded to nearest or outward."""
-    x = (h + 1.0) * (h + 2.0)
-    lower = 2.0 ** (5.0 / 6.0) * math.sqrt(h) * x ** (1.0 / 6.0)
-    upper = math.sqrt(2.0 * h * (h + 2.0))
-    if not outward:
-        return lower, upper
-    # u = 2^-53.  h is within u, which moves the lower side by 5u/6 and the
-    # upper by u.  Upper: h + 2, the product and the root add 2u.  Lower:
-    # 2^(5/6) is within 1.6u (exponent and pow), sqrt(h) within u, x within
-    # 3u and x^(1/6) so within 0.5u + u (pow) + (ln x)/6 u (exponent; x > 2);
-    # the products add 2u: 7u + (ln x)/6 u to first order.  With 1.5u for the
-    # widening's own roundings, K = 9 covers both sides.
-    k = (9.0 + math.log(x) / 6.0) * 2.0**-53
-    return lower * (1.0 - k), upper * (1.0 + k)
 
 
 def asymptotic_bounds(alpha) -> BoundPair:
@@ -486,10 +484,9 @@ def _sandwich_violations(n: int, c_sq: float, refined, dorfler) -> list[str]:
     return out
 
 
-def _rows(alpha, ns, tol: float) -> list[tuple]:
+def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
     """The bounds rows at one alpha, one per n of the non-empty ``ns``, in
-    its order: the cells of the sweep's columns but asymptotic_ratio, from
-    alpha to turan and then the sandwich verdict.
+    its order.
 
     alpha and every n are validated once, and the factor q_k = 1 + a/k,
     which does not depend on n, is built once at max(ns) from the caller's
@@ -497,28 +494,29 @@ def _rows(alpha, ns, tol: float) -> list[tuple]:
     floats ``build_jacobi(alpha, n)`` holds.  The closed forms are the
     bodies of the public bounds, which validate their arguments at each
     call; a row raises in the order solve, refined pair, b1..b3, power sums.
+    c(alpha) is computed once, after the rows, where the caller's alpha lies
+    in its domain; asymptotic_ratio is None elsewhere.
     """
     a = _float_alpha(alpha)
     for n in ns:
         _require_n(n)
     q = build_jacobi(alpha, max(ns)).q
-    rows = []
+    solved = []
     for n in ns:
         c_sq = 1.0 / smallest_eigenvalue(TridiagMatrix(a, q[:n]), tol).value
         refined = _refined(a, n)  # first: it raises where the products overflow
         b1, b2, b3 = _b123_float(a, n)
         linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
         dorfler = _dorfler(a, n)
-        rows.append((a, n, math.sqrt(c_sq), c_sq, *linear, *quadratic, *cubic, *refined,
-                     *dorfler, *_samuelson(b1, b2, n), turan_constant(n) if a == 0.0 else None,
-                     bool(_sandwich_violations(n, c_sq, refined, dorfler))))
-    return rows
+        cells = (*linear, *quadratic, *cubic, *refined, *dorfler, *_samuelson(b1, b2, n),
+                 turan_constant(n) if a == 0.0 else None)
+        solved.append((n, math.sqrt(c_sq), c_sq, cells,
+                       bool(_sandwich_violations(n, c_sq, refined, dorfler))))
+    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
+    return [BoundsReport(a, n, c, c_sq, *cells, None if c_inf is None else c / (n * c_inf),
+                         violated) for n, c, c_sq, cells, violated in solved]
 
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:
-    """Compute the exact squared constant and every finite-n bound at (alpha, n):
-    the row of ``_rows`` at (n,), repacked."""
-    r = _rows(alpha, (n,), tol)[0]
-    return BoundsReport(r[1], r[0], r[3], BoundPair(*r[4:6]), BoundPair(*r[6:8]),
-                        BoundPair(*r[8:10]), RefinedBounds(*r[10:13]), BoundPair(*r[13:15]),
-                        BoundPair(*r[15:17]), r[17])
+    """The bounds row at (alpha, n): the row of ``_rows`` at (n,)."""
+    return _rows(alpha, (n,), tol)[0]

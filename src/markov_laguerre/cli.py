@@ -11,9 +11,10 @@ at most one worker per chunk runs them, and the parent prints the texts in
 grid order, so the output does not depend on ``--jobs``.  ``--jobs 1``, or
 a single row, computes the whole grid as one chunk in this process.  Each
 run of rows that share alpha is one ``_grid_rows`` group: one call of the
-bounds engine ``bounds._rows`` (alpha validated, the factor built once)
-and one c(alpha) for the c_n/(n c(alpha)) that ``_sweep_rows`` adds.  The
-``verify`` suites judge the printed rows: sweep and ``bessel-zero`` rows.
+bounds engine ``bounds._rows`` (alpha validated, the factor built once,
+one c(alpha) for c_n/(n c(alpha))).  Its rows are ``bounds.BoundsReport``
+records, whose fields are the sweep's columns.  The ``verify`` suites
+judge the printed rows, read by field name: sweep and ``bessel-zero`` rows.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
 grid among them).  A reader that closes the pipe early ends the command
 with exit code 1, quietly.
@@ -33,28 +34,8 @@ from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
 from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
 
-SWEEP_COLUMNS = (
-    "alpha",
-    "n",
-    "exact_c",
-    "exact_c_sq",
-    "linear_lower",
-    "linear_upper",
-    "quadratic_lower",
-    "quadratic_upper",
-    "cubic_lower",
-    "cubic_upper",
-    "refined_lower",
-    "refined_upper",
-    "refined_lower_valid",
-    "dorfler_lower",
-    "dorfler_upper",
-    "ls_lower",
-    "ls_upper",
-    "turan",
-    "asymptotic_ratio",
-    "sandwich_violation",
-)
+SWEEP_COLUMNS = bounds.BoundsReport._fields
+
 
 def _cell(value) -> str:
     """One CSV cell that is not a float (``_format_rows`` formats those):
@@ -105,27 +86,16 @@ def _print_rows(rows, columns, fmt) -> None:
     _emit([_format_rows(rows, columns, fmt)], columns, fmt)
 
 
-def _sweep_rows(alpha, ns, tol: float) -> list[tuple]:
-    """The sweep rows at one alpha, one per n of the non-empty ``ns``, in
-    its order: the rows of ``bounds._rows``, one factor for all of them,
-    with c_n/(n c(alpha)) inserted before the sandwich verdict.  c(alpha)
-    is computed once, after the rows, where alpha lies in its domain; the
-    cell is empty elsewhere."""
-    rows = bounds._rows(alpha, ns, tol)
-    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
-    return [(*r[:-1], None if c_inf is None else r[2] / (r[1] * c_inf), r[-1]) for r in rows]
-
-
 def _grid_rows(pairs, tol: float):
     """The sweep rows of the sorted (alpha, n) ``pairs``, in order: each run
-    of pairs that share alpha is one ``_sweep_rows`` group."""
+    of pairs that share alpha is one ``bounds._rows`` group."""
     for alpha, group in itertools.groupby(pairs, lambda p: p[0]):
-        yield from _sweep_rows(alpha, [n for _, n in group], tol)
+        yield from bounds._rows(alpha, [n for _, n in group], tol)
 
 
-def sweep_row(alpha: float, n: int, tol: float) -> tuple:
-    """One flattened bounds row; pure function of its arguments."""
-    return _sweep_rows(alpha, (n,), tol)[0]
+def sweep_row(alpha: float, n: int, tol: float) -> bounds.BoundsReport:
+    """One bounds row; pure function of its arguments."""
+    return bounds.bounds_report(alpha, n, tol)
 
 
 def cmd_constant(args) -> int:
@@ -170,15 +140,19 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     """lo + k*step for k = 0, 1, ... while it stays within hi (+1e-9 steps);
-    ValueError where that is no point at all (hi below lo)."""
+    ValueError where that is no point at all (hi below lo), or where the
+    point count overflows binary64."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    if count < 1:
+    steps = (hi - lo) / step + 1e-9
+    if steps < 0:
         raise ValueError(f"the grid from {lo} to {hi} is empty")
-    return [lo + k * step for k in range(count)]
+    if steps == math.inf:
+        raise ValueError(f"the point count of the grid from {lo} to {hi} by {step} "
+                         "overflows binary64")
+    return [lo + k * step for k in range(int(steps) + 1)]
 
 
 def _sweep_chunk(pairs, tol, fmt) -> list[str]:
@@ -312,15 +286,14 @@ def verify_coeffs() -> list[str]:
 
 
 def verify_sandwich() -> list[str]:
-    c_sq, refined, dorfler = (SWEEP_COLUMNS.index(c)
-                              for c in ("exact_c_sq", "refined_lower", "dorfler_lower"))
     failures = []
     dominance_exceptions = []
     for row in _grid_rows(grid_pairs(), 1e-13):
-        a, n = row[:2]
+        a, n = row.alpha, row.n
+        refined = (row.refined_lower, row.refined_upper, row.refined_lower_valid)
         failures += [f"alpha={a} n={n}: {v}" for v in bounds._sandwich_violations(
-            n, row[c_sq], row[refined:refined + 3], row[dorfler:dorfler + 2])]
-        if not row[refined] >= row[dorfler]:
+            n, row.exact_c_sq, refined, (row.dorfler_lower, row.dorfler_upper))]
+        if not row.refined_lower >= row.dorfler_lower:
             dominance_exceptions.append((a, n))
     if dominance_exceptions:
         # Expected exactly where q_alpha(n) < 0, the quadratic in n on
@@ -336,10 +309,9 @@ def verify_sandwich() -> list[str]:
 
 
 def verify_asymptotic() -> list[str]:
-    ratio = SWEEP_COLUMNS.index("asymptotic_ratio")
     failures = []
     for a in (0.0, 1.0, 2.0, 5.0):
-        ratios = {r[1]: r[ratio] for r in _sweep_rows(a, (512, 4096), 1e-13)}
+        ratios = {r.n: r.asymptotic_ratio for r in bounds._rows(a, (512, 4096), 1e-13)}
         if not 0.99 <= ratios[4096] <= 1.01:
             failures.append(f"alpha={a}: ratio at n=4096 is {ratios[4096]}")
         if not abs(ratios[4096] - 1) < abs(ratios[512] - 1):

@@ -526,8 +526,8 @@ class TestSmallNClosedForms:
 class TestBoundsReport:
     def test_alpha0_n3_ordering(self):
         rep = bounds_report(0.0, 3)
-        assert rep.refined.lower < rep.exact_c_sq < rep.refined.upper
-        assert rep.dorfler.lower < rep.exact_c_sq <= rep.dorfler.upper
+        assert rep.refined_lower < rep.exact_c_sq < rep.refined_upper
+        assert rep.dorfler_lower < rep.exact_c_sq <= rep.dorfler_upper
         assert rep.turan == pytest.approx(turan_constant(3))
 
     def test_turan_absent_off_alpha0(self):
@@ -538,8 +538,8 @@ class TestBoundsReport:
         for n in (3, 10, 41):
             rep = bounds_report(alpha, n)
             x_n = rep.exact_c_sq
-            assert rep.linear.lower < rep.quadratic.lower < rep.cubic.lower < x_n
-            assert x_n < rep.cubic.upper < rep.quadratic.upper < rep.linear.upper
+            assert rep.linear_lower < rep.quadratic_lower < rep.cubic_lower < x_n
+            assert x_n < rep.cubic_upper < rep.quadratic_upper < rep.linear_upper
 
 
 class TestEveryBoundOnItsSide:

@@ -75,15 +75,17 @@ def reference_document(rows, columns, fmt) -> str:
 
 def reference_row(alpha, n, tol=1e-13) -> tuple:
     """A sweep row from the per-point API, not through the sweep's engine:
-    ``bounds_report``, and c(alpha) from ``asymptotic_constant`` where alpha
-    lies in its domain (alpha <= 2001)."""
+    ``bounds_report``, with three cells recomputed apart from it: exact_c
+    from exact_c_sq, c(alpha) from ``asymptotic_constant`` where alpha lies
+    in its domain (alpha <= 2001), and the sandwich verdict."""
     rep = bounds.bounds_report(alpha, n, tol)
     exact_c = math.sqrt(rep.exact_c_sq)
     ratio = exact_c / (n * bessel.asymptotic_constant(alpha, tol)) if alpha <= 2001 else None
-    violations = bounds._sandwich_violations(rep.n, rep.exact_c_sq, rep.refined, rep.dorfler)
-    return (rep.alpha, rep.n, exact_c, rep.exact_c_sq, *rep.linear, *rep.quadratic, *rep.cubic,
-            *rep.refined, *rep.dorfler, *rep.laguerre_samuelson, rep.turan, ratio,
-            bool(violations))
+    violations = bounds._sandwich_violations(
+        rep.n, rep.exact_c_sq, (rep.refined_lower, rep.refined_upper, rep.refined_lower_valid),
+        (rep.dorfler_lower, rep.dorfler_upper))
+    return rep._replace(exact_c=exact_c, asymptotic_ratio=ratio,
+                        sandwich_violation=bool(violations))
 
 
 def sweep_tasks(argv):
@@ -418,6 +420,20 @@ class TestEmitter:
             assert code == 2
             assert out == "" and err == "error: the grid from 1.0 to 0.0 is empty\n"
 
+    @pytest.mark.parametrize("command, step", [("sweep", "1e-320"), ("figure1", "5e-324")])
+    def test_uncountable_grid_is_a_usage_error(self, capsys, command, step):
+        # (hi - lo)/step overflows: to inf, no point count and no list built;
+        # to -inf, an empty grid
+        extra = ["--n-list", "3", "--jobs", "1"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--alpha-min", "0", "--alpha-max", "1",
+                                 "--alpha-step", step, *extra)
+        assert code == 2 and out == ""
+        assert err == (f"error: the point count of the grid from 0.0 to 1.0 by {float(step)} "
+                       "overflows binary64\n")
+        assert run_cli(capsys, command, "--alpha-min", "1e308", "--alpha-max=-1e308",
+                       "--alpha-step", step, *extra) == (
+            2, "", "error: the grid from 1e+308 to -1e+308 is empty\n")
+
 
 # 252 rows: several chunks at --jobs 2, with a boundary inside one alpha.
 CHUNKED_GRID = ["--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "0.5",
@@ -547,7 +563,7 @@ class TestSweepReference:
 
     def test_the_engine_takes_any_order_of_n(self):
         ns = [5, 3, 4, 3, 1, 7]
-        assert cli._sweep_rows(0.5, ns, 1e-13) == [reference_row(0.5, n) for n in ns]
+        assert bounds._rows(0.5, ns, 1e-13) == [reference_row(0.5, n) for n in ns]
 
     @pytest.mark.parametrize("alpha", [2, F(5, 2), F(2001) + F(1, 10**30)])
     def test_sweep_row_takes_an_exact_alpha(self, alpha):
@@ -573,25 +589,22 @@ class TestSweepReference:
             assert sweep_row(alpha, n, 1e-13)[2:4] == (math.sqrt(c_sq), c_sq), (alpha, n)
 
     @pytest.mark.parametrize("alpha, n", [(0.0, 3), (2003.0, 1), (2.5, 40)])
-    def test_every_report_field_is_the_engine_cell_of_its_column(self, alpha, n):
-        # the engine's row is the sweep's but asymptotic_ratio; a cell it
-        # gains that the report or the columns lack fails here
-        engine = [c for c in SWEEP_COLUMNS if c != "asymptotic_ratio"]
-        cells = dict(zip(engine, bounds._rows(alpha, (n,), 1e-13)[0], strict=True))
+    def test_derived_cells_of_the_report(self, alpha, n):
         rep = bounds.bounds_report(alpha, n)
-        fields = {}
-        for name, value in zip(rep._fields, rep):
-            if isinstance(value, tuple):
-                prefix = "ls" if name == "laguerre_samuelson" else name
-                fields.update((f"{prefix}_{k}", v) for k, v in zip(value._fields, value))
-            else:
-                fields[name] = value
-        assert fields == {c: v for c, v in cells.items()
-                          if c not in ("exact_c", "sandwich_violation")}
-        assert cells["exact_c"] == math.sqrt(rep.exact_c_sq)
-        assert cells["sandwich_violation"] == bool(
-            bounds._sandwich_violations(n, rep.exact_c_sq, rep.refined, rep.dorfler))
-        assert (cells["turan"] is None) == (alpha != 0.0)
+        assert rep.exact_c == math.sqrt(rep.exact_c_sq)
+        assert rep.sandwich_violation == bool(bounds._sandwich_violations(
+            n, rep.exact_c_sq, (rep.refined_lower, rep.refined_upper, rep.refined_lower_valid),
+            (rep.dorfler_lower, rep.dorfler_upper)))
+        assert (rep.turan is None) == (alpha != 0.0)
+
+    def test_the_columns_are_the_report_fields(self):
+        assert SWEEP_COLUMNS == bounds.BoundsReport._fields
+
+    @pytest.mark.parametrize("alpha", [0.37, F(5, 2), F(2001) + F(1, 10**30), 2003.0])
+    def test_the_report_is_the_sweep_row(self, alpha):
+        rep, row = bounds.bounds_report(alpha, 7), sweep_row(alpha, 7, 1e-13)
+        assert rep._asdict() == dict(zip(SWEEP_COLUMNS, row, strict=True))
+        assert (rep.asymptotic_ratio is None) == (alpha > 2001)
 
     @pytest.mark.parametrize("argv, first, code, err", [
         (["--alpha", "1e62", "--n-list", "3..10"], (1e62, 3), 1,
@@ -803,21 +816,20 @@ class TestVerifyJudgesThePrintedRows:
 
     def test_asymptotic(self, capsys, monkeypatch):
         rows = {}
-        real = cli._sweep_rows
+        real = bounds._rows
 
         def recorded(alpha, ns, tol):
             out = real(alpha, ns, tol)
-            rows.update(((alpha, r[1]), r) for r in out)
+            rows.update(((alpha, r.n), r) for r in out)
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(cli, "_sweep_rows", recorded)
+            m.setattr(bounds, "_rows", recorded)
             assert cli.verify_asymptotic() == []
-        ratio = SWEEP_COLUMNS.index("asymptotic_ratio")
         assert sorted(rows) == [(a, n) for a in (0.0, 1.0, 2.0, 5.0) for n in (512, 4096)]
         for (a, n), row in rows.items():
             cells = _printed(capsys, "bounds", "--alpha", repr(a), "--n", str(n))
-            assert row[ratio].hex() == _hex(cells["asymptotic_ratio"]), (a, n)
+            assert row.asymptotic_ratio.hex() == _hex(cells["asymptotic_ratio"]), (a, n)
 
     def test_bessel(self, capsys, monkeypatch):
         rows = {}
@@ -872,6 +884,19 @@ def test_closed_pipe_ends_quietly():
         proc.wait()
         proc.stderr.close()
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_bessel_does_not_import_bounds():
+    # The package's __init__ imports every layer, so the probe stands in an
+    # empty package for it and imports the bessel layer alone.
+    src = Path(__file__).resolve().parent.parent / "src" / "markov_laguerre"
+    probe = ("import sys, types; pkg = types.ModuleType('markov_laguerre'); "
+             f"pkg.__path__ = [{str(src)!r}]; sys.modules['markov_laguerre'] = pkg; "
+             "import markov_laguerre.bessel; print('markov_laguerre.bounds' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
