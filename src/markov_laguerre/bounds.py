@@ -377,6 +377,52 @@ def _coefficients_from_values(values):
     return [Fraction(c, top) for c in coeffs]
 
 
+def _sign_changes(xs) -> int:
+    """The sign changes in the sequence ``xs``, its zeros skipped."""
+    signs = [x > 0 for x in xs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _positive_above_minus_one(values) -> bool:
+    """Whether the function of alpha that takes the exact ``values`` at
+    alpha = 0, 1, 2, ... is proved > 0 for every alpha > -1.
+
+    The premise is that the values are those of a polynomial of degree
+    < len(values): the values but the last fix a polynomial q of degree
+    < len(values) - 1 (``_coefficients_from_values``), and the last one,
+    which q must also take, then forces the function to be q.  Shifted to
+    t = alpha + 1, q is t^m p(t) with p(0) != 0, and p > 0 on t > 0 when its
+    leading coefficient is positive and it has no root on (0, inf): Sturm's
+    theorem counts the distinct roots there as the sign changes of the
+    Sturm sequence p, p', -rem(p, p'), ... at t = 0 less those at t = inf."""
+    *fit, last = values
+    q = _coefficients_from_values(fit)
+    if sum(c * len(fit) ** j for j, c in enumerate(q)) != last:
+        return False
+    p = []  # q(t - 1), constant first, by Horner's rule
+    for c in reversed(q):
+        p = [x - y for x, y in zip([0] + p, p + [0])]
+        p[0] += c
+    while p and not p[-1]:
+        p.pop()
+    while p and not p[0]:
+        del p[0]
+    if not p:
+        return False
+    seq = [p, [j * c for j, c in enumerate(p)][1:]]
+    while seq[-1]:
+        r, v = list(seq[-2]), seq[-1]
+        while len(r) >= len(v):
+            f = r.pop() / v[-1]
+            for i, c in enumerate(v[:-1], len(r) - len(v) + 1):
+                r[i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+        seq.append([-c for c in r])
+    seq.pop()
+    return p[-1] > 0 and _sign_changes(s[0] for s in seq) == _sign_changes(s[-1] for s in seq)
+
+
 def _scaled_residual_poly(alpha, side: int, scale):
     """Coefficients in n (n^0 .. n^6) of residual ``side`` of
     :func:`residual_sandwich_check` times ``scale(a)``.  Both residuals are

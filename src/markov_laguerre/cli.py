@@ -141,7 +141,7 @@ def _parse_n_list(text: str) -> list[int]:
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     """lo + k*step for k = 0, 1, ... while it stays within hi (+1e-9 steps);
     ValueError where that is no point at all (hi below lo), or where the
-    point count overflows binary64."""
+    span hi - lo or the point count overflows binary64."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
@@ -149,6 +149,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     steps = (hi - lo) / step + 1e-9
     if steps < 0:
         raise ValueError(f"the grid from {lo} to {hi} is empty")
+    if hi - lo == math.inf:
+        raise ValueError(f"the span from {lo} to {hi} overflows binary64")
     if steps == math.inf:
         raise ValueError(f"the point count of the grid from {lo} to {hi} by {step} "
                          "overflows binary64")
@@ -332,13 +334,22 @@ def verify_bessel() -> list[str]:
 
 
 def verify_identities() -> list[str]:
+    """The residual coefficients of ``bounds.identity_residuals``, the five
+    lower-gap and the three collapsed upper-gap ones, are proved positive
+    for every alpha > -1, exactly: each is a polynomial of degree <= 5 in
+    alpha by its form in ``bounds._lower_gap_values`` and
+    ``bounds._upper_gap_values``, so its values at alpha = 0..8 fix it, and
+    ``bounds._positive_above_minus_one`` proves it positive with no grid.
+    Sampled, in exact arithmetic: the residual polynomials match those
+    coefficients at the 9 alphas of ``_GRID_ALPHAS_EXACT``, and both
+    residuals are >= 0 at the 880 (alpha, n) pairs of ``grid_pairs`` on
+    those alphas."""
     failures = []
-    for a in _grid(-0.99, 500.0, 0.1):
-        idr = bounds.identity_residuals(a)
-        if not all(k > 0 for k in idr.lower_gap):
-            failures.append(f"alpha={a}: lower-gap coefficient not positive")
-        if not all(t > 0 for t in idr.upper_gap_collapsed):
-            failures.append(f"alpha={a}: collapsed upper-gap coefficient not positive")
+    at = [bounds.identity_residuals(Fraction(k)) for k in range(9)]
+    for field in ("lower_gap", "upper_gap_collapsed"):
+        for j, values in enumerate(zip(*(getattr(r, field) for r in at))):
+            if not bounds._positive_above_minus_one(values):
+                failures.append(f"{field}[{j}]: not proved positive for every alpha > -1")
     for a in _GRID_ALPHAS_EXACT:
         lp = bounds.lower_residual_poly(a)
         up = bounds.upper_residual_poly(a)

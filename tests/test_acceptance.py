@@ -320,7 +320,7 @@ def test_criterion_10_ratio_below_two():
 def test_criterion_11_residual_identities():
     failures = cli.verify_identities()
     report(not failures, "criterion 11: residual positivity and exact identities",
-           "dense grid + exact rational checks")
+           "positivity proved for every alpha > -1 (Sturm) + exact rational checks")
     assert failures == []
 
 

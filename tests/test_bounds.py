@@ -32,6 +32,8 @@ from markov_laguerre import (
 )
 from markov_laguerre.bounds import (
     _coefficients_from_values,
+    _lower_gap_values,
+    _positive_above_minus_one,
     _residual_parts,
     lower_residual_poly,
     upper_residual_poly,
@@ -329,6 +331,66 @@ class TestIdentityResiduals:
     def test_nu_low_orders_can_go_negative(self):
         nu = identity_residuals(-0.9).upper_gap
         assert min(nu[1:4]) < 0 < nu[0]
+
+
+def values_in_t(lead, shifts, double_roots=()):
+    """Exact values at alpha = 0..8 of lead * prod(t + r) * prod((t - s)^2),
+    t = alpha + 1."""
+    def at(t):
+        v = lead
+        for r in shifts:
+            v *= t + r
+        for s in double_roots:
+            v *= (t - s) ** 2
+        return v
+    return [at(F(k + 1)) for k in range(9)]
+
+
+positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+shifts = st.fractions(min_value=0, max_value=50, max_denominator=100)
+double_roots = st.fractions(min_value=F(1, 100), max_value=50, max_denominator=100)
+
+
+class TestPositiveAboveMinusOne:
+    @settings(max_examples=60, deadline=None)
+    @given(lead=positive_fractions, rs=st.lists(shifts, max_size=7))
+    @example(lead=F(1, 270), rs=[F(0), F(0)])
+    def test_products_of_nonnegative_shifts_are_proved(self, lead, rs):
+        assert _positive_above_minus_one(values_in_t(lead, rs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=positive_fractions, rs=st.lists(shifts, max_size=5), s=double_roots)
+    def test_a_double_root_past_minus_one_is_refused(self, lead, rs, s):
+        assert not _positive_above_minus_one(values_in_t(lead, rs, [s]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=positive_fractions, rs=st.lists(shifts, max_size=7))
+    def test_a_negative_leading_coefficient_is_refused(self, lead, rs):
+        assert not _positive_above_minus_one(values_in_t(-lead, rs))
+
+    def test_lower_gap_zero_vanishes_at_minus_one(self):
+        # (1 + a)^2 times a cubic: zero at a = -1 only, which the domain leaves out
+        assert _lower_gap_values(F(-1))[0] == 0
+        assert _positive_above_minus_one([identity_residuals(F(k)).lower_gap[0]
+                                          for k in range(9)])
+
+    def test_lower_gap_three_needs_the_sturm_count(self):
+        # In t = a + 1 its coefficients change sign twice, so their signs
+        # leave room for two positive roots; the Sturm count rules them out.
+        in_t = _coefficients_from_values([_lower_gap_values(F(k - 1))[3] for k in range(8)])
+        assert in_t[::-1] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18), F(43, 6), 10]
+        values = [identity_residuals(F(k)).lower_gap[3] for k in range(9)]
+        assert _positive_above_minus_one(values)
+        # times t^2: the Sturm sequence would vanish at t = 0, so t is stripped first
+        assert _positive_above_minus_one([(k + 1) ** 2 * v for k, v in enumerate(values)])
+
+    def test_a_function_of_higher_degree_is_refused(self):
+        # t^8 and 2^a are positive, but no degree-7 interpolant proves it
+        assert not _positive_above_minus_one([F(k + 1) ** 8 for k in range(9)])
+        assert not _positive_above_minus_one([2**k for k in range(9)])
+
+    def test_zero_is_refused(self):
+        assert not _positive_above_minus_one([0] * 9)
 
 
 class TestResidualPolys:

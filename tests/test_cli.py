@@ -434,6 +434,13 @@ class TestEmitter:
                        "--alpha-step", step, *extra) == (
             2, "", "error: the grid from 1e+308 to -1e+308 is empty\n")
 
+    def test_a_span_past_binary64_is_a_usage_error(self, capsys):
+        # hi - lo overflows while the point count, 3, would not: the error
+        # names the span, not the count
+        assert run_cli(capsys, "figure1", "--alpha-min=-1e308", "--alpha-max", "1e308",
+                       "--alpha-step", "1e308") == (
+            2, "", "error: the span from -1e+308 to 1e+308 overflows binary64\n")
+
 
 # 252 rows: several chunks at --jobs 2, with a boundary inside one alpha.
 CHUNKED_GRID = ["--alpha-min", "0", "--alpha-max", "4", "--alpha-step", "0.5",
@@ -751,6 +758,23 @@ class TestVerify:
 
         monkeypatch.setattr(bounds, "residual_sandwich_check", perturbed)
         assert cli.verify_identities() == ["alpha=5 n=40: residual negative"]
+
+    def test_identities_proves_what_a_grid_scan_misses(self, capsys, monkeypatch):
+        # (a - 1/20)^2 - 1e-6 is negative only on (0.049, 0.051), between
+        # the points 0.01 and 0.11 of a binary64 scan from -0.99 by 0.1
+        def dipped(a):
+            return ((a - F(1, 20)) ** 2 - F(1, 10**6),) + _lower_gap_values(a)[1:]
+
+        monkeypatch.setattr(bounds, "_lower_gap_values", dipped)
+        assert all(bounds.identity_residuals(a).lower_gap[0] > 0
+                   for a in cli._grid(-0.99, 500.0, 0.1))
+        assert dipped(F(1, 20))[0] < 0
+        assert ("lower_gap[0]: not proved positive for every alpha > -1"
+                in cli.verify_identities())
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verify", "--mode", "identities")
+        assert code == 1
+        assert any(line.startswith("FAIL ") for line in out.splitlines())
 
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:
