@@ -90,16 +90,24 @@ class IdentityResidual(NamedTuple):
     ``lower_gap[j-1]`` is the coefficient of n^j (j = 1..5) in the scaled
     gap between p3 and (lower bound)*p2; all five are positive for
     alpha > -1.  ``upper_gap[j]`` is the coefficient of n^j (j = 0..5) in
-    the scaled gap between the cubed upper bound and p3.
-    ``upper_gap_collapsed`` folds the upper-gap coefficients towards low
-    degree assuming n >= 2:
+    the scaled gap between the cubed upper bound and p3.  Shifted to
+    n = m + 2, that gap has the coefficients
+
+        h[j] = sum_{i >= j} g[i] C(i, j) 2^(i-j)        (g = upper_gap)
+
+    in m, ``_shift(upper_gap, 2)``; each is positive for alpha > -1, so the
+    gap is positive for every n >= 2.  ``verify identities`` proves both
+    claims for every alpha > -1.  ``upper_gap_collapsed`` is the paper's
+    chain, which folds the upper-gap coefficients towards low degree:
 
         collapsed[2] = 4 g[5] + 2 g[4] + g[3],
         collapsed[1] = 2 collapsed[2] + g[2],
-        collapsed[0] = 2 collapsed[1] + g[1],
+        collapsed[0] = 2 collapsed[1] + g[1].
 
-    with g = upper_gap; each is positive for alpha > -1, which makes the
-    total gap positive for n >= 2.
+    Its three values are positive for alpha > -1, but they bound the gap
+    at n >= 2 only under sign conditions on g[5] and g[4] that nothing
+    checked, and the chain never reads g[0]: until the shift, nothing
+    proved ``upper_gap[0]`` positive.
     """
 
     lower_gap: tuple
@@ -377,6 +385,16 @@ def _coefficients_from_values(values):
     return [Fraction(c, top) for c in coeffs]
 
 
+def _shift(coeffs, s):
+    """Coefficients (x^0 first) of c(x + s), where ``coeffs`` are those of
+    c(x), by Horner's rule; exact on ints and Fractions."""
+    out = []
+    for c in reversed(coeffs):
+        out = [x + s * y for x, y in zip([0] + out, out + [0])]
+        out[0] += c
+    return out
+
+
 def _sign_changes(xs) -> int:
     """The sign changes in the sequence ``xs``, its zeros skipped."""
     signs = [x > 0 for x in xs if x]
@@ -399,10 +417,7 @@ def _positive_above_minus_one(values) -> bool:
     q = _coefficients_from_values(fit)
     if sum(c * len(fit) ** j for j, c in enumerate(q)) != last:
         return False
-    p = []  # q(t - 1), constant first, by Horner's rule
-    for c in reversed(q):
-        p = [x - y for x, y in zip([0] + p, p + [0])]
-        p[0] += c
+    p = _shift(q, -1)  # q(t - 1), constant first
     while p and not p[-1]:
         p.pop()
     while p and not p[0]:

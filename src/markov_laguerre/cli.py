@@ -13,8 +13,10 @@ a single row, computes the whole grid as one chunk in this process.  Each
 run of rows that share alpha is one ``_grid_rows`` group: one call of the
 bounds engine ``bounds._rows`` (alpha validated, the factor built once,
 one c(alpha) for c_n/(n c(alpha))).  Its rows are ``bounds.BoundsReport``
-records, whose fields are the sweep's columns.  The ``verify`` suites
-judge the printed rows, read by field name: sweep and ``bessel-zero`` rows.
+records, whose fields are the sweep's columns.  Of the ``verify`` suites,
+``coeffs`` and ``identities`` prove the closed forms and the sandwich
+residuals for every alpha and n; the others judge the printed rows, read by
+field name: sweep and ``bessel-zero`` rows.
 Exit codes: 0 all checks pass, 1 numeric failure, 2 usage error (an empty
 grid among them).  A reader that closes the pipe early ends the command
 with exit code 1, quietly.
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
+from .recurrence import _b123_parts, _scaled_rows, _split, coeff_a0
 
 SWEEP_COLUMNS = bounds.BoundsReport._fields
 
@@ -235,14 +237,12 @@ def cmd_figure1(args) -> int:
 # verification suites
 # ---------------------------------------------------------------------------
 
-VERIFY_ALPHAS = (
-    Fraction(-1, 2),
-    Fraction(-1, 4),
-    Fraction(0),
-    Fraction(1, 3),
-    Fraction(1),
-    Fraction(5, 2),
-    Fraction(10),
+# The grid of the induction in ``verify_coeffs``: m = 1..12 by 12 alphas
+# with denominators from 1 to 10, so that (p, d) homogeneity is exercised.
+_INDUCTION_M = range(1, 13)
+_INDUCTION_ALPHAS = tuple(
+    Fraction(a) for a in ("-9/10", "-2/3", "-1/3", "1/7", "2/5", "3/4", "3/2", "7/3", "4",
+                          "13/2", "12", "50")
 )
 
 _GRID_ALPHAS_EXACT = tuple(
@@ -259,31 +259,53 @@ def grid_pairs(alphas=GRID_ALPHAS):
 
 
 def verify_coeffs() -> list[str]:
-    """Exact match of the four closed-form coefficients against the
-    recurrence triangle, n <= 60, plus monicity and the a0 step relation.
+    """Proves, for every alpha > -1 and n >= 0, that the closed forms of
+    the constant coefficient a0 (``coeff_a0``) and of b1..b3
+    (``_b123_parts``, behind ``reciprocal_b123``) are those of Q_n, by
+    induction on n in exact integer arithmetic.
 
-    Row n of the triangle is R_n / S_n, integers over the scale
-    S_n = d^n n! for alpha = p/d, so each check is cross-multiplied on
-    integers; a failure prints both sides as Fractions."""
+    With b_k = (-1)^k a[k,n] / a[0,n], b_0 = 1 and the step
+    a0(m+1) = -(1 + alpha/(m+1)) a0(m), the recurrence of
+    ``qn_coefficient_rows`` reads, for m >= 1,
+
+        (m+1+alpha) b_k(m+1) = (m+1) b_{k-1}(m) + (2(m+1)+alpha) b_k(m) - (m+1) b_k(m-1).
+
+    By the form of ``_b123_parts``, b_k's denominator is free of n and
+    b_{k-1}'s divides it, and times that denominator each term is a
+    polynomial of degree <= 2k+1 in m and <= 3 in alpha.  So the identity
+    holds for every m and alpha if it holds on 2k+2 values of m by 4
+    alphas; it is checked on m = 1..12 by the 12 ``_INDUCTION_ALPHAS``,
+    cross-multiplied on the integers of ``_b123_parts(p, d, m)`` at
+    alpha = p/d (zero exactly where the identity holds).  The base cases
+    are rows 0 and 1 of ``_scaled_rows``, every entry against a0 and
+    b0..b3; a0 meets its step on the grid (and for every m by the product
+    form of ``coeff_a0``).  A failure prints both sides as Fractions."""
     failures = []
-    for a in VERIFY_ALPHAS:
+    for a in _INDUCTION_ALPHAS:
         p, d = _split(a)
-        prev_a0 = None
-        for n, (row, scale) in enumerate(_scaled_rows(p, d, 60)):
-            a0 = coeff_a0(a, n)
-            b1, b2, b3 = reciprocal_b123(a, n)
-            # row[k] / scale == (-1)^k b_k a0, with b_0 = 1
-            for k, b in enumerate((1, b1, b2, b3)[:n + 1]):
-                got = row[k] * b.denominator * a0.denominator
-                if got != (-1) ** k * b.numerator * a0.numerator * scale:
-                    want = (a0, -b1 * a0, b2 * a0, -b3 * a0)[k]
-                    failures.append(f"alpha={a} n={n} k={k}: {Fraction(row[k], scale)} != {want}")
-            if row[-1] != scale:
-                failures.append(f"alpha={a} n={n}: not monic")
-            # a0(n) = -(1 + a/n) a0(n-1), and S_n = dn S_{n-1}
-            if prev_a0 is not None and row[0] != -(d * n + p) * prev_a0:
-                failures.append(f"alpha={a} n={n}: a0 step relation broken")
-            prev_a0 = row[0]
+        a0 = [coeff_a0(a, m) for m in range(_INDUCTION_M[-1] + 2)]
+        parts = [((1, 1),) + _b123_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
+        # rows 0 and 1: row[k] / scale == (-1)^k b_k a0, with zeros past the row's end
+        for n, (row, scale) in enumerate(_scaled_rows(p, d, 1)):
+            for k, (num, den) in enumerate(parts[n]):
+                got = row[k] if k < len(row) else 0
+                if got * den * a0[n].denominator != (-1) ** k * num * a0[n].numerator * scale:
+                    want = (-1) ** k * Fraction(num, den) * a0[n]
+                    failures.append(f"alpha={a} n={n} k={k}: {Fraction(got, scale)} != {want}")
+        for m in _INDUCTION_M:
+            step = d * (m + 1)  # d(m+1) + p = d(m+1+alpha)
+            if (step * a0[m + 1].numerator * a0[m].denominator
+                    != -(step + p) * a0[m].numerator * a0[m + 1].denominator):
+                failures.append(f"alpha={a} m={m}: a0 step relation broken")
+            for k in (1, 2, 3):
+                (num_prev, den_prev), (num, den) = parts[m][k - 1:k + 1]
+                up, down = parts[m + 1][k][0], parts[m - 1][k][0]
+                lhs = den_prev * ((step + p) * up - (2 * step + p) * num + step * down)
+                if lhs != step * num_prev * den:
+                    want = ((m + 1) * Fraction(num_prev, den_prev)
+                            + (2 * (m + 1) + a) * Fraction(num, den) - (m + 1) * Fraction(down, den))
+                    failures.append(f"alpha={a} m={m} k={k}: (m+1+alpha) b{k}(m+1) = "
+                                    f"{(m + 1 + a) * Fraction(up, den)} != {want}")
     return failures
 
 
@@ -334,22 +356,44 @@ def verify_bessel() -> list[str]:
 
 
 def verify_identities() -> list[str]:
-    """The residual coefficients of ``bounds.identity_residuals``, the five
-    lower-gap and the three collapsed upper-gap ones, are proved positive
-    for every alpha > -1, exactly: each is a polynomial of degree <= 5 in
-    alpha by its form in ``bounds._lower_gap_values`` and
-    ``bounds._upper_gap_values``, so its values at alpha = 0..8 fix it, and
-    ``bounds._positive_above_minus_one`` proves it positive with no grid.
-    Sampled, in exact arithmetic: the residual polynomials match those
-    coefficients at the 9 alphas of ``_GRID_ALPHAS_EXACT``, and both
-    residuals are >= 0 at the 880 (alpha, n) pairs of ``grid_pairs`` on
-    those alphas."""
+    """Proves the residuals of ``bounds.residual_sandwich_check`` positive
+    for every alpha > -1, exactly, in three links; the fourth, the closed
+    forms of b1..b3 they are built on, is ``verify_coeffs``.
+
+    (ii) Times their scales (``bounds.lower_residual_poly`` and
+    ``upper_residual_poly``), the residuals are the polynomials in n whose
+    coefficients ``bounds.identity_residuals`` lists.  By the forms of
+    ``_b123_parts`` and ``_refined_lower_parts``, each coefficient is a
+    polynomial of degree <= 5 in alpha for the lower residual; for the
+    upper one it is such a polynomial over alpha + 1, of degree <= 4 once
+    that factor is cleared.  The lists have the same degrees by their forms
+    in ``bounds._lower_gap_values`` and ``_upper_gap_values``, so both
+    sides agree for every alpha if they agree at the 9 alphas of
+    ``_GRID_ALPHAS_EXACT`` (6 would do).
+
+    (iii) Each of the five lower-gap coefficients, of degree <= 5, is fixed
+    by its values at alpha = 0..8 and proved positive on alpha > -1 by
+    ``bounds._positive_above_minus_one``, with no grid: the lower residual
+    is positive for every n >= 1.
+
+    (iv) Shifted to n = m + 2 (``bounds._shift``), the upper gap has six
+    coefficients in m, of degree <= 4 in alpha, each proved positive the
+    same way: the upper residual is positive for every n >= 2.
+
+    With the power-sum chain p3/p2 <= c_n^2 < p3^(1/3) (n >= 2), it follows
+    that refined_lower < c_n^2 < refined_upper for every alpha > -1 and
+    n >= 2, which covers the theorem's n >= 3.  The paper's bounds on c(alpha)
+    are the n^2 coefficients of that pair, so they bound
+    c(alpha)^2 = lim c_n^2 / n^2 for every alpha > -1: ``verify_bessel``
+    tests ``first_zero`` against a proved enclosure."""
     failures = []
     at = [bounds.identity_residuals(Fraction(k)) for k in range(9)]
-    for field in ("lower_gap", "upper_gap_collapsed"):
-        for j, values in enumerate(zip(*(getattr(r, field) for r in at))):
+    for name, coeffs in (("lower_gap[{}]", [r.lower_gap for r in at]),
+                         ("upper_gap at n = m + 2, m^{}",
+                          [bounds._shift(r.upper_gap, 2) for r in at])):
+        for j, values in enumerate(zip(*coeffs)):
             if not bounds._positive_above_minus_one(values):
-                failures.append(f"{field}[{j}]: not proved positive for every alpha > -1")
+                failures.append(f"{name.format(j)}: not proved positive for every alpha > -1")
     for a in _GRID_ALPHAS_EXACT:
         lp = bounds.lower_residual_poly(a)
         up = bounds.upper_residual_poly(a)
@@ -358,10 +402,6 @@ def verify_identities() -> list[str]:
             failures.append(f"alpha={a}: lower residual coefficients mismatch")
         if up[6] != 0 or up[:6] != idr.upper_gap:
             failures.append(f"alpha={a}: upper residual coefficients mismatch")
-    for a, n in grid_pairs(_GRID_ALPHAS_EXACT):
-        lr, ur = bounds.residual_sandwich_check(a, n)
-        if lr < 0 or ur < 0:
-            failures.append(f"alpha={a} n={n}: residual negative")
     print(
         "note: printed residual coefficient lists match the lower bound "
         "normalized by (alpha+1)(alpha+5); the alternative (alpha+3)(alpha+5) "
@@ -371,11 +411,14 @@ def verify_identities() -> list[str]:
 
 
 VERIFY_MODES = {
-    "coeffs": ("coefficient closed forms vs recurrence (exact, n<=60)", verify_coeffs),
+    "coeffs": ("closed forms a0, b1..b3 are those of Q_n, proved for every alpha > -1 "
+               "and n >= 0 (exact induction)", verify_coeffs),
     "sandwich": ("finite-n sandwich on the standard grid", verify_sandwich),
     "asymptotic": ("c_n/n approaches the inverse first Bessel zero", verify_asymptotic),
     "bessel": ("first-zero enclosure on the nu grid", verify_bessel),
-    "identities": ("residual positivity and exact coefficient identities", verify_identities),
+    "identities": ("sandwich residuals positive, proved for every alpha > -1 and n >= 2 "
+                   "(exact identities, Sturm counts): refined_lower < c_n^2 < refined_upper",
+                   verify_identities),
 }
 
 

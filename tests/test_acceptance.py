@@ -7,9 +7,10 @@ as assertions:
 
 * criterion 5b: the new lower bound does not dominate the classical one at
   every grid point.  It is the larger one exactly where the quadratic
-  q_alpha(n) of :func:`refined_bounds` is >= 0, and its ratio to the
-  classical bound tends to 2(alpha+3)/(alpha+5) > 1; at alpha = -0.9,
-  n = 3 the classical bound is tighter (42.86 against 34.93);
+  q_alpha(n) of :func:`refined_bounds` is >= 0 (the difference of the two
+  is q_alpha(n) over (alpha+1)(alpha+3)(alpha+5), an exact identity), and
+  its ratio to the classical bound tends to 2(alpha+3)/(alpha+5) > 1; at
+  alpha = -0.9, n = 3 the classical bound is tighter (42.86 against 34.93);
 * criterion 9a: the asymptotic upper bound 2/(alpha + 2pi - 2) holds
   strictly for alpha > 2, is an exact equality at alpha = 2 (both sides
   1/pi) and fails on 1 < alpha < 2, where
@@ -22,6 +23,7 @@ and the acceptance suite share one implementation and one set of grids.
 
 import math
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -43,6 +45,7 @@ from markov_laguerre import (
 )
 from markov_laguerre import cli
 from markov_laguerre.cli import GRID_ALPHAS, grid_pairs
+from markov_laguerre.recurrence import _refined_lower_parts
 
 SMALL_N_ALPHAS = (
     -0.98, -0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
@@ -111,8 +114,9 @@ def test_criterion_02_small_n_closed_forms():
 def test_criterion_03_coefficient_oracle():
     failures, elapsed = timed_suite(cli.verify_coeffs)
     ok = not failures and elapsed <= 30.0
-    report(ok, "criterion 3: exact coefficient identities, n<=60, 7 alphas",
-           f"zero-tolerance match, {elapsed:.2f}s")
+    report(ok, "criterion 3: closed forms a0, b1..b3 are the recurrence's, proved for "
+           "every alpha > -1 and n >= 0",
+           f"exact induction on n, {elapsed:.2f}s")
     assert failures == []
     assert elapsed <= 30.0
 
@@ -140,6 +144,30 @@ def dominance_quadratic(a, n):
         + (3 * a - 1) * (a + 3) * n / 3
         - 2 * a * (a + 1) * (a + 3) / 9
     )
+
+
+def test_criterion_05b_difference_is_q_over_a_positive_cubic():
+    """The true statement of criterion 5b as one exact identity:
+
+        refined_lower - n^2/((a+1)(a+3)) = q_a(n) / ((a+1)(a+3)(a+5)).
+
+    Times 9(a+1)(a+3)(a+5) both sides are polynomials of degree <= 3 in a
+    and <= 2 in n, so the 9 x 6 grid below proves it for every a > -1 and
+    n; the spec's counterexample (-0.9, 3) is a point where q < 0."""
+    mismatches = []
+    for a in cli._GRID_ALPHAS_EXACT:
+        for n in range(1, 7):
+            num, den = _refined_lower_parts(a, 1, n)
+            difference = num / den - F(n * n) / ((a + 1) * (a + 3))
+            if difference != dominance_quadratic(a, n) / ((a + 1) * (a + 3) * (a + 5)):
+                mismatches.append((a, n))
+    q = dominance_quadratic(F(-9, 10), 3)
+    report(not mismatches and q < 0,
+           "criterion 5b: refined minus classical lower bound is q_alpha(n) over "
+           "(alpha+1)(alpha+3)(alpha+5), for every alpha > -1 and n",
+           f"exact on 9 x 6 (alpha, n); q = {float(q):.4f} at alpha=-0.9, n=3")
+    assert mismatches == []
+    assert q < 0
 
 
 def test_criterion_05b_lower_bound_dominance(grid_c_sq):
@@ -319,8 +347,9 @@ def test_criterion_10_ratio_below_two():
 
 def test_criterion_11_residual_identities():
     failures = cli.verify_identities()
-    report(not failures, "criterion 11: residual positivity and exact identities",
-           "positivity proved for every alpha > -1 (Sturm) + exact rational checks")
+    report(not failures, "criterion 11: sandwich residuals positive, proved for every "
+           "alpha > -1 and n >= 2, so refined_lower < c_n^2 < refined_upper there",
+           "exact identities of degree <= 5 in alpha at 9 alphas, Sturm counts")
     assert failures == []
 
 

@@ -35,6 +35,7 @@ from markov_laguerre.bounds import (
     _lower_gap_values,
     _positive_above_minus_one,
     _residual_parts,
+    _shift,
     lower_residual_poly,
     upper_residual_poly,
 )
@@ -391,6 +392,22 @@ class TestPositiveAboveMinusOne:
 
     def test_zero_is_refused(self):
         assert not _positive_above_minus_one([0] * 9)
+
+
+class TestShift:
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.integers(-50, 50), max_size=8), s=st.integers(-3, 3),
+           x=st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    def test_is_the_polynomial_at_x_plus_s(self, coeffs, s, x):
+        shifted = _shift(coeffs, s)
+        assert len(shifted) == len(coeffs)
+        assert (sum(c * x**j for j, c in enumerate(shifted))
+                == sum(c * (x + s) ** i for i, c in enumerate(coeffs)))
+
+    def test_upper_gap_at_n_plus_two_is_the_binomial_sum(self):
+        g = identity_residuals(F(1, 3)).upper_gap
+        assert _shift(g, 2) == [sum(g[i] * math.comb(i, j) * 2 ** (i - j) for i in range(j, 6))
+                                for j in range(6)]
 
 
 class TestResidualPolys:

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_laguerre import bessel, bounds, cli
+from markov_laguerre import bessel, bounds, cli, recurrence
 from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main, sweep_row
 from markov_laguerre.eigen import build_jacobi, markov_constant, smallest_eigenvalue
+from markov_laguerre.recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
 
 _coeff_a0 = cli.coeff_a0
+_b123_parts = recurrence._b123_parts
 _asymptotic_constant = bessel.asymptotic_constant
 _lower_gap_values = bounds._lower_gap_values
 
@@ -739,25 +741,24 @@ class TestVerify:
 
     def test_coeffs_failure_prints_both_sides_as_fractions(self, monkeypatch):
         # The suite compares cross-multiplied integers; a failure still
-        # prints both sides as Fractions.
-        real = cli.reciprocal_b123
+        # prints both sides of the induction step as Fractions.  b1(5) + 1
+        # at alpha = 3/4 breaks the steps that read b1(5): k = 1 at
+        # m = 4, 5, 6, and k = 2 at m = 5, where b1 is b_{k-1}.
+        real = cli._b123_parts
 
-        def perturbed(a, n):
-            b1, b2, b3 = real(a, n)
-            return (b1 + 1, b2, b3) if (a, n) == (F(1, 3), 5) else (b1, b2, b3)
+        def perturbed(p, d, n):
+            (num, den), b2, b3 = real(p, d, n)
+            if (p, d, n) == (3, 4, 5):
+                num += den
+            return (num, den), b2, b3
 
-        monkeypatch.setattr(cli, "reciprocal_b123", perturbed)
-        assert cli.verify_coeffs() == ["alpha=1/3 n=5 k=1: 1820/81 != 17836/729"]
-
-    def test_identities_failure_names_the_pair(self, monkeypatch):
-        real = bounds.residual_sandwich_check
-
-        def perturbed(a, n):
-            lower, upper = real(a, n)
-            return (-lower, upper) if (a, n) == (F(5), 40) else (lower, upper)
-
-        monkeypatch.setattr(bounds, "residual_sandwich_check", perturbed)
-        assert cli.verify_identities() == ["alpha=5 n=40: residual negative"]
+        monkeypatch.setattr(cli, "_b123_parts", perturbed)
+        assert cli.verify_coeffs() == [
+            "alpha=3/4 m=4 k=1: (m+1+alpha) b1(m+1) = 1541/28 != 345/7",
+            "alpha=3/4 m=5 k=1: (m+1+alpha) b1(m+1) = 81 != 375/4",
+            "alpha=3/4 m=5 k=2: (m+1+alpha) b2(m+1) = 2268/11 != 2334/11",
+            "alpha=3/4 m=6 k=1: (m+1+alpha) b1(m+1) = 124 != 117",
+        ]
 
     def test_identities_proves_what_a_grid_scan_misses(self, capsys, monkeypatch):
         # (a - 1/20)^2 - 1e-6 is negative only on (0.049, 0.051), between
@@ -775,6 +776,19 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--mode", "identities")
         assert code == 1
         assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+    def test_identities_refuses_a_gap_that_dips_below_zero_at_n_2(self, monkeypatch):
+        # The collapse of IdentityResidual never reads upper_gap[0], so it
+        # still proves its three values positive; the gap at n = 2, h[0] of
+        # the shift to n = m + 2, is negative.
+        real = bounds._upper_gap_values
+        monkeypatch.setattr(bounds, "_upper_gap_values", lambda a: (real(a)[0] - 1000,) + real(a)[1:])
+        at = [bounds.identity_residuals(F(k)) for k in range(9)]
+        assert all(bounds._positive_above_minus_one(values)
+                   for values in zip(*(r.upper_gap_collapsed for r in at)))
+        assert sum(g * 2**i for i, g in enumerate(at[0].upper_gap)) < 0
+        assert ("upper_gap at n = m + 2, m^0: not proved positive for every alpha > -1"
+                in cli.verify_identities())
 
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -797,6 +811,159 @@ class TestVerify:
                             counted("limit", bessel.asymptotic_constant))
         assert cli.verify_sandwich() == []
         assert calls == {"build": len(cli.GRID_ALPHAS), "limit": len(cli.GRID_ALPHAS)}
+
+
+# The alphas of the triangle comparison below; the induction grid of the
+# ``coeffs`` suite lies apart from them.
+VERIFY_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
+
+
+def triangle_mismatches() -> list[str]:
+    """The closed-form coefficients against the recurrence triangle,
+    n <= 60 at ``VERIFY_ALPHAS``, plus monicity and the a0 step relation, a
+    sample of what the induction of the ``coeffs`` suite proves.  Row n of
+    the triangle is R_n / S_n, integers over the scale S_n = d^n n! for
+    alpha = p/d, so each check is cross-multiplied on integers."""
+    failures = []
+    for a in VERIFY_ALPHAS:
+        p, d = _split(a)
+        prev_a0 = None
+        for n, (row, scale) in enumerate(_scaled_rows(p, d, 60)):
+            a0 = coeff_a0(a, n)
+            b1, b2, b3 = reciprocal_b123(a, n)
+            # row[k] / scale == (-1)^k b_k a0, with b_0 = 1
+            for k, b in enumerate((1, b1, b2, b3)[:n + 1]):
+                got = row[k] * b.denominator * a0.denominator
+                if got != (-1) ** k * b.numerator * a0.numerator * scale:
+                    want = (a0, -b1 * a0, b2 * a0, -b3 * a0)[k]
+                    failures.append(f"alpha={a} n={n} k={k}: {F(row[k], scale)} != {want}")
+            if row[-1] != scale:
+                failures.append(f"alpha={a} n={n}: not monic")
+            # a0(n) = -(1 + a/n) a0(n-1), and S_n = dn S_{n-1}
+            if prev_a0 is not None and row[0] != -(d * n + p) * prev_a0:
+                failures.append(f"alpha={a} n={n}: a0 step relation broken")
+            prev_a0 = row[0]
+    return failures
+
+
+def grid_residual_failures() -> list[str]:
+    """Both residuals at the 880 (alpha, n) pairs of the sandwich grid, in
+    exact arithmetic, a sample of what the ``identities`` suite proves."""
+    failures = []
+    for a, n in cli.grid_pairs(cli._GRID_ALPHAS_EXACT):
+        lr, ur = bounds.residual_sandwich_check(a, n)
+        if lr < 0 or ur < 0:
+            failures.append(f"alpha={a} n={n}: residual negative")
+    return failures
+
+
+def b3_perturbed_at_verify_alphas(p, d, n):
+    """``_b123_parts`` with prod_i (alpha - a_i) (n-2)(n-1)n(n+1) added to
+    b3's numerator over its denominator, a_i in ``VERIFY_ALPHAS``: the
+    same b3 at those alphas and at n <= 2, another one elsewhere.  Kept
+    homogeneous in (p, d) by scaling b3's parts by Q d^2, Q the product of
+    the a_i's denominators."""
+    b1, b2, (num, den) = _b123_parts(p, d, n)
+    scale = math.prod(a.denominator for a in VERIFY_ALPHAS) * d * d
+    extra = (math.prod(p * a.denominator - a.numerator * d for a in VERIFY_ALPHAS)
+             * (n - 2) * (n - 1) * n * (n + 1))
+    return b1, b2, (num * scale + extra, den * scale)
+
+
+class TestSampledChecks:
+    """Samples of what the ``coeffs`` and ``identities`` suites prove for
+    every alpha and n: the triangle at 7 alphas and the residuals on the
+    sandwich grid."""
+
+    def test_closed_forms_match_the_triangle(self):
+        assert triangle_mismatches() == []
+
+    def test_residuals_are_nonnegative_on_the_grid(self):
+        assert len(cli.grid_pairs(cli._GRID_ALPHAS_EXACT)) == 880
+        assert grid_residual_failures() == []
+
+    def test_residual_grid_failure_names_the_pair(self, monkeypatch):
+        real = bounds.residual_sandwich_check
+
+        def perturbed(a, n):
+            lower, upper = real(a, n)
+            return (-lower, upper) if (a, n) == (F(5), 40) else (lower, upper)
+
+        monkeypatch.setattr(bounds, "residual_sandwich_check", perturbed)
+        assert grid_residual_failures() == ["alpha=5 n=40: residual negative"]
+
+    def test_induction_alphas_lie_apart_from_the_triangle_alphas(self):
+        assert len(set(cli._INDUCTION_ALPHAS)) == 12
+        assert not set(cli._INDUCTION_ALPHAS) & set(VERIFY_ALPHAS)
+        assert all(a > -1 for a in cli._INDUCTION_ALPHAS)
+
+    def test_a_b3_the_triangle_cannot_see_fails_the_induction(self, monkeypatch):
+        real_b3 = reciprocal_b123(F(2), 5)[2]
+        monkeypatch.setattr(recurrence, "_b123_parts", b3_perturbed_at_verify_alphas)
+        monkeypatch.setattr(cli, "_b123_parts", b3_perturbed_at_verify_alphas)
+        assert reciprocal_b123(F(2), 5)[2] != real_b3
+        assert triangle_mismatches() == []
+        failures = cli.verify_coeffs()
+        assert failures and all(" k=3: " in f for f in failures)
+
+
+def differences(values, order):
+    """The forward differences of the given order of ``values``."""
+    for _ in range(order):
+        values = [y - x for x, y in zip(values, values[1:])]
+    return values
+
+
+class TestProofPremises:
+    """The degrees that the proofs of the ``coeffs`` and ``identities``
+    suites count from the forms of ``_b123_parts`` and
+    ``_refined_lower_parts``, measured: a polynomial of degree <= D takes
+    values whose differences of order D + 1 vanish, here at 22 equally
+    spaced exact alphas, at m = 1..21 or at n = 0..21.  An edit that raised
+    a degree past the suite's grid would void its proof; these tests fail
+    instead."""
+
+    ALPHAS = [F(k - 2, 3) for k in range(22)]  # -2/3 .. 19/3
+
+    @staticmethod
+    def induction_terms(a, m, k):
+        """The four terms of the induction step of ``verify_coeffs`` at
+        (alpha, m, k), times b_k's denominator, from ``_b123_parts(a, 1, m)``:
+        (m+1+a) b_k(m+1), (m+1) b_{k-1}(m), (2(m+1)+a) b_k(m), (m+1) b_k(m-1)."""
+        parts = [((1, 1),) + recurrence._b123_parts(a, 1, j) for j in (m - 1, m, m + 1)]
+        (down, den), (num, _), (up, _) = (part[k] for part in parts)
+        assert {part[k][1] for part in parts} == {den}  # free of m
+        num_prev, den_prev = parts[1][k - 1]
+        return ((m + 1 + a) * up, (m + 1) * F(num_prev) * den / den_prev,
+                (2 * (m + 1) + a) * num, (m + 1) * down)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_induction_step_degrees(self, k):
+        for m in (1, 2, 5, 12):
+            terms = [self.induction_terms(a, m, k) for a in self.ALPHAS]
+            for values in zip(*terms):
+                assert not any(differences(values, 4)), (m, "degree in alpha > 3")
+            assert all(t[0] - t[1] - t[2] + t[3] == 0 for t in terms)
+        for a in (F(-9, 10), F(7, 3), F(50)):
+            terms = [self.induction_terms(a, m, k) for m in range(1, 22)]
+            for values in zip(*terms):
+                assert not any(differences(values, 2 * k + 2)), (a, f"degree in m > {2 * k + 1}")
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 12])
+    def test_scaled_residual_degrees(self, n):
+        lower, upper = zip(*(bounds.residual_sandwich_check(a, n) for a in self.ALPHAS))
+        scaled_lower = [r * (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+                        for r, a in zip(lower, self.ALPHAS)]
+        scaled_upper = [r * (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+                        for r, a in zip(upper, self.ALPHAS)]
+        assert not any(differences(scaled_lower, 6)) and any(differences(scaled_lower, 5))
+        assert not any(differences(scaled_upper, 5)) and any(differences(scaled_upper, 4))
+
+    @pytest.mark.parametrize("a", [F(-9, 10), F(1, 3), F(25)])
+    def test_residuals_have_degree_six_in_n(self, a):
+        # lower_residual_poly and upper_residual_poly interpolate at n = 0..6
+        for residual in zip(*(bounds.residual_sandwich_check(a, n) for n in range(22))):
+            assert not any(differences(residual, 7))
 
 
 def _printed(capsys, *argv) -> dict:
