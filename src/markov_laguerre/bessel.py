@@ -14,9 +14,9 @@ J_{nu+k}(j))_k.  The matrix is the Golub-Kahan form of the lower bidiagonal
 C with diagonal b_1, b_3, ... and subdiagonal b_2, b_4, ..., so 4/j_{nu,1}^2
 is the largest eigenvalue of 4 C C^T = B B^T, where B has squared diagonal
 q_i = 1/((h+2i)(h+2i+1)) and squared subdiagonal e_i = 1/((h+2i+1)(h+2i+2)).
-``first_zero`` solves it with the qd sign count and safeguarded Laguerre
-steps of :mod:`markov_laguerre.eigen` (``_laguerre_pass_e``, ``_largest``),
-from above, and returns j = 2/sqrt(lambda_max).
+``first_zero`` solves it with safeguarded Laguerre steps and count-only
+qd sign counts of :mod:`markov_laguerre.eigen` (``_laguerre_pass_e``,
+``_count_e``, ``_largest``), from above, and returns j = 2/sqrt(lambda_max).
 
 Which side is proved
 --------------------
@@ -56,7 +56,7 @@ import functools
 import math
 import sys
 
-from .eigen import EigenResult, _check_tol, _laguerre_pass_e, _largest
+from .eigen import EigenResult, _check_tol, _count_e, _laguerre_pass_e, _largest
 from .recurrence import _float_alpha, alpha_value
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
@@ -174,8 +174,8 @@ def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
     fewer than m eigenvalues and 4/lower^2 all m."""
     lower, upper = enclosure
     q, e = _ikebe_factor(h, m)
-    return _largest(functools.partial(_laguerre_pass_e, q, e), m,
-                    4.0 / (upper * upper) * (1.0 - _WIDEN),
+    return _largest(functools.partial(_laguerre_pass_e, q, e), functools.partial(_count_e, q, e),
+                    m, 4.0 / (upper * upper) * (1.0 - _WIDEN),
                     4.0 / (lower * lower) * (1.0 + _WIDEN), tol)
 
 

@@ -18,9 +18,12 @@ the columns that the ``sweep`` and ``bounds`` commands print;
 ``bounds_report`` is its row at one n.  Routines that are pure
 rational arithmetic accept an exact alpha (int/Fraction) and then return
 exact values; the ``verify`` suites and the tests rely on this to check the
-certifying identities without tolerance.  At an exact alpha = p/d the residuals run on
-Python ints, integer numerators over one common denominator, and become
-``Fraction``s only when returned.
+certifying identities without tolerance.  At an exact alpha = p/d the
+residuals, the gap coefficient lists and the residual polynomials run on
+Python ints, integer numerators over denominators, and become
+``Fraction``s only when returned.  The positivity proof
+``_positive_above_minus_one`` scales its values to ints once and counts
+with a Sturm sequence of integer pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -329,25 +332,52 @@ def exact_c2_sq(alpha) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lower_gap_values(a):
+def _lower_gap_parts(p, d):
+    """(numerator, denominator) of each ``lower_gap`` coefficient of
+    :class:`IdentityResidual` at alpha = p/d, homogeneous in (p, d) like
+    ``recurrence._b123_parts``: integers p, d give integer parts, and
+    (alpha, 1) the binary64 expressions operation for operation."""
+    e1 = p + d
     return (
-        (1 + a) ** 2 * (10 * a**3 + 100 * a**2 + 321 * a + 1620) / 270,
-        (1 + a) * (4 * a**4 + 35 * a**3 + 166 * a**2 + 417 * a + 660) / 36,
-        (4 * a**5 + 36 * a**4 + 192 * a**3 + 625 * a**2 + 1527 * a + 1332) / 54,
-        (a**4 - a**3 + 157 * a**2 + 579 * a + 780) / 36,
-        (a**3 + 7 * a**2 + 136 * a + 280) / 30,
+        (e1**2 * (10 * p**3 + 100 * p**2 * d + 321 * p * d**2 + 1620 * d**3), 270 * d**5),
+        (e1 * (4 * p**4 + 35 * p**3 * d + 166 * p**2 * d**2 + 417 * p * d**3 + 660 * d**4),
+         36 * d**5),
+        (4 * p**5 + 36 * p**4 * d + 192 * p**3 * d**2 + 625 * p**2 * d**3 + 1527 * p * d**4
+         + 1332 * d**5, 54 * d**5),
+        (p**4 - p**3 * d + 157 * p**2 * d**2 + 579 * p * d**3 + 780 * d**4, 36 * d**4),
+        (p**3 + 7 * p**2 * d + 136 * p * d**2 + 280 * d**3, 30 * d**3),
     )
 
 
-def _upper_gap_values(a):
+def _upper_gap_parts(p, d):
+    """The ``upper_gap`` coefficients as :func:`_lower_gap_parts` gives the
+    ``lower_gap`` ones."""
+    e1 = p + d
     return (
-        8 * (1 + a) ** 2 * (2 + a) * (4 + a) / 125,
-        3 * (1 + a) * (16 * a**3 + 152 * a**2 + 439 * a - 52) / 250,
-        (96 * a**4 + 1363 * a**3 + 5656 * a**2 + 9167 * a + 2828) / 500,
-        (16 * a**4 + 363 * a**3 + 2506 * a**2 + 7167 * a + 4708) / 250,
-        (23 * a**3 + 446 * a**2 + 1657 * a + 2164) / 100,
-        3 * (5 * a + 16) / 5,
+        (8 * e1**2 * (2 * d + p) * (4 * d + p), 125 * d**4),
+        (3 * e1 * (16 * p**3 + 152 * p**2 * d + 439 * p * d**2 - 52 * d**3), 250 * d**4),
+        (96 * p**4 + 1363 * p**3 * d + 5656 * p**2 * d**2 + 9167 * p * d**3 + 2828 * d**4,
+         500 * d**4),
+        (16 * p**4 + 363 * p**3 * d + 2506 * p**2 * d**2 + 7167 * p * d**3 + 4708 * d**4,
+         250 * d**4),
+        (23 * p**3 + 446 * p**2 * d + 1657 * p * d**2 + 2164 * d**3, 100 * d**3),
+        (3 * (5 * p + 16 * d), 5 * d),
     )
+
+
+def _as_values(parts, exact: bool) -> tuple:
+    """The values num/den of (numerator, denominator) ``parts``: Fractions
+    where ``exact``, else binary64 quotients."""
+    if exact:
+        return tuple(Fraction(num, den) for num, den in parts)
+    return tuple(num / den for num, den in parts)
+
+
+def _numerators(parts) -> list:
+    """The numerators of (numerator, denominator) ``parts`` over the lcm of
+    their (positive) denominators."""
+    den = math.lcm(*(den for _, den in parts))
+    return [num * (den // part_den) for num, part_den in parts]
 
 
 def identity_residuals(alpha) -> IdentityResidual:
@@ -358,8 +388,10 @@ def identity_residuals(alpha) -> IdentityResidual:
     collapse, not any independent closed form, defines it.
     """
     a = alpha_value(alpha)
-    g_lower = _lower_gap_values(a)
-    g = _upper_gap_values(a)
+    exact = isinstance(a, Fraction)
+    p, d = _split(a) if exact else (a, 1)
+    g_lower = _as_values(_lower_gap_parts(p, d), exact)
+    g = _as_values(_upper_gap_parts(p, d), exact)
     c3 = 4 * g[5] + 2 * g[4] + g[3]
     c2 = 2 * c3 + g[2]
     c1 = 2 * c2 + g[1]
@@ -367,11 +399,12 @@ def identity_residuals(alpha) -> IdentityResidual:
 
 
 def _coefficients_from_values(values):
-    """Coefficients (n^0 first), as Fractions, of the polynomial of degree
-    < len(values) that takes the exact ``values`` at n = 0, 1, 2, ...:
-    Newton's forward-difference form sum_k (Delta^k v)(0) * binom(n, k).
-    With binom(n, k) = n(n-1)...(n-k+1) / k!, integer values stay integers
-    up to one division by (len(values) - 1)!."""
+    """(coefficients, divisor): the coefficients (n^0 first) of the
+    polynomial of degree < len(values) that takes the exact ``values`` at
+    n = 0, 1, 2, ..., times the divisor (len(values) - 1)!, and that divisor.
+    Newton's forward-difference form sum_k (Delta^k v)(0) * binom(n, k), with
+    binom(n, k) = n(n-1)...(n-k+1) / k!: integer values give integer
+    coefficients."""
     top = math.factorial(len(values) - 1)
     coeffs = [0] * len(values)
     falling = [1]  # n(n-1)...(n-k+1) as coefficients in n, for k = 0
@@ -382,7 +415,7 @@ def _coefficients_from_values(values):
             coeffs[j] += weight * c
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
         falling = [s - k * c for s, c in zip([0] + falling, falling + [0])]
-    return [Fraction(c, top) for c in coeffs]
+    return coeffs, top
 
 
 def _shift(coeffs, s):
@@ -401,9 +434,30 @@ def _sign_changes(xs) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _sturm_remainder(u, v):
+    """The next member of a Sturm sequence after u and v, int coefficient
+    lists (constant first, len(u) > len(v)): -rem(u, v) times a positive
+    factor, its zero leading entries dropped.  It is the pseudo-remainder
+    |lc(v)|^k u mod v, k = len(u) - len(v) + 1, negated and divided by its
+    content; each step scales the partial remainder by |lc(v)| and cancels
+    its leading entry, so it stays on ints and keeps the remainder's signs."""
+    lc, sign = abs(v[-1]), 1 if v[-1] > 0 else -1
+    r = list(u)
+    while len(r) >= len(v):
+        f = sign * r.pop()
+        r = [lc * c for c in r]
+        for i, c in enumerate(v[:-1], len(r) - len(v) + 1):
+            r[i] -= f * c
+    while r and not r[-1]:
+        r.pop()
+    g = math.gcd(*r)
+    return [-c // g for c in r]
+
+
 def _positive_above_minus_one(values) -> bool:
-    """Whether the function of alpha that takes the exact ``values`` at
-    alpha = 0, 1, 2, ... is proved > 0 for every alpha > -1.
+    """Whether the function of alpha that takes the exact ``values`` (ints
+    or Fractions) at alpha = 0, 1, 2, ... is proved > 0 for every
+    alpha > -1.
 
     The premise is that the values are those of a polynomial of degree
     < len(values): the values but the last fix a polynomial q of degree
@@ -412,12 +466,20 @@ def _positive_above_minus_one(values) -> bool:
     t = alpha + 1, q is t^m p(t) with p(0) != 0, and p > 0 on t > 0 when its
     leading coefficient is positive and it has no root on (0, inf): Sturm's
     theorem counts the distinct roots there as the sign changes of the
-    Sturm sequence p, p', -rem(p, p'), ... at t = 0 less those at t = inf."""
-    *fit, last = values
-    q = _coefficients_from_values(fit)
-    if sum(c * len(fit) ** j for j, c in enumerate(q)) != last:
+    Sturm sequence p, p', -rem(p, p'), ... at t = 0 less those at t = inf.
+
+    All of it runs on integers: the values are scaled once by the lcm of
+    their denominators, a positive factor, and the Sturm sequence is one of
+    integer pseudo-remainders (``_sturm_remainder``), each divided by its
+    content.  Every member is a positive multiple of the one the exact
+    remainders give, so the signs, and with them the count, are the same.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    *fit, last = [v.numerator * (scale // v.denominator) for v in values]
+    q, top = _coefficients_from_values(fit)
+    if sum(c * len(fit) ** j for j, c in enumerate(q)) != top * last:
         return False
-    p = _shift(q, -1)  # q(t - 1), constant first
+    p = _shift(q, -1)  # top * q(t - 1), constant first
     while p and not p[-1]:
         p.pop()
     while p and not p[0]:
@@ -426,31 +488,38 @@ def _positive_above_minus_one(values) -> bool:
         return False
     seq = [p, [j * c for j, c in enumerate(p)][1:]]
     while seq[-1]:
-        r, v = list(seq[-2]), seq[-1]
-        while len(r) >= len(v):
-            f = r.pop() / v[-1]
-            for i, c in enumerate(v[:-1], len(r) - len(v) + 1):
-                r[i] -= f * c
-        while r and not r[-1]:
-            r.pop()
-        seq.append([-c for c in r])
+        seq.append(_sturm_remainder(seq[-2], seq[-1]))
     seq.pop()
     return p[-1] > 0 and _sign_changes(s[0] for s in seq) == _sign_changes(s[-1] for s in seq)
 
 
-def _scaled_residual_poly(alpha, side: int, scale):
-    """Coefficients in n (n^0 .. n^6) of residual ``side`` of
-    :func:`residual_sandwich_check` times ``scale(a)``.  Both residuals are
+def _scaled_residual_parts(p: int, d: int):
+    """The coefficients in n (n^0 .. n^6) of the two residuals of
+    :func:`residual_sandwich_check` times their scales (see
+    :func:`lower_residual_poly` and :func:`upper_residual_poly`) at
+    alpha = p/d (integers, d > 0): for each residual, a list of seven
+    integer numerators and their one denominator.  Both residuals are
     polynomials of degree <= 6 in n, so their values at n = 0..6 fix them;
     their denominators do not depend on n, so the numerators alone are
-    interpolated."""
+    interpolated, both from one ``_residual_parts`` per n."""
+    parts = [_residual_parts(p, d, n) for n in range(7)]
+    # the scales (a+1)^k (a+2)(a+3)(a+4)(a+5), k = 3 and 2, over d^(k+4)
+    tail = (p + 2 * d) * (p + 3 * d) * (p + 4 * d) * (p + 5 * d)
+    out = []
+    for side, (scale, scale_den) in enumerate((((p + d) ** 3 * tail, d**7),
+                                               ((p + d) ** 2 * tail, d**6))):
+        coeffs, top = _coefficients_from_values([part[side][0] for part in parts])
+        out.append(([c * scale for c in coeffs], top * parts[0][side][1] * scale_den))
+    return out
+
+
+def _scaled_residual_poly(alpha, side: int):
+    """Side ``side`` of :func:`_scaled_residual_parts` at alpha: Fractions
+    for an exact alpha; for a float one, its exact binary value, each
+    coefficient rounded once."""
     a = alpha_value(alpha)
-    exact, a = isinstance(a, Fraction), Fraction(a)
-    p, d = _split(a)
-    parts = [_residual_parts(p, d, n)[side] for n in range(7)]
-    factor = scale(a) / parts[0][1]
-    out = [c * factor for c in _coefficients_from_values([num for num, _ in parts])]
-    return tuple(out) if exact else tuple(float(x) for x in out)
+    nums, den = _scaled_residual_parts(*a.as_integer_ratio())[side]
+    return _as_values([(num, den) for num in nums], isinstance(a, Fraction))
 
 
 def lower_residual_poly(alpha):
@@ -464,9 +533,7 @@ def lower_residual_poly(alpha):
     exact alpha; a float alpha is lifted to its exact binary value and
     results are rounded once at the end.
     """
-    return _scaled_residual_poly(
-        alpha, 0, lambda a: (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-    )
+    return _scaled_residual_poly(alpha, 0)
 
 
 def upper_residual_poly(alpha):
@@ -479,9 +546,7 @@ def upper_residual_poly(alpha):
     equal the ``upper_gap`` values of :func:`identity_residuals`.  Exactness
     policy as in :func:`lower_residual_poly`.
     """
-    return _scaled_residual_poly(
-        alpha, 1, lambda a: (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-    )
+    return _scaled_residual_poly(alpha, 1)
 
 
 def _residual_parts(p: int, d: int, n: int):
@@ -521,10 +586,8 @@ def residual_sandwich_check(alpha, n: int):
     """
     a = alpha_value(alpha)
     _require_degree(n)
-    parts = _residual_parts(*_split(Fraction(a)), n)
-    if isinstance(a, Fraction):
-        return tuple(Fraction(num, den) for num, den in parts)
-    out = tuple(num / den for num, den in parts)  # OverflowError above binary64
+    parts = _residual_parts(*a.as_integer_ratio(), n)
+    out = _as_values(parts, isinstance(a, Fraction))  # OverflowError above binary64
     if any(num and not r for (num, _), r in zip(parts, out)):
         raise OverflowError(f"the residuals at alpha={a}, n={n} underflow binary64")
     return out

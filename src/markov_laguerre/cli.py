@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -60,6 +59,8 @@ def _format_rows(rows, columns, fmt) -> list[str]:
     runs the bench's ``sweep`` workload with a heap 9 MiB larger (peak RSS
     117 against 108 MiB on 2 vCPUs)."""
     if fmt == "json":
+        import json  # only JSON output pays its import
+
         return [json.dumps(dict(zip(columns, r)), indent=2).replace("\n", "\n  ") for r in rows]
     return [",".join(["%.17g" % v if v.__class__ is float else _cell(v) for v in r]) + "\n"
             for r in rows]
@@ -362,12 +363,14 @@ def verify_identities() -> list[str]:
 
     (ii) Times their scales (``bounds.lower_residual_poly`` and
     ``upper_residual_poly``), the residuals are the polynomials in n whose
-    coefficients ``bounds.identity_residuals`` lists.  By the forms of
-    ``_b123_parts`` and ``_refined_lower_parts``, each coefficient is a
-    polynomial of degree <= 5 in alpha for the lower residual; for the
-    upper one it is such a polynomial over alpha + 1, of degree <= 4 once
-    that factor is cleared.  The lists have the same degrees by their forms
-    in ``bounds._lower_gap_values`` and ``_upper_gap_values``, so both
+    coefficients ``bounds.identity_residuals`` lists; both sides are integer
+    numerators over denominators (``bounds._scaled_residual_parts``,
+    ``_lower_gap_parts``, ``_upper_gap_parts``), compared cross-multiplied.
+    By the forms of ``_b123_parts`` and ``_refined_lower_parts``, each
+    coefficient is a polynomial of degree <= 5 in alpha for the lower
+    residual; for the upper one it is such a polynomial over alpha + 1, of
+    degree <= 4 once that factor is cleared.  The lists have the same degrees by their forms
+    in ``bounds._lower_gap_parts`` and ``_upper_gap_parts``, so both
     sides agree for every alpha if they agree at the 9 alphas of
     ``_GRID_ALPHAS_EXACT`` (6 would do).
 
@@ -387,20 +390,27 @@ def verify_identities() -> list[str]:
     c(alpha)^2 = lim c_n^2 / n^2 for every alpha > -1: ``verify_bessel``
     tests ``first_zero`` against a proved enclosure."""
     failures = []
-    at = [bounds.identity_residuals(Fraction(k)) for k in range(9)]
-    for name, coeffs in (("lower_gap[{}]", [r.lower_gap for r in at]),
-                         ("upper_gap at n = m + 2, m^{}",
-                          [bounds._shift(r.upper_gap, 2) for r in at])):
+    # At alpha = k, d = 1 and every denominator is a positive constant, so
+    # the numerators over their lcm are the values times one positive
+    # factor: the same degree and the same signs for (iii) and (iv).
+    lower = [bounds._numerators(bounds._lower_gap_parts(k, 1)) for k in range(9)]
+    shifted = [bounds._shift(bounds._numerators(bounds._upper_gap_parts(k, 1)), 2)
+               for k in range(9)]
+    for name, coeffs in (("lower_gap[{}]", lower), ("upper_gap at n = m + 2, m^{}", shifted)):
         for j, values in enumerate(zip(*coeffs)):
             if not bounds._positive_above_minus_one(values):
                 failures.append(f"{name.format(j)}: not proved positive for every alpha > -1")
+
+    def agree(nums, den, gap):
+        return all(num * gap_den == gap_num * den
+                   for num, (gap_num, gap_den) in zip(nums, gap, strict=True))
+
     for a in _GRID_ALPHAS_EXACT:
-        lp = bounds.lower_residual_poly(a)
-        up = bounds.upper_residual_poly(a)
-        idr = bounds.identity_residuals(a)
-        if lp[0] != 0 or lp[6] != 0 or lp[1:6] != idr.lower_gap:
+        p, d = _split(a)
+        (lp, lp_den), (up, up_den) = bounds._scaled_residual_parts(p, d)
+        if lp[0] or lp[6] or not agree(lp[1:6], lp_den, bounds._lower_gap_parts(p, d)):
             failures.append(f"alpha={a}: lower residual coefficients mismatch")
-        if up[6] != 0 or up[:6] != idr.upper_gap:
+        if up[6] or not agree(up[:6], up_den, bounds._upper_gap_parts(p, d)):
             failures.append(f"alpha={a}: upper residual coefficients mismatch")
     print(
         "note: printed residual coefficient lists match the lower bound "

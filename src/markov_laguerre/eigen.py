@@ -15,10 +15,10 @@ the stationary qd recurrence (Fernando & Parlett 1994).  It works on the
 factor, not on the entries of T_n, so its sign count places even the
 smallest eigenvalue to high relative accuracy (Demmel & Kahan 1990).  The
 number of negative pivots is the number of eigenvalues below sigma; an
-exact zero pivot counts as negative.  ``_laguerre_pass_e`` runs the same
-recurrence, s_{k+1} = e_k s_k/(q_k + s_k) - sigma, for a factor with
-squared subdiagonal e_k; the Bessel zeros of :mod:`markov_laguerre.bessel`
-use it.
+exact zero pivot counts as negative.  ``_laguerre_pass_e`` and
+``_count_e`` run the same recurrence, s_{k+1} = e_k s_k/(q_k + s_k) - sigma,
+for a factor with squared subdiagonal e_k; the Bessel zeros of
+:mod:`markov_laguerre.bessel` use them.
 
 One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
 from either side, both derivatives from the sign-count pass.  Once a step
@@ -85,8 +85,8 @@ class EigenResult(NamedTuple):
     the ends but does not prove them: on random
     inputs with n up to 20000 it is wrong at about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
-    and count-only passes together, and for a largest eigenvalue the pass
-    that checks its lower end.
+    and count-only passes together, and for a largest eigenvalue the
+    count-only pass that checks its lower end.
     """
 
     value: float
@@ -221,6 +221,27 @@ def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
             s1 = math.nan
 
 
+def _count_e(q, e, sigma: float) -> int:
+    """The count of ``_laguerre_pass_e`` alone: the same recurrence and
+    zero-pivot restart s = e_{k+1} - sigma, without the derivatives."""
+    count = 0
+    s = -sigma
+    it = zip(q, e)
+    while True:
+        try:
+            for qk, ek in it:
+                p = qk + s
+                if p <= 0.0:
+                    count += 1
+                s = ek * s / p - sigma
+            return count
+        except ZeroDivisionError:
+            nxt = next(it, None)
+            if nxt is None:
+                return count
+            s = nxt[1] - sigma
+
+
 def sturm_count(T: TridiagMatrix, sigma: float) -> int:
     """Number of eigenvalues of T below sigma (sigma itself included when
     it is one exactly)."""
@@ -313,17 +334,19 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
     return EigenResult(0.5 * lo + 0.5 * hi, (lo, hi), steps + counts, tol)
 
 
-def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult:
+def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float) -> EigenResult:
     """Largest eigenvalue in (lo, hi] of an order-n matrix M, given the
-    ``step_pass`` of M (a Laguerre pass, whose step negates with M): the
-    smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above.
+    ``step_pass`` of M (a Laguerre pass, whose step negates with M) and its
+    ``count`` alone (a count-only pass, equal to ``step_pass(sigma)[0]``):
+    the smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above.
 
     A lower end that counts all n eigenvalues at or below it, or an upper
     end that counts fewer (the lower end of -M's bracket, in ``_solve``),
     raises RuntimeError: the count checks both ends before the bracket is
-    used.
+    used.  The check at lo and every count of the close are count-only
+    passes.
     """
-    if step_pass(lo)[0] >= n:
+    if count(lo) >= n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"all {n} lie at or below its lower end")
 
@@ -331,7 +354,7 @@ def _largest(step_pass, n: int, lo: float, hi: float, tol: float) -> EigenResult
         count, step = step_pass(-sigma)
         return n - count, None if step is None else -step
 
-    res = _solve(negated, lambda sigma: n - step_pass(-sigma)[0], -hi, -lo, -hi, tol)
+    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo, -hi, tol)
     lo, hi = res.bracket
     return EigenResult(-res.value, (-hi, -lo), res.iterations + 1, tol)
 
@@ -414,7 +437,8 @@ def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     hi = (1.0 + math.sqrt(max(q))) ** 2
     # Nudge the upper end past the rounding of the bound, so that its count is n.
     hi += 4.0 * math.ulp(hi)
-    return _largest(functools.partial(_laguerre_pass, q), len(q), 0.0, hi, tol)
+    return _largest(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
+                    len(q), 0.0, hi, tol)
 
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:

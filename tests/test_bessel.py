@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -13,11 +14,12 @@ from markov_laguerre import (
     bessel_j,
     bessel_zero_enclosure,
     bounds,
+    cli,
     first_zero,
     asymptotic_upper_large_alpha,
 )
 from markov_laguerre.bessel import NU_MAX, X_MAX, ZERO_NU_MAX, _ikebe_factor, _order, _zero_eigenvalue
-from markov_laguerre.eigen import _laguerre_pass_e
+from markov_laguerre.eigen import _count_e, _laguerre_pass_e
 
 mpmath.mp.dps = 40
 
@@ -223,6 +225,48 @@ class TestFirstZero:
             eig = np.linalg.eigvalsh(dense_factor_product(q, e))
             assert np.min(np.abs(eig - q[0])) > 1e-6
             assert _laguerre_pass_e(q, e, q[0]) == (int(np.sum(eig < q[0])), None)
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 3.3, 40.0])
+    def test_count_only_pass_is_the_count_of_the_factored_pass(self, nu):
+        # sigma = q_0 zeroes the first pivot, and on the order-1 factor the
+        # last; the others lie below, inside and above the spectrum
+        q, e = ikebe_factor(nu, order(nu, 1e-13))
+        top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
+        for qs, es in ((q, e), (q[:1], e[:1])):
+            for sigma in (qs[0], 0.0, 1e-3 * top, 0.5 * top, top, 1.001 * top, 2.0):
+                assert _count_e(qs, es, sigma) == _laguerre_pass_e(qs, es, sigma)[0]
+
+    def test_count_only_pass_through_a_later_zero_pivot(self):
+        # s_1 = -e_0 - sigma = -1.5 zeroes the pivot q_1 + s_1, inside the
+        # recurrence and, at order 2, last; the count restarts from
+        # e_2 - sigma
+        q, e = [2.0, 1.5, 3.0, 0.25], [0.5, 0.25, 0.125, 1.0]
+        for m in (2, 3, 4):
+            for sigma in (1.0, 0.75, 1.25):
+                assert _count_e(q[:m], e[:m], sigma) == _laguerre_pass_e(q[:m], e[:m], sigma)[0]
+        assert _laguerre_pass_e(q[:2], e[:2], 1.0) == (1, 0.0)
+        assert _laguerre_pass_e(q, e, 1.0)[1] is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=2.0))
+    def test_count_only_pass_agrees_at_any_sigma(self, nu, ratio):
+        q, e = ikebe_factor(nu, order(nu, 1e-13))
+        sigma = ratio * 4.0 / bessel_zero_enclosure(nu).lower ** 2
+        assert _count_e(q, e, sigma) == _laguerre_pass_e(q, e, sigma)[0]
+
+    def test_counting_with_step_passes_gives_the_same_zeros(self, monkeypatch):
+        # The close counts with _count_e; counting with the Laguerre pass
+        # moves no zero by a bit: on the nu grid of ``verify bessel`` and at
+        # the h = (alpha + 1)/2 of every alpha of the benchmark's sweep grid
+        # (seed 1), whose c(alpha) the sweep rows read
+        grid = cli._grid(-0.75, 25.0, 0.25) + cli._grid(27.5, 250.0, 2.5)
+        alphas = cli._grid(-0.9 + random.Random(1).random() * 0.05, 50.0, 0.05)
+        hs = [nu + 1.0 for nu in grid] + [0.5 * a + 0.5 for a in alphas]
+        fast = [bessel._first_zero(h, 1e-13) for h in hs]
+        monkeypatch.setattr(bessel, "_count_e", lambda q, e, s: _laguerre_pass_e(q, e, s)[0])
+        assert [bessel._first_zero(h, 1e-13) for h in hs] == fast
+        assert len(alphas) == 1018
 
     @pytest.mark.parametrize("nu", [-0.9999999999999999, -1 + 1e-12])
     def test_enclosure_collapsed_in_binary64(self, nu):

@@ -32,10 +32,11 @@ from markov_laguerre import (
 )
 from markov_laguerre.bounds import (
     _coefficients_from_values,
-    _lower_gap_values,
+    _lower_gap_parts,
     _positive_above_minus_one,
     _residual_parts,
     _shift,
+    _sign_changes,
     lower_residual_poly,
     upper_residual_poly,
 )
@@ -347,6 +348,31 @@ def values_in_t(lead, shifts, double_roots=()):
     return [at(F(k + 1)) for k in range(9)]
 
 
+def exact_sturm_verdict(coeffs):
+    """Whether the polynomial with ``coeffs`` (alpha^0 first) is positive on
+    alpha > -1 by a Sturm sequence of exact Fraction remainders: the
+    reference for the integer pseudo-remainders."""
+    p = [F(c) for c in _shift(coeffs, -1)]
+    while p and not p[-1]:
+        p.pop()
+    while p and not p[0]:
+        del p[0]
+    if not p:
+        return False
+    seq = [p, [j * c for j, c in enumerate(p)][1:]]
+    while seq[-1]:
+        r, v = list(seq[-2]), seq[-1]
+        while len(r) >= len(v):
+            f = r.pop() / v[-1]
+            for i, c in enumerate(v[:-1], len(r) - len(v) + 1):
+                r[i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+        seq.append([-c for c in r])
+    seq.pop()
+    return p[-1] > 0 and _sign_changes(s[0] for s in seq) == _sign_changes(s[-1] for s in seq)
+
+
 positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
 shifts = st.fractions(min_value=0, max_value=50, max_denominator=100)
 double_roots = st.fractions(min_value=F(1, 100), max_value=50, max_denominator=100)
@@ -371,15 +397,17 @@ class TestPositiveAboveMinusOne:
 
     def test_lower_gap_zero_vanishes_at_minus_one(self):
         # (1 + a)^2 times a cubic: zero at a = -1 only, which the domain leaves out
-        assert _lower_gap_values(F(-1))[0] == 0
+        assert _lower_gap_parts(-1, 1)[0][0] == 0
         assert _positive_above_minus_one([identity_residuals(F(k)).lower_gap[0]
                                           for k in range(9)])
 
     def test_lower_gap_three_needs_the_sturm_count(self):
         # In t = a + 1 its coefficients change sign twice, so their signs
         # leave room for two positive roots; the Sturm count rules them out.
-        in_t = _coefficients_from_values([_lower_gap_values(F(k - 1))[3] for k in range(8)])
-        assert in_t[::-1] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18), F(43, 6), 10]
+        in_t, top = _coefficients_from_values([_lower_gap_parts(k - 1, 1)[3][0] for k in range(8)])
+        assert _lower_gap_parts(0, 1)[3][1] == 36
+        assert [F(c, 36 * top) for c in in_t[::-1]] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18),
+                                                        F(43, 6), 10]
         values = [identity_residuals(F(k)).lower_gap[3] for k in range(9)]
         assert _positive_above_minus_one(values)
         # times t^2: the Sturm sequence would vanish at t = 0, so t is stripped first
@@ -392,6 +420,34 @@ class TestPositiveAboveMinusOne:
 
     def test_zero_is_refused(self):
         assert not _positive_above_minus_one([0] * 9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+    @example(coeffs=[1, 1, 0, -2, 2, 1])
+    @example(coeffs=[-2, -3, 1, -2, 3, -3, 2])
+    def test_integer_remainders_agree_with_exact_ones(self, coeffs):
+        # Where the degree drops by two and the divisor leads negative, a
+        # pseudo-remainder scaled by lc^3 rather than |lc|^3 flips the sign;
+        # it reversed both examples: the first has no root on a > -1, the
+        # second has two (-0.46 and 1.37)
+        values = [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(9)]
+        assert _positive_above_minus_one(values) == exact_sturm_verdict(coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=positive_fractions, sign=st.sampled_from([1, -1]), rs=st.lists(shifts, max_size=5),
+           ss=st.lists(double_roots, max_size=1), bump=st.sampled_from([0, F(1, 7)]),
+           k=st.integers(1, 10**12))
+    def test_a_positive_factor_keeps_the_verdict(self, lead, sign, rs, ss, bump, k):
+        # The values are scaled to integers by the lcm of their denominators,
+        # and the Sturm sequence runs on pseudo-remainders: neither may move
+        # a verdict.  A bump of the last value breaks the degree premise.
+        values = values_in_t(sign * lead, rs, ss)
+        values[-1] += bump
+        verdict = _positive_above_minus_one(values)
+        scale = k * math.lcm(*(v.denominator for v in values))
+        assert _positive_above_minus_one([k * v for v in values]) == verdict
+        assert _positive_above_minus_one([int(v * scale) for v in values]) == verdict
+        assert verdict == (sign > 0 and not ss and not bump)
 
 
 class TestShift:
@@ -438,7 +494,7 @@ class TestResidualPolys:
             num, den = _refined_lower_parts(a, 1, n)
             return p3 - num / den * (a + 1) / (a + 3) * p2
 
-        wrong = _coefficients_from_values([wrong_gap(n) for n in range(7)])
+        wrong, _ = _coefficients_from_values([wrong_gap(n) for n in range(7)])
         assert wrong[6] != 0
         assert lower_residual_poly(a)[6] == 0
 

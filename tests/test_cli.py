@@ -25,7 +25,7 @@ from markov_laguerre.recurrence import _scaled_rows, _split, coeff_a0, reciproca
 _coeff_a0 = cli.coeff_a0
 _b123_parts = recurrence._b123_parts
 _asymptotic_constant = bessel.asymptotic_constant
-_lower_gap_values = bounds._lower_gap_values
+_lower_gap_parts = bounds._lower_gap_parts
 
 # One wrong input per verify suite, as (module, attribute, replacement).
 BROKEN_INPUTS = {
@@ -35,7 +35,9 @@ BROKEN_INPUTS = {
         bessel, "asymptotic_constant", lambda a, tol=1e-13: 1.1 * _asymptotic_constant(a, tol)
     ),
     "bessel": (bounds, "bessel_zero_enclosure", lambda nu: bounds.BoundPair(0.0, 1e-3)),
-    "identities": (bounds, "_lower_gap_values", lambda a: (-1,) + _lower_gap_values(a)[1:]),
+    "identities": (
+        bounds, "_lower_gap_parts", lambda p, d: ((-1, 1),) + _lower_gap_parts(p, d)[1:]
+    ),
 }
 
 
@@ -762,14 +764,16 @@ class TestVerify:
 
     def test_identities_proves_what_a_grid_scan_misses(self, capsys, monkeypatch):
         # (a - 1/20)^2 - 1e-6 is negative only on (0.049, 0.051), between
-        # the points 0.01 and 0.11 of a binary64 scan from -0.99 by 0.1
-        def dipped(a):
-            return ((a - F(1, 20)) ** 2 - F(1, 10**6),) + _lower_gap_values(a)[1:]
+        # the points 0.01 and 0.11 of a binary64 scan from -0.99 by 0.1; at
+        # a = p/d it is (2500 (20p - d)^2 - d^2) / (10^6 d^2)
+        def dipped(p, d):
+            dip = (2500 * (20 * p - d) ** 2 - d * d, 10**6 * d * d)
+            return (dip,) + _lower_gap_parts(p, d)[1:]
 
-        monkeypatch.setattr(bounds, "_lower_gap_values", dipped)
+        monkeypatch.setattr(bounds, "_lower_gap_parts", dipped)
         assert all(bounds.identity_residuals(a).lower_gap[0] > 0
                    for a in cli._grid(-0.99, 500.0, 0.1))
-        assert dipped(F(1, 20))[0] < 0
+        assert bounds.identity_residuals(F(1, 20)).lower_gap[0] == -F(1, 10**6)
         assert ("lower_gap[0]: not proved positive for every alpha > -1"
                 in cli.verify_identities())
         capsys.readouterr()
@@ -781,14 +785,40 @@ class TestVerify:
         # The collapse of IdentityResidual never reads upper_gap[0], so it
         # still proves its three values positive; the gap at n = 2, h[0] of
         # the shift to n = m + 2, is negative.
-        real = bounds._upper_gap_values
-        monkeypatch.setattr(bounds, "_upper_gap_values", lambda a: (real(a)[0] - 1000,) + real(a)[1:])
+        real = bounds._upper_gap_parts
+
+        def lowered(p, d):
+            (num, den), *rest = real(p, d)
+            return ((num - 1000 * den, den), *rest)  # upper_gap[0] - 1000
+
+        monkeypatch.setattr(bounds, "_upper_gap_parts", lowered)
         at = [bounds.identity_residuals(F(k)) for k in range(9)]
         assert all(bounds._positive_above_minus_one(values)
                    for values in zip(*(r.upper_gap_collapsed for r in at)))
         assert sum(g * 2**i for i, g in enumerate(at[0].upper_gap)) < 0
         assert ("upper_gap at n = m + 2, m^0: not proved positive for every alpha > -1"
                 in cli.verify_identities())
+
+    def test_identities_builds_no_fraction(self, monkeypatch):
+        # The proofs and the identity check run on integers: no Fraction is
+        # constructed, directly or as the result of Fraction arithmetic
+        # (Python 3.12 and later build those through _from_coprime_ints).
+        built = []
+        real_new = F.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted_new)
+        if hasattr(F, "_from_coprime_ints"):
+            real_coprime = F._from_coprime_ints
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+                lambda cls, n, d: built.append((n, d)) or real_coprime(n, d)))
+        assert cli.verify_identities() == []
+        assert built == []
+        assert F(1, 3) + cli._GRID_ALPHAS_EXACT[-1] == F(76, 3)
+        assert len(built) >= 2  # the count sees both kinds of construction
 
     def test_unknown_mode_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1097,6 +1127,11 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_cli_import_leaves_numpy_unloaded():
     assert loaded_after_cli_import("numpy") == "[]"
+
+
+def test_cli_import_leaves_json_unloaded():
+    # only JSON output imports it
+    assert loaded_after_cli_import("json") == "[]"
 
 
 @pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect", "ast", "dis"])

@@ -24,6 +24,7 @@ from markov_laguerre.bessel import first_zero
 from markov_laguerre.eigen import (
     _START_MIN_N,
     _count,
+    _count_e,
     _laguerre_pass,
     _laguerre_pass_e,
     _laguerre_step,
@@ -420,14 +421,16 @@ class TestKernel:
             ones = [1.0] * n
             for sigma in (T.q[0], 0.3 * T.q[0], 0.5, 3.7, 1e3):
                 assert _laguerre_pass_e(T.q, ones, sigma) == _laguerre_pass(T.q, sigma)
+                assert _count_e(T.q, ones, sigma) == _count(T.q, sigma)
 
     def test_largest_raises_when_the_bracket_misses(self):
         T = build_jacobi(1.5, 8)
         top = largest_eigenvalue(T).value
         step_pass = lambda sigma: _laguerre_pass(T.q, sigma)
+        count = lambda sigma: _count(T.q, sigma)
         for lo, hi in [(1.1 * top, 2 * top), (0.0, 0.9 * top)]:
             with pytest.raises(RuntimeError, match="misses"):
-                _largest(step_pass, 8, lo, hi, 1e-13)
+                _largest(step_pass, count, 8, lo, hi, 1e-13)
 
     def test_largest_matches_lapack(self):
         for alpha, n in [(-0.9, 2), (0.0, 7), (3.0, 40), (1e4, 300)]:
