@@ -11,14 +11,10 @@ identity used along the way.
 from .bessel import asymptotic_constant, bessel_j, first_zero
 from .bounds import (
     BoundsReport,
-    IdentityResidual,
     bounds_report,
     asymptotic_bounds,
     bessel_zero_enclosure,
     dorfler_bounds,
-    exact_c1_sq,
-    exact_c2_sq,
-    identity_residuals,
     laguerre_samuelson,
     power_sums,
     largest_root_bounds,

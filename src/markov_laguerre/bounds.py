@@ -9,8 +9,8 @@ the roots (Newton's identities) and the chain of enclosures
 
 which yields two-sided estimates of c_n(alpha)^2 valid for all alpha > -1.
 This module evaluates every such bound, the classical ones they are compared
-against, the asymptotic-constant bounds, and the residual polynomials that
-certify the main two-sided estimate.  One engine, ``_rows``, puts c_n^2
+against, the asymptotic-constant bounds, and the residuals that certify
+the main two-sided estimate.  One engine, ``_rows``, puts c_n^2
 beside every finite-n bound, one row per n at one alpha, on one factor
 built for all of them, with c_n/(n c(alpha)) from :mod:`bessel` and the
 sandwich verdict.  Its rows are ``BoundsReport`` records, whose fields are
@@ -18,10 +18,10 @@ the columns that the ``sweep`` and ``bounds`` commands print;
 ``bounds_report`` is its row at one n.  Routines that are pure
 rational arithmetic accept an exact alpha (int/Fraction) and then return
 exact values; the ``verify`` suites and the tests rely on this to check the
-certifying identities without tolerance.  At an exact alpha = p/d the
-residuals, the gap coefficient lists and the residual polynomials run on
-Python ints, integer numerators over denominators, and become
-``Fraction``s only when returned.  The positivity proof
+certifying identities without tolerance.  At alpha = p/d the residuals
+and their coefficient lists in n run on Python ints, numerators over
+denominators, and become ``Fraction``s only when
+``residual_sandwich_check`` returns them.  The positivity proof
 ``_positive_above_minus_one`` scales its values to ints once and counts
 with a Sturm sequence of integer pseudo-remainders.
 """
@@ -36,14 +36,13 @@ from . import bessel
 from .bessel import _bessel_zero_bounds
 from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
 from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
-                         _refined_upper, _require_degree, _require_n, _split, alpha_value)
+                         _refined_upper, _require_degree, _require_n, alpha_value)
 from .recurrence import reciprocal_b123  # noqa: F401  (bench/test_bench.py reads it here)
 
 __all__ = [
     "BoundPair",
     "RefinedBounds",
     "PowerSumTriple",
-    "IdentityResidual",
     "BoundsReport",
     "largest_root_bounds",
     "power_sums",
@@ -53,14 +52,9 @@ __all__ = [
     "asymptotic_bounds",
     "asymptotic_upper_large_alpha",
     "bessel_zero_enclosure",
-    "identity_residuals",
     "residual_sandwich_check",
-    "lower_residual_poly",
-    "upper_residual_poly",
     "ratio_r",
     "turan_constant",
-    "exact_c1_sq",
-    "exact_c2_sq",
     "bounds_report",
 ]
 
@@ -85,37 +79,6 @@ class PowerSumTriple(NamedTuple):
     p1: float
     p2: float
     p3: float
-
-
-class IdentityResidual(NamedTuple):
-    """Residual-polynomial coefficient values at one alpha.
-
-    ``lower_gap[j-1]`` is the coefficient of n^j (j = 1..5) in the scaled
-    gap between p3 and (lower bound)*p2; all five are positive for
-    alpha > -1.  ``upper_gap[j]`` is the coefficient of n^j (j = 0..5) in
-    the scaled gap between the cubed upper bound and p3.  Shifted to
-    n = m + 2, that gap has the coefficients
-
-        h[j] = sum_{i >= j} g[i] C(i, j) 2^(i-j)        (g = upper_gap)
-
-    in m, ``_shift(upper_gap, 2)``; each is positive for alpha > -1, so the
-    gap is positive for every n >= 2.  ``verify identities`` proves both
-    claims for every alpha > -1.  ``upper_gap_collapsed`` is the paper's
-    chain, which folds the upper-gap coefficients towards low degree:
-
-        collapsed[2] = 4 g[5] + 2 g[4] + g[3],
-        collapsed[1] = 2 collapsed[2] + g[2],
-        collapsed[0] = 2 collapsed[1] + g[1].
-
-    Its three values are positive for alpha > -1, but they bound the gap
-    at n >= 2 only under sign conditions on g[5] and g[4] that nothing
-    checked, and the chain never reads g[0]: until the shift, nothing
-    proved ``upper_gap[0]`` positive.
-    """
-
-    lower_gap: tuple
-    upper_gap: tuple
-    upper_gap_collapsed: tuple
 
 
 class BoundsReport(NamedTuple):
@@ -316,27 +279,16 @@ def turan_constant(n: int) -> float:
     return 0.5 / math.sin(math.pi / (4 * n + 2))
 
 
-def exact_c1_sq(alpha) -> float:
-    """Closed form c_1(alpha)^2 = 1/(1 + alpha)."""
-    return 1.0 / (1.0 + _float_alpha(alpha))
-
-
-def exact_c2_sq(alpha) -> float:
-    """Closed form c_2(alpha)^2 = (3(a+2) + sqrt((a+2)(a+10))) / (2(a+1)(a+2))."""
-    a = _float_alpha(alpha)
-    return (3 * (a + 2) + math.sqrt((a + 2) * (a + 10))) / (2 * (a + 1) * (a + 2))
-
-
 # ---------------------------------------------------------------------------
 # Residual polynomials certifying the refined_bounds sandwich.
 # ---------------------------------------------------------------------------
 
 
 def _lower_gap_parts(p, d):
-    """(numerator, denominator) of each ``lower_gap`` coefficient of
-    :class:`IdentityResidual` at alpha = p/d, homogeneous in (p, d) like
-    ``recurrence._b123_parts``: integers p, d give integer parts, and
-    (alpha, 1) the binary64 expressions operation for operation."""
+    """(numerator, denominator) of the coefficients of n^1..n^5, as the
+    paper prints them, of the scaled lower residual of
+    :func:`_scaled_residual_parts` at alpha = p/d, homogeneous in (p, d)
+    like ``recurrence._b123_parts``: integers p, d give integer parts."""
     e1 = p + d
     return (
         (e1**2 * (10 * p**3 + 100 * p**2 * d + 321 * p * d**2 + 1620 * d**3), 270 * d**5),
@@ -350,8 +302,8 @@ def _lower_gap_parts(p, d):
 
 
 def _upper_gap_parts(p, d):
-    """The ``upper_gap`` coefficients as :func:`_lower_gap_parts` gives the
-    ``lower_gap`` ones."""
+    """The coefficients of n^0..n^5 of the scaled upper residual as
+    :func:`_lower_gap_parts` gives the lower ones."""
     e1 = p + d
     return (
         (8 * e1**2 * (2 * d + p) * (4 * d + p), 125 * d**4),
@@ -365,37 +317,11 @@ def _upper_gap_parts(p, d):
     )
 
 
-def _as_values(parts, exact: bool) -> tuple:
-    """The values num/den of (numerator, denominator) ``parts``: Fractions
-    where ``exact``, else binary64 quotients."""
-    if exact:
-        return tuple(Fraction(num, den) for num, den in parts)
-    return tuple(num / den for num, den in parts)
-
-
 def _numerators(parts) -> list:
     """The numerators of (numerator, denominator) ``parts`` over the lcm of
     their (positive) denominators."""
     den = math.lcm(*(den for _, den in parts))
     return [num * (den // part_den) for num, part_den in parts]
-
-
-def identity_residuals(alpha) -> IdentityResidual:
-    """Evaluate the residual-polynomial coefficient lists at one alpha.
-
-    Exact for an exact alpha.  ``upper_gap_collapsed`` is produced by the
-    low-degree collapse described on :class:`IdentityResidual`; the
-    collapse, not any independent closed form, defines it.
-    """
-    a = alpha_value(alpha)
-    exact = isinstance(a, Fraction)
-    p, d = _split(a) if exact else (a, 1)
-    g_lower = _as_values(_lower_gap_parts(p, d), exact)
-    g = _as_values(_upper_gap_parts(p, d), exact)
-    c3 = 4 * g[5] + 2 * g[4] + g[3]
-    c2 = 2 * c3 + g[2]
-    c1 = 2 * c2 + g[1]
-    return IdentityResidual(g_lower, g, (c1, c2, c3))
 
 
 def _coefficients_from_values(values):
@@ -495,15 +421,15 @@ def _positive_above_minus_one(values) -> bool:
 
 def _scaled_residual_parts(p: int, d: int):
     """The coefficients in n (n^0 .. n^6) of the two residuals of
-    :func:`residual_sandwich_check` times their scales (see
-    :func:`lower_residual_poly` and :func:`upper_residual_poly`) at
+    :func:`residual_sandwich_check` times their scales,
+    (a+1)^3 (a+2)(a+3)(a+4)(a+5) and (a+1)^2 (a+2)(a+3)(a+4)(a+5), at
     alpha = p/d (integers, d > 0): for each residual, a list of seven
     integer numerators and their one denominator.  Both residuals are
     polynomials of degree <= 6 in n, so their values at n = 0..6 fix them;
     their denominators do not depend on n, so the numerators alone are
     interpolated, both from one ``_residual_parts`` per n."""
     parts = [_residual_parts(p, d, n) for n in range(7)]
-    # the scales (a+1)^k (a+2)(a+3)(a+4)(a+5), k = 3 and 2, over d^(k+4)
+    # the two scales, over d^7 and d^6
     tail = (p + 2 * d) * (p + 3 * d) * (p + 4 * d) * (p + 5 * d)
     out = []
     for side, (scale, scale_den) in enumerate((((p + d) ** 3 * tail, d**7),
@@ -511,42 +437,6 @@ def _scaled_residual_parts(p: int, d: int):
         coeffs, top = _coefficients_from_values([part[side][0] for part in parts])
         out.append(([c * scale for c in coeffs], top * parts[0][side][1] * scale_den))
     return out
-
-
-def _scaled_residual_poly(alpha, side: int):
-    """Side ``side`` of :func:`_scaled_residual_parts` at alpha: Fractions
-    for an exact alpha; for a float one, its exact binary value, each
-    coefficient rounded once."""
-    a = alpha_value(alpha)
-    nums, den = _scaled_residual_parts(*a.as_integer_ratio())[side]
-    return _as_values([(num, den) for num in nums], isinstance(a, Fraction))
-
-
-def lower_residual_poly(alpha):
-    """Coefficients in n (n^0 .. n^6) of the scaled lower-bound gap
-
-        (p3 - lower * p2) * (a+1)^3 (a+2)(a+3)(a+4)(a+5),
-
-    where ``lower`` is the refined_bounds lower bound.  The n^6 and n^0
-    entries vanish identically and entries 1..5 equal the ``lower_gap``
-    values of :func:`identity_residuals`.  Exact (Fraction entries) for an
-    exact alpha; a float alpha is lifted to its exact binary value and
-    results are rounded once at the end.
-    """
-    return _scaled_residual_poly(alpha, 0)
-
-
-def upper_residual_poly(alpha):
-    """Coefficients in n (n^0 .. n^6) of the scaled upper-bound gap
-
-        (upper^3 - p3) * (a+1)^2 (a+2)(a+3)(a+4)(a+5),
-
-    where ``upper`` is the refined_bounds upper bound (its cube is rational
-    in alpha and n).  The n^6 entry vanishes identically and entries 0..5
-    equal the ``upper_gap`` values of :func:`identity_residuals`.  Exactness
-    policy as in :func:`lower_residual_poly`.
-    """
-    return _scaled_residual_poly(alpha, 1)
 
 
 def _residual_parts(p: int, d: int, n: int):
@@ -578,16 +468,18 @@ def residual_sandwich_check(alpha, n: int):
         upper_residual = upper^3 - p3         (>= 0 for n >= 2).
 
     The one place the two residuals are formed, as integer numerators over
-    one common denominator (:func:`_residual_parts`, from which the residual
-    polynomials are also recovered), returned as Fractions for an int or
-    Fraction alpha.  A float alpha is lifted to its exact binary value and
-    each residual rounded once; a nonzero one that leaves the binary64 range
-    raises OverflowError.  Requires n >= 0.
+    one common denominator (:func:`_residual_parts`, which
+    :func:`_scaled_residual_parts` interpolates), returned as Fractions for
+    an int or Fraction alpha.  A float alpha is lifted to its exact binary
+    value and each residual rounded once; a nonzero one that leaves the
+    binary64 range raises OverflowError.  Requires n >= 0.
     """
     a = alpha_value(alpha)
     _require_degree(n)
     parts = _residual_parts(*a.as_integer_ratio(), n)
-    out = _as_values(parts, isinstance(a, Fraction))  # OverflowError above binary64
+    if isinstance(a, Fraction):
+        return tuple(Fraction(num, den) for num, den in parts)
+    out = tuple(num / den for num, den in parts)  # OverflowError above binary64
     if any(num and not r for (num, _), r in zip(parts, out)):
         raise OverflowError(f"the residuals at alpha={a}, n={n} underflow binary64")
     return out

@@ -361,11 +361,10 @@ def verify_identities() -> list[str]:
     for every alpha > -1, exactly, in three links; the fourth, the closed
     forms of b1..b3 they are built on, is ``verify_coeffs``.
 
-    (ii) Times their scales (``bounds.lower_residual_poly`` and
-    ``upper_residual_poly``), the residuals are the polynomials in n whose
-    coefficients ``bounds.identity_residuals`` lists; both sides are integer
-    numerators over denominators (``bounds._scaled_residual_parts``,
-    ``_lower_gap_parts``, ``_upper_gap_parts``), compared cross-multiplied.
+    (ii) Times their scales (``bounds._scaled_residual_parts``), the
+    residuals are the polynomials in n whose coefficients
+    ``bounds._lower_gap_parts`` and ``_upper_gap_parts`` list; both sides
+    are integer numerators over denominators, compared cross-multiplied.
     By the forms of ``_b123_parts`` and ``_refined_lower_parts``, each
     coefficient is a polynomial of degree <= 5 in alpha for the lower
     residual; for the upper one it is such a polynomial over alpha + 1, of
@@ -379,9 +378,13 @@ def verify_identities() -> list[str]:
     ``bounds._positive_above_minus_one``, with no grid: the lower residual
     is positive for every n >= 1.
 
-    (iv) Shifted to n = m + 2 (``bounds._shift``), the upper gap has six
-    coefficients in m, of degree <= 4 in alpha, each proved positive the
-    same way: the upper residual is positive for every n >= 2.
+    (iv) Shifted to n = m + 2 (``bounds._shift``), the upper gap, with
+    coefficients g[i] in n, has the six coefficients
+
+        h[j] = sum_{i >= j} g[i] C(i, j) 2^(i-j)
+
+    in m, of degree <= 4 in alpha, each proved positive the same way: the
+    upper residual is positive for every n >= 2.
 
     With the power-sum chain p3/p2 <= c_n^2 < p3^(1/3) (n >= 2), it follows
     that refined_lower < c_n^2 < refined_upper for every alpha > -1 and

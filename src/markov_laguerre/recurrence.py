@@ -298,8 +298,9 @@ def _refined_lower_parts(p, d, n: int):
         (3n + 2a)(6n - (a+1)) / (9 (a+1)(a+5)),
 
     homogeneous in (p, d) like :func:`_b123_parts`.  The one statement of
-    the bound: ``bounds.refined_bounds`` reports it and
-    ``bounds.residual_sandwich_check`` certifies it.
+    the bound: ``bounds.refined_bounds`` reports it and the lower residual
+    of ``bounds._residual_parts``, which ``cli.verify_identities`` proves
+    positive, certifies it.
     """
     return (3 * n * d + 2 * p) * (6 * n * d - (p + d)), 9 * (p + d) * (p + 5 * d)
 

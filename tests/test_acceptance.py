@@ -32,8 +32,6 @@ from markov_laguerre import (
     build_jacobi,
     asymptotic_bounds,
     dorfler_bounds,
-    exact_c1_sq,
-    exact_c2_sq,
     markov_constant,
     power_sums,
     ratio_r,
@@ -46,6 +44,8 @@ from markov_laguerre import (
 from markov_laguerre import cli
 from markov_laguerre.cli import GRID_ALPHAS, grid_pairs
 from markov_laguerre.recurrence import _refined_lower_parts
+
+from oracles import exact_c1_sq, exact_c2_sq
 
 SMALL_N_ALPHAS = (
     -0.98, -0.9, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,

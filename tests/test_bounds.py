@@ -14,9 +14,6 @@ from markov_laguerre import (
     asymptotic_bounds,
     bessel_zero_enclosure,
     dorfler_bounds,
-    exact_c1_sq,
-    exact_c2_sq,
-    identity_residuals,
     laguerre_samuelson,
     largest_eigenvalue,
     markov_constant,
@@ -35,10 +32,10 @@ from markov_laguerre.bounds import (
     _lower_gap_parts,
     _positive_above_minus_one,
     _residual_parts,
+    _scaled_residual_parts,
     _shift,
     _sign_changes,
-    lower_residual_poly,
-    upper_residual_poly,
+    _upper_gap_parts,
 )
 from markov_laguerre.recurrence import (
     RATIONAL,
@@ -49,6 +46,8 @@ from markov_laguerre.recurrence import (
     coeff_a3,
     qn_coefficients,
 )
+
+from oracles import exact_c1_sq, exact_c2_sq
 
 GRID_ALPHAS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
 
@@ -300,38 +299,35 @@ class TestBesselZeroBounds:
         assert misses == []
 
 
+def lower_gap(a):
+    """The lower-gap coefficients of n^1..n^5 at the exact value of a."""
+    return [F(num, den) for num, den in _lower_gap_parts(*F(a).as_integer_ratio())]
+
+
+def upper_gap(a):
+    """The upper-gap coefficients of n^0..n^5 at the exact value of a."""
+    return [F(num, den) for num, den in _upper_gap_parts(*F(a).as_integer_ratio())]
+
+
+def scaled_residual(a, side):
+    """The coefficients of n^0..n^6 of the scaled lower (side 0) or upper
+    (side 1) residual at the exact value of a."""
+    nums, den = _scaled_residual_parts(*F(a).as_integer_ratio())[side]
+    return [F(num, den) for num in nums]
+
+
 class TestIdentityResiduals:
     def test_values_at_zero(self):
-        idr = identity_residuals(F(0))
-        assert idr.lower_gap[4] == F(28, 3)
-        assert idr.upper_gap[0] == F(64, 125)
-        assert idr.upper_gap[5] == F(48, 5)
-
-    def test_nu_tilde_chain_definition(self):
-        idr = identity_residuals(F(1))
-        nt1, nt2, nt3 = idr.upper_gap_collapsed
-        assert nt3 == 4 * idr.upper_gap[5] + 2 * idr.upper_gap[4] + idr.upper_gap[3]
-        assert nt2 == 2 * nt3 + idr.upper_gap[2]
-        assert nt1 == 2 * nt2 + idr.upper_gap[1]
-
-    @pytest.mark.parametrize("a", [F(0), F(1), F(-1, 2), F(5, 2), F(25)])
-    def test_nu_tilde_closed_forms(self, a):
-        nt1, nt2, nt3 = identity_residuals(a).upper_gap_collapsed
-        assert nt3 == (8 * a**4 + 239 * a**3 + 2368 * a**2 + 9226 * a + 12564) / F(125)
-        assert nt2 == (32 * a**4 + 655 * a**3 + 4920 * a**2 + 16595 * a + 20668) / F(100)
-        # a naive closed form for nt1 that drops the (1+a) factor of nu[1]
-        # agrees only at a = 0; the chain value is the correct one
-        naive = (160 * a**4 + 3323 * a**3 + 25056 * a**2 + 84292 * a + 103184) / F(250)
-        assert nt1 == naive + 3 * a * (16 * a**3 + 152 * a**2 + 439 * a - 52) / F(250)
+        assert lower_gap(0)[4] == F(28, 3)
+        assert upper_gap(0)[0] == F(64, 125)
+        assert upper_gap(0)[5] == F(48, 5)
 
     @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 3.7, 50.0, 250.0, 500.0])
     def test_positivity(self, alpha):
-        idr = identity_residuals(alpha)
-        assert all(k > 0 for k in idr.lower_gap)
-        assert all(t > 0 for t in idr.upper_gap_collapsed)
+        assert all(k > 0 for k in lower_gap(alpha))
 
     def test_nu_low_orders_can_go_negative(self):
-        nu = identity_residuals(-0.9).upper_gap
+        nu = upper_gap(F(-9, 10))
         assert min(nu[1:4]) < 0 < nu[0]
 
 
@@ -398,8 +394,7 @@ class TestPositiveAboveMinusOne:
     def test_lower_gap_zero_vanishes_at_minus_one(self):
         # (1 + a)^2 times a cubic: zero at a = -1 only, which the domain leaves out
         assert _lower_gap_parts(-1, 1)[0][0] == 0
-        assert _positive_above_minus_one([identity_residuals(F(k)).lower_gap[0]
-                                          for k in range(9)])
+        assert _positive_above_minus_one([lower_gap(k)[0] for k in range(9)])
 
     def test_lower_gap_three_needs_the_sturm_count(self):
         # In t = a + 1 its coefficients change sign twice, so their signs
@@ -408,7 +403,7 @@ class TestPositiveAboveMinusOne:
         assert _lower_gap_parts(0, 1)[3][1] == 36
         assert [F(c, 36 * top) for c in in_t[::-1]] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18),
                                                         F(43, 6), 10]
-        values = [identity_residuals(F(k)).lower_gap[3] for k in range(9)]
+        values = [lower_gap(k)[3] for k in range(9)]
         assert _positive_above_minus_one(values)
         # times t^2: the Sturm sequence would vanish at t = 0, so t is stripped first
         assert _positive_above_minus_one([(k + 1) ** 2 * v for k, v in enumerate(values)])
@@ -461,7 +456,7 @@ class TestShift:
                 == sum(c * (x + s) ** i for i, c in enumerate(coeffs)))
 
     def test_upper_gap_at_n_plus_two_is_the_binomial_sum(self):
-        g = identity_residuals(F(1, 3)).upper_gap
+        g = upper_gap(F(1, 3))
         assert _shift(g, 2) == [sum(g[i] * math.comb(i, j) * 2 ** (i - j) for i in range(j, 6))
                                 for j in range(6)]
 
@@ -469,19 +464,12 @@ class TestShift:
 class TestResidualPolys:
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(-9, 10), F(25), F(7, 3)])
     def test_exact_match_with_coefficient_lists(self, a):
-        idr = identity_residuals(a)
-        lp = lower_residual_poly(a)
-        up = upper_residual_poly(a)
+        lp = scaled_residual(a, 0)
+        up = scaled_residual(a, 1)
         assert lp[0] == 0 and lp[6] == 0
-        assert lp[1:6] == idr.lower_gap
+        assert lp[1:6] == lower_gap(a)
         assert up[6] == 0
-        assert up[:6] == idr.upper_gap
-
-    def test_float_alpha_is_close(self):
-        lp = lower_residual_poly(0.5)
-        want = identity_residuals(F(1, 2)).lower_gap
-        for got, exact in zip(lp[1:6], want):
-            assert got == pytest.approx(float(exact), rel=1e-12)
+        assert up[:6] == upper_gap(a)
 
     def test_wrong_normalization_leaves_degree_six(self):
         # dividing the lower bound by (a+3)(a+5) instead of (a+1)(a+5)
@@ -496,7 +484,7 @@ class TestResidualPolys:
 
         wrong, _ = _coefficients_from_values([wrong_gap(n) for n in range(7)])
         assert wrong[6] != 0
-        assert lower_residual_poly(a)[6] == 0
+        assert scaled_residual(a, 0)[6] == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -514,15 +502,15 @@ class TestResidualPolys:
         lr, ur = residual_sandwich_check(a, n)
         scale_up = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
         at_n = lambda coeffs: sum(c * n**j for j, c in enumerate(coeffs))
-        assert at_n(lower_residual_poly(a)) == lr * (a + 1) * scale_up
-        assert at_n(upper_residual_poly(a)) == ur * scale_up
+        assert at_n(scaled_residual(a, 0)) == lr * (a + 1) * scale_up
+        assert at_n(scaled_residual(a, 1)) == ur * scale_up
 
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2)])
     @pytest.mark.parametrize("n", [3, 4, 10, 57])
     def test_poly_evaluation_matches_direct_residuals(self, a, n):
         lr, ur = residual_sandwich_check(a, n)
-        lp = lower_residual_poly(a)
-        up = upper_residual_poly(a)
+        lp = scaled_residual(a, 0)
+        up = scaled_residual(a, 1)
         scale_low = (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
         scale_up = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
         assert sum(c * n**j for j, c in enumerate(lp)) == lr * scale_low

@@ -771,9 +771,12 @@ class TestVerify:
             return (dip,) + _lower_gap_parts(p, d)[1:]
 
         monkeypatch.setattr(bounds, "_lower_gap_parts", dipped)
-        assert all(bounds.identity_residuals(a).lower_gap[0] > 0
-                   for a in cli._grid(-0.99, 500.0, 0.1))
-        assert bounds.identity_residuals(F(1, 20)).lower_gap[0] == -F(1, 10**6)
+
+        def lower_gap_zero(a):
+            return F(*bounds._lower_gap_parts(*F(a).as_integer_ratio())[0])
+
+        assert all(lower_gap_zero(a) > 0 for a in cli._grid(-0.99, 500.0, 0.1))
+        assert lower_gap_zero(F(1, 20)) == -F(1, 10**6)
         assert ("lower_gap[0]: not proved positive for every alpha > -1"
                 in cli.verify_identities())
         capsys.readouterr()
@@ -782,9 +785,8 @@ class TestVerify:
         assert any(line.startswith("FAIL ") for line in out.splitlines())
 
     def test_identities_refuses_a_gap_that_dips_below_zero_at_n_2(self, monkeypatch):
-        # The collapse of IdentityResidual never reads upper_gap[0], so it
-        # still proves its three values positive; the gap at n = 2, h[0] of
-        # the shift to n = m + 2, is negative.
+        # Lowering upper_gap[0] alone makes the gap at n = 2, h[0] of the
+        # shift to n = m + 2, negative at alpha = 0.
         real = bounds._upper_gap_parts
 
         def lowered(p, d):
@@ -792,10 +794,7 @@ class TestVerify:
             return ((num - 1000 * den, den), *rest)  # upper_gap[0] - 1000
 
         monkeypatch.setattr(bounds, "_upper_gap_parts", lowered)
-        at = [bounds.identity_residuals(F(k)) for k in range(9)]
-        assert all(bounds._positive_above_minus_one(values)
-                   for values in zip(*(r.upper_gap_collapsed for r in at)))
-        assert sum(g * 2**i for i, g in enumerate(at[0].upper_gap)) < 0
+        assert sum(F(*g) * 2**i for i, g in enumerate(bounds._upper_gap_parts(0, 1))) < 0
         assert ("upper_gap at n = m + 2, m^0: not proved positive for every alpha > -1"
                 in cli.verify_identities())
 
@@ -991,7 +990,7 @@ class TestProofPremises:
 
     @pytest.mark.parametrize("a", [F(-9, 10), F(1, 3), F(25)])
     def test_residuals_have_degree_six_in_n(self, a):
-        # lower_residual_poly and upper_residual_poly interpolate at n = 0..6
+        # bounds._scaled_residual_parts interpolates them at n = 0..6
         for residual in zip(*(bounds.residual_sandwich_check(a, n) for n in range(22))):
             assert not any(differences(residual, 7))
 
