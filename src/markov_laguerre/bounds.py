@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import bessel
 from .bessel import _bessel_zero_bounds
-from .eigen import TridiagMatrix, build_jacobi, smallest_eigenvalue
+from .eigen import TridiagMatrix, _smallest, build_jacobi
 from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
                          _refined_upper, _require_degree, _require_n, alpha_value)
 from .recurrence import reciprocal_b123  # noqa: F401  (bench/test_bench.py reads it here)
@@ -510,16 +510,30 @@ def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
     floats ``build_jacobi(alpha, n)`` holds.  The closed forms are the
     bodies of the public bounds, which validate their arguments at each
     call; a row raises in the order solve, refined pair, b1..b3, power sums.
-    c(alpha) is computed once, after the rows, where the caller's alpha lies
-    in its domain; asymptotic_ratio is None elsewhere.
+    c(alpha) is computed once, before the rows, where the caller's alpha
+    lies in its domain (asymptotic_ratio is None elsewhere), and its zero
+    is the Dörfler start of each n >= ``eigen._START_MIN_N``.  An n whose
+    predecessors n-1, n-2 and n-3 were the rows just solved starts at
+    (3 c_{n-1} - 3 c_{n-2} + c_{n-3})^-2, which extrapolates c_n, nearly
+    linear in n by Dörfler's limit, to about 1e-8 relative at n <= 100.
+    The start moves the pass count only: each row is the one
+    ``bounds_report`` gives, bit for bit.
     """
     a = _float_alpha(alpha)
     for n in ns:
         _require_n(n)
     q = build_jacobi(alpha, max(ns)).q
+    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
+    zero = None if c_inf is None else 1.0 / c_inf
     solved = []
+    run = 0  # the rows just solved at n-1, n-2, ...
     for n in ns:
-        c_sq = 1.0 / smallest_eigenvalue(TridiagMatrix(a, q[:n]), tol).value
+        run = run + 1 if solved and solved[-1][0] == n - 1 else 0
+        start = None
+        if run >= 3:
+            c3, c2, c1 = (row[1] for row in solved[-3:])
+            start = (3.0 * c1 - 3.0 * c2 + c3) ** -2
+        c_sq = 1.0 / _smallest(TridiagMatrix(a, q[:n]), tol, start, zero).value
         refined = _refined(a, n)  # first: it raises where the products overflow
         b1, b2, b3 = _b123_float(a, n)
         linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
@@ -528,7 +542,6 @@ def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
                  turan_constant(n) if a == 0.0 else None)
         solved.append((n, math.sqrt(c_sq), c_sq, cells,
                        bool(_sandwich_violations(n, c_sq, refined, dorfler))))
-    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
     return [BoundsReport(a, n, c, c_sq, *cells, None if c_inf is None else c / (n * c_inf),
                          violated) for n, c, c_sq, cells, violated in solved]
 

@@ -278,25 +278,29 @@ def verify_coeffs() -> list[str]:
     alphas; it is checked on m = 1..12 by the 12 ``_INDUCTION_ALPHAS``,
     cross-multiplied on the integers of ``_b123_parts(p, d, m)`` at
     alpha = p/d (zero exactly where the identity holds).  The base cases
-    are rows 0 and 1 of ``_scaled_rows``, every entry against a0 and
-    b0..b3; a0 meets its step on the grid (and for every m by the product
-    form of ``coeff_a0``).  A failure prints both sides as Fractions."""
+    are rows 0 and 1 of ``_scaled_rows``, every entry against ``coeff_a0``
+    and b0..b3; a0, as the integer pair of ``coeff_a0``'s product form, meets
+    its step on the grid (and for every m by that form).  A failure prints
+    both sides as Fractions."""
     failures = []
     for a in _INDUCTION_ALPHAS:
         p, d = _split(a)
-        a0 = [coeff_a0(a, m) for m in range(_INDUCTION_M[-1] + 2)]
+        # a0(m) = (-1)^m prod_{k=1..m} (dk + p) / (d^m m!) as a pair of ints:
+        # the statement of coeff_a0, which the base cases call
+        a0 = [((-1) ** m * math.prod(range(p + d, p + m * d + 1, d)), d**m * math.factorial(m))
+              for m in range(_INDUCTION_M[-1] + 2)]
         parts = [((1, 1),) + _b123_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
         # rows 0 and 1: row[k] / scale == (-1)^k b_k a0, with zeros past the row's end
         for n, (row, scale) in enumerate(_scaled_rows(p, d, 1)):
+            base = coeff_a0(a, n)
             for k, (num, den) in enumerate(parts[n]):
                 got = row[k] if k < len(row) else 0
-                if got * den * a0[n].denominator != (-1) ** k * num * a0[n].numerator * scale:
-                    want = (-1) ** k * Fraction(num, den) * a0[n]
+                if got * den * base.denominator != (-1) ** k * num * base.numerator * scale:
+                    want = (-1) ** k * Fraction(num, den) * base
                     failures.append(f"alpha={a} n={n} k={k}: {Fraction(got, scale)} != {want}")
         for m in _INDUCTION_M:
             step = d * (m + 1)  # d(m+1) + p = d(m+1+alpha)
-            if (step * a0[m + 1].numerator * a0[m].denominator
-                    != -(step + p) * a0[m].numerator * a0[m + 1].denominator):
+            if step * a0[m + 1][0] * a0[m][1] != -(step + p) * a0[m][0] * a0[m + 1][1]:
                 failures.append(f"alpha={a} m={m}: a0 step relation broken")
             for k in (1, 2, 3):
                 (num_prev, den_prev), (num, den) = parts[m][k - 1:k + 1]

@@ -22,8 +22,11 @@ for a factor with squared subdiagonal e_k; the Bessel zeros of
 
 One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
 from either side, both derivatives from the sign-count pass.  Once a step
-is small, a close that only counts brackets the estimate to tol/8, and the
-result is the midpoint of a bracket whose ends the sign count placed.
+is small, a close that only counts finds the cell of a fixed lattice, at
+most tol/8 of the value wide, where the count flips, and the result is the
+midpoint of that cell.  The lattice depends on tol alone, so the result
+depends on the matrix and tol, not on the start: a caller that can predict
+the eigenvalue (``bounds._rows``, from its neighbours in n) may start there.
 ``smallest_eigenvalue`` starts below the eigenvalue, at every alpha: from
 n = 300 on at Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
 c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`, where
@@ -57,7 +60,8 @@ _MAX_PASSES = 200
 # (0.02 ms near a = -1, 0.28 ms at a = 2001), and saves Laguerre passes of
 # 0.28 us per entry: 0.66 of a pass at n = 128 (24 us), 0.77 at 256 (55 us),
 # 0.93 at 384 (99 us) and 1.7 from n = 2000 on (300 draws of a per n;
-# Python 3.11, 2 vCPUs).  The two break even near n = 280.
+# Python 3.11, 2 vCPUs).  The two break even near n = 280.  The bounds
+# engine computes the zero for its rows anyway and passes it in.
 _START_MIN_N = 300
 # Steps of at most this share of sigma go to the close.
 _CLOSE = 1e-6
@@ -79,11 +83,13 @@ class EigenResult(NamedTuple):
 
     The binary64 sign count at sigma = lo finds no eigenvalue below it, the
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
-    value.  After a close, hi - lo <= tol/8 * value, or lo and hi are
-    adjacent floats where binary64 cannot resolve tol/8, so value lies within
-    tol/16 of where the count flips whatever the start.  The count places
-    the ends but does not prove them: on random
-    inputs with n up to 20000 it is wrong at about one end in eight.
+    value.  From order 2 on, (lo, hi) is the cell of ``_close``'s lattice
+    where the count flips, so hi - lo <= tol/8 * value, or lo and hi are
+    adjacent floats where binary64 cannot resolve tol/8; value is its
+    midpoint, within tol/16 of where the count flips, and the same bits
+    whatever the start of the solve.  The count places the ends but does
+    not prove them: on random inputs with n up to 20000 it is wrong at
+    about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
     and count-only passes together, and for a largest eigenvalue the
     count-only pass that checks its lower end.
@@ -257,45 +263,125 @@ def _unresolved(tol: float, lo: float, hi: float) -> RuntimeError:
     return RuntimeError(f"tol={tol} is below binary64 resolution of bracket [{lo}, {hi}]")
 
 
+def _close(count, lo: float, hi: float, est: float, tol: float):
+    """The cell of a fixed lattice where the count flips, found from an
+    estimate est in [lo, hi], lo counting no eigenvalue and hi at least one:
+    (lo, hi, passes).
+
+    The lattice.  With K = ceil(8/tol), every x > 0 is t h for one power of
+    two h and one t in [K, 2K): h = 2^floor(log2(tol x/8)), switched at the
+    points K h themselves, which lie on the lattices of both sides.  The
+    edges of the cells are the floats just above the points t h, so that a
+    float with few significant bits, such as a rational eigenvalue like 3/2,
+    lies inside a cell, not on an edge; a cell is at most tol/8 of its lower
+    end wide, to an ulp where it straddles a power of two.  Past K = 2^50
+    (tol below about 7e-15) t h may not be a float, and the cells are the
+    gaps between adjacent floats (K = 2^52, edges t h).  The close works on
+    |sigma|, so that a negative eigenvalue (the largest of -M) sits on the
+    mirror image of the same cells.
+
+    The search, in whole cells: counts at the two edges of est's cell;
+    where one misses, the next count is one cell further out, and the
+    distance from est's cell doubles until a count lands; then counts
+    bisect.  An edge outside (lo, hi) is not counted: the count is taken to
+    be monotone, 0 at and below lo and at least 1 from hi on.  So the cell
+    depends on where the count flips, not on est, lo or hi.
+    """
+    K = math.ceil(8.0 / tol)
+    shifted = K <= 2**50
+    if not shifted:
+        K = 2**52
+    negative = est < 0.0
+    if negative:
+        lo, hi, est = -hi, -lo, -est
+    passes = 0
+    h = math.ulp(est / K) * 2.0**52  # K h <= est < 2K h, but for rounding
+    if est < K * h:
+        h *= 0.5
+    elif est >= 2 * K * h:
+        h += h
+    t = int(est / h)
+    if shifted and t * h == est:  # the edge of t lies above est: est's cell is t - 1
+        t -= 1
+        if t < K:
+            h, t = 0.5 * h, 2 * K - 1
+    # x indexes an edge of the segment [K h, 2K h]: the float just above
+    # x h (x h itself past K = 2^50).  The edges of low and high count none
+    # and one.
+    low = high = None
+    x = t
+    while True:
+        e = math.nextafter(x * h, math.inf) if shifted else x * h
+        if not lo < e:
+            beyond = False
+        elif not e < hi:
+            beyond = True
+        else:
+            passes += 1
+            beyond = (count(-e) == 0) if negative else (count(e) > 0)
+            lo, hi = (lo, e) if beyond else (e, hi)
+        if beyond:
+            high, e_high = x, e
+        else:
+            low, e_low = x, e
+        if low is None:  # gallop down: t - 1, t - 2, t - 4, ...
+            if x > K:
+                x = max(x + x - t if x < t else t - 1, K)
+                continue
+            # the flip lies below the segment: on to the one below, from its top
+            h, t, x, high = 0.5 * h, 2 * K, 2 * K - 1, 2 * K
+        elif high is None:  # gallop up: t + 1 (est's cell), t + 2, t + 4, ...
+            if x < 2 * K:
+                x = min(x + x - t, 2 * K) if x > t else t + 1
+                continue
+            h, t, x, low = h + h, K, K + 1, K
+        elif high - low > 1:
+            x = (low + high) // 2
+        else:
+            break
+    return (-e_high, -e_low, passes) if negative else (e_low, e_high, passes)
+
+
 def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> EigenResult:
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
     that it lies there.  ``step_pass(sigma)`` returns the number of
     eigenvalues of M at or below sigma and a step towards the smallest one
     (None where it is undefined); ``count(sigma)`` returns the number alone.
 
-    Step phase.  The first pass is at sigma; a start that counts an
-    eigenvalue becomes the upper end, and the next pass is at lo, which must
-    count none.  Each later pass moves one end of the bracket to sigma, by
-    its count, unless its step is 0 (a zero last pivot: sigma is the
-    eigenvalue).  Only steps from counts 0 and 1 are used.  Once |step| <=
-    _CLOSE*|sigma|, the estimate sigma + step, clamped to the bracket, goes
-    to the close.  Before that, the estimate is the next sigma where it lies
-    inside the bracket, and the bracket's midpoint where it does not or
-    there is no step.  The step phase stops once hi - lo <= tol * |value|,
-    value being the midpoint, which is returned.  Close:
-    counts at est -+ d, d = tol*|est|/32 but at least one ulp of est; where
-    one misses, the offset on that side doubles until a count lands, and
-    then counts bisect until hi - lo <= tol/8 * |value|.  A bracket that
-    binary64 cannot split further ends the close when it is within tol,
-    and raises RuntimeError otherwise.
+    Step phase.  The first pass is at sigma.  A start strictly inside
+    (lo, hi) that counts exactly one eigenvalue and gives a step becomes the
+    upper end and keeps its step, from above; a start that counts more, or
+    gives no step, or lies at lo, becomes the upper end, and the next pass is
+    at lo, which must count none.  Each later pass moves one end of the
+    bracket to sigma, by its count, unless its step is 0 (a zero last pivot:
+    sigma is the eigenvalue).  Only steps from counts 0 and 1 are used.
+    Once |step| <= _CLOSE*|sigma|, the estimate sigma + step, clamped to the
+    bracket, goes to the close; so does the bracket's midpoint once
+    hi - lo <= tol * |midpoint|.  Before that, the estimate is the next sigma
+    where it lies inside the bracket, and the bracket's midpoint where it
+    does not or there is no step.  The close (``_close``) returns the cell
+    of a fixed lattice where the count flips, and its midpoint is the value:
+    the result depends on M and tol, not on the start or on the steps.  A
+    cell wider than tol of its midpoint (tol below binary64 resolution)
+    raises RuntimeError.
     """
     c, step = step_pass(sigma)
     steps = 1
-    if c:
+    if c and not (c == 1 and step is not None and lo < sigma < hi):
         hi, sigma = sigma, lo
         c, step = step_pass(sigma)
         steps += 1
         if c:
             raise RuntimeError("the bracket misses the eigenvalue: its lower end "
                                "counts one at or below it")
-    est = None
     while True:
         if step != 0.0:
             if c == 0:
                 lo = sigma
             else:
                 hi = sigma
-        if hi - lo <= tol * abs(0.5 * lo + 0.5 * hi):
+        est = 0.5 * lo + 0.5 * hi
+        if hi - lo <= tol * abs(est):
             break
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
@@ -305,33 +391,16 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
             break
         sigma = sigma + step if usable else math.nan
         if not lo < sigma < hi:
-            sigma = 0.5 * lo + 0.5 * hi
+            sigma = est
             if not lo < sigma < hi:
                 raise _unresolved(tol, lo, hi)
         c, step = step_pass(sigma)
         steps += 1
-    counts = 0
-    if est is not None:
-        d = max(tol * abs(est) / 32.0, math.ulp(est))
-        for side in (-1.0, 1.0):
-            x = est + side * d
-            while lo < x < hi:
-                counts += 1
-                below = count(x) == 0
-                lo, hi = (x, hi) if below else (lo, x)
-                if below == (side < 0.0):
-                    break
-                d += d
-                x = est + side * d
-        while hi - lo > 0.125 * tol * abs(0.5 * lo + 0.5 * hi):
-            x = 0.5 * lo + 0.5 * hi
-            if not lo < x < hi:
-                if hi - lo <= tol * abs(x):
-                    break
-                raise _unresolved(tol, lo, hi)
-            counts += 1
-            lo, hi = (lo, x) if count(x) else (x, hi)
-    return EigenResult(0.5 * lo + 0.5 * hi, (lo, hi), steps + counts, tol)
+    lo, hi, counts = _close(count, lo, hi, est, tol)
+    value = 0.5 * lo + 0.5 * hi
+    if hi - lo > tol * abs(value):
+        raise _unresolved(tol, lo, hi)
+    return EigenResult(value, (lo, hi), steps + counts, tol)
 
 
 def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float) -> EigenResult:
@@ -377,7 +446,7 @@ def _lower_bound(a: float, q) -> float:
     return max(1.0 / upper if upper > 0.0 else 0.0, w * w * (1.0 - (4 * len(q) + 12) * 2.0**-53))
 
 
-def _start(a: float, n: int, lower: float, top: float) -> float:
+def _start(a: float, n: int, lower: float, top: float, zero: float | None = None) -> float:
     """Start of the smallest-eigenvalue solve on T_n(a), whose eigenvalue
     lies in (lower, top), lower a proved lower bound and top = q_0.
 
@@ -388,7 +457,8 @@ def _start(a: float, n: int, lower: float, top: float) -> float:
     a = 100, n = 20000, where 1/refined_upper is 30% below.  It is used
     where it lies in (lower, top), where n >= _START_MIN_N, so that the zero
     pays for itself, and where a lies in asymptotic_constant's domain
-    (a <= 2001); else the start is lower.
+    (a <= 2001); else the start is lower.  ``zero`` is j when the caller
+    has it, else it is computed here.
     """
     if n < _START_MIN_N:
         return lower
@@ -396,7 +466,9 @@ def _start(a: float, n: int, lower: float, top: float) -> float:
 
     if not a <= _ALPHA_MAX:
         return lower
-    sigma = (_first_zero(0.5 * a + 0.5, 1e-13) / (n + 0.25 * a + 0.75)) ** 2
+    if zero is None:
+        zero = _first_zero(0.5 * a + 0.5, 1e-13)
+    sigma = (zero / (n + 0.25 * a + 0.75)) ** 2
     return sigma if lower < sigma < top else lower
 
 
@@ -410,19 +482,31 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     alpha of about 100 on (30 at n = 2): at n = 20000 it is 0.987 of the
     eigenvalue at alpha = 1e4 and 0.9993 at 1e8, where 1/refined_upper is
     0.19 and 0.0055.  The close narrows the bracket to tol/8.  A start that
-    the sign count places above the eigenvalue (rounding, at n = 2) falls
-    back to sigma = 0, where every pivot is q_k > 0.
+    the sign count places above two or more eigenvalues falls back to
+    sigma = 0, where every pivot is q_k > 0.
     """
+    return _smallest(T, tol)
+
+
+def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
+              zero: float | None = None) -> EigenResult:
+    """``smallest_eigenvalue`` from ``start``, where the caller has a better
+    one (a start that counts one eigenvalue is kept, one that counts more
+    falls back to 0), else from ``_start``'s, given the Bessel zero ``zero``
+    when the caller has it.  The start moves only the pass count: the result
+    does not depend on it."""
     _check_tol(tol)
     q = T.q
     n = len(q)
     if n == 1:
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
+    if start is None:
+        start = _start(T.alpha, n, _lower_bound(T.alpha, q), q[0], zero)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                  0.0, q[0], _start(T.alpha, n, _lower_bound(T.alpha, q), q[0]), tol)
+                  0.0, q[0], start, tol)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markov_laguerre import bessel, bounds, cli, recurrence
+from markov_laguerre import bessel, bounds, cli, eigen, recurrence
 from markov_laguerre.cli import SWEEP_COLUMNS, VERIFY_MODES, _parse_n_list, main, sweep_row
 from markov_laguerre.eigen import build_jacobi, markov_constant, smallest_eigenvalue
 from markov_laguerre.recurrence import _scaled_rows, _split, coeff_a0, reciprocal_b123
@@ -576,6 +576,43 @@ class TestSweepReference:
         ns = [5, 3, 4, 3, 1, 7]
         assert bounds._rows(0.5, ns, 1e-13) == [reference_row(0.5, n) for n in ns]
 
+    def test_warm_started_rows_are_the_per_point_rows(self, monkeypatch):
+        # The engine starts each n from c at n-1, n-2 and n-3; the close
+        # makes the result independent of the start, bit for bit.
+        pairs = cli.grid_pairs()
+        passes = collections.Counter()
+        real = eigen._laguerre_pass
+
+        def counted(q, sigma):
+            passes["laguerre"] += 1
+            return real(q, sigma)
+
+        monkeypatch.setattr(eigen, "_laguerre_pass", counted)
+        rows = list(cli._grid_rows(pairs, 1e-13))
+        # 2.39 Laguerre passes per row from cold starts
+        assert passes["laguerre"] <= 1.3 * len(pairs)
+        assert rows == [bounds.bounds_report(a, n) for a, n in pairs]
+        for a in (0.0, 25.0):
+            assert bounds._rows(a, range(3, 401), 1e-13) == [
+                bounds.bounds_report(a, n) for n in range(3, 401)]
+
+    def test_one_bessel_zero_per_engine_call(self, monkeypatch):
+        # c(alpha) is computed once, before the rows, and the start of each
+        # n >= 300 reuses it
+        zeros = collections.Counter()
+        real = bessel._first_zero
+
+        def counted(h, tol):
+            zeros[h] += 1
+            return real(h, tol)
+
+        for a in (0.0, 1.0, 2.0, 5.0):
+            with monkeypatch.context() as m:
+                m.setattr(bessel, "_first_zero", counted)
+                rows = bounds._rows(a, (512, 4096), 1e-13)
+            assert rows == [bounds.bounds_report(a, n) for n in (512, 4096)]
+        assert zeros == {0.5 * a + 0.5: 1 for a in (0.0, 1.0, 2.0, 5.0)}
+
     @pytest.mark.parametrize("alpha", [2, F(5, 2), F(2001) + F(1, 10**30)])
     def test_sweep_row_takes_an_exact_alpha(self, alpha):
         assert sweep_row(alpha, 6, 1e-13) == reference_row(alpha, 6)
@@ -644,7 +681,7 @@ class TestSweepReference:
             return wrapper
 
         monkeypatch.setattr(bounds, "build_jacobi", counted("build", build_jacobi))
-        monkeypatch.setattr(bounds, "smallest_eigenvalue", counted("solve", smallest_eigenvalue))
+        monkeypatch.setattr(bounds, "_smallest", counted("solve", bounds._smallest))
         monkeypatch.setattr(bessel, "asymptotic_constant",
                             counted("limit", bessel.asymptotic_constant))
         code, out, _ = run_cli(capsys, "sweep", "--alpha", "0.5", "--n-list", "3..40",

@@ -30,6 +30,7 @@ from markov_laguerre.eigen import (
     _laguerre_step,
     _largest,
     _lower_bound,
+    _smallest,
     _solve,
     _start,
 )
@@ -373,10 +374,10 @@ class TestKernel:
         assert hi - lo <= tol / 8 * res.value
         assert lo < res.value < hi
         # The estimate lies 2 tol to 16 tol beyond the eigenvalue (3.3 tol to
-        # 10 tol here): an offset that doubles from tol/32 misses at least six
-        # times and lands by the tenth count; from below, one count lands on
-        # the near side first.  The last missed offset, tol to 8 tol, is the
-        # width left, and bisecting it to tol/8 takes three to six counts.
+        # 10 tol here, 26 to 140 cells of 0.07 tol to 0.12 tol): counts 1, 2,
+        # 4, ... cells out from the estimate's cell miss five to eight times
+        # before one lands, and bisecting what is left down to one cell takes
+        # the rest: 13 to 17 counts here.
         assert 10 <= len(counted) <= 17
 
     @pytest.mark.parametrize("alpha, n", [(-0.9, 40), (0.0, 300), (25.0, 1000)])
@@ -553,6 +554,43 @@ class TestKernel:
         assert hi - lo <= res.tol * res.value
         assert sturm_count(T, lo) == 0
         assert sturm_count(T, hi) >= 1
+
+
+def start_cases():
+    """Seeded (alpha, n): exact and float alphas, and n = 2, 3, 40, 500 and
+    4096 among them."""
+    rng = random.Random(17)
+    cases = [(F(5, 2), 2), (F(-999999, 1000000), 3), (F(7, 3), 40), (0.0, 500), (25.0, 4096)]
+    for _ in range(25):
+        alpha = F(rng.randint(-99, 5000), 100) if rng.random() < 0.5 else rng.uniform(-0.99, 200.0)
+        cases.append((alpha, rng.choice([2, 3, 40, 500, 4096, rng.randint(2, 1000)])))
+    return cases
+
+
+class TestStartIndependence:
+    """The close returns the cell of a fixed lattice where the count flips,
+    so the step phase's start moves the pass count and nothing else."""
+
+    @pytest.mark.parametrize("alpha, n", start_cases())
+    def test_every_start_gives_the_same_bits(self, alpha, n):
+        T = build_jacobi(alpha, n)
+        cold = smallest_eigenvalue(T)
+        lam = cold.value
+        # a start above the eigenvalue that still counts it alone
+        above = lam * (1 + 1e-4)
+        assert sturm_count(T, above) == 1
+        for start in (lam * (1 - 1e-8), lam * (1 + 1e-8), above):
+            res = _smallest(T, 1e-13, start)
+            assert (res.value, res.bracket) == (cold.value, cold.bracket), (alpha, n, start)
+
+    def test_a_start_that_counts_one_keeps_its_step(self):
+        # from above, Laguerre's step converges as from below: a start 1e-8
+        # above the eigenvalue takes one step pass and the close's counts,
+        # as the one below does; falling back to 0 took 6 passes
+        T = build_jacobi(0.0, 1000)
+        lam = smallest_eigenvalue(T).value
+        below = _smallest(T, 1e-13, lam * (1 - 1e-8)).iterations
+        assert _smallest(T, 1e-13, lam * (1 + 1e-8)).iterations == below <= 4
 
 
 class TestMarkovConstant:

@@ -19,7 +19,7 @@ def library_example() -> str:
 def test_library_example_gives_the_values_in_its_comments():
     names = {}
     exec(library_example(), names)
-    assert names["c"] == 6.690744999827377
+    assert names["c"] == 6.690744999827386
     assert round(names["lo"], 2) == 39.33 and round(names["hi"], 2) == 46.39
     assert names["lo"] < names["c"] ** 2 < names["hi"] and names["ok"]
     assert names["q"] == (1, -10, 15, -7, 1)
