@@ -30,8 +30,13 @@ tol whose ends the sign count places but does not prove; j is its midpoint.
 
 The paper's enclosure of the zero, ``_bessel_zero_bounds``, is defined
 here; ``bounds`` rounds it outward into its public forms.  It is
-load-bearing: the solve starts at 4/lower^2, and a count that finds the zero
-outside the enclosure at either end raises RuntimeError.
+load-bearing: count-only passes check both of its ends, and a count that
+finds the zero outside the enclosure at either end raises RuntimeError.
+The solve starts at 4/lower^2, or from nu = 1 on at 4/x^2, x Olver's
+expansion of the zero (``_olver``), where that lies strictly inside the
+enclosure.  The close's lattice makes the result independent of the start,
+so the expansion, which is tested but not proved, moves only the pass
+count.
 
 Domain
 ------
@@ -128,33 +133,57 @@ def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
     return lower * (1.0 - k), upper * (1.0 + k)
 
 
+def _qu_wong(nu: float) -> float:
+    """The upper bound of Qu & Wong (1999) on j_{nu,1}, used from nu = 1 on:
+    nu - a_1 (nu/2)^(1/3) + (3/20) a_1^2 (nu/2)^(-1/3), a_1 the first zero of
+    Ai.  It is the first three terms of Olver's expansion (``_olver``)."""
+    t = (0.5 * nu) ** (1.0 / 3.0)
+    return nu - _AIRY_A1 * t + 0.15 * _AIRY_A1 * _AIRY_A1 / t
+
+
+def _olver(nu: float) -> float:
+    """Olver's uniform expansion of j_{nu,1} (Olver 1954; DLMF 10.21(viii))
+    to five terms: ``_qu_wong`` - 0.00397/nu - 0.0908 nu^(-5/3), the last two
+    coefficients as printed to three digits.  Relative to the Ikebe zero it
+    is -9.8e-3 off at nu = 1, -1.1e-4 at 5, -7.7e-7 at 25, -8.4e-9 at 100
+    and -6.4e-13 at 1000.  It is tested, not proved: ``first_zero`` uses it
+    as a start only."""
+    return _qu_wong(nu) - 0.00397 / nu - 0.0908 * nu ** (-5.0 / 3.0)
+
+
 def _order(h: float, upper: float, tol: float) -> int:
     """Order m of the factor B that ``first_zero`` solves at h = nu + 1.
 
     x is an upper bound on j_{nu,1}: the enclosure's ``upper``, or from nu = 1
-    on, where it is the sharper one, the bound of Qu & Wong (1999)
-    nu - a_1 (nu/2)^(1/3) + (3/20) a_1^2 (nu/2)^(-1/3), a_1 the first zero of
-    Ai.  m is the first order at which Kapteyn's inequality
-    |J_mu(x)| <= exp(mu g(x/mu)), mu = h + (2m - 1) and g(z) = log z +
-    sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)), puts the squared eigenvector
-    component at the cut, which sets the truncation error, below
-    tol * _TRUNCATION_MARGIN.
+    on, where it is the sharper one, ``_qu_wong``'s.  m is the first order
+    at which Kapteyn's inequality |J_mu(x)| <= exp(mu g(x/mu)),
+    mu = h + (2m - 1) and g(z) = log z + sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)),
+    puts the squared eigenvector component at the cut, which sets the
+    truncation error, below tol * _TRUNCATION_MARGIN.  mu g(x/mu) falls as mu
+    grows (its derivative in mu is log z - log(1 + sqrt(1 - z^2)) < 0), so
+    the search gallops up from m >= (x - nu)/2 by 1, 2, 4, ... orders, then
+    bisects.
     """
     nu = h - 1.0
     x = upper
     if nu >= 1.0:
-        t = (0.5 * nu) ** (1.0 / 3.0)
-        x = min(x, nu - _AIRY_A1 * t + 0.15 * _AIRY_A1 * _AIRY_A1 / t)
+        x = min(x, _qu_wong(nu))
     target = math.log(tol * _TRUNCATION_MARGIN)
-    m = max(1, math.ceil(0.5 * (x - nu)))
-    while True:
+
+    # Orders up to low miss; high, once found, is hit, and the bisection
+    # keeps both so.
+    low, high, step = max(1, math.ceil(0.5 * (x - nu))) - 1, None, 1
+    while high is None or high - low > 1:
+        m = low + step if high is None else (low + high) // 2
         mu = h + (2 * m - 1)
         z = x / mu
         if z < 1.0:
             w = math.sqrt(1.0 - z * z)
             if 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= target:
-                return m
-        m += 1
+                high = m
+                continue
+        low, step = m, step + step
+    return high
 
 
 def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:
@@ -171,12 +200,21 @@ def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:
 def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
     """Largest eigenvalue of B B^T at order m, bracketed by the enclosure
     (lower, upper) of j widened outward by _WIDEN: 4/upper^2 must count
-    fewer than m eigenvalues and 4/lower^2 all m."""
+    fewer than m eigenvalues and 4/lower^2 all m.  From nu = 1 on the solve
+    starts at 4/x^2, x = ``_olver``'s expansion, where that lies strictly
+    inside the bracket, else at 4/lower^2; the start moves only the pass
+    count, not the result."""
     lower, upper = enclosure
     q, e = _ikebe_factor(h, m)
+    lo = 4.0 / (upper * upper) * (1.0 - _WIDEN)
+    hi = 4.0 / (lower * lower) * (1.0 + _WIDEN)
+    start = None
+    if h - 1.0 >= 1.0:
+        start = 4.0 / _olver(h - 1.0) ** 2
+        if not lo < start < hi:
+            start = None
     return _largest(functools.partial(_laguerre_pass_e, q, e), functools.partial(_count_e, q, e),
-                    m, 4.0 / (upper * upper) * (1.0 - _WIDEN),
-                    4.0 / (lower * lower) * (1.0 + _WIDEN), tol)
+                    m, lo, hi, tol, start)
 
 
 def _first_zero(h: float, tol: float) -> float:

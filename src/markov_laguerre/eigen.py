@@ -33,7 +33,7 @@ c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`, where
 that lies higher, else at the larger of two proved lower bounds, the
 reciprocal of the refined upper bound on c_n(alpha)^2 and Weyl's
 (sqrt(q_{n-1}) - 1)^2.  A largest eigenvalue (``_largest``) is the
-smallest of -M, solved from above.
+smallest of -M, solved from above or from the caller's start.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ class EigenResult(NamedTuple):
     about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
     and count-only passes together, and for a largest eigenvalue the
-    count-only pass that checks its lower end.
+    count-only passes that check the ends of its bracket: the lower end
+    always, the upper end when the solve takes a start (from the upper end,
+    its first step pass is that check).
     """
 
     value: float
@@ -403,29 +405,41 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
     return EigenResult(value, (lo, hi), steps + counts, tol)
 
 
-def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float) -> EigenResult:
+def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
+             start: float | None = None) -> EigenResult:
     """Largest eigenvalue in (lo, hi] of an order-n matrix M, given the
     ``step_pass`` of M (a Laguerre pass, whose step negates with M) and its
     ``count`` alone (a count-only pass, equal to ``step_pass(sigma)[0]``):
-    the smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above.
+    the smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above,
+    or from -start, where the caller has a start in (lo, hi).
 
     A lower end that counts all n eigenvalues at or below it, or an upper
-    end that counts fewer (the lower end of -M's bracket, in ``_solve``),
-    raises RuntimeError: the count checks both ends before the bracket is
-    used.  The check at lo and every count of the close are count-only
-    passes.
+    end that counts fewer, raises RuntimeError: the count checks both ends
+    before the bracket is used.  The check at lo is a count-only pass.  So
+    is the check at hi when the solve takes a start; from -hi, the first
+    step pass is that check (the lower end of -M's bracket, in ``_solve``).
+    Every count of the close is count-only too.  The start moves only the
+    pass count: the result does not depend on it.
     """
     if count(lo) >= n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"all {n} lie at or below its lower end")
+    checks = 1
+    if start is None:
+        start = hi
+    else:
+        checks += 1
+        if count(hi) < n:
+            raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
+                               f"fewer than all {n} lie at or below its upper end")
 
     def negated(sigma):
         count, step = step_pass(-sigma)
         return n - count, None if step is None else -step
 
-    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo, -hi, tol)
+    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo, -start, tol)
     lo, hi = res.bracket
-    return EigenResult(-res.value, (-hi, -lo), res.iterations + 1, tol)
+    return EigenResult(-res.value, (-hi, -lo), res.iterations + checks, tol)
 
 
 def _lower_bound(a: float, q) -> float:

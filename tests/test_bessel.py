@@ -178,6 +178,51 @@ class TestFirstZero:
         with pytest.raises(RuntimeError, match="misses"):
             first_zero(nu)
 
+    @pytest.mark.parametrize("nu", [1.5, 3.3, 40.0])
+    @pytest.mark.parametrize("factors", [(0.5, 0.9), (1.01, 1.1)])
+    def test_enclosure_that_misses_the_zero_raises_from_the_start(self, monkeypatch, nu, factors):
+        # Olver's start inside an enclosure that misses the zero: the solve
+        # from there never reaches the enclosure's ends, so they are counted
+        # first.  (1.01, 1.1) puts the bracket's upper end 4/lower^2 below
+        # the largest eigenvalue, and the start above the second largest
+        # (j_{nu,2} > 1.1 j_{nu,1} up to nu = 40), so only that count finds
+        # it; without it the solve returns a wrong zero quietly.
+        j = first_zero(nu)
+        started = []
+
+        def start(x):
+            started.append(x)
+            return 0.5 * (factors[0] + factors[1]) * j
+
+        monkeypatch.setattr(
+            bessel, "_bessel_zero_bounds", lambda h: bounds.BoundPair(factors[0] * j, factors[1] * j)
+        )
+        monkeypatch.setattr(bessel, "_olver", start)
+        with pytest.raises(RuntimeError, match="misses"):
+            first_zero(nu)
+        assert started == [nu]
+
+    def test_the_start_leaves_no_trace(self, monkeypatch):
+        # From Olver's expansion (nu >= 1, where it lies inside the
+        # enclosure: from nu = 1.2156 on) and from the enclosure's end, every
+        # zero is the same float: the close's lattice does not depend on the
+        # start
+        rng = random.Random(25)
+        nus = ([-1.0 + 10 ** rng.uniform(-15, 0) for _ in range(150)]
+               + [rng.uniform(1.0, 1.2) for _ in range(50)]
+               + [10 ** rng.uniform(0.1, 3) for _ in range(400)] + [1.0, 1000.0])
+        hs = [nu + 1.0 for nu in nus]
+        inside = [h for h in hs if h >= 2.0 and
+                  bessel._bessel_zero_bounds(h)[0] < bessel._olver(h - 1.0) < bessel._bessel_zero_bounds(h)[1]]
+        assert inside == [h for h in hs if h >= 2.2156]
+        # tol = 1e-8 only from nu = 1 on, where the start applies: for nu + 1
+        # between about 7e-15 and 1.3e-12 the truncation at 1e-8 falls under
+        # the enclosure's lower end and the solve raises, with or without it
+        cases = [(h, 1e-13) for h in hs] + [(h, 1e-8) for h in hs if h >= 2.0]
+        started = [bessel._first_zero(h, tol) for h, tol in cases]
+        monkeypatch.setattr(bessel, "_olver", lambda nu: math.nan)
+        assert [bessel._first_zero(h, tol) for h, tol in cases] == started
+
     @settings(max_examples=40, deadline=None)
     @given(nu=st.floats(min_value=-1.0, max_value=1000.0, exclude_min=True))
     def test_sign_count_certifies_both_ends(self, nu):
@@ -196,14 +241,16 @@ class TestFirstZero:
         assert lo * (1 - 1e-14) <= top <= hi * (1 + 1e-14)
 
     def test_passes_per_zero(self):
-        # Laguerre steps from above; Newton steps took 13.3 passes per zero
-        # on this grid, 21 at most
+        # Laguerre steps, from Olver's expansion from nu = 1 on, else from
+        # above, with the count-only checks of the bracket's ends: 5.04 per
+        # zero on this grid, 6 at most; from above everywhere they took 7.98
+        # and 9, and Newton steps 13.3 and 21
         passes = []
         for k in range(700):
             nu = -0.999 + 0.37 * k
             passes.append(zero_eigenvalue(nu, order(nu, 1e-13), 1e-13).iterations)
-        assert sum(passes) / len(passes) <= 9
-        assert max(passes) <= 10
+        assert sum(passes) / len(passes) <= 5.1
+        assert max(passes) <= 6
 
     def test_step_from_above_the_spectrum(self):
         # Laguerre's step from above every eigenvalue of an Ikebe factor is
@@ -287,6 +334,49 @@ class TestFirstZero:
         assert z == pytest.approx(30.779039186567266, abs=1e-6)
         second = float(mpmath.besseljzero(25, 2))
         assert z < second - 3.0
+
+
+def linear_order(h, upper, tol):
+    """``bessel._order`` by its definition: every order from (x - nu)/2 up,
+    one at a time, until Kapteyn's bound meets the target."""
+    nu = h - 1.0
+    x = upper
+    if nu >= 1.0:
+        t = (0.5 * nu) ** (1.0 / 3.0)
+        x = min(x, nu - bessel._AIRY_A1 * t + 0.15 * bessel._AIRY_A1 * bessel._AIRY_A1 / t)
+    target = math.log(tol * bessel._TRUNCATION_MARGIN)
+    m = max(1, math.ceil(0.5 * (x - nu)))
+    while True:
+        mu = h + (2 * m - 1)
+        z = x / mu
+        if z < 1.0:
+            w = math.sqrt(1.0 - z * z)
+            if 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= target:
+                return m
+        m += 1
+
+
+class TestOrder:
+    def test_galloping_finds_the_first_order(self):
+        # h = nu + 1 log-spaced from 1e-16 (nu towards -1) to 1001
+        # (nu = 1000), as first_zero passes it, with the rounded enclosure
+        rng = random.Random(7)
+        hs = [10 ** rng.uniform(-16, math.log10(1001.0)) for _ in range(20000)] + [1001.0, 2.0]
+        mismatches = []
+        for h in hs:
+            upper = bessel._bessel_zero_bounds(h)[1]
+            for tol in (1e-15, 1e-13, 1e-8, 1e-4):
+                if _order(h, upper, tol) != linear_order(h, upper, tol):
+                    mismatches.append((h, tol))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("nu,error", [(1.0, 9.8e-3), (5.0, 1.1e-4), (25.0, 7.7e-7),
+                                          (100.0, 8.4e-9), (1000.0, 6.4e-13)])
+    def test_olver_lies_below_the_zero_and_qu_and_wong_above(self, nu, error):
+        # the relative errors that ``bessel._olver`` documents, as rounded there
+        z = first_zero(nu)
+        assert bessel._olver(nu) < z < bessel._qu_wong(nu)
+        assert (z - bessel._olver(nu)) / z == pytest.approx(error, rel=0.05)
 
 
 class TestAsymptoticConstant:

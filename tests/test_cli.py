@@ -1089,21 +1089,39 @@ class TestVerifyJudgesThePrintedRows:
             assert row.asymptotic_ratio.hex() == _hex(cells["asymptotic_ratio"]), (a, n)
 
     def test_bessel(self, capsys, monkeypatch):
+        # one row per grid point: the half-order checks read the rows of
+        # nu = 1/2 and -1/2, solved once
         rows = {}
+        calls = []
         real = cli._bessel_row
 
         def recorded(nu, tol):
+            calls.append(nu)
             rows[nu] = real(nu, tol)
             return rows[nu]
 
         with monkeypatch.context() as m:
             m.setattr(cli, "_bessel_row", recorded)
             assert cli.verify_bessel() == []
+        assert len(calls) == len(rows) == 194
         for nu in (-0.75, 0.5, 250.0):
             cells = _printed(capsys, "bessel-zero", "--nu", repr(nu))
             _, zero, _, lo, hi = rows[nu]
             assert [zero.hex(), lo.hex(), hi.hex()] == [
                 _hex(cells[c]) for c in ("first_zero", "enclosure_lower", "enclosure_upper")], nu
+
+    def test_bessel_half_orders_read_the_grid_rows(self, monkeypatch):
+        # a zero moved off pi/2 and pi, inside its enclosure, fails the
+        # half-order checks with the same texts as before
+        real = cli._bessel_row
+
+        def moved(nu, tol):
+            row = real(nu, tol)
+            return (row[0], row[1] + 1e-9, *row[2:]) if nu in (0.5, -0.5) else row
+
+        monkeypatch.setattr(cli, "_bessel_row", moved)
+        assert cli.verify_bessel() == ["nu=0.5: half-integer zero off",
+                                       "nu=-0.5: half-integer zero off"]
 
 
 def _env():
