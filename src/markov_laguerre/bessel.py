@@ -32,6 +32,9 @@ The paper's enclosure of the zero, ``_bessel_zero_bounds``, is defined
 here; ``bounds`` rounds it outward into its public forms.  It is
 load-bearing: count-only passes check both of its ends, and a count that
 finds the zero outside the enclosure at either end raises RuntimeError.
+The lower end of the eigenvalue's bracket, 4/upper^2, carries the
+truncation allowance tol * _TRUNCATION_MARGIN besides the rounding:
+near nu = -1 the enclosure is narrower than that allowance.
 The solve starts at 4/lower^2, or from nu = 1 on at 4/x^2, x Olver's
 expansion of the zero (``_olver``), where that lies strictly inside the
 enclosure.  The close's lattice makes the result independent of the start,
@@ -199,14 +202,15 @@ def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:
 
 def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
     """Largest eigenvalue of B B^T at order m, bracketed by the enclosure
-    (lower, upper) of j widened outward by _WIDEN: 4/upper^2 must count
-    fewer than m eigenvalues and 4/lower^2 all m.  From nu = 1 on the solve
-    starts at 4/x^2, x = ``_olver``'s expansion, where that lies strictly
-    inside the bracket, else at 4/lower^2; the start moves only the pass
-    count, not the result."""
+    (lower, upper) of j widened outward by _WIDEN, and at the lower end by
+    the truncation allowance tol * _TRUNCATION_MARGIN that ``_order``
+    grants: 4/upper^2 must count fewer than m eigenvalues and 4/lower^2 all
+    m.  From nu = 1 on the solve starts at 4/x^2, x = ``_olver``'s
+    expansion, where that lies strictly inside the bracket, else at
+    4/lower^2; the start moves only the pass count, not the result."""
     lower, upper = enclosure
     q, e = _ikebe_factor(h, m)
-    lo = 4.0 / (upper * upper) * (1.0 - _WIDEN)
+    lo = 4.0 / (upper * upper) * (1.0 - _WIDEN - tol * _TRUNCATION_MARGIN)
     hi = 4.0 / (lower * lower) * (1.0 + _WIDEN)
     start = None
     if h - 1.0 >= 1.0:

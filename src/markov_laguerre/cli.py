@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _b123_parts, _scaled_rows, _split, coeff_a0
+from .recurrence import _a0_parts, _b123_parts, _scaled_rows, _split, coeff_a0
 
 SWEEP_COLUMNS = bounds.BoundsReport._fields
 
@@ -279,16 +279,13 @@ def verify_coeffs() -> list[str]:
     cross-multiplied on the integers of ``_b123_parts(p, d, m)`` at
     alpha = p/d (zero exactly where the identity holds).  The base cases
     are rows 0 and 1 of ``_scaled_rows``, every entry against ``coeff_a0``
-    and b0..b3; a0, as the integer pair of ``coeff_a0``'s product form, meets
-    its step on the grid (and for every m by that form).  A failure prints
-    both sides as Fractions."""
+    and b0..b3; a0, as the integer pair ``_a0_parts`` that ``coeff_a0``
+    divides, meets its step on the grid (and for every m by that form).
+    A failure prints both sides as Fractions."""
     failures = []
     for a in _INDUCTION_ALPHAS:
         p, d = _split(a)
-        # a0(m) = (-1)^m prod_{k=1..m} (dk + p) / (d^m m!) as a pair of ints:
-        # the statement of coeff_a0, which the base cases call
-        a0 = [((-1) ** m * math.prod(range(p + d, p + m * d + 1, d)), d**m * math.factorial(m))
-              for m in range(_INDUCTION_M[-1] + 2)]
+        a0 = [_a0_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
         parts = [((1, 1),) + _b123_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
         # rows 0 and 1: row[k] / scale == (-1)^k b_k a0, with zeros past the row's end
         for n, (row, scale) in enumerate(_scaled_rows(p, d, 1)):

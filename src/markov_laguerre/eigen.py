@@ -83,13 +83,14 @@ class EigenResult(NamedTuple):
 
     The binary64 sign count at sigma = lo finds no eigenvalue below it, the
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
-    value.  From order 2 on, (lo, hi) is the cell of ``_close``'s lattice
-    where the count flips, so hi - lo <= tol/8 * value, or lo and hi are
-    adjacent floats where binary64 cannot resolve tol/8; value is its
-    midpoint, within tol/16 of where the count flips, and the same bits
-    whatever the start of the solve.  The count places the ends but does
-    not prove them: on random inputs with n up to 20000 it is wrong at
-    about one end in eight.
+    value.  From order 2 on, (lo, hi) is the cell g of ``_close``'s lattice
+    where the count flips: lo is the float just above (K + g mod K)
+    2^(g div K), K = ceil(8/tol), and hi that of g + 1, so hi - lo <= tol/8
+    * value, or lo and hi are adjacent floats where binary64 cannot resolve
+    tol/8; value is its midpoint, within tol/16 of where the count flips,
+    and the same bits whatever the start of the solve.  The count places the
+    ends but does not prove them: on random inputs with n up to 20000 it is
+    wrong at about one end in eight.
     ``iterations`` is the number of passes that took: Laguerre step passes
     and count-only passes together, and for a largest eigenvalue the
     count-only passes that check the ends of its bracket: the lower end
@@ -169,26 +170,28 @@ def _laguerre_pass(q, sigma: float) -> tuple[int, float | None]:
     ds = -1.0
     d2s = s1 = s2 = 0.0
     it = iter(q)
-    try:
-        for qk in it:
-            p = qk + s
-            if p <= 0.0:
-                count += 1
-            r = 1.0 / p
-            u = ds * r
-            uu = u * u
-            v = d2s * r - uu
-            s1 -= u
-            s2 -= v
-            w = qk * r
-            ds = u * w - 1.0
-            d2s = (v - uu) * w
-            s = s / p - sigma
-    except ZeroDivisionError:
-        if next(it, None) is None:
-            return count, 0.0
-        return _count(q, sigma), None
-    return count, _laguerre_step(len(q), s1, s2)
+    while True:
+        try:
+            for qk in it:
+                p = qk + s
+                if p <= 0.0:
+                    count += 1
+                r = 1.0 / p
+                u = ds * r
+                uu = u * u
+                v = d2s * r - uu
+                s1 -= u
+                s2 -= v
+                w = qk * r
+                ds = u * w - 1.0
+                d2s = (v - uu) * w
+                s = s / p - sigma
+            return count, _laguerre_step(len(q), s1, s2)
+        except ZeroDivisionError:
+            if next(it, None) is None:
+                return count, 0.0
+            s = 1.0 - sigma
+            s1 = math.nan
 
 
 def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
@@ -270,24 +273,23 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     estimate est in [lo, hi], lo counting no eigenvalue and hi at least one:
     (lo, hi, passes).
 
-    The lattice.  With K = ceil(8/tol), every x > 0 is t h for one power of
-    two h and one t in [K, 2K): h = 2^floor(log2(tol x/8)), switched at the
-    points K h themselves, which lie on the lattices of both sides.  The
-    edges of the cells are the floats just above the points t h, so that a
-    float with few significant bits, such as a rational eigenvalue like 3/2,
-    lies inside a cell, not on an edge; a cell is at most tol/8 of its lower
-    end wide, to an ulp where it straddles a power of two.  Past K = 2^50
-    (tol below about 7e-15) t h may not be a float, and the cells are the
-    gaps between adjacent floats (K = 2^52, edges t h).  The close works on
-    |sigma|, so that a negative eigenvalue (the largest of -M) sits on the
-    mirror image of the same cells.
+    The lattice.  With K = ceil(8/tol), cell g, for every integer g, runs
+    from its lower edge, the float just above the point
+    (K + g mod K) 2^(g div K), to that of cell g + 1.  The points of one
+    binade are t h, h a power of two and t in [K, 2K), so a cell is at most
+    tol/8 of its lower end wide.  A float with few significant bits, such
+    as a rational eigenvalue like 3/2, lies inside a cell, not on an edge.
+    Past K = 2^50 (tol below about 7e-15) t h may not be a float, and the
+    cells are the gaps between adjacent floats (K = 2^52, edges on the
+    points).  The close works on |sigma|, so that a negative eigenvalue
+    (the largest of -M) sits on the mirror image of the same cells.
 
-    The search, in whole cells: counts at the two edges of est's cell;
-    where one misses, the next count is one cell further out, and the
-    distance from est's cell doubles until a count lands; then counts
-    bisect.  An edge outside (lo, hi) is not counted: the count is taken to
-    be monotone, 0 at and below lo and at least 1 from hi on.  So the cell
-    depends on where the count flips, not on est, lo or hi.
+    The search, in whole cells: counts at the two edges of est's cell, the
+    g whose edges bracket est; where one misses, the next count is one cell
+    further out, and the distance from est's cell doubles until a count
+    lands; then counts bisect.  An edge outside (lo, hi) is not counted: the
+    count is taken to be monotone, 0 at and below lo and at least 1 from hi
+    on.  So the cell depends on where the count flips, not on est, lo or hi.
     """
     K = math.ceil(8.0 / tol)
     shifted = K <= 2**50
@@ -296,24 +298,21 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     negative = est < 0.0
     if negative:
         lo, hi, est = -hi, -lo, -est
+    # est's cell is that of the last point below est (at or below it past
+    # 2^50): its edge, the float just above that point, is at most est.
+    x = math.nextafter(est, 0.0) if shifted else est
+    s = math.frexp(x)[1] - K.bit_length()
+    if math.ldexp(x, -s) < K:
+        s -= 1
+    start = s * K + int(math.ldexp(x, -s)) - K
     passes = 0
-    h = math.ulp(est / K) * 2.0**52  # K h <= est < 2K h, but for rounding
-    if est < K * h:
-        h *= 0.5
-    elif est >= 2 * K * h:
-        h += h
-    t = int(est / h)
-    if shifted and t * h == est:  # the edge of t lies above est: est's cell is t - 1
-        t -= 1
-        if t < K:
-            h, t = 0.5 * h, 2 * K - 1
-    # x indexes an edge of the segment [K h, 2K h]: the float just above
-    # x h (x h itself past K = 2^50).  The edges of low and high count none
-    # and one.
+    # The edges of cells low and high count none and one.
     low = high = None
-    x = t
+    g = start
     while True:
-        e = math.nextafter(x * h, math.inf) if shifted else x * h
+        e = (K + g % K) * 2.0 ** (g // K)
+        if shifted:
+            e = math.nextafter(e, math.inf)
         if not lo < e:
             beyond = False
         elif not e < hi:
@@ -323,22 +322,15 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
             beyond = (count(-e) == 0) if negative else (count(e) > 0)
             lo, hi = (lo, e) if beyond else (e, hi)
         if beyond:
-            high, e_high = x, e
+            high, e_high = g, e
         else:
-            low, e_low = x, e
-        if low is None:  # gallop down: t - 1, t - 2, t - 4, ...
-            if x > K:
-                x = max(x + x - t if x < t else t - 1, K)
-                continue
-            # the flip lies below the segment: on to the one below, from its top
-            h, t, x, high = 0.5 * h, 2 * K, 2 * K - 1, 2 * K
-        elif high is None:  # gallop up: t + 1 (est's cell), t + 2, t + 4, ...
-            if x < 2 * K:
-                x = min(x + x - t, 2 * K) if x > t else t + 1
-                continue
-            h, t, x, low = h + h, K, K + 1, K
+            low, e_low = g, e
+        if low is None:  # gallop down: start - 1, start - 2, start - 4, ...
+            g = g + g - start if g < start else start - 1
+        elif high is None:  # gallop up: start + 1 (est's cell), start + 2, ...
+            g = g + g - start if g > start else start + 1
         elif high - low > 1:
-            x = (low + high) // 2
+            g = (low + high) // 2
         else:
             break
     return (-e_high, -e_low, passes) if negative else (e_low, e_high, passes)
@@ -362,10 +354,10 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float) -> 
     hi - lo <= tol * |midpoint|.  Before that, the estimate is the next sigma
     where it lies inside the bracket, and the bracket's midpoint where it
     does not or there is no step.  The close (``_close``) returns the cell
-    of a fixed lattice where the count flips, and its midpoint is the value:
-    the result depends on M and tol, not on the start or on the steps.  A
-    cell wider than tol of its midpoint (tol below binary64 resolution)
-    raises RuntimeError.
+    of a fixed lattice where the count flips, found by its integer index
+    from the estimate's, and its midpoint is the value: the result depends
+    on M and tol, not on the start or on the steps.  A cell wider than tol
+    of its midpoint (tol below binary64 resolution) raises RuntimeError.
     """
     c, step = step_pass(sigma)
     steps = 1

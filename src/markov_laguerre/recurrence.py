@@ -209,19 +209,23 @@ def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
 def coeff_a0(alpha, n: int):
     """Constant coefficient of Q_n: (-1)^n * prod_{k=1..n} (1 + alpha/k).
 
-    For alpha = p/d exact, one integer product over the scale d^n n!.
+    For alpha = p/d exact, one integer product over the scale d^n n!
+    (``_a0_parts``).
     """
     a = alpha_value(alpha)
     _require_degree(n)
-    sign = -1 if n % 2 else 1
     if isinstance(a, Fraction):
-        p, d = _split(a)
-        return Fraction(sign * math.prod(range(p + d, p + n * d + 1, d)),
-                        d**n * math.factorial(n))
-    out = sign
+        return Fraction(*_a0_parts(*_split(a), n))
+    out = -1 if n % 2 else 1
     for k in range(1, n + 1):
         out *= 1 + a / k
     return out
+
+
+def _a0_parts(p, d, n: int) -> tuple[int, int]:
+    """(numerator, denominator) of coeff_a0 at alpha = p/d, the one
+    statement of its product form: (-1)^n prod_{k=1..n} (dk + p) over d^n n!."""
+    return (-1) ** n * math.prod(range(p + d, p + n * d + 1, d)), d**n * math.factorial(n)
 
 
 def coeff_a1(alpha, n: int):

@@ -154,6 +154,24 @@ class TestFirstZero:
         with pytest.raises(ValueError, match="domain"):
             asymptotic_constant(2 * nu + 1)
 
+    def test_loose_tol_near_minus_one(self):
+        # Near nu = -1 the enclosure is narrower than the truncation
+        # allowance tol * _TRUNCATION_MARGIN that _order grants, so the
+        # truncated eigenvalue may lie below the enclosure's 4/upper^2: the
+        # bracket's lower end carries the allowance.  Without it
+        # first_zero(-0.9999999999993316, tol=1e-8) raised "misses the
+        # largest eigenvalue", as did the scan at every tol for nu + 1 from
+        # about 7e-15 (1e-10) up to 1.3e-12 (1e-8) and 1.3e-8 (1e-4).
+        nu = -0.9999999999993316
+        want = mp_first_zero(nu)
+        assert abs(first_zero(nu, tol=1e-8) - want) <= 1e-8 * want
+        rng = random.Random(26)
+        for k in range(80):
+            nu = -1.0 + 10 ** (-16 + (k + rng.random()) / 8)
+            want = mp_first_zero(nu)
+            for tol in (1e-4, 1e-8, 1e-10):
+                assert abs(first_zero(nu, tol) - want) <= tol * want, (nu, tol)
+
     def test_half_orders_within_one_ulp(self):
         assert abs(first_zero(0.5) - math.pi) <= math.ulp(math.pi)
         assert abs(first_zero(-0.5) - math.pi / 2) <= math.ulp(math.pi / 2)
@@ -215,10 +233,7 @@ class TestFirstZero:
         inside = [h for h in hs if h >= 2.0 and
                   bessel._bessel_zero_bounds(h)[0] < bessel._olver(h - 1.0) < bessel._bessel_zero_bounds(h)[1]]
         assert inside == [h for h in hs if h >= 2.2156]
-        # tol = 1e-8 only from nu = 1 on, where the start applies: for nu + 1
-        # between about 7e-15 and 1.3e-12 the truncation at 1e-8 falls under
-        # the enclosure's lower end and the solve raises, with or without it
-        cases = [(h, 1e-13) for h in hs] + [(h, 1e-8) for h in hs if h >= 2.0]
+        cases = [(h, tol) for tol in (1e-13, 1e-8) for h in hs]
         started = [bessel._first_zero(h, tol) for h, tol in cases]
         monkeypatch.setattr(bessel, "_olver", lambda nu: math.nan)
         assert [bessel._first_zero(h, tol) for h, tol in cases] == started

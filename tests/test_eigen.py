@@ -20,7 +20,7 @@ from markov_laguerre import (
     sturm_count,
     turan_constant,
 )
-from markov_laguerre.bessel import first_zero
+from markov_laguerre.bessel import _bessel_zero_bounds, _order, _zero_eigenvalue, first_zero
 from markov_laguerre.eigen import (
     _START_MIN_N,
     _count,
@@ -35,6 +35,13 @@ from markov_laguerre.eigen import (
     _start,
 )
 from markov_laguerre.recurrence import _refined_upper
+
+
+def zero_eigenvalue(nu, tol):
+    """The eigenvalue 4/j_{nu,1}^2 that ``first_zero`` solves, as a result."""
+    h = nu + 1.0
+    enclosure = _bessel_zero_bounds(h)
+    return _zero_eigenvalue(h, _order(h, enclosure[1], tol), enclosure, tol)
 
 
 def dense(T):
@@ -423,6 +430,21 @@ class TestKernel:
             for sigma in (T.q[0], 0.3 * T.q[0], 0.5, 3.7, 1e3):
                 assert _laguerre_pass_e(T.q, ones, sigma) == _laguerre_pass(T.q, sigma)
                 assert _count_e(T.q, ones, sigma) == _count(T.q, sigma)
+        # a zero pivot at the second-to-last entry: q_{n-2} = -s_{n-2}, so
+        # the last pivot is +inf, and every pass counts the same and gives
+        # no step
+        for alpha, n, sigma in [(0.0, 2, 3.7), (2.5, 8, 3.7), (40.0, 200, 1e3)]:
+            q = list(build_jacobi(alpha, n).q)
+            s = -sigma
+            for qk in q[:-2]:
+                s = s / (qk + s) - sigma
+            assert s < 0.0
+            q[-2] = -s
+            ones = [1.0] * n
+            count, step = _laguerre_pass(q, sigma)
+            assert step is None and count == _count(q, sigma) >= 1
+            assert _laguerre_pass_e(q, ones, sigma) == (count, step)
+            assert _count_e(q, ones, sigma) == count
 
     def test_largest_raises_when_the_bracket_misses(self):
         T = build_jacobi(1.5, 8)
@@ -591,6 +613,87 @@ class TestStartIndependence:
         lam = smallest_eigenvalue(T).value
         below = _smallest(T, 1e-13, lam * (1 - 1e-8)).iterations
         assert _smallest(T, 1e-13, lam * (1 + 1e-8)).iterations == below <= 4
+
+
+def lattice_cell(bracket, tol):
+    """(t, s) where bracket holds the edges of the cell from the point
+    t 2^s to (t + 1) 2^s of the close's lattice, by its definition in exact
+    arithmetic, else None.  With K = ceil(8/tol), t lies in [K, 2K), and
+    each edge is the float just above its point, or past K = 2^50 (K is then
+    2^52) the point itself.  t = 2K - 1 is a cell that straddles a segment
+    switch: its upper point (t + 1) 2^s = K 2^(s+1) starts the next one."""
+    K = math.ceil(8 / tol)
+    shifted = K <= 2**50
+    if not shifted:
+        K = 2**52
+    lo, hi = (F(math.nextafter(x, 0.0) if shifted else x) for x in bracket)
+    s = 0
+    while lo < K * F(2) ** s:
+        s -= 1
+    while lo >= 2 * K * F(2) ** s:
+        s += 1
+    t = lo / F(2) ** s
+    if t.denominator != 1 or hi != (t + 1) * F(2) ** s:
+        return None
+    return int(t), s
+
+
+def n2_alpha(lam, smallest):
+    """alpha at which lam is the smallest (else the largest) eigenvalue of
+    T_2(alpha): lam^2 - (q_0 + q_1 + 1) lam + q_0 q_1 = 0, q_0 = 1 + alpha
+    and q_1 = 1 + alpha/2, solved for alpha; the larger root makes lam the
+    smaller eigenvalue."""
+    b = 1.5 * (1.0 - lam)
+    r = math.sqrt(b * b - 2.0 * (lam * lam - 3.0 * lam + 1.0))
+    return -b + r if smallest else -b - r
+
+
+class TestLattice:
+    """Every bracket from order 2 on is one cell of the close's lattice,
+    checked against the lattice's definition, not against ``_close``."""
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8, 7e-15, 2e-16])
+    def test_brackets_are_cells_and_values_their_midpoints(self, tol):
+        rng = random.Random(26)
+        solves = []
+        for _ in range(40):
+            alpha = rng.choice([rng.uniform(-0.999, 5.0), 10 ** rng.uniform(-3, 8)])
+            T = build_jacobi(alpha, rng.choice([2, 3, 40, rng.randint(2, 2000)]))
+            solves += [lambda T=T: smallest_eigenvalue(T, tol),
+                       lambda T=T: largest_eigenvalue(T, tol)]
+            nu = rng.choice([-1.0 + 10 ** rng.uniform(-15, 0), rng.uniform(-1.0, 1000.0)])
+            solves.append(lambda nu=nu: zero_eigenvalue(nu, tol))
+        cells = []
+        for solve in solves:
+            try:
+                res = solve()
+            except RuntimeError as exc:
+                # below binary64 resolution: a one-ulp cell wider than tol
+                assert tol < 2**-52 and "resolution" in str(exc)
+                continue
+            lo, hi = res.bracket
+            cells.append(lattice_cell(res.bracket, tol))
+            assert cells[-1] is not None, (res, tol)
+            assert res.value == float((F(lo) + F(hi)) / 2)
+        assert len(cells) >= 60
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8, 1e-4])
+    def test_cells_at_a_segment_switch(self, tol):
+        # Eigenvalues of T_2 placed inside the two cells at a switch point
+        # K 2^s: the one below it, from (2K - 1) 2^(s-1) to K 2^s, straddles
+        # the switch; the one above runs from K 2^s to (K + 1) 2^s, where a
+        # lattice with another K would split it.  (The largest eigenvalue
+        # of T_2 lies above 1.5.)
+        K = math.ceil(8 / tol)
+        for smallest, target in [(True, 0.3), (True, 0.9), (True, 2.0),
+                                 (False, 4.0), (False, 10.0), (False, 40.0)]:
+            s = math.floor(math.log2(target / K))
+            for side, cell in [(-1, (2 * K - 1, s - 1)), (1, (K, s))]:
+                lam = K * 2.0**s * (1 + side / (4 * K))
+                T = build_jacobi(n2_alpha(lam, smallest), 2)
+                res = (smallest_eigenvalue if smallest else largest_eigenvalue)(T, tol)
+                assert lattice_cell(res.bracket, tol) == cell, (lam, res)
+                assert res.value == float((F(res.bracket[0]) + F(res.bracket[1])) / 2)
 
 
 class TestMarkovConstant:
