@@ -515,7 +515,9 @@ def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
     is the Dörfler start of each n >= ``eigen._START_MIN_N``.  An n whose
     predecessors n-1, n-2 and n-3 were the rows just solved starts at
     (3 c_{n-1} - 3 c_{n-2} + c_{n-3})^-2, which extrapolates c_n, nearly
-    linear in n by Dörfler's limit, to about 1e-8 relative at n <= 100.
+    linear in n by Dörfler's limit: for alpha from -0.9 to 50 the start is
+    off the eigenvalue by up to 3e-3 relative at n = 6, 1.2e-4 at n = 15,
+    1.4e-6 at n = 50 and 8e-8 at n = 100, the most at the largest alpha.
     The start moves the pass count only: each row is the one
     ``bounds_report`` gives, bit for bit.
     """

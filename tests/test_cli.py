@@ -581,16 +581,21 @@ class TestSweepReference:
         # makes the result independent of the start, bit for bit.
         pairs = cli.grid_pairs()
         passes = collections.Counter()
-        real = eigen._laguerre_pass
 
-        def counted(q, sigma):
-            passes["laguerre"] += 1
-            return real(q, sigma)
+        def counted(name):
+            real = getattr(eigen, name)
 
-        monkeypatch.setattr(eigen, "_laguerre_pass", counted)
+            def step_pass(q, sigma):
+                passes[name] += 1
+                return real(q, sigma)
+            monkeypatch.setattr(eigen, name, step_pass)
+
+        counted("_laguerre_pass_s1")
+        counted("_newton_pass")
         rows = list(cli._grid_rows(pairs, 1e-13))
-        # 2.39 Laguerre passes per row from cold starts
-        assert passes["laguerre"] <= 1.3 * len(pairs)
+        # 1.03 Laguerre and 0.19 Newton step passes per row; 2.39 step
+        # passes (1.83 and 0.56) from cold starts
+        assert sum(passes.values()) <= 1.3 * len(pairs)
         assert rows == [bounds.bounds_report(a, n) for a, n in pairs]
         for a in (0.0, 25.0):
             assert bounds._rows(a, range(3, 401), 1e-13) == [

@@ -20,6 +20,7 @@ from markov_laguerre import (
     sturm_count,
     turan_constant,
 )
+from markov_laguerre import eigen
 from markov_laguerre.bessel import _bessel_zero_bounds, _order, _zero_eigenvalue, first_zero
 from markov_laguerre.eigen import (
     _START_MIN_N,
@@ -27,9 +28,11 @@ from markov_laguerre.eigen import (
     _count_e,
     _laguerre_pass,
     _laguerre_pass_e,
+    _laguerre_pass_s1,
     _laguerre_step,
     _largest,
     _lower_bound,
+    _newton_pass,
     _smallest,
     _solve,
     _start,
@@ -475,6 +478,21 @@ class TestKernel:
         assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
         assert res.value == pytest.approx(np.linalg.eigvalsh(dense(T))[-1], rel=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 5, 1000])
+    def test_largest_past_binary64_raises_overflow(self, n):
+        # (1 + sqrt(max q))^2 rounds to the float below the largest, and the
+        # nudge past it overflows; the count at the largest float finds n - 1
+        # eigenvalues, so the largest lies past binary64
+        T = build_jacobi(1.7976931348623157e308, n)
+        assert sturm_count(T, 1.7976931348623157e308) == n - 1
+        with pytest.raises(OverflowError, match="past the binary64 range"):
+            largest_eigenvalue(T)
+        T = build_jacobi(1.79e308, n)
+        res = largest_eigenvalue(T)
+        lo, hi = res.bracket
+        assert sturm_count(T, lo) < n and sturm_count(T, hi) == n
+        assert res.value == pytest.approx(1.79e308, rel=1e-13)
+
     @pytest.mark.parametrize("alpha, n, newton_passes", [(-0.9, 2, 7), (0.0, 7, 9), (3.0, 40, 15),
                                                          (1e4, 300, 12)])
     def test_largest_takes_fewer_passes_than_newton(self, alpha, n, newton_passes):
@@ -576,6 +594,133 @@ class TestKernel:
         assert hi - lo <= res.tol * res.value
         assert sturm_count(T, lo) == 0
         assert sturm_count(T, hi) >= 1
+
+
+def point_draws(count, seed, n_max=20000):
+    """Seeded (alpha, n) as the benchmark's point workload draws them: n
+    log-uniform on [500, n_max], alpha uniform on (-1, 100]."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        alpha = 100.0 - 101.0 * rng.random()
+        draws.append((alpha, round(math.exp(rng.uniform(math.log(500), math.log(n_max))))))
+    return draws
+
+
+def laguerre_only(monkeypatch):
+    """Turn the switch to Newton's pass off: a step pass whose S1 is nan
+    never passes ``_solve``'s test, so every step pass is Laguerre's."""
+    monkeypatch.setattr(eigen, "_laguerre_pass_s1",
+                        lambda q, sigma: (*_laguerre_pass_s1(q, sigma)[:2], math.nan))
+
+
+def mp_newton_step(q, sigma):
+    """Newton's step -f/f' for f = det(T - sigma), T = B B^T with diagonal
+    q_0, q_1 + 1, ... and squared off-diagonal q_0, q_1, ...: the continuant
+    at 50 digits, its derivative by mpmath.diff."""
+    with mpmath.workdps(50):
+        def det(x):
+            prev, cur = mpmath.mpf(1), mpmath.mpf(q[0]) - x
+            for k in range(1, len(q)):
+                prev, cur = cur, (mpmath.mpf(q[k]) + 1 - x) * cur - mpmath.mpf(q[k - 1]) * prev
+            return cur
+
+        x = mpmath.mpf(sigma)
+        return float(-det(x) / mpmath.diff(det, x))
+
+
+class TestNewtonPass:
+    """``_newton_pass`` counts as ``_count`` does and steps by 1/S1;
+    ``_solve`` runs it where the last Laguerre pass predicts that its
+    estimate lands in the close's cell, so every result is the
+    Laguerre-only driver's, pass count included."""
+
+    def test_count_is_the_count_pass_through_zero_pivots(self):
+        # a zero pivot at the first entry (sigma = q_0), inner for n > 1 and
+        # the last for n = 1
+        for alpha, n in [(0.0, 1), (0.0, 6), (2.5, 30), (40.0, 200)]:
+            q = build_jacobi(alpha, n).q
+            for sigma in (q[0], 0.3 * q[0], 0.5, 3.7, 1e3):
+                count, step = _newton_pass(q, sigma)
+                laguerre_count, laguerre_step = _laguerre_pass(q, sigma)
+                assert count == _count(q, sigma) == laguerre_count
+                assert (step is None) == (laguerre_step is None)
+            assert _newton_pass(q, q[0]) == ((1, 0.0) if n == 1 else (_count(q, q[0]), None))
+        for alpha, n, sigma in [(0.0, 2, 3.7), (2.5, 8, 3.7), (40.0, 200, 1e3)]:
+            q = list(build_jacobi(alpha, n).q)
+            s = -sigma
+            for qk in q[:-2]:
+                s = s / (qk + s) - sigma
+            # a zero pivot at the second-to-last entry: the last is +inf
+            inner = q[:-2] + [-s, q[-1]]
+            assert _newton_pass(inner, sigma) == (_count(inner, sigma), None)
+            assert _count(inner, sigma) >= 1
+            # a zero pivot at the last entry: sigma is an eigenvalue, step 0
+            s = s / (q[-2] + s) - sigma
+            last = q[:-1] + [-s]
+            assert _newton_pass(last, sigma) == (_count(last, sigma), 0.0)
+            assert _laguerre_pass(last, sigma)[1] == 0.0
+
+    @pytest.mark.parametrize("alpha, n", [(-0.9, 7), (0.0, 12), (3.5, 30), (60.0, 25)])
+    def test_step_is_one_over_s1(self, alpha, n):
+        T = build_jacobi(alpha, n)
+        q = T.q
+        eig = np.linalg.eigvalsh(dense(T))
+        for sigma in (0.0, 0.5 * eig[0], 0.999 * eig[0], 0.5 * (eig[0] + eig[1]),
+                      0.5 * (eig[1] + eig[2])):
+            count, step = _newton_pass(q, sigma)
+            assert count == int(np.sum(eig < sigma))
+            assert step == pytest.approx(mp_newton_step(q, sigma), rel=1e-12)
+            # 1/S1 of the Laguerre pass, whose S1 sums the same terms
+            assert step == pytest.approx(1.0 / _laguerre_pass_s1(q, sigma)[2], rel=1e-14)
+
+    def test_results_are_the_laguerre_drivers(self, monkeypatch):
+        # values, brackets and pass counts, on point draws up to n = 5000
+        draws = point_draws(60, 7, 5000)
+        with_newton = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        laguerre_only(monkeypatch)
+        assert [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws] == with_newton
+
+    def test_newton_takes_the_laguerre_passes_it_can(self, monkeypatch):
+        # Step passes per solve on point draws, weighted by n (so by cost):
+        # 2.0 Laguerre passes on the Laguerre-only driver; with the switch,
+        # 1.1 Laguerre and 0.9 Newton, and not one pass more in all
+        draws = point_draws(100, 11)
+        weight = sum(n for _, n in draws)
+        entries = dict.fromkeys(("_laguerre_pass_s1", "_newton_pass"), 0)
+
+        def solve_counted():
+            for name in entries:
+                real = getattr(eigen, name)
+                entries[name] = 0
+
+                def step_pass(q, sigma, name=name, real=real):
+                    entries[name] += len(q)
+                    return real(q, sigma)
+                monkeypatch.setattr(eigen, name, step_pass)
+            iterations = sum(smallest_eigenvalue(build_jacobi(a, n)).iterations
+                             for a, n in draws)
+            return iterations, entries["_laguerre_pass_s1"] / weight, entries["_newton_pass"] / weight
+
+        iterations, laguerre, newton = solve_counted()
+        assert laguerre <= 1.2 and newton >= 0.8
+        monkeypatch.undo()
+        laguerre_only(monkeypatch)
+        assert solve_counted() == (iterations, pytest.approx(laguerre + newton), 0.0)
+        assert laguerre + newton >= 1.95
+
+    @pytest.mark.parametrize("alpha, n, passes", [(2e14, 15400, 27), (1.46e14, 12140, 25),
+                                                  (1e5, 20000, 13), (1e8, 20000, 7)])
+    def test_clustered_inputs_keep_their_passes(self, alpha, n, passes, monkeypatch):
+        # where the smallest eigenvalues cluster, rho is large and the test
+        # keeps the passes Laguerre's; a plain |h| <= 1e-3 sigma rule sent
+        # (1e8, 20000) into the close's gallop, 58 passes, and (2e14, 15400)
+        # to 49
+        T = build_jacobi(alpha, n)
+        res = smallest_eigenvalue(T)
+        assert res.iterations == passes
+        laguerre_only(monkeypatch)
+        assert smallest_eigenvalue(T) == res
 
 
 def start_cases():
