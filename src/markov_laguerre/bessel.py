@@ -34,7 +34,9 @@ load-bearing: count-only passes check both of its ends, and a count that
 finds the zero outside the enclosure at either end raises RuntimeError.
 The lower end of the eigenvalue's bracket, 4/upper^2, carries the
 truncation allowance tol * _TRUNCATION_MARGIN besides the rounding:
-near nu = -1 the enclosure is narrower than that allowance.
+near nu = -1 the enclosure is narrower than that allowance, so j, which
+the bracket may then place outside the enclosure, is clamped into it,
+rounded outward as ``bounds.bessel_zero_enclosure`` returns it.
 The solve starts at 4/lower^2, or from nu = 1 on at 4/x^2, x Olver's
 expansion of the zero (``_olver``), where that lies strictly inside the
 enclosure.  The close's lattice makes the result independent of the start,
@@ -222,18 +224,21 @@ def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
 
 
 def _first_zero(h: float, tol: float) -> float:
-    """``first_zero`` at nu = h - 1, from the pair rounded to nearest."""
+    """``first_zero`` at nu = h - 1, solved in the pair rounded to nearest
+    and clamped into the pair rounded outward."""
     _check_tol(tol)
     enclosure = _bessel_zero_bounds(h)
     res = _zero_eigenvalue(h, _order(h, enclosure[1], tol), enclosure, tol)
-    return 2.0 / math.sqrt(res.value)
+    lower, upper = _bessel_zero_bounds(h, outward=True)
+    return min(max(2.0 / math.sqrt(res.value), lower), upper)
 
 
 def first_zero(nu: float, tol: float = 1e-13) -> float:
     """First positive zero j_{nu,1} of J_nu, for -1 < nu <= ZERO_NU_MAX.
 
     j = 2/sqrt(lambda), lambda the largest eigenvalue of Ikebe's matrix 4 C C^T
-    cut at order ``_order``, bracketed to relative width tol by sign counts.
+    cut at order ``_order``, bracketed to relative width tol by sign counts
+    and clamped into the paper's enclosure, rounded outward.
     """
     nu = float(nu)
     if not -1.0 < nu <= ZERO_NU_MAX:

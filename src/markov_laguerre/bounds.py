@@ -527,25 +527,25 @@ def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
     q = build_jacobi(alpha, max(ns)).q
     c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
     zero = None if c_inf is None else 1.0 / c_inf
-    solved = []
+    rows = []
     run = 0  # the rows just solved at n-1, n-2, ...
     for n in ns:
-        run = run + 1 if solved and solved[-1][0] == n - 1 else 0
+        run = run + 1 if rows and rows[-1].n == n - 1 else 0
         start = None
         if run >= 3:
-            c3, c2, c1 = (row[1] for row in solved[-3:])
+            c3, c2, c1 = (row.exact_c for row in rows[-3:])
             start = (3.0 * c1 - 3.0 * c2 + c3) ** -2
         c_sq = 1.0 / _smallest(TridiagMatrix(a, q[:n]), tol, start, zero).value
+        c = math.sqrt(c_sq)
         refined = _refined(a, n)  # first: it raises where the products overflow
         b1, b2, b3 = _b123_float(a, n)
         linear, quadratic, cubic = _root_bounds(b1, b2, b3, n)
         dorfler = _dorfler(a, n)
-        cells = (*linear, *quadratic, *cubic, *refined, *dorfler, *_samuelson(b1, b2, n),
-                 turan_constant(n) if a == 0.0 else None)
-        solved.append((n, math.sqrt(c_sq), c_sq, cells,
-                       bool(_sandwich_violations(n, c_sq, refined, dorfler))))
-    return [BoundsReport(a, n, c, c_sq, *cells, None if c_inf is None else c / (n * c_inf),
-                         violated) for n, c, c_sq, cells, violated in solved]
+        rows.append(BoundsReport(a, n, c, c_sq, *linear, *quadratic, *cubic, *refined, *dorfler,
+                                 *_samuelson(b1, b2, n), turan_constant(n) if a == 0.0 else None,
+                                 None if c_inf is None else c / (n * c_inf),
+                                 bool(_sandwich_violations(n, c_sq, refined, dorfler))))
+    return rows
 
 
 def bounds_report(alpha, n: int, tol: float = 1e-13) -> BoundsReport:

@@ -403,9 +403,9 @@ def verify_identities() -> list[str]:
     # the numerators over their lcm are the values times one positive
     # factor: the same degree and the same signs for (iii) and (iv).
     lower = [bounds._numerators(bounds._lower_gap_parts(k, 1)) for k in range(9)]
-    shifted = [bounds._shift(bounds._numerators(bounds._upper_gap_parts(k, 1)), 2)
+    upper = [bounds._shift(bounds._numerators(bounds._upper_gap_parts(k, 1)), 2)
                for k in range(9)]
-    for name, coeffs in (("lower_gap[{}]", lower), ("upper_gap at n = m + 2, m^{}", shifted)):
+    for name, coeffs in (("lower_gap[{}]", lower), ("upper_gap at n = m + 2, m^{}", upper)):
         for j, values in enumerate(zip(*coeffs)):
             if not bounds._positive_above_minus_one(values):
                 failures.append(f"{name.format(j)}: not proved positive for every alpha > -1")

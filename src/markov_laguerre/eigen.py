@@ -89,9 +89,9 @@ class EigenResult(NamedTuple):
     one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
     value.  From order 2 on, (lo, hi) is the cell g of ``_close``'s lattice
     where the count flips: lo is the float just above (K + g mod K)
-    2^(g div K), K = ceil(8/tol), and hi that of g + 1, so hi - lo <= tol/8
-    * value, or lo and hi are adjacent floats where binary64 cannot resolve
-    tol/8; value is its midpoint, within tol/16 of where the count flips,
+    2^(g div K), K = ceil(8/tol) or 2^52 past 2^50, and hi that of g + 1, so
+    hi - lo <= tol/8 * value, or lo and hi are adjacent floats where
+    binary64 cannot resolve tol/8; value is its midpoint, within tol/16 of where the count flips,
     and the same bits whatever the start of the solve.  The count places the
     ends but does not prove them: on random inputs with n up to 20000 it is
     wrong at about one end in eight.
@@ -151,8 +151,8 @@ def _laguerre_step(n: int, s1: float, s2: float) -> float | None:
     the way Newton's 1/S1 does and converges cubically and monotonically
     from either side of an eigenvalue (Parlett 1964; Li & Zeng 1994).  By
     Cauchy-Schwarz the discriminant is positive for n >= 2 distinct
-    eigenvalues; where it reads <= 0 (S2 underflowed, sigma past about
-    1e298) the step is Newton's, which from below stops short of the
+    eigenvalues; where it reads <= 0 (S1^2 and S2 underflowed, sigma from
+    about 1e162 on) the step is Newton's, which from below stops short of the
     eigenvalue; the formula's n/S1 would overshoot it up to n times."""
     if s1 == 0.0 or not math.isfinite(s1 + s2):
         return None
@@ -160,13 +160,7 @@ def _laguerre_step(n: int, s1: float, s2: float) -> float | None:
     return n / (s1 + math.copysign(math.sqrt(d), s1)) if d > 0.0 else 1.0 / s1
 
 
-def _laguerre_pass(q, sigma: float) -> tuple[int, float | None]:
-    """Sign count at sigma and Laguerre's step for f = det(T - sigma): the
-    first two values of ``_laguerre_pass_s1``."""
-    return _laguerre_pass_s1(q, sigma)[:2]
-
-
-def _laguerre_pass_s1(q, sigma: float) -> tuple[int, float | None, float]:
+def _laguerre_pass(q, sigma: float) -> tuple[int, float | None, float]:
     """Sign count at sigma, Laguerre's step for f = det(T - sigma) and
     S1 = -f'/f, which ``_solve`` reads to switch to Newton's step.
 
@@ -205,11 +199,11 @@ def _laguerre_pass_s1(q, sigma: float) -> tuple[int, float | None, float]:
             s1 = math.nan
 
 
-def _newton_pass(q, sigma: float) -> tuple[int, float | None]:
-    """Sign count at sigma and Newton's step 1/S1 for f = det(T - sigma).
+def _newton_pass(q, sigma: float) -> tuple[int, float | None, float]:
+    """Sign count at sigma, Newton's step 1/S1 for f = det(T - sigma) and S1.
 
     The count is ``_count``'s, bit for bit; S1 = -sum u_k, u_k = s_k'/p_k,
-    is ``_laguerre_pass_s1``'s without S2: 8 flops an entry against 15.
+    is ``_laguerre_pass``'s without S2: 8 flops an entry against 15.
     Zero pivots as there: an inner one gives no step, the last the step 0.
     """
     count = 0
@@ -227,15 +221,15 @@ def _newton_pass(q, sigma: float) -> tuple[int, float | None]:
                 s1 -= u
                 ds = u * qk / p - 1.0
                 s = s / p - sigma
-            return count, 1.0 / s1 if s1 != 0.0 and math.isfinite(s1) else None
+            return count, 1.0 / s1 if s1 != 0.0 and math.isfinite(s1) else None, s1
         except ZeroDivisionError:
             if next(it, None) is None:
-                return count, 0.0
+                return count, 0.0, s1
             s = 1.0 - sigma
             s1 = math.nan
 
 
-def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
+def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None, float]:
     """``_laguerre_pass`` for B B^T, B with diagonal sqrt(q_k) and
     subdiagonal sqrt(e_k): s_{k+1} = e_k s_k/p_k - sigma, and the
     derivatives take e_k q_k/p_k for q_k/p_k; with e_k = 1 it is
@@ -264,11 +258,11 @@ def _laguerre_pass_e(q, e, sigma: float) -> tuple[int, float | None]:
                 ds = u * w - 1.0
                 d2s = (v - uu) * w
                 s = ek * s / p - sigma
-            return count, _laguerre_step(len(q), s1, s2)
+            return count, _laguerre_step(len(q), s1, s2), s1
         except ZeroDivisionError:
             nxt = next(it, None)
             if nxt is None:
-                return count, 0.0
+                return count, 0.0, s1
             s = nxt[1] - sigma
             s1 = math.nan
 
@@ -314,16 +308,16 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     estimate est in [lo, hi], lo counting no eigenvalue and hi at least one:
     (lo, hi, passes).
 
-    The lattice.  With K = ceil(8/tol), cell g, for every integer g, runs
-    from its lower edge, the float just above the point
-    (K + g mod K) 2^(g div K), to that of cell g + 1.  The points of one
-    binade are t h, h a power of two and t in [K, 2K), so a cell is at most
-    tol/8 of its lower end wide.  A float with few significant bits, such
-    as a rational eigenvalue like 3/2, lies inside a cell, not on an edge.
-    Past K = 2^50 (tol below about 7e-15) t h may not be a float, and the
-    cells are the gaps between adjacent floats (K = 2^52, edges on the
-    points).  The close works on |sigma|, so that a negative eigenvalue
-    (the largest of -M) sits on the mirror image of the same cells.
+    The lattice.  With K = ceil(8/tol), or K = 2^52 past 2^50 (tol below
+    about 7e-15), cell g, for every integer g, runs from its lower edge, the
+    float just above the point (K + g mod K) 2^(g div K), to that of cell
+    g + 1.  The points of one binade are t h, h a power of two and t in
+    [K, 2K), so a cell is at most tol/8 of its lower end wide; at K = 2^52
+    the points are the floats, and the cells the gaps between adjacent
+    floats.  A float with few significant bits, such as a rational
+    eigenvalue like 3/2, lies inside a cell, not on an edge.  The close
+    works on |sigma|, so that a negative eigenvalue (the largest of -M)
+    sits on the mirror image of the same cells.
 
     The search, in whole cells: counts at the two edges of est's cell, the
     g whose edges bracket est; where one misses, the next count is one cell
@@ -333,15 +327,14 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     on.  So the cell depends on where the count flips, not on est, lo or hi.
     """
     K = math.ceil(8.0 / tol)
-    shifted = K <= 2**50
-    if not shifted:
+    if K > 2**50:
         K = 2**52
     negative = est < 0.0
     if negative:
         lo, hi, est = -hi, -lo, -est
-    # est's cell is that of the last point below est (at or below it past
-    # 2^50): its edge, the float just above that point, is at most est.
-    x = math.nextafter(est, 0.0) if shifted else est
+    # est's cell is that of the last point below est: its edge, the float
+    # just above that point, is at most est.
+    x = math.nextafter(est, 0.0)
     s = math.frexp(x)[1] - K.bit_length()
     if math.ldexp(x, -s) < K:
         s -= 1
@@ -351,9 +344,7 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     low = high = None
     g = start
     while True:
-        e = (K + g % K) * 2.0 ** (g // K)
-        if shifted:
-            e = math.nextafter(e, math.inf)
+        e = math.nextafter((K + g % K) * 2.0 ** (g // K), math.inf)
         if not lo < e:
             beyond = False
         elif not e < hi:
@@ -382,9 +373,9 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
     that it lies there.  ``step_pass(sigma)`` returns the number of
     eigenvalues of M at or below sigma and a Laguerre step towards the
-    smallest one (None where it is undefined); ``count(sigma)`` returns the
-    number alone.  A caller that gives ``newton_pass(sigma)``, the number
-    and Newton's step 1/S1, has ``step_pass`` return S1 = -f'/f third.
+    smallest one (None where it is undefined) and S1 = -f'/f;
+    ``count(sigma)`` returns the number alone.  A caller may give
+    ``newton_pass(sigma)``, which returns the same with Newton's step 1/S1.
 
     Step phase.  The first pass is at sigma.  A start strictly inside
     (lo, hi) that counts exactly one eigenvalue and gives a step becomes the
@@ -422,15 +413,10 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     newton = False
     steps = 0
     while True:
-        if newton:
-            c, step = newton_pass(sigma)
-            if step:
-                # 1/(S1 - pull): the other eigenvalues' pull taken out
-                step /= 1.0 - step * pull
-        elif newton_pass is None:
-            c, step = step_pass(sigma)
-        else:
-            c, step, s1 = step_pass(sigma)
+        c, step, s1 = (newton_pass if newton else step_pass)(sigma)
+        if newton and step:
+            # 1/(S1 - pull): the other eigenvalues' pull taken out
+            step /= 1.0 - step * pull
         steps += 1
         if c and sigma == lo:
             raise RuntimeError("the bracket misses the eigenvalue: its lower end "
@@ -474,7 +460,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
 def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
              start: float | None = None) -> EigenResult:
     """Largest eigenvalue in (lo, hi] of an order-n matrix M, given the
-    ``step_pass`` of M (a Laguerre pass, whose step negates with M) and its
+    ``step_pass`` of M (a Laguerre pass, whose step and S1 negate with M) and its
     ``count`` alone (a count-only pass, equal to ``step_pass(sigma)[0]``):
     the smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above,
     or from -start, where the caller has a start in (lo, hi).
@@ -500,8 +486,8 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
                                f"fewer than all {n} lie at or below its upper end")
 
     def negated(sigma):
-        count, step = step_pass(-sigma)
-        return n - count, None if step is None else -step
+        count, step, s1 = step_pass(-sigma)
+        return n - count, None if step is None else -step, -s1
 
     res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo, -start, tol)
     lo, hi = res.bracket
@@ -585,7 +571,7 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
         start = _start(T.alpha, n, _lower_bound(T.alpha, q), q[0], zero)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
-    return _solve(functools.partial(_laguerre_pass_s1, q), functools.partial(_count, q),
+    return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
                   0.0, q[0], start, tol, functools.partial(_newton_pass, q))
 
 

@@ -61,6 +61,22 @@ def ikebe_factor(nu, m):
     return _ikebe_factor(nu + 1.0, m)
 
 
+def mp_s1(q, e, sigma):
+    """S1 = -f'/f for f = det(B B^T - sigma), B lower bidiagonal with
+    squared diagonal q and squared subdiagonal e: the continuant at 50
+    digits, its derivative by mpmath.diff."""
+    with mpmath.workdps(50):
+        def det(x):
+            prev, cur = mpmath.mpf(1), mpmath.mpf(q[0]) - x
+            for k in range(1, len(q)):
+                prev, cur = cur, ((mpmath.mpf(q[k]) + e[k - 1] - x) * cur
+                                  - mpmath.mpf(e[k - 1]) * q[k - 1] * prev)
+            return cur
+
+        x = mpmath.mpf(sigma)
+        return float(-mpmath.diff(det, x) / det(x))
+
+
 def dense_factor_product(q, e):
     """B B^T as a dense matrix, B lower bidiagonal with squared diagonal q
     and squared subdiagonal e."""
@@ -172,6 +188,21 @@ class TestFirstZero:
             for tol in (1e-4, 1e-8, 1e-10):
                 assert abs(first_zero(nu, tol) - want) <= tol * want, (nu, tol)
 
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8])
+    def test_zero_lies_in_the_enclosure_near_minus_one(self, tol):
+        # Near nu = -1 the enclosure is narrower than the bracket's
+        # truncation allowance, and the bracket's midpoint fell outside the
+        # enclosure at 150 of these 300 nu at tol 1e-13 (by up to 1.7e-15
+        # relative) and at all 300 at 1e-8; the zero is clamped into it, so
+        # c(alpha) lies in the asymptotic bounds
+        rng = random.Random(28)
+        for _ in range(300):
+            h = 10 ** rng.uniform(-16, -6)
+            lower, upper = bessel_zero_enclosure(h - 1.0)
+            assert lower <= first_zero(h - 1.0, tol) <= upper, (h, tol)
+            lower, upper = bounds.asymptotic_bounds(2.0 * h - 1.0)
+            assert lower <= asymptotic_constant(2.0 * h - 1.0, tol) <= upper, (h, tol)
+
     def test_half_orders_within_one_ulp(self):
         assert abs(first_zero(0.5) - math.pi) <= math.ulp(math.pi)
         assert abs(first_zero(-0.5) - math.pi / 2) <= math.ulp(math.pi / 2)
@@ -275,9 +306,18 @@ class TestFirstZero:
             q, e = ikebe_factor(nu, m)
             top = np.linalg.eigvalsh(dense_factor_product(q, e))[-1]
             sigma = 1.001 * top
-            count, step = _laguerre_pass_e(q, e, sigma)
+            count, step, _ = _laguerre_pass_e(q, e, sigma)
             assert count == m
             assert step < 0 and top * (1 - 1e-12) <= sigma + step < sigma
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 3.3, 40.0])
+    def test_s1_is_minus_the_log_derivative(self, nu):
+        # the pass's third value, S1 = -f'/f, against mpmath's, above the
+        # spectrum, close below its top and between its top two eigenvalues
+        q, e = ikebe_factor(nu, order(nu, 1e-13))
+        eig = np.linalg.eigvalsh(dense_factor_product(q, e))
+        for sigma in (1.001 * eig[-1], 0.999 * eig[-1], 0.5 * (eig[-2] + eig[-1])):
+            assert _laguerre_pass_e(q, e, sigma)[2] == pytest.approx(mp_s1(q, e, sigma), rel=1e-12)
 
     def test_zero_pivot_in_the_factored_pass(self):
         # sigma = q_0 zeroes the first pivot; the count restarts from
@@ -286,7 +326,7 @@ class TestFirstZero:
             q, e = ikebe_factor(nu, order(nu, 1e-13))
             eig = np.linalg.eigvalsh(dense_factor_product(q, e))
             assert np.min(np.abs(eig - q[0])) > 1e-6
-            assert _laguerre_pass_e(q, e, q[0]) == (int(np.sum(eig < q[0])), None)
+            assert _laguerre_pass_e(q, e, q[0])[:2] == (int(np.sum(eig < q[0])), None)
 
     @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 3.3, 40.0])
     def test_count_only_pass_is_the_count_of_the_factored_pass(self, nu):
@@ -306,7 +346,7 @@ class TestFirstZero:
         for m in (2, 3, 4):
             for sigma in (1.0, 0.75, 1.25):
                 assert _count_e(q[:m], e[:m], sigma) == _laguerre_pass_e(q[:m], e[:m], sigma)[0]
-        assert _laguerre_pass_e(q[:2], e[:2], 1.0) == (1, 0.0)
+        assert _laguerre_pass_e(q[:2], e[:2], 1.0)[:2] == (1, 0.0)
         assert _laguerre_pass_e(q, e, 1.0)[1] is None
 
     @settings(max_examples=60, deadline=None)

@@ -590,7 +590,7 @@ class TestSweepReference:
                 return real(q, sigma)
             monkeypatch.setattr(eigen, name, step_pass)
 
-        counted("_laguerre_pass_s1")
+        counted("_laguerre_pass")
         counted("_newton_pass")
         rows = list(cli._grid_rows(pairs, 1e-13))
         # 1.03 Laguerre and 0.19 Newton step passes per row; 2.39 step

@@ -28,7 +28,6 @@ from markov_laguerre.eigen import (
     _count_e,
     _laguerre_pass,
     _laguerre_pass_e,
-    _laguerre_pass_s1,
     _laguerre_step,
     _largest,
     _lower_bound,
@@ -357,7 +356,7 @@ class TestKernel:
         T = build_jacobi(1e300, 40)
         lam = smallest_eigenvalue(T).value
         for f in (0.5, 0.9, 0.999):
-            count, step = _laguerre_pass(T.q, f * lam)
+            count, step, _ = _laguerre_pass(T.q, f * lam)
             assert count == 0 and f * lam < f * lam + step < lam
 
     @pytest.mark.parametrize("bias", [10.0, -10.0])
@@ -371,8 +370,8 @@ class TestKernel:
         counted = []
 
         def biased(sigma):
-            c, step = _laguerre_pass(T.q, sigma)
-            return c, None if step is None else step + bias * tol * sigma
+            c, step, s1 = _laguerre_pass(T.q, sigma)
+            return c, None if step is None else step + bias * tol * sigma, s1
 
         def count(sigma):
             counted.append(sigma)
@@ -396,7 +395,7 @@ class TestKernel:
         eig = np.linalg.eigvalsh(dense(T))
         top = eig[0]
         for sigma in (0.0, 0.5 * top, 0.99 * top):
-            count, step = _laguerre_pass(T.q, sigma)
+            count, step, _ = _laguerre_pass(T.q, sigma)
             assert count == 0
             newton = 1 / np.sum(1 / (eig - sigma))
             assert newton <= step * (1 + 1e-12) and sigma + step <= top * (1 + 1e-12)
@@ -404,12 +403,12 @@ class TestKernel:
         # eigenvalue and sigma (LAPACK's eigenvalue is only accurate to a few
         # eps * |T|; the kernel's bracket is relatively accurate)
         sigma = 1.001 * top
-        count, step = _laguerre_pass(T.q, sigma)
+        count, step, _ = _laguerre_pass(T.q, sigma)
         assert count == 1
         lo = smallest_eigenvalue(T).bracket[0]
         assert step < 0 and lo * (1 - 1e-13) <= sigma + step < sigma
         # a zero pivot inside the recurrence: the count goes on, no step
-        assert _laguerre_pass(T.q, T.q[0]) == (sturm_count(T, T.q[0]), None)
+        assert _laguerre_pass(T.q, T.q[0])[:2] == (sturm_count(T, T.q[0]), None)
 
     def test_zero_pivot_inside_the_recurrence(self):
         # sigma = d_0 zeroes the first pivot; the count goes on past it and
@@ -421,7 +420,7 @@ class TestKernel:
             eig = np.linalg.eigvalsh(dense(T))
             assert np.min(np.abs(eig - sigma)) > 1e-9
             assert sturm_count(T, sigma) == int(np.sum(eig < sigma))
-            assert _laguerre_pass(T.q, sigma) == (sturm_count(T, sigma), None)
+            assert _laguerre_pass(T.q, sigma)[:2] == (sturm_count(T, sigma), None)
 
     def test_factored_pass_with_unit_subdiagonal_is_the_jacobi_pass(self):
         # e = 1 makes _laguerre_pass_e the recurrence of _laguerre_pass, bit
@@ -431,7 +430,8 @@ class TestKernel:
             T = build_jacobi(alpha, n)
             ones = [1.0] * n
             for sigma in (T.q[0], 0.3 * T.q[0], 0.5, 3.7, 1e3):
-                assert _laguerre_pass_e(T.q, ones, sigma) == _laguerre_pass(T.q, sigma)
+                # repr: float reprs round-trip, and nan S1 matches nan
+                assert repr(_laguerre_pass_e(T.q, ones, sigma)) == repr(_laguerre_pass(T.q, sigma))
                 assert _count_e(T.q, ones, sigma) == _count(T.q, sigma)
         # a zero pivot at the second-to-last entry: q_{n-2} = -s_{n-2}, so
         # the last pivot is +inf, and every pass counts the same and gives
@@ -444,9 +444,9 @@ class TestKernel:
             assert s < 0.0
             q[-2] = -s
             ones = [1.0] * n
-            count, step = _laguerre_pass(q, sigma)
+            count, step, _ = _laguerre_pass(q, sigma)
             assert step is None and count == _count(q, sigma) >= 1
-            assert _laguerre_pass_e(q, ones, sigma) == (count, step)
+            assert _laguerre_pass_e(q, ones, sigma)[:2] == (count, step)
             assert _count_e(q, ones, sigma) == count
 
     def test_largest_raises_when_the_bracket_misses(self):
@@ -610,8 +610,8 @@ def point_draws(count, seed, n_max=20000):
 def laguerre_only(monkeypatch):
     """Turn the switch to Newton's pass off: a step pass whose S1 is nan
     never passes ``_solve``'s test, so every step pass is Laguerre's."""
-    monkeypatch.setattr(eigen, "_laguerre_pass_s1",
-                        lambda q, sigma: (*_laguerre_pass_s1(q, sigma)[:2], math.nan))
+    monkeypatch.setattr(eigen, "_laguerre_pass",
+                        lambda q, sigma: (*_laguerre_pass(q, sigma)[:2], math.nan))
 
 
 def mp_newton_step(q, sigma):
@@ -641,11 +641,11 @@ class TestNewtonPass:
         for alpha, n in [(0.0, 1), (0.0, 6), (2.5, 30), (40.0, 200)]:
             q = build_jacobi(alpha, n).q
             for sigma in (q[0], 0.3 * q[0], 0.5, 3.7, 1e3):
-                count, step = _newton_pass(q, sigma)
-                laguerre_count, laguerre_step = _laguerre_pass(q, sigma)
+                count, step, _ = _newton_pass(q, sigma)
+                laguerre_count, laguerre_step, _ = _laguerre_pass(q, sigma)
                 assert count == _count(q, sigma) == laguerre_count
                 assert (step is None) == (laguerre_step is None)
-            assert _newton_pass(q, q[0]) == ((1, 0.0) if n == 1 else (_count(q, q[0]), None))
+            assert _newton_pass(q, q[0])[:2] == ((1, 0.0) if n == 1 else (_count(q, q[0]), None))
         for alpha, n, sigma in [(0.0, 2, 3.7), (2.5, 8, 3.7), (40.0, 200, 1e3)]:
             q = list(build_jacobi(alpha, n).q)
             s = -sigma
@@ -653,12 +653,12 @@ class TestNewtonPass:
                 s = s / (qk + s) - sigma
             # a zero pivot at the second-to-last entry: the last is +inf
             inner = q[:-2] + [-s, q[-1]]
-            assert _newton_pass(inner, sigma) == (_count(inner, sigma), None)
+            assert _newton_pass(inner, sigma)[:2] == (_count(inner, sigma), None)
             assert _count(inner, sigma) >= 1
             # a zero pivot at the last entry: sigma is an eigenvalue, step 0
             s = s / (q[-2] + s) - sigma
             last = q[:-1] + [-s]
-            assert _newton_pass(last, sigma) == (_count(last, sigma), 0.0)
+            assert _newton_pass(last, sigma)[:2] == (_count(last, sigma), 0.0)
             assert _laguerre_pass(last, sigma)[1] == 0.0
 
     @pytest.mark.parametrize("alpha, n", [(-0.9, 7), (0.0, 12), (3.5, 30), (60.0, 25)])
@@ -668,11 +668,11 @@ class TestNewtonPass:
         eig = np.linalg.eigvalsh(dense(T))
         for sigma in (0.0, 0.5 * eig[0], 0.999 * eig[0], 0.5 * (eig[0] + eig[1]),
                       0.5 * (eig[1] + eig[2])):
-            count, step = _newton_pass(q, sigma)
+            count, step, s1 = _newton_pass(q, sigma)
             assert count == int(np.sum(eig < sigma))
-            assert step == pytest.approx(mp_newton_step(q, sigma), rel=1e-12)
-            # 1/S1 of the Laguerre pass, whose S1 sums the same terms
-            assert step == pytest.approx(1.0 / _laguerre_pass_s1(q, sigma)[2], rel=1e-14)
+            assert step == pytest.approx(mp_newton_step(q, sigma), rel=1e-12) and step == 1.0 / s1
+            # the S1 of the Laguerre pass, which sums the same terms
+            assert s1 == pytest.approx(_laguerre_pass(q, sigma)[2], rel=1e-14)
 
     def test_results_are_the_laguerre_drivers(self, monkeypatch):
         # values, brackets and pass counts, on point draws up to n = 5000
@@ -687,7 +687,7 @@ class TestNewtonPass:
         # 1.1 Laguerre and 0.9 Newton, and not one pass more in all
         draws = point_draws(100, 11)
         weight = sum(n for _, n in draws)
-        entries = dict.fromkeys(("_laguerre_pass_s1", "_newton_pass"), 0)
+        entries = dict.fromkeys(("_laguerre_pass", "_newton_pass"), 0)
 
         def solve_counted():
             for name in entries:
@@ -700,7 +700,7 @@ class TestNewtonPass:
                 monkeypatch.setattr(eigen, name, step_pass)
             iterations = sum(smallest_eigenvalue(build_jacobi(a, n)).iterations
                              for a, n in draws)
-            return iterations, entries["_laguerre_pass_s1"] / weight, entries["_newton_pass"] / weight
+            return iterations, entries["_laguerre_pass"] / weight, entries["_newton_pass"] / weight
 
         iterations, laguerre, newton = solve_counted()
         assert laguerre <= 1.2 and newton >= 0.8
