@@ -34,14 +34,12 @@ from .eigen import (
     sturm_count,
 )
 from .recurrence import (
-    FLOAT,
     RATIONAL,
     RecurrenceCoeffs,
     coeff_a0,
     coeff_a1,
     coeff_a2,
     coeff_a3,
-    qn_coefficients,
     recurrence_coeffs,
     reciprocal_b123,
 )

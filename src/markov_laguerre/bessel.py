@@ -29,14 +29,15 @@ The eigenvalue of the truncated matrix lies in a bracket of relative width
 tol whose ends the sign count places but does not prove; j is its midpoint.
 
 The paper's enclosure of the zero, ``_bessel_zero_bounds``, is defined
-here; ``bounds`` rounds it outward into its public forms.  It is
-load-bearing: count-only passes check both of its ends, and a count that
-finds the zero outside the enclosure at either end raises RuntimeError.
-The lower end of the eigenvalue's bracket, 4/upper^2, carries the
-truncation allowance tol * _TRUNCATION_MARGIN besides the rounding:
-near nu = -1 the enclosure is narrower than that allowance, so j, which
-the bracket may then place outside the enclosure, is clamped into it,
-rounded outward as ``bounds.bessel_zero_enclosure`` returns it.
+here with one rounding, outward; ``bounds`` returns it in its public
+forms.  It is load-bearing: it sets the truncation order and the
+eigenvalue's bracket, count-only passes check both of its ends, and a
+count that finds the zero outside the enclosure at either end raises
+RuntimeError.  The lower end of the eigenvalue's bracket, 4/upper^2,
+carries the truncation allowance tol * _TRUNCATION_MARGIN besides the
+rounding: near nu = -1 the enclosure is narrower than that allowance, so
+j, which the bracket may then place outside the enclosure, is clamped
+into it, the pair ``bounds.bessel_zero_enclosure`` returns.
 The solve starts at 4/lower^2, or from nu = 1 on at 4/x^2, x Olver's
 expansion of the zero (``_olver``), where that lies strictly inside the
 enclosure.  The close's lattice makes the result independent of the start,
@@ -83,9 +84,8 @@ _MAX_TERMS = 400
 _AIRY_A1 = -2.338107410459767
 # The truncation target is this factor below tol.
 _TRUNCATION_MARGIN = 1e-3
-# Relative outward widening of the enclosure's bracket, for the rounding of
-# the enclosure formulas and of 4/x^2 (a few ulp); near h = 0 the two ends
-# of the enclosure meet in binary64.
+# Relative outward widening of the eigenvalue's bracket, for the rounding of
+# 4/x^2 at the enclosure's ends x (a few ulp).
 _WIDEN = 16 * sys.float_info.epsilon
 
 
@@ -120,14 +120,12 @@ def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
     raise RuntimeError(f"series for J_{nu}({x}) did not settle in {_MAX_TERMS} terms")
 
 
-def _bessel_zero_bounds(h: float, outward: bool = False) -> tuple[float, float]:
+def _bessel_zero_bounds(h: float) -> tuple[float, float]:
     """The paper's 2^(5/6) sqrt(h) ((h+1)(h+2))^(1/6) < j < sqrt(2h(h+2)) on
-    j = j_{h-1,1}, h = nu + 1 = (alpha+1)/2, rounded to nearest or outward."""
+    j = j_{h-1,1}, h = nu + 1 = (alpha+1)/2, rounded outward."""
     x = (h + 1.0) * (h + 2.0)
     lower = 2.0 ** (5.0 / 6.0) * math.sqrt(h) * x ** (1.0 / 6.0)
     upper = math.sqrt(2.0 * h * (h + 2.0))
-    if not outward:
-        return lower, upper
     # u = 2^-53.  h is within u, which moves the lower side by 5u/6 and the
     # upper by u.  Upper: h + 2, the product and the root add 2u.  Lower:
     # 2^(5/6) is within 1.6u (exponent and pow), sqrt(h) within u, x within
@@ -224,12 +222,11 @@ def _zero_eigenvalue(h: float, m: int, enclosure, tol: float) -> EigenResult:
 
 
 def _first_zero(h: float, tol: float) -> float:
-    """``first_zero`` at nu = h - 1, solved in the pair rounded to nearest
-    and clamped into the pair rounded outward."""
+    """``first_zero`` at nu = h - 1, solved in the paper's enclosure and
+    clamped into it."""
     _check_tol(tol)
-    enclosure = _bessel_zero_bounds(h)
-    res = _zero_eigenvalue(h, _order(h, enclosure[1], tol), enclosure, tol)
-    lower, upper = _bessel_zero_bounds(h, outward=True)
+    lower, upper = _bessel_zero_bounds(h)
+    res = _zero_eigenvalue(h, _order(h, upper, tol), (lower, upper), tol)
     return min(max(2.0 / math.sqrt(res.value), lower), upper)
 
 

@@ -234,7 +234,7 @@ def asymptotic_bounds(alpha) -> BoundPair:
     as the two sides meet near a = -1.  Past a of about 1.9e154: OverflowError.
     """
     a = _float_alpha(alpha)
-    lower, upper = _finite(*_bessel_zero_bounds(0.5 * a + 0.5, outward=True), a)
+    lower, upper = _finite(*_bessel_zero_bounds(0.5 * a + 0.5), a)
     # One step outward covers the rounding of each reciprocal.
     return BoundPair(math.nextafter(1.0 / upper, 0.0), math.nextafter(1.0 / lower, math.inf))
 
@@ -263,7 +263,7 @@ def bessel_zero_enclosure(nu: float) -> BoundPair:
     nu = float(nu)
     if not (nu > -1.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be finite and > -1, got {nu}")
-    return BoundPair(*_finite(*_bessel_zero_bounds(nu + 1.0, outward=True), nu, "nu"))
+    return BoundPair(*_finite(*_bessel_zero_bounds(nu + 1.0), nu, "nu"))
 
 
 def ratio_r(alpha) -> float:
@@ -400,8 +400,7 @@ def _positive_above_minus_one(values) -> bool:
     content.  Every member is a positive multiple of the one the exact
     remainders give, so the signs, and with them the count, are the same.
     """
-    scale = math.lcm(*(v.denominator for v in values))
-    *fit, last = [v.numerator * (scale // v.denominator) for v in values]
+    *fit, last = _numerators([(v.numerator, v.denominator) for v in values])
     q, top = _coefficients_from_values(fit)
     if sum(c * len(fit) ** j for j, c in enumerate(q)) != top * last:
         return False

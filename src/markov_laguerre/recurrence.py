@@ -11,31 +11,28 @@ valid for every alpha > -1.  All zeros of Q_n are positive and distinct, and
 the inverse square root of the smallest zero is the best constant in the
 weighted-L2 inequality between a degree-n polynomial and its derivative.
 
-Every routine here takes a float ``alpha``, which yields binary64 values, or
-an int or ``fractions.Fraction``, which yields exact rational ones.  The
-exact paths are the verification oracle of the ``verify`` suites and the
-tests, since the low-order coefficient formulas are exact identities.  They
-run on Python ints: an exact alpha is split as p/d, the coefficient rows
-are integer rows over one scale d^m m!, and every closed form is a pair of
-integer polynomials in (p, d, n), a numerator over a denominator.  A
-``Fraction`` is built once per returned value, at the API.
+The coefficients of Q_n are stated once, as one integer triangle: an exact
+alpha (an int or ``fractions.Fraction``) is split as p/d, and row m is an
+integer row over one scale d^m m! (``_scaled_rows``).  It is the
+verification oracle of the ``verify`` suites and the tests, since the
+low-order coefficient formulas are exact identities.  Every closed form is
+a pair of integer polynomials in (p, d, n), a numerator over a denominator;
+the closed forms also take a float ``alpha``, which yields binary64 values.
+A ``Fraction`` is built once per returned value, at the API.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
-    "FLOAT",
     "RATIONAL",
     "RecurrenceCoeffs",
     "alpha_value",
     "recurrence_coeffs",
-    "qn_coefficients",
     "qn_coefficient_rows",
     "coeff_a0",
     "coeff_a1",
@@ -44,7 +41,6 @@ __all__ = [
     "reciprocal_b123",
 ]
 
-FLOAT = "float"
 RATIONAL = "rational"
 
 
@@ -125,7 +121,8 @@ class RecurrenceCoeffs(NamedTuple):
 def recurrence_coeffs(alpha, n: int) -> RecurrenceCoeffs:
     """Shift and squared-coupling coefficients for the order-n recurrence.
 
-    Exact when alpha is an int or Fraction.  Requires n >= 1.
+    Exact when alpha is an int or Fraction.  Requires n >= 1.  Nothing in
+    the package calls it; the benchmark harness times it.
     """
     a = alpha_value(alpha)
     _require_n(n)
@@ -158,52 +155,25 @@ def _scaled_rows(p: int, d: int, n_max: int):
         yield cur, scale
 
 
-def qn_coefficient_rows(alpha, n_max: int, mode: str = FLOAT):
-    """Yield the coefficient row of Q_m for m = 0 .. n_max.
+def qn_coefficient_rows(alpha, n_max: int, mode: str = RATIONAL):
+    """Yield the coefficient row of Q_m for m = 0 .. n_max, low degree first,
+    in Fractions; alpha must be exact (an int or Fraction), a float raises
+    ValueError.
 
-    Iterates the coefficient recurrence
+    The rows follow the coefficient recurrence
 
         a[k, m+1] = a[k-1, m] - (2 + alpha/(m+1)) a[k, m] - (1 + alpha/m) a[k, m-1]
 
-    keeping only two rows at a time.  Conventions: a[m, m] = 1 and a[k, m] = 0
-    for k < 0 or k > m, realised as zero padding.  In float mode the shifts
-    and couplings are those of :func:`recurrence_coeffs`, with lam_0^2 = 0
-    for the row of Q_1; each entry is (-d y - lam^2 z) + x, so the last one
-    comes out as exactly 1.  In rational mode the rows are those of
-    :func:`_scaled_rows`, each divided by its scale into Fractions as it is
-    yielded.
+    with a[m, m] = 1 and a[k, m] = 0 for k < 0 or k > m; they are those of
+    :func:`_scaled_rows`, each divided by its scale as it is yielded.
+    ``mode`` is RATIONAL, the one mode; any other value raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if mode == RATIONAL:
-        for row, scale in _scaled_rows(*_split(alpha_value(alpha)), n_max):
-            yield tuple(Fraction(c, scale) for c in row)
-        return
-    if mode != FLOAT:
+    if mode != RATIONAL:
         raise ValueError(f"unknown mode {mode!r}")
-    shifts, couplings = recurrence_coeffs(_float_alpha(alpha), n_max + 1)
-    prev, cur = [], [1.0]
-    yield (1.0,)
-    for d, lam_sq in zip(shifts[:n_max], (0.0,) + couplings):
-        prev, cur = cur, [(-d * y - lam_sq * z) + x
-                          for x, y, z in zip([0.0] + cur, cur + [0.0], prev + [0.0, 0.0])]
-        yield tuple(cur)
-
-
-def qn_coefficients(alpha, n: int, mode: str = FLOAT) -> tuple:
-    """Full coefficient tuple of Q_n, low degree first; the last entry is 1.
-
-    In float mode an overflowing coefficient (possible only for extreme
-    n*alpha combinations) raises OverflowError rather than returning inf.
-    In rational mode only the last integer row is divided by its scale.
-    """
-    if mode == RATIONAL and n >= 0:  # a negative n meets the rows' own check
-        row, scale = collections.deque(_scaled_rows(*_split(alpha_value(alpha)), n), 1)[0]
-        return tuple(Fraction(c, scale) for c in row)
-    row = collections.deque(qn_coefficient_rows(alpha, n, mode), 1)[0]
-    if mode == FLOAT and not all(math.isfinite(c) for c in row):
-        raise OverflowError(f"coefficients of Q_{n} overflow binary64")
-    return row
+    for row, scale in _scaled_rows(*_split(alpha_value(alpha)), n_max):
+        yield tuple(Fraction(c, scale) for c in row)
 
 
 def coeff_a0(alpha, n: int):

@@ -44,7 +44,7 @@ from markov_laguerre.recurrence import (
     coeff_a1,
     coeff_a2,
     coeff_a3,
-    qn_coefficients,
+    qn_coefficient_rows,
 )
 
 from oracles import exact_c1_sq, exact_c2_sq
@@ -495,7 +495,7 @@ class TestResidualPolys:
         # the exact recurrence row against coeff_a0..a3, which derive from
         # reciprocal_b123, and the residual polynomials at n against the
         # scaled residual_sandwich_check they are recovered from
-        row = qn_coefficients(a, n, RATIONAL)
+        *_, row = qn_coefficient_rows(a, n, RATIONAL)
         closed = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
         for k in range(min(3, n) + 1):
             assert row[k] == closed[k]

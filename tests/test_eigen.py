@@ -13,7 +13,6 @@ from markov_laguerre import (
     build_jacobi,
     largest_eigenvalue,
     markov_constant,
-    qn_coefficients,
     recurrence_coeffs,
     refined_bounds,
     smallest_eigenvalue,
@@ -36,7 +35,7 @@ from markov_laguerre.eigen import (
     _solve,
     _start,
 )
-from markov_laguerre.recurrence import _refined_upper
+from markov_laguerre.recurrence import _refined_upper, qn_coefficient_rows
 
 
 def zero_eigenvalue(nu, tol):
@@ -119,7 +118,8 @@ class TestBuildJacobi:
         # np.poly goes through LAPACK eigenvalues, an independent route.
         T = build_jacobi(alpha, n)
         char = np.poly(dense(T))[::-1]
-        coeffs = [float(c) for c in qn_coefficients(alpha, n, RATIONAL)]
+        *_, coeffs = qn_coefficient_rows(alpha, n, RATIONAL)
+        coeffs = [float(c) for c in coeffs]
         assert char == pytest.approx(coeffs, rel=1e-9, abs=1e-9)
 
 
@@ -214,7 +214,7 @@ class TestEigenvalues:
 
     def test_largest_alpha0_n3_vs_cubic_roots(self):
         # independent oracle: numpy companion-matrix roots of the exact cubic
-        coeffs = qn_coefficients(F(0), 3, RATIONAL)
+        *_, coeffs = qn_coefficient_rows(F(0), 3, RATIONAL)
         roots = np.roots([float(c) for c in coeffs[::-1]])
         got = largest_eigenvalue(build_jacobi(0.0, 3)).value
         assert got == pytest.approx(max(roots.real), rel=1e-12)
@@ -236,7 +236,7 @@ class TestEigenvalues:
     def test_every_eigenvalue_matches_a_rational_root(self, alpha, n):
         tol = 1e-13
         T = build_jacobi(alpha, n)
-        coeffs = qn_coefficients(alpha, n, RATIONAL)
+        *_, coeffs = qn_coefficient_rows(alpha, n, RATIONAL)
         for k in range(1, n + 1):
             lo, hi = bisect_kth(T, k, tol)
             assert hi - lo <= 10 * tol * max(1.0, abs(hi))
@@ -286,7 +286,7 @@ class TestKernel:
         lo, hi = res.bracket
         assert lo < res.value < hi and res.value == 0.5 * (lo + hi)
         assert hi - lo <= res.tol * res.value
-        coeffs = qn_coefficients(alpha, n, RATIONAL)
+        *_, coeffs = qn_coefficient_rows(alpha, n, RATIONAL)
         assert eval_exact(coeffs, F(lo)) * eval_exact(coeffs, F(hi)) < 0
         # and the zero in between is the smallest one
         assert exact_zeros_below(alpha, n, F(lo)) == 0

@@ -22,8 +22,8 @@ def test_library_example_gives_the_values_in_its_comments():
     assert names["c"] == 6.690744999827386
     assert round(names["lo"], 2) == 39.33 and round(names["hi"], 2) == 46.39
     assert names["lo"] < names["c"] ** 2 < names["hi"] and names["ok"]
-    assert names["q"] == (1, -10, 15, -7, 1)
-    assert all(isinstance(x, Fraction) for x in names["q"])
+    assert names["b"] == (10, 15, 7)
+    assert all(isinstance(x, Fraction) for x in names["b"])
     gaps = names["lower_gap"], names["upper_gap"]
     assert all(isinstance(gap, Fraction) and gap >= 0 for gap in gaps)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markov_laguerre import (
-    FLOAT,
     RATIONAL,
     asymptotic_constant,
     coeff_a0,
@@ -14,7 +13,6 @@ from markov_laguerre import (
     coeff_a2,
     coeff_a3,
     markov_constant,
-    qn_coefficients,
     recurrence_coeffs,
     reciprocal_b123,
     refined_bounds,
@@ -22,6 +20,12 @@ from markov_laguerre import (
 from markov_laguerre.recurrence import _scaled_rows, alpha_value, qn_coefficient_rows
 
 RATIONAL_ALPHAS = (F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2), F(10))
+
+
+def last_row(alpha, n):
+    """The coefficient row of Q_n, the last of ``qn_coefficient_rows``."""
+    *_, row = qn_coefficient_rows(alpha, n, RATIONAL)
+    return row
 
 
 class TestWeightAlpha:
@@ -62,16 +66,14 @@ class TestWeightAlpha:
         alpha = F(10**400)
         assert alpha_value(alpha) == alpha
         assert alpha_value(10**400) == alpha
-        assert qn_coefficients(alpha, 2, RATIONAL) == (
-            coeff_a0(alpha, 2), coeff_a1(alpha, 2), 1)
-        assert qn_coefficients(alpha, 2, RATIONAL)[0] == (1 + alpha) * (1 + alpha / 2)
+        assert last_row(alpha, 2) == (coeff_a0(alpha, 2), coeff_a1(alpha, 2), 1)
+        assert last_row(alpha, 2)[0] == (1 + alpha) * (1 + alpha / 2)
 
     @pytest.mark.parametrize("call", [
         lambda a: markov_constant(a, 3),
         lambda a: refined_bounds(a, 3),
         lambda a: asymptotic_constant(a),
-        lambda a: qn_coefficients(a, 3, FLOAT),
-    ], ids=["markov_constant", "refined_bounds", "asymptotic_constant", "qn_coefficients"])
+    ], ids=["markov_constant", "refined_bounds", "asymptotic_constant"])
     def test_float_paths_name_the_binary64_range(self, call):
         # Each float path rounds alpha once, and an exact alpha past the
         # range says so; float() raised "integer division result too large
@@ -111,35 +113,29 @@ class TestRecurrenceCoeffs:
 
 class TestQnCoefficients:
     def test_degree_zero(self):
-        assert qn_coefficients(0.7, 0) == (1.0,)
-        assert qn_coefficients(F(1, 3), 0, RATIONAL) == (1,)
+        assert last_row(F(1, 3), 0) == (1,)
 
     @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
     def test_degree_one(self, alpha):
-        assert qn_coefficients(alpha, 1, RATIONAL) == (-alpha - 1, 1)
-        got = qn_coefficients(float(alpha), 1)
-        assert got == pytest.approx((float(-alpha - 1), 1.0))
+        assert last_row(alpha, 1) == (-alpha - 1, 1)
 
     def test_alpha0_n2(self):
         # hand-expanded: (x - 2)(x - 1) - 1 = x^2 - 3x + 1
-        assert qn_coefficients(F(0), 2, RATIONAL) == (1, -3, 1)
+        assert last_row(F(0), 2) == (1, -3, 1)
 
     def test_rational_mode_needs_exact_alpha(self):
         with pytest.raises(ValueError):
-            qn_coefficients(0.5, 3, RATIONAL)
+            last_row(0.5, 3)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            qn_coefficients(0.5, 3, "decimal")
-
-    def test_float_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            qn_coefficients(10.0, 800)
+        # "float" named the binary64 triangle, which is gone
+        for mode in ("decimal", "float"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                next(qn_coefficient_rows(F(1, 2), 3, mode))
 
     @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
     def test_monic_both_modes(self, alpha):
-        assert qn_coefficients(alpha, 17, RATIONAL)[-1] == 1
-        assert qn_coefficients(float(alpha), 17)[-1] == 1.0
+        assert last_row(alpha, 17)[-1] == 1
 
     @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
     def test_closed_forms_match_triangle_exactly(self, alpha):
@@ -152,29 +148,6 @@ class TestQnCoefficients:
             )
             for k in range(min(3, n) + 1):
                 assert row[k] == expected[k], (alpha, n, k)
-
-    @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
-    def test_float_tracks_rational(self, alpha):
-        exact_rows = list(qn_coefficient_rows(alpha, 60, RATIONAL))
-        float_rows = list(qn_coefficient_rows(float(alpha), 60, FLOAT))
-        for exact, approx in zip(exact_rows, float_rows):
-            for e, a in zip(exact, approx):
-                if e == 0:
-                    assert a == 0.0
-                else:
-                    assert abs(a - float(e)) <= 1e-10 * abs(float(e))
-
-    @pytest.mark.parametrize("alpha, n", [
-        (F(1, 3), 200), (F(1, 3), 1), (F(0), 0), (F(-1, 2), 2), (F(5, 2), 37), (7, 12),
-        (F(-99, 100), 60),
-    ])
-    def test_rational_divides_only_the_last_row(self, alpha, n):
-        # qn_coefficients divides the last integer row by its scale; the
-        # row-by-row Fractions of qn_coefficient_rows are the reference.
-        *_, last = qn_coefficient_rows(alpha, n, RATIONAL)
-        got = qn_coefficients(alpha, n, RATIONAL)
-        assert got == last
-        assert all(isinstance(c, F) for c in got)
 
 
 class TestClosedForms:
@@ -205,7 +178,7 @@ class TestClosedForms:
 
     def test_a3_example(self):
         assert coeff_a3(F(0), 4) == -7
-        assert qn_coefficients(F(0), 4, RATIONAL)[3] == -7
+        assert last_row(F(0), 4)[3] == -7
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_a3_vanishes_below_degree_three(self, n):
@@ -242,7 +215,7 @@ class TestReciprocal:
     @pytest.mark.parametrize("alpha", RATIONAL_ALPHAS)
     @pytest.mark.parametrize("n", [3, 5, 11, 24])
     def test_matches_triangle_ratios(self, alpha, n):
-        coeffs = qn_coefficients(alpha, n, RATIONAL)
+        coeffs = last_row(alpha, n)
         b1, b2, b3 = reciprocal_b123(alpha, n)
         assert b1 == -coeffs[1] / coeffs[0]
         assert b2 == coeffs[2] / coeffs[0]
@@ -264,8 +237,6 @@ class TestNegativeDegree:
         assert reciprocal_b123(alpha, 0) == (0, 0, 0)
 
     def test_rational_coefficients_raise(self):
-        with pytest.raises(ValueError):
-            qn_coefficients(F(1, 2), -1, RATIONAL)
         with pytest.raises(ValueError):
             next(qn_coefficient_rows(F(1, 2), -1, RATIONAL))
 
@@ -301,7 +272,7 @@ class TestFractionOracle:
             assert all(isinstance(c, int) for c in row)
             assert tuple(F(c, scale) for c in row) == want[m]
         row = want[-1]
-        assert qn_coefficients(alpha, n, RATIONAL) == row
+        assert last_row(alpha, n) == row
         assert coeff_a0(alpha, n) == row[0]
         b = tuple((-1) ** k * row[k] / row[0] if k <= n else 0 for k in (1, 2, 3))
         assert reciprocal_b123(alpha, n) == b
