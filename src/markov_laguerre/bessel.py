@@ -243,10 +243,18 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
     return _first_zero(nu + 1.0, tol)
 
 
-def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
-    """c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}, for -1 < alpha <= 2001."""
+def _alpha_zero(alpha, tol: float) -> float | None:
+    """j_{(alpha-1)/2,1} = 1/c(alpha) for the caller's alpha, exact or float;
+    None past asymptotic_constant's domain, read on the alpha as given."""
     a = alpha_value(alpha)
     fa = _float_alpha(a)
-    if not a <= _ALPHA_MAX:
-        raise ValueError(f"alpha={a} outside the domain (-1, {_ALPHA_MAX}] of asymptotic_constant")
-    return 1.0 / _first_zero(0.5 * fa + 0.5, tol)
+    return _first_zero(0.5 * fa + 0.5, tol) if a <= _ALPHA_MAX else None
+
+
+def asymptotic_constant(alpha, tol: float = 1e-13) -> float:
+    """c(alpha) = lim c_n(alpha)/n = 1/j_{(alpha-1)/2,1}, for -1 < alpha <= 2001."""
+    zero = _alpha_zero(alpha, tol)
+    if zero is None:
+        raise ValueError(f"alpha={alpha} outside the domain (-1, {_ALPHA_MAX}] "
+                         "of asymptotic_constant")
+    return 1.0 / zero

@@ -22,8 +22,8 @@ certifying identities without tolerance.  At alpha = p/d the residuals
 and their coefficient lists in n run on Python ints, numerators over
 denominators, and become ``Fraction``s only when
 ``residual_sandwich_check`` returns them.  The positivity proof
-``_positive_above_minus_one`` scales its values to ints once and counts
-with a Sturm sequence of integer pseudo-remainders.
+``_positive_above_minus_one`` runs on ints too, with Pólya's multiplier:
+a power of (1 + t), t = alpha + 1, that leaves no negative coefficient.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from . import bessel
 from .bessel import _bessel_zero_bounds
 from .eigen import TridiagMatrix, _smallest, build_jacobi
 from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
-                         _refined_upper, _require_degree, _require_n, alpha_value)
+                         _refined_upper, _refined_upper_parts, _require_degree, _require_n,
+                         alpha_value)
 from .recurrence import reciprocal_b123  # noqa: F401  (bench/test_bench.py reads it here)
 
 __all__ = [
@@ -354,68 +355,36 @@ def _shift(coeffs, s):
     return out
 
 
-def _sign_changes(xs) -> int:
-    """The sign changes in the sequence ``xs``, its zeros skipped."""
-    signs = [x > 0 for x in xs if x]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _sturm_remainder(u, v):
-    """The next member of a Sturm sequence after u and v, int coefficient
-    lists (constant first, len(u) > len(v)): -rem(u, v) times a positive
-    factor, its zero leading entries dropped.  It is the pseudo-remainder
-    |lc(v)|^k u mod v, k = len(u) - len(v) + 1, negated and divided by its
-    content; each step scales the partial remainder by |lc(v)| and cancels
-    its leading entry, so it stays on ints and keeps the remainder's signs."""
-    lc, sign = abs(v[-1]), 1 if v[-1] > 0 else -1
-    r = list(u)
-    while len(r) >= len(v):
-        f = sign * r.pop()
-        r = [lc * c for c in r]
-        for i, c in enumerate(v[:-1], len(r) - len(v) + 1):
-            r[i] -= f * c
-    while r and not r[-1]:
-        r.pop()
-    g = math.gcd(*r)
-    return [-c // g for c in r]
+_POLYA_MAX = 64  # the largest N of _positive_above_minus_one; the residuals need 5
 
 
 def _positive_above_minus_one(values) -> bool:
     """Whether the function of alpha that takes the exact ``values`` (ints
     or Fractions) at alpha = 0, 1, 2, ... is proved > 0 for every
-    alpha > -1.
+    alpha > -1 (False: not proved).
 
     The premise is that the values are those of a polynomial of degree
     < len(values): the values but the last fix a polynomial q of degree
     < len(values) - 1 (``_coefficients_from_values``), and the last one,
     which q must also take, then forces the function to be q.  Shifted to
-    t = alpha + 1, q is t^m p(t) with p(0) != 0, and p > 0 on t > 0 when its
-    leading coefficient is positive and it has no root on (0, inf): Sturm's
-    theorem counts the distinct roots there as the sign changes of the
-    Sturm sequence p, p', -rem(p, p'), ... at t = 0 less those at t = inf.
-
-    All of it runs on integers: the values are scaled once by the lcm of
-    their denominators, a positive factor, and the Sturm sequence is one of
-    integer pseudo-remainders (``_sturm_remainder``), each divided by its
-    content.  Every member is a positive multiple of the one the exact
-    remainders give, so the signs, and with them the count, are the same.
+    t = alpha + 1 and scaled to ints, q is t^m p(t) with p(0) != 0, and
+    p > 0 on t > 0 if (1 + t)^N p(t) has no negative coefficient for an
+    N <= _POLYA_MAX; by Pólya (1928) some N does if p > 0 on [0, inf).
     """
     *fit, last = _numerators([(v.numerator, v.denominator) for v in values])
     q, top = _coefficients_from_values(fit)
     if sum(c * len(fit) ** j for j, c in enumerate(q)) != top * last:
         return False
     p = _shift(q, -1)  # top * q(t - 1), constant first
-    while p and not p[-1]:
-        p.pop()
     while p and not p[0]:
         del p[0]
     if not p:
         return False
-    seq = [p, [j * c for j, c in enumerate(p)][1:]]
-    while seq[-1]:
-        seq.append(_sturm_remainder(seq[-2], seq[-1]))
-    seq.pop()
-    return p[-1] > 0 and _sign_changes(s[0] for s in seq) == _sign_changes(s[-1] for s in seq)
+    for _ in range(_POLYA_MAX + 1):
+        if min(p) >= 0:
+            return True
+        p = [x + y for x, y in zip(p + [0], [0] + p)]  # times (1 + t)
+    return False
 
 
 def _scaled_residual_parts(p: int, d: int):
@@ -445,19 +414,18 @@ def _residual_parts(p: int, d: int, n: int):
 
     With b_k = B_k / D over D = lcm of the three denominators of b1..b3,
     Newton's identities are homogeneous of weight k in b_k, so p_k is
-    ``power_sums(B1, B2 D, B3 D^2)[k-1]`` over D^k.  The cube of the refined
-    upper bound is (n+1)^3 (5n + 2(a+1))^3 / (125 (a+1)^3 (a+3)(a+5)).
+    ``power_sums(B1, B2 D, B3 D^2)[k-1]`` over D^k.
     """
     (n1, d1), (n2, d2), (n3, d3) = _b123_parts(p, d, n)
     den = math.lcm(d1, d2, d3)
     _, p2, p3 = power_sums(n1 * (den // d1), n2 * (den // d2) * den,
                            n3 * (den // d3) * den * den)
     low, low_den = _refined_lower_parts(p, d, n)
-    up = (n + 1) ** 3 * (5 * n * d + 2 * (p + d)) ** 3 * d * d
-    up_den = 125 * (p + d) ** 3 * (p + 3 * d) * (p + 5 * d)
+    up, up_den, root = _refined_upper_parts(p, d, n)
+    cube, cube_den = up**3 * d * d, up_den**3 * root  # the refined upper bound, cubed
     den3 = den**3
     return ((p3 * low_den - low * p2 * den, den3 * low_den),
-            (up * den3 - p3 * up_den, den3 * up_den))
+            (cube * den3 - p3 * cube_den, den3 * cube_den))
 
 
 def residual_sandwich_check(alpha, n: int):
@@ -524,8 +492,8 @@ def _rows(alpha, ns, tol: float) -> list[BoundsReport]:
     for n in ns:
         _require_n(n)
     q = build_jacobi(alpha, max(ns)).q
-    c_inf = bessel.asymptotic_constant(alpha, tol) if alpha <= bessel._ALPHA_MAX else None
-    zero = None if c_inf is None else 1.0 / c_inf
+    zero = bessel._alpha_zero(alpha, tol)
+    c_inf = None if zero is None else 1.0 / zero
     rows = []
     run = 0  # the rows just solved at n-1, n-2, ...
     for n in ns:

@@ -371,18 +371,17 @@ def verify_identities() -> list[str]:
     residuals are the polynomials in n whose coefficients
     ``bounds._lower_gap_parts`` and ``_upper_gap_parts`` list; both sides
     are integer numerators over denominators, compared cross-multiplied.
-    By the forms of ``_b123_parts`` and ``_refined_lower_parts``, each
+    By the forms of ``_b123_parts`` and of the refined bounds' parts, each
     coefficient is a polynomial of degree <= 5 in alpha for the lower
     residual; for the upper one it is such a polynomial over alpha + 1, of
-    degree <= 4 once that factor is cleared.  The lists have the same degrees by their forms
-    in ``bounds._lower_gap_parts`` and ``_upper_gap_parts``, so both
-    sides agree for every alpha if they agree at the 9 alphas of
-    ``_GRID_ALPHAS_EXACT`` (6 would do).
+    degree <= 4 once that factor is cleared.  The lists have the same
+    degrees by their forms, so both sides agree for every alpha if they
+    agree at the 9 alphas of ``_GRID_ALPHAS_EXACT`` (6 would do).
 
     (iii) Each of the five lower-gap coefficients, of degree <= 5, is fixed
-    by its values at alpha = 0..8 and proved positive on alpha > -1 by
-    ``bounds._positive_above_minus_one``, with no grid: the lower residual
-    is positive for every n >= 1.
+    by its values at alpha = 0..8 and proved positive on alpha > -1, with
+    no grid, by a Pólya certificate (``bounds._positive_above_minus_one``):
+    the lower residual is positive for every n >= 1.
 
     (iv) Shifted to n = m + 2 (``bounds._shift``), the upper gap, with
     coefficients g[i] in n, has the six coefficients
@@ -436,7 +435,7 @@ VERIFY_MODES = {
     "asymptotic": ("c_n/n approaches the inverse first Bessel zero", verify_asymptotic),
     "bessel": ("first-zero enclosure on the nu grid", verify_bessel),
     "identities": ("sandwich residuals positive, proved for every alpha > -1 and n >= 2 "
-                   "(exact identities, Sturm counts): refined_lower < c_n^2 < refined_upper",
+                   "(exact identities, Polya certificates): refined_lower < c_n^2 < refined_upper",
                    verify_identities),
 }
 

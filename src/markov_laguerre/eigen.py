@@ -528,12 +528,11 @@ def _start(a: float, n: int, lower: float, top: float, zero: float | None = None
     """
     if n < _START_MIN_N:
         return lower
-    from .bessel import _ALPHA_MAX, _first_zero  # bessel imports this module
-
-    if not a <= _ALPHA_MAX:
-        return lower
     if zero is None:
-        zero = _first_zero(0.5 * a + 0.5, 1e-13)
+        from .bessel import _alpha_zero  # bessel imports this module
+        zero = _alpha_zero(a, 1e-13)
+        if zero is None:
+            return lower
     sigma = (zero / (n + 0.25 * a + 0.75)) ** 2
     return sigma if lower < sigma < top else lower
 

@@ -279,14 +279,18 @@ def _refined_lower_parts(p, d, n: int):
     return (3 * n * d + 2 * p) * (6 * n * d - (p + d)), 9 * (p + d) * (p + 5 * d)
 
 
+def _refined_upper_parts(p, d, n: int):
+    """(N, D, R) of the refined upper bound N / (D R^(1/3)) on c_n(a)^2 at
+    a = p/d, homogeneous like :func:`_b123_parts`: the one statement of the
+    bound, which ``_refined_upper`` evaluates at (a, 1).  Its cube,
+    N^3 d^2 / (D^3 R), is certified by the upper residual of
+    ``bounds._residual_parts``, which ``cli.verify_identities`` proves."""
+    return (n + 1) * (5 * n * d + 2 * (p + d)), 5 * (p + d), (p + 3 * d) * (p + 5 * d)
+
+
 def _refined_upper(a: float, n: int) -> float:
-    """Refined upper bound on c_n(a)^2 for a float a:
-
-        (n+1)(5n + 2(a+1)) / (5 (a+1) ((a+3)(a+5))^(1/3)).
-
-    ``bounds.refined_bounds`` reports it; the eigenvalue solver starts at
-    its reciprocal, which lies below the smallest zero of Q_n for n >= 2.
-    """
-    return ((n + 1) * (5 * n + 2 * (a + 1))) / (
-        5 * (a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 3.0)
-    )
+    """:func:`_refined_upper_parts` at (a, 1), a float a: the bound that
+    ``bounds.refined_bounds`` reports.  The eigenvalue solver starts at its
+    reciprocal, which lies below the smallest zero of Q_n for n >= 2."""
+    num, den, root = _refined_upper_parts(a, 1, n)
+    return num / (den * root ** (1.0 / 3.0))

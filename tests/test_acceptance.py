@@ -349,7 +349,7 @@ def test_criterion_11_residual_identities():
     failures = cli.verify_identities()
     report(not failures, "criterion 11: sandwich residuals positive, proved for every "
            "alpha > -1 and n >= 2, so refined_lower < c_n^2 < refined_upper there",
-           "exact identities of degree <= 5 in alpha at 9 alphas, Sturm counts")
+           "exact identities of degree <= 5 in alpha at 9 alphas, Polya certificates")
     assert failures == []
 
 

@@ -27,6 +27,7 @@ from markov_laguerre import (
     asymptotic_upper_large_alpha,
     turan_constant,
 )
+from markov_laguerre import bounds
 from markov_laguerre.bounds import (
     _coefficients_from_values,
     _lower_gap_parts,
@@ -34,12 +35,12 @@ from markov_laguerre.bounds import (
     _residual_parts,
     _scaled_residual_parts,
     _shift,
-    _sign_changes,
     _upper_gap_parts,
 )
 from markov_laguerre.recurrence import (
     RATIONAL,
     _refined_lower_parts,
+    _refined_upper,
     coeff_a0,
     coeff_a1,
     coeff_a2,
@@ -133,6 +134,22 @@ class TestRefinedBounds:
         # (a+3)(a+5) overflows past a ~ 1.3e154: the pair came out (nan, 0)
         with pytest.raises(OverflowError):
             refined_bounds(alpha, 5)
+
+    def test_upper_is_the_formula_bit_for_bit(self):
+        # The upper bound is evaluated from its integer parts at (a, 1), by
+        # the formula's own operations: the printed bound and the solver's
+        # start keep their bits.  Near -1, up to the overflow and past it.
+        def formula(a, n):
+            return ((n + 1) * (5 * n + 2 * (a + 1))) / (
+                5 * (a + 1) * ((a + 3) * (a + 5)) ** (1.0 / 3.0))
+
+        rng = random.Random(30)
+        for _ in range(20000):
+            a = -1.0 + 10.0 ** rng.uniform(-16.0, 160.0)
+            n = int(10.0 ** rng.uniform(0.0, 6.0))
+            want = formula(a, n)
+            got = _refined_upper(a, n)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (a, n)
 
 
 class TestDorfler:
@@ -344,10 +361,16 @@ def values_in_t(lead, shifts, double_roots=()):
     return [at(F(k + 1)) for k in range(9)]
 
 
+def sign_changes(xs):
+    """The sign changes in the sequence ``xs``, its zeros skipped."""
+    signs = [x > 0 for x in xs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def exact_sturm_verdict(coeffs):
     """Whether the polynomial with ``coeffs`` (alpha^0 first) is positive on
-    alpha > -1 by a Sturm sequence of exact Fraction remainders: the
-    reference for the integer pseudo-remainders."""
+    alpha > -1, decided by a Sturm sequence of exact Fraction remainders:
+    the reference that every certificate must agree with."""
     p = [F(c) for c in _shift(coeffs, -1)]
     while p and not p[-1]:
         p.pop()
@@ -366,7 +389,7 @@ def exact_sturm_verdict(coeffs):
             r.pop()
         seq.append([-c for c in r])
     seq.pop()
-    return p[-1] > 0 and _sign_changes(s[0] for s in seq) == _sign_changes(s[-1] for s in seq)
+    return p[-1] > 0 and sign_changes(s[0] for s in seq) == sign_changes(s[-1] for s in seq)
 
 
 positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
@@ -396,17 +419,20 @@ class TestPositiveAboveMinusOne:
         assert _lower_gap_parts(-1, 1)[0][0] == 0
         assert _positive_above_minus_one([lower_gap(k)[0] for k in range(9)])
 
-    def test_lower_gap_three_needs_the_sturm_count(self):
+    def test_lower_gap_three_is_certified_past_a_negative_coefficient(self, monkeypatch):
         # In t = a + 1 its coefficients change sign twice, so their signs
-        # leave room for two positive roots; the Sturm count rules them out.
+        # leave room for two positive roots; (1 + t)^5 times it has no
+        # negative coefficient left, and no lower power does.
         in_t, top = _coefficients_from_values([_lower_gap_parts(k - 1, 1)[3][0] for k in range(8)])
         assert _lower_gap_parts(0, 1)[3][1] == 36
         assert [F(c, 36 * top) for c in in_t[::-1]] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18),
                                                         F(43, 6), 10]
         values = [lower_gap(k)[3] for k in range(9)]
         assert _positive_above_minus_one(values)
-        # times t^2: the Sturm sequence would vanish at t = 0, so t is stripped first
+        # times t^2: the factor is stripped first and keeps the certificate
         assert _positive_above_minus_one([(k + 1) ** 2 * v for k, v in enumerate(values)])
+        monkeypatch.setattr(bounds, "_POLYA_MAX", 4)
+        assert not _positive_above_minus_one(values)
 
     def test_a_function_of_higher_degree_is_refused(self):
         # t^8 and 2^a are positive, but no degree-7 interpolant proves it
@@ -420,13 +446,28 @@ class TestPositiveAboveMinusOne:
     @given(coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=8))
     @example(coeffs=[1, 1, 0, -2, 2, 1])
     @example(coeffs=[-2, -3, 1, -2, 3, -3, 2])
-    def test_integer_remainders_agree_with_exact_ones(self, coeffs):
-        # Where the degree drops by two and the divisor leads negative, a
-        # pseudo-remainder scaled by lc^3 rather than |lc|^3 flips the sign;
-        # it reversed both examples: the first has no root on a > -1, the
-        # second has two (-0.46 and 1.37)
+    def test_a_certificate_is_a_proof(self, coeffs):
+        # The certificate may miss a positive polynomial (1 - a^3 + a^5
+        # needs (1 + t)^93), but never certifies one that is not positive.
         values = [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(9)]
-        assert _positive_above_minus_one(values) == exact_sturm_verdict(coeffs)
+        if _positive_above_minus_one(values):
+            assert exact_sturm_verdict(coeffs)
+
+    def test_the_exact_cases(self, monkeypatch):
+        def values(coeffs):
+            return [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(9)]
+
+        # No root on a > -1: certified by (1 + t)^48, and by no lower power.
+        assert exact_sturm_verdict([1, 1, 0, -2, 2, 1])
+        assert _positive_above_minus_one(values([1, 1, 0, -2, 2, 1]))
+        # Roots at -0.46 and 1.37: refused.
+        assert not exact_sturm_verdict([-2, -3, 1, -2, 3, -3, 2])
+        assert not _positive_above_minus_one(values([-2, -3, 1, -2, 3, -3, 2]))
+        # Positive, but past the largest power tried: not proved.
+        assert exact_sturm_verdict([1, 0, 0, -1, 0, 1])
+        assert not _positive_above_minus_one(values([1, 0, 0, -1, 0, 1]))
+        monkeypatch.setattr(bounds, "_POLYA_MAX", 47)
+        assert not _positive_above_minus_one(values([1, 1, 0, -2, 2, 1]))
 
     @settings(max_examples=60, deadline=None)
     @given(lead=positive_fractions, sign=st.sampled_from([1, -1]), rs=st.lists(shifts, max_size=5),
@@ -434,8 +475,8 @@ class TestPositiveAboveMinusOne:
            k=st.integers(1, 10**12))
     def test_a_positive_factor_keeps_the_verdict(self, lead, sign, rs, ss, bump, k):
         # The values are scaled to integers by the lcm of their denominators,
-        # and the Sturm sequence runs on pseudo-remainders: neither may move
-        # a verdict.  A bump of the last value breaks the degree premise.
+        # which may not move a verdict.  A bump of the last value breaks the
+        # degree premise.
         values = values_in_t(sign * lead, rs, ss)
         values[-1] += bump
         verdict = _positive_above_minus_one(values)

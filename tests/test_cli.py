@@ -24,16 +24,14 @@ from markov_laguerre.recurrence import _scaled_rows, _split, coeff_a0, reciproca
 
 _coeff_a0 = cli.coeff_a0
 _b123_parts = recurrence._b123_parts
-_asymptotic_constant = bessel.asymptotic_constant
+_alpha_zero = bessel._alpha_zero
 _lower_gap_parts = bounds._lower_gap_parts
 
 # One wrong input per verify suite, as (module, attribute, replacement).
 BROKEN_INPUTS = {
     "coeffs": (cli, "coeff_a0", lambda a, n: 2 * _coeff_a0(a, n)),
     "sandwich": (bounds, "_dorfler", lambda a, n: (0.0, 0.0)),
-    "asymptotic": (
-        bessel, "asymptotic_constant", lambda a, tol=1e-13: 1.1 * _asymptotic_constant(a, tol)
-    ),
+    "asymptotic": (bessel, "_alpha_zero", lambda a, tol: _alpha_zero(a, tol) / 1.1),
     "bessel": (bounds, "bessel_zero_enclosure", lambda nu: bounds.BoundPair(0.0, 1e-3)),
     "identities": (
         bounds, "_lower_gap_parts", lambda p, d: ((-1, 1),) + _lower_gap_parts(p, d)[1:]
@@ -687,8 +685,7 @@ class TestSweepReference:
 
         monkeypatch.setattr(bounds, "build_jacobi", counted("build", build_jacobi))
         monkeypatch.setattr(bounds, "_smallest", counted("solve", bounds._smallest))
-        monkeypatch.setattr(bessel, "asymptotic_constant",
-                            counted("limit", bessel.asymptotic_constant))
+        monkeypatch.setattr(bessel, "_alpha_zero", counted("limit", bessel._alpha_zero))
         code, out, _ = run_cli(capsys, "sweep", "--alpha", "0.5", "--n-list", "3..40",
                                "--jobs", "1")
         assert code == 0 and len(parse_csv(out)[1]) == 38
@@ -878,8 +875,7 @@ class TestVerify:
             return wrapper
 
         monkeypatch.setattr(bounds, "build_jacobi", counted("build", build_jacobi))
-        monkeypatch.setattr(bessel, "asymptotic_constant",
-                            counted("limit", bessel.asymptotic_constant))
+        monkeypatch.setattr(bessel, "_alpha_zero", counted("limit", bessel._alpha_zero))
         assert cli.verify_sandwich() == []
         assert calls == {"build": len(cli.GRID_ALPHAS), "limit": len(cli.GRID_ALPHAS)}
 
