@@ -22,8 +22,9 @@ certifying identities without tolerance.  At alpha = p/d the residuals
 and their coefficient lists in n run on Python ints, numerators over
 denominators, and become ``Fraction``s only when
 ``residual_sandwich_check`` returns them.  The positivity proof
-``_positive_above_minus_one`` runs on ints too, with Pólya's multiplier:
-a power of (1 + t), t = alpha + 1, that leaves no negative coefficient.
+``_positive_above_minus_one`` runs on ints too: it interpolates values
+taken at t = alpha + 1 = 0, 1, 2, ... and applies Pólya's multiplier, a
+power of (1 + t) that leaves no negative coefficient.
 """
 
 from __future__ import annotations
@@ -345,45 +346,30 @@ def _coefficients_from_values(values):
     return coeffs, top
 
 
-def _shift(coeffs, s):
-    """Coefficients (x^0 first) of c(x + s), where ``coeffs`` are those of
-    c(x), by Horner's rule; exact on ints and Fractions."""
-    out = []
-    for c in reversed(coeffs):
-        out = [x + s * y for x, y in zip([0] + out, out + [0])]
-        out[0] += c
-    return out
-
-
 _POLYA_MAX = 64  # the largest N of _positive_above_minus_one; the residuals need 5
 
 
 def _positive_above_minus_one(values) -> bool:
     """Whether the function of alpha that takes the exact ``values`` (ints
-    or Fractions) at alpha = 0, 1, 2, ... is proved > 0 for every
+    or Fractions) at t = alpha + 1 = 0, 1, 2, ... is proved > 0 for every
     alpha > -1 (False: not proved).
 
     The premise is that the values are those of a polynomial of degree
     < len(values): the values but the last fix a polynomial q of degree
-    < len(values) - 1 (``_coefficients_from_values``), and the last one,
-    which q must also take, then forces the function to be q.  Shifted to
-    t = alpha + 1 and scaled to ints, q is t^m p(t) with p(0) != 0, and
-    p > 0 on t > 0 if (1 + t)^N p(t) has no negative coefficient for an
-    N <= _POLYA_MAX; by Pólya (1928) some N does if p > 0 on [0, inf).
+    < len(values) - 1 in t (``_coefficients_from_values``), and the last
+    one, which q must also take, then forces the function to be q.  Scaled
+    to ints, q > 0 on t > 0 if it is not zero and (1 + t)^N q(t) has no
+    negative coefficient for an N <= _POLYA_MAX; by Pólya (1928) some N
+    does if q = t^m p with p > 0 on [0, inf), and t^m moves no sign.
     """
     *fit, last = _numerators([(v.numerator, v.denominator) for v in values])
-    q, top = _coefficients_from_values(fit)
-    if sum(c * len(fit) ** j for j, c in enumerate(q)) != top * last:
-        return False
-    p = _shift(q, -1)  # top * q(t - 1), constant first
-    while p and not p[0]:
-        del p[0]
-    if not p:
+    q, top = _coefficients_from_values(fit)  # top * q(t), constant first
+    if sum(c * len(fit) ** j for j, c in enumerate(q)) != top * last or not any(q):
         return False
     for _ in range(_POLYA_MAX + 1):
-        if min(p) >= 0:
+        if min(q) >= 0:
             return True
-        p = [x + y for x, y in zip(p + [0], [0] + p)]  # times (1 + t)
+        q = [x + y for x, y in zip(q + [0], [0] + q)]  # times (1 + t)
     return False
 
 

@@ -379,17 +379,20 @@ def verify_identities() -> list[str]:
     agree at the 9 alphas of ``_GRID_ALPHAS_EXACT`` (6 would do).
 
     (iii) Each of the five lower-gap coefficients, of degree <= 5, is fixed
-    by its values at alpha = 0..8 and proved positive on alpha > -1, with
-    no grid, by a Pólya certificate (``bounds._positive_above_minus_one``):
-    the lower residual is positive for every n >= 1.
+    by its values at t = alpha + 1 = 0..8 and proved positive on
+    alpha > -1, with no grid, by a Pólya certificate
+    (``bounds._positive_above_minus_one``): the lower residual is positive
+    for every n >= 1.
 
-    (iv) Shifted to n = m + 2 (``bounds._shift``), the upper gap, with
-    coefficients g[i] in n, has the six coefficients
+    (iv) At n = m + 2 the upper gap, with coefficients g[i] in n, has the
+    six coefficients
 
         h[j] = sum_{i >= j} g[i] C(i, j) 2^(i-j)
 
-    in m, of degree <= 4 in alpha, each proved positive the same way: the
-    upper residual is positive for every n >= 2.
+    in m, of degree <= 4 in alpha; at each t they are interpolated
+    (``bounds._coefficients_from_values``) from the gap's values at
+    n = 2..7, and each is proved positive the same way: the upper residual
+    is positive for every n >= 2.
 
     With the power-sum chain p3/p2 <= c_n^2 < p3^(1/3) (n >= 2), it follows
     that refined_lower < c_n^2 < refined_upper for every alpha > -1 and
@@ -398,12 +401,15 @@ def verify_identities() -> list[str]:
     c(alpha)^2 = lim c_n^2 / n^2 for every alpha > -1: ``verify_bessel``
     tests ``first_zero`` against a proved enclosure."""
     failures = []
-    # At alpha = k, d = 1 and every denominator is a positive constant, so
-    # the numerators over their lcm are the values times one positive
-    # factor: the same degree and the same signs for (iii) and (iv).
-    lower = [bounds._numerators(bounds._lower_gap_parts(k, 1)) for k in range(9)]
-    upper = [bounds._shift(bounds._numerators(bounds._upper_gap_parts(k, 1)), 2)
-               for k in range(9)]
+    # At alpha = t - 1, d = 1 and every denominator is a positive constant,
+    # so the numerators over their lcm, and their coefficients in m times
+    # 5!, are the values times one positive factor: the same degree and the
+    # same signs for (iii) and (iv).
+    lower = [bounds._numerators(bounds._lower_gap_parts(t - 1, 1)) for t in range(9)]
+    gaps = [bounds._numerators(bounds._upper_gap_parts(t - 1, 1)) for t in range(9)]
+    upper = [bounds._coefficients_from_values(
+                 [sum(c * (m + 2) ** i for i, c in enumerate(g)) for m in range(6)])[0]
+             for g in gaps]
     for name, coeffs in (("lower_gap[{}]", lower), ("upper_gap at n = m + 2, m^{}", upper)):
         for j, values in enumerate(zip(*coeffs)):
             if not bounds._positive_above_minus_one(values):

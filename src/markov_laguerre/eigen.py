@@ -290,8 +290,11 @@ def _count_e(q, e, sigma: float) -> int:
 
 def sturm_count(T: TridiagMatrix, sigma: float) -> int:
     """Number of eigenvalues of T below sigma (sigma itself included when
-    it is one exactly)."""
-    return _count(T.q, float(sigma))
+    it is one exactly); ValueError for an infinite or NaN sigma."""
+    sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    return _count(T.q, sigma)
 
 
 def _check_tol(tol: float) -> None:

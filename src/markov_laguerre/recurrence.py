@@ -97,13 +97,17 @@ def _require_n(n: int) -> None:
 
 def _float_alpha(alpha) -> float:
     """alpha rounded to binary64, for the float paths: an exact alpha past
-    the binary64 range raises OverflowError that says so."""
+    the binary64 range, or one that rounds to -1, raises OverflowError
+    that says so."""
     a = alpha_value(alpha)
     try:
-        return float(a)
+        fa = float(a)
     except OverflowError:
         raise OverflowError(f"alpha={a} lies past the binary64 range "
                             f"(at most {sys.float_info.max!r})") from None
+    if fa == -1.0:
+        raise OverflowError(f"alpha={a} lies within 2^-54 of -1 and rounds to -1 in binary64")
+    return fa
 
 
 class RecurrenceCoeffs(NamedTuple):

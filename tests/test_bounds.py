@@ -34,7 +34,6 @@ from markov_laguerre.bounds import (
     _positive_above_minus_one,
     _residual_parts,
     _scaled_residual_parts,
-    _shift,
     _upper_gap_parts,
 )
 from markov_laguerre.recurrence import (
@@ -349,8 +348,8 @@ class TestIdentityResiduals:
 
 
 def values_in_t(lead, shifts, double_roots=()):
-    """Exact values at alpha = 0..8 of lead * prod(t + r) * prod((t - s)^2),
-    t = alpha + 1."""
+    """Exact values at t = alpha + 1 = 0..8 of
+    lead * prod(t + r) * prod((t - s)^2)."""
     def at(t):
         v = lead
         for r in shifts:
@@ -358,7 +357,7 @@ def values_in_t(lead, shifts, double_roots=()):
         for s in double_roots:
             v *= (t - s) ** 2
         return v
-    return [at(F(k + 1)) for k in range(9)]
+    return [at(F(t)) for t in range(9)]
 
 
 def sign_changes(xs):
@@ -367,11 +366,18 @@ def sign_changes(xs):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def taylor_shift(coeffs, s):
+    """Coefficients (x^0 first) of c(x + s), where ``coeffs`` are those of
+    c(x), by the binomial theorem in exact Fractions."""
+    return [sum(F(c) * math.comb(i, j) * F(s) ** (i - j) for i, c in enumerate(coeffs) if i >= j)
+            for j in range(len(coeffs))]
+
+
 def exact_sturm_verdict(coeffs):
     """Whether the polynomial with ``coeffs`` (alpha^0 first) is positive on
     alpha > -1, decided by a Sturm sequence of exact Fraction remainders:
     the reference that every certificate must agree with."""
-    p = [F(c) for c in _shift(coeffs, -1)]
+    p = taylor_shift(coeffs, -1)  # in t = alpha + 1
     while p and not p[-1]:
         p.pop()
     while p and not p[0]:
@@ -417,27 +423,27 @@ class TestPositiveAboveMinusOne:
     def test_lower_gap_zero_vanishes_at_minus_one(self):
         # (1 + a)^2 times a cubic: zero at a = -1 only, which the domain leaves out
         assert _lower_gap_parts(-1, 1)[0][0] == 0
-        assert _positive_above_minus_one([lower_gap(k)[0] for k in range(9)])
+        assert _positive_above_minus_one([lower_gap(t - 1)[0] for t in range(9)])
 
     def test_lower_gap_three_is_certified_past_a_negative_coefficient(self, monkeypatch):
         # In t = a + 1 its coefficients change sign twice, so their signs
         # leave room for two positive roots; (1 + t)^5 times it has no
         # negative coefficient left, and no lower power does.
-        in_t, top = _coefficients_from_values([_lower_gap_parts(k - 1, 1)[3][0] for k in range(8)])
+        in_t, top = _coefficients_from_values([_lower_gap_parts(t - 1, 1)[3][0] for t in range(8)])
         assert _lower_gap_parts(0, 1)[3][1] == 36
         assert [F(c, 36 * top) for c in in_t[::-1]] == [0, 0, 0, F(1, 36), F(-5, 36), F(83, 18),
                                                         F(43, 6), 10]
-        values = [lower_gap(k)[3] for k in range(9)]
+        values = [lower_gap(t - 1)[3] for t in range(9)]
         assert _positive_above_minus_one(values)
-        # times t^2: the factor is stripped first and keeps the certificate
-        assert _positive_above_minus_one([(k + 1) ** 2 * v for k, v in enumerate(values)])
+        # times t^2, which shifts the coefficients and moves no sign
+        assert _positive_above_minus_one([t**2 * v for t, v in enumerate(values)])
         monkeypatch.setattr(bounds, "_POLYA_MAX", 4)
         assert not _positive_above_minus_one(values)
 
     def test_a_function_of_higher_degree_is_refused(self):
-        # t^8 and 2^a are positive, but no degree-7 interpolant proves it
-        assert not _positive_above_minus_one([F(k + 1) ** 8 for k in range(9)])
-        assert not _positive_above_minus_one([2**k for k in range(9)])
+        # t^8 and 2^t are positive, but no degree-7 interpolant proves it
+        assert not _positive_above_minus_one([F(t) ** 8 for t in range(9)])
+        assert not _positive_above_minus_one([2**t for t in range(9)])
 
     def test_zero_is_refused(self):
         assert not _positive_above_minus_one([0] * 9)
@@ -449,17 +455,21 @@ class TestPositiveAboveMinusOne:
     def test_a_certificate_is_a_proof(self, coeffs):
         # The certificate may miss a positive polynomial (1 - a^3 + a^5
         # needs (1 + t)^93), but never certifies one that is not positive.
-        values = [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(9)]
+        values = [sum(c * (t - 1) ** j for j, c in enumerate(coeffs)) for t in range(9)]
         if _positive_above_minus_one(values):
             assert exact_sturm_verdict(coeffs)
 
     def test_the_exact_cases(self, monkeypatch):
         def values(coeffs):
-            return [sum(c * k**j for j, c in enumerate(coeffs)) for k in range(9)]
+            return [sum(c * (t - 1) ** j for j, c in enumerate(coeffs)) for t in range(9)]
 
         # No root on a > -1: certified by (1 + t)^48, and by no lower power.
         assert exact_sturm_verdict([1, 1, 0, -2, 2, 1])
         assert _positive_above_minus_one(values([1, 1, 0, -2, 2, 1]))
+        # 1 + 2a is negative on (-1, -1/2) only, and positive at every sample
+        # alpha >= 0: refused.
+        assert not exact_sturm_verdict([1, 2])
+        assert not _positive_above_minus_one(values([1, 2]))
         # Roots at -0.46 and 1.37: refused.
         assert not exact_sturm_verdict([-2, -3, 1, -2, 3, -3, 2])
         assert not _positive_above_minus_one(values([-2, -3, 1, -2, 3, -3, 2]))
@@ -484,22 +494,6 @@ class TestPositiveAboveMinusOne:
         assert _positive_above_minus_one([k * v for v in values]) == verdict
         assert _positive_above_minus_one([int(v * scale) for v in values]) == verdict
         assert verdict == (sign > 0 and not ss and not bump)
-
-
-class TestShift:
-    @settings(max_examples=60, deadline=None)
-    @given(coeffs=st.lists(st.integers(-50, 50), max_size=8), s=st.integers(-3, 3),
-           x=st.fractions(min_value=-5, max_value=5, max_denominator=7))
-    def test_is_the_polynomial_at_x_plus_s(self, coeffs, s, x):
-        shifted = _shift(coeffs, s)
-        assert len(shifted) == len(coeffs)
-        assert (sum(c * x**j for j, c in enumerate(shifted))
-                == sum(c * (x + s) ** i for i, c in enumerate(coeffs)))
-
-    def test_upper_gap_at_n_plus_two_is_the_binomial_sum(self):
-        g = upper_gap(F(1, 3))
-        assert _shift(g, 2) == [sum(g[i] * math.comb(i, j) * 2 ** (i - j) for i in range(j, 6))
-                                for j in range(6)]
 
 
 class TestResidualPolys:

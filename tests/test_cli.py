@@ -837,6 +837,45 @@ class TestVerify:
         assert ("upper_gap at n = m + 2, m^0: not proved positive for every alpha > -1"
                 in cli.verify_identities())
 
+    @pytest.mark.parametrize("side, j, name", [
+        ("_lower_gap_parts", 4, "lower_gap[4]"),
+        ("_upper_gap_parts", 5, "upper_gap at n = m + 2, m^5"),
+    ], ids=["lower", "upper"])
+    def test_identities_samples_down_to_alpha_minus_one(self, monkeypatch, side, j, name):
+        # Times 2a + 1, the coefficient is negative on (-1, -1/2) only, so
+        # samples taken at alpha = 0, 1, ... in place of t = alpha + 1 would
+        # certify it.  The upper gap's n^5 coefficient is that of m^5.
+        real = getattr(bounds, side)
+
+        def tilted(p, d):
+            parts = list(real(p, d))
+            num, den = parts[j]
+            parts[j] = (num * (2 * p + d), den * d)
+            return tuple(parts)
+
+        monkeypatch.setattr(bounds, side, tilted)
+        assert F(*tilted(-3, 4)[j]) < 0 < F(*tilted(-1, 4)[j])
+        assert f"{name}: not proved positive for every alpha > -1" in cli.verify_identities()
+
+    def test_identities_upper_gap_at_n_plus_two_is_the_binomial_sum(self, monkeypatch):
+        # The values certified in (iv) at t = alpha + 1 are
+        # h[j] = sum_i g[i] C(i, j) 2^(i-j), the coefficients in m of the
+        # upper gap at n = m + 2, times one positive factor: 5! times the
+        # lcm of the gap's denominators.
+        certified = []
+        monkeypatch.setattr(bounds, "_positive_above_minus_one",
+                            lambda values: certified.append(list(values)) or True)
+        assert cli.verify_identities() == []
+        assert len(certified) == 11  # the five lower-gap lists, then the six h[j]
+        scale = 120 * math.lcm(*(den for _, den in bounds._upper_gap_parts(0, 1)))
+        for j, values in enumerate(certified[5:]):
+            want = []
+            for t in range(9):
+                g = [F(*part) for part in bounds._upper_gap_parts(t - 1, 1)]
+                want.append(scale * sum(g[i] * math.comb(i, j) * 2 ** (i - j)
+                                        for i in range(j, 6)))
+            assert values == want
+
     def test_identities_builds_no_fraction(self, monkeypatch):
         # The proofs and the identity check run on integers: no Fraction is
         # constructed, directly or as the result of Fraction arithmetic

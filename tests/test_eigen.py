@@ -147,6 +147,16 @@ class TestSturmCount:
         assert counts[0] == 0
         assert sturm_count(T, hi * (1 + 1e-12) + 1e-12) == n
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_sigma_is_refused(self, sigma):
+        # At inf the first pivot is -inf and every later one NaN, which no
+        # sign test counts; NaN counts nothing at all.
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            sturm_count(build_jacobi(0.5, 6), sigma)
+
+    def test_a_huge_finite_sigma_counts_every_eigenvalue(self):
+        assert sturm_count(build_jacobi(0.5, 6), 1.7e308) == 6
+
 
 def mp_smallest(alpha, n):
     """Smallest eigenvalue of the dense T_n, by mpmath at 50 digits."""

@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 
 from markov_laguerre import (
     RATIONAL,
+    asymptotic_bounds,
     asymptotic_constant,
+    bounds_report,
+    build_jacobi,
     coeff_a0,
     coeff_a1,
     coeff_a2,
     coeff_a3,
+    dorfler_bounds,
+    largest_eigenvalue,
     markov_constant,
     recurrence_coeffs,
     reciprocal_b123,
     refined_bounds,
+    residual_sandwich_check,
+    smallest_eigenvalue,
 )
 from markov_laguerre.recurrence import _scaled_rows, alpha_value, qn_coefficient_rows
 
@@ -80,6 +87,39 @@ class TestWeightAlpha:
         # for a float".
         with pytest.raises(OverflowError, match="past the binary64 range"):
             call(F(10**400))
+
+    @pytest.mark.parametrize("call", [
+        lambda a: markov_constant(a, 5),
+        lambda a: markov_constant(a, 1),
+        lambda a: smallest_eigenvalue(build_jacobi(a, 3)),
+        lambda a: largest_eigenvalue(build_jacobi(a, 3)),
+        lambda a: refined_bounds(a, 5),
+        lambda a: dorfler_bounds(a, 5),
+        lambda a: bounds_report(a, 5),
+        lambda a: asymptotic_constant(a),
+        lambda a: asymptotic_bounds(a),
+    ], ids=["markov_constant", "markov_constant_n1", "smallest_eigenvalue",
+            "largest_eigenvalue", "refined_bounds", "dorfler_bounds", "bounds_report",
+            "asymptotic_constant", "asymptotic_bounds"])
+    @pytest.mark.parametrize("alpha", [F(-1) + F(1, 10**20), F(-1) + F(1, 2**54)],
+                             ids=["1e-20", "2^-54"])
+    def test_float_paths_refuse_an_alpha_that_rounds_to_minus_one(self, call, alpha):
+        # binary64 cannot tell such an alpha from -1: the float paths raised
+        # ZeroDivisionError, "math domain error" or a false overflow.
+        with pytest.raises(OverflowError, match="within 2\\^-54 of -1"):
+            call(alpha)
+
+    def test_exact_paths_keep_an_alpha_that_rounds_to_minus_one(self):
+        alpha = F(-1) + F(1, 10**20)
+        assert float(alpha) == -1.0
+        assert coeff_a0(alpha, 2) == (1 + alpha) * (1 + alpha / 2)
+        assert last_row(alpha, 2)[0] == coeff_a0(alpha, 2)
+        b1, _, _ = reciprocal_b123(alpha, 2)
+        assert b1 == -coeff_a1(alpha, 2) / coeff_a0(alpha, 2)
+        lower, upper = residual_sandwich_check(alpha, 3)
+        assert isinstance(lower, F) and lower > 0 and upper > 0
+        # the next float above -1 is exact and stays on the float paths
+        assert markov_constant(F(-1) + F(1, 2**53), 1) == math.sqrt(2.0**53)
 
 
 class TestRecurrenceCoeffs:
