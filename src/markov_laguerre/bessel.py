@@ -48,9 +48,10 @@ Domain
 ------
 ``first_zero`` takes -1 < nu <= ZERO_NU_MAX = 1000 (alpha <= 2001 for
 c(alpha)), the range its tests check against mpmath and by the sign count;
-other arguments raise ValueError.  The order grows like nu^(1/3), and once
-2m is below half an ulp of nu (nu above about 2e24) nu + 2m rounds to nu
-and no order meets the truncation rule.
+other arguments raise ValueError.  Within it, at tol >= 1e-15, the scan of
+``_order`` ends by m = 49.  The order grows like nu^(1/3), and once 2m is
+below half an ulp of nu (nu above about 2e24) nu + 2m rounds to nu and no
+order meets the truncation rule.
 
 Series envelope
 ---------------
@@ -155,38 +156,30 @@ def _olver(nu: float) -> float:
 
 
 def _order(h: float, upper: float, tol: float) -> int:
-    """Order m of the factor B that ``first_zero`` solves at h = nu + 1.
+    """Order m of the factor B that ``first_zero`` solves at h = nu + 1: the
+    first m = 1, 2, ... at which Kapteyn's inequality
+    |J_mu(x)| <= exp(mu g(x/mu)), mu = h + (2m - 1) and
+    g(z) = log z + sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)), puts the squared
+    eigenvector component at the cut, which sets the truncation error, below
+    tol * _TRUNCATION_MARGIN.  Orders below (x - nu)/2 have z >= 1 and miss.
 
     x is an upper bound on j_{nu,1}: the enclosure's ``upper``, or from nu = 1
-    on, where it is the sharper one, ``_qu_wong``'s.  m is the first order
-    at which Kapteyn's inequality |J_mu(x)| <= exp(mu g(x/mu)),
-    mu = h + (2m - 1) and g(z) = log z + sqrt(1 - z^2) - log(1 + sqrt(1 - z^2)),
-    puts the squared eigenvector component at the cut, which sets the
-    truncation error, below tol * _TRUNCATION_MARGIN.  mu g(x/mu) falls as mu
-    grows (its derivative in mu is log z - log(1 + sqrt(1 - z^2)) < 0), so
-    the search gallops up from m >= (x - nu)/2 by 1, 2, 4, ... orders, then
-    bisects.
+    on, where it is the sharper one, ``_qu_wong``'s.
     """
     nu = h - 1.0
     x = upper
     if nu >= 1.0:
         x = min(x, _qu_wong(nu))
     target = math.log(tol * _TRUNCATION_MARGIN)
-
-    # Orders up to low miss; high, once found, is hit, and the bisection
-    # keeps both so.
-    low, high, step = max(1, math.ceil(0.5 * (x - nu))) - 1, None, 1
-    while high is None or high - low > 1:
-        m = low + step if high is None else (low + high) // 2
+    m = 1
+    while True:
         mu = h + (2 * m - 1)
         z = x / mu
         if z < 1.0:
             w = math.sqrt(1.0 - z * z)
             if 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= target:
-                high = m
-                continue
-        low, step = m, step + step
-    return high
+                return m
+        m += 1
 
 
 def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:

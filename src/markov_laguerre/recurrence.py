@@ -63,10 +63,6 @@ def alpha_value(alpha) -> float | Fraction:
     infinite or NaN float.  A Fraction is finite, and may lie past the
     binary64 range.
     """
-    # A plain float in the domain is its own value; NaN, +-inf, bools and
-    # float subclasses take the validating path.
-    if type(alpha) is float and -1.0 < alpha < math.inf:
-        return alpha
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction)):
         raise TypeError(f"alpha must be a real number, got {type(alpha).__name__}")
     a = Fraction(alpha) if isinstance(alpha, int) else alpha
@@ -81,7 +77,7 @@ def _split(a) -> tuple[int, int]:
     """(p, d) with a = p/d, d > 0 and gcd(p, d) = 1, for an exact alpha value
     ``a`` (as ``alpha_value`` returns it); ValueError for a float one."""
     if not isinstance(a, Fraction):
-        raise ValueError("rational mode requires an exact alpha (int or Fraction)")
+        raise ValueError(f"alpha must be exact (an int or Fraction), got {a!r}")
     return a.numerator, a.denominator
 
 
@@ -184,7 +180,8 @@ def coeff_a0(alpha, n: int):
     """Constant coefficient of Q_n: (-1)^n * prod_{k=1..n} (1 + alpha/k).
 
     For alpha = p/d exact, one integer product over the scale d^n n!
-    (``_a0_parts``).
+    (``_a0_parts``).  At a float alpha, coeff_a0..coeff_a3 raise
+    OverflowError where the value would be infinite.
     """
     a = alpha_value(alpha)
     _require_degree(n)
@@ -193,7 +190,7 @@ def coeff_a0(alpha, n: int):
     out = -1 if n % 2 else 1
     for k in range(1, n + 1):
         out *= 1 + a / k
-    return out
+    return _finite(out, "coeff_a0", a, n)
 
 
 def _a0_parts(p, d, n: int) -> tuple[int, int]:
@@ -202,19 +199,27 @@ def _a0_parts(p, d, n: int) -> tuple[int, int]:
     return (-1) ** n * math.prod(range(p + d, p + n * d + 1, d)), d**n * math.factorial(n)
 
 
+def _finite(value, name: str, alpha, n: int):
+    """value, the coefficient ``name`` of Q_n at alpha; a float one that is
+    infinite raises OverflowError."""
+    if isinstance(value, float) and math.isinf(value):
+        raise OverflowError(f"{name} at alpha={alpha}, n={n} overflows binary64")
+    return value
+
+
 def coeff_a1(alpha, n: int):
     """Degree-1 coefficient of Q_n: -b1 * coeff_a0 (see reciprocal_b123)."""
-    return -reciprocal_b123(alpha, n)[0] * coeff_a0(alpha, n)
+    return _finite(-reciprocal_b123(alpha, n)[0] * coeff_a0(alpha, n), "coeff_a1", alpha, n)
 
 
 def coeff_a2(alpha, n: int):
     """Degree-2 coefficient of Q_n: b2 * coeff_a0 (zero for n <= 1)."""
-    return reciprocal_b123(alpha, n)[1] * coeff_a0(alpha, n)
+    return _finite(reciprocal_b123(alpha, n)[1] * coeff_a0(alpha, n), "coeff_a2", alpha, n)
 
 
 def coeff_a3(alpha, n: int):
     """Degree-3 coefficient of Q_n: -b3 * coeff_a0 (zero for n <= 2)."""
-    return -reciprocal_b123(alpha, n)[2] * coeff_a0(alpha, n)
+    return _finite(-reciprocal_b123(alpha, n)[2] * coeff_a0(alpha, n), "coeff_a3", alpha, n)
 
 
 def _b123_parts(p, d, n: int):

@@ -391,39 +391,62 @@ class TestFirstZero:
         assert z < second - 3.0
 
 
-def linear_order(h, upper, tol):
-    """``bessel._order`` by its definition: every order from (x - nu)/2 up,
-    one at a time, until Kapteyn's bound meets the target."""
+def kapteyn_x(h, upper):
+    """The upper bound x on j_{h-1,1} that ``bessel._order`` reads."""
     nu = h - 1.0
-    x = upper
-    if nu >= 1.0:
-        t = (0.5 * nu) ** (1.0 / 3.0)
-        x = min(x, nu - bessel._AIRY_A1 * t + 0.15 * bessel._AIRY_A1 * bessel._AIRY_A1 / t)
-    target = math.log(tol * bessel._TRUNCATION_MARGIN)
-    m = max(1, math.ceil(0.5 * (x - nu)))
-    while True:
-        mu = h + (2 * m - 1)
-        z = x / mu
-        if z < 1.0:
-            w = math.sqrt(1.0 - z * z)
-            if 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= target:
-                return m
+    if nu < 1.0:
+        return upper
+    t = (0.5 * nu) ** (1.0 / 3.0)
+    return min(upper, nu - bessel._AIRY_A1 * t + 0.15 * bessel._AIRY_A1 * bessel._AIRY_A1 / t)
+
+
+def kapteyn_hit(h, x, tol, m):
+    """Whether Kapteyn's bound at order m meets ``_order``'s target."""
+    mu = h + (2 * m - 1)
+    z = x / mu
+    if z >= 1.0:
+        return False
+    w = math.sqrt(1.0 - z * z)
+    return 2.0 * mu * (math.log(z) + w - math.log1p(w)) <= math.log(tol * bessel._TRUNCATION_MARGIN)
+
+
+def linear_order(h, upper, tol):
+    """``bessel._order`` by its definition, from a different first order:
+    every order from (x - nu)/2 up, one at a time, until Kapteyn's bound
+    meets the target."""
+    x = kapteyn_x(h, upper)
+    m = max(1, math.ceil(0.5 * (x - (h - 1.0))))
+    while not kapteyn_hit(h, x, tol, m):
         m += 1
+    return m
+
+
+def order_cases():
+    """h = nu + 1 log-spaced from 1e-16 (nu towards -1) to 1001 (nu = 1000),
+    as first_zero passes it, with the rounded enclosure's upper end, at
+    four tolerances: (h, upper, tol)."""
+    rng = random.Random(7)
+    hs = [10 ** rng.uniform(-16, math.log10(1001.0)) for _ in range(20000)] + [1001.0, 2.0]
+    return [(h, bessel._bessel_zero_bounds(h)[1], tol)
+            for h in hs for tol in (1e-15, 1e-13, 1e-8, 1e-4)]
 
 
 class TestOrder:
-    def test_galloping_finds_the_first_order(self):
-        # h = nu + 1 log-spaced from 1e-16 (nu towards -1) to 1001
-        # (nu = 1000), as first_zero passes it, with the rounded enclosure
-        rng = random.Random(7)
-        hs = [10 ** rng.uniform(-16, math.log10(1001.0)) for _ in range(20000)] + [1001.0, 2.0]
-        mismatches = []
-        for h in hs:
-            upper = bessel._bessel_zero_bounds(h)[1]
-            for tol in (1e-15, 1e-13, 1e-8, 1e-4):
-                if _order(h, upper, tol) != linear_order(h, upper, tol):
-                    mismatches.append((h, tol))
+    def test_scan_matches_the_oracle_from_x_minus_nu(self):
+        mismatches = [(h, tol) for h, upper, tol in order_cases()
+                      if _order(h, upper, tol) != linear_order(h, upper, tol)]
         assert mismatches == []
+
+    def test_bound_meets_the_target_first_at_the_returned_order(self):
+        misses, top = [], 0
+        for h, upper, tol in order_cases():
+            m, x = _order(h, upper, tol), kapteyn_x(h, upper)
+            if not kapteyn_hit(h, x, tol, m) or (m > 1 and kapteyn_hit(h, x, tol, m - 1)):
+                misses.append((h, tol, m))
+            top = max(top, m)
+        assert misses == []
+        # the bound that bessel's docstring states for tol >= 1e-15
+        assert top == 49
 
     @pytest.mark.parametrize("nu,error", [(1.0, 9.8e-3), (5.0, 1.1e-4), (25.0, 7.7e-7),
                                           (100.0, 8.4e-9), (1000.0, 6.4e-13)])

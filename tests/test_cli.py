@@ -436,6 +436,14 @@ class TestEmitter:
                        "--alpha-step", step, *extra) == (
             2, "", "error: the grid from 1e+308 to -1e+308 is empty\n")
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "figure1"])
+    def test_non_positive_step_is_a_usage_error(self, capsys, command, step):
+        extra = ["--n-list", "3", "--jobs", "1"] if command == "sweep" else []
+        assert run_cli(capsys, command, "--alpha-min", "0", "--alpha-max", "1",
+                       "--alpha-step", step, *extra) == (
+            2, "", f"error: grid step must be > 0, got {float(step)}\n")
+
     def test_a_span_past_binary64_is_a_usage_error(self, capsys):
         # hi - lo overflows while the point count, 3, would not: the error
         # names the span, not the count
@@ -800,6 +808,19 @@ class TestVerify:
             "alpha=3/4 m=5 k=2: (m+1+alpha) b2(m+1) = 2268/11 != 2334/11",
             "alpha=3/4 m=6 k=1: (m+1+alpha) b1(m+1) = 124 != 117",
         ]
+
+    def test_coeffs_checks_the_a0_step(self, monkeypatch):
+        # a0(5) doubled breaks the steps that read it, m = 4 and m = 5, at
+        # every alpha; the base cases read coeff_a0, which stays right
+        real = cli._a0_parts
+
+        def perturbed(p, d, m):
+            num, den = real(p, d, m)
+            return (2 * num if m == 5 else num), den
+
+        monkeypatch.setattr(cli, "_a0_parts", perturbed)
+        assert cli.verify_coeffs() == [f"alpha={a} m={m}: a0 step relation broken"
+                                       for a in cli._INDUCTION_ALPHAS for m in (4, 5)]
 
     def test_identities_proves_what_a_grid_scan_misses(self, capsys, monkeypatch):
         # (a - 1/20)^2 - 1e-6 is negative only on (0.049, 0.051), between

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markov_laguerre import (
@@ -105,8 +106,15 @@ class TestBuildJacobi:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**30).flatmap(
         lambda d: st.tuples(st.integers(1 - d, 10**40), st.just(d))), st.integers(1, 80))
+    @example(pd=(1 - 2**60, 2**60), n=1)
     def test_any_exact_alpha_rounds_each_q_once(self, pd, n):
-        self.assert_rounded_once(F(*pd), n)
+        alpha = F(*pd)
+        if float(alpha) == -1.0:
+            # within 2^-54 of -1 (p = 1 - d past d = 2^54): build_jacobi refuses it
+            with pytest.raises(OverflowError, match="within 2\\^-54 of -1"):
+                build_jacobi(alpha, n)
+        else:
+            self.assert_rounded_once(alpha, n)
 
     @pytest.mark.parametrize("n", [1, 2, 50, 400])
     def test_int_zero_is_fraction_zero(self, n):
@@ -604,6 +612,45 @@ class TestKernel:
         assert hi - lo <= res.tol * res.value
         assert sturm_count(T, lo) == 0
         assert sturm_count(T, hi) >= 1
+
+
+class TestSolveSafeguards:
+    """``_solve``'s guards against a step pass that misbehaves once: a step
+    that leaves the bracket or no step sends the next pass to the bracket's
+    midpoint, and the close's lattice gives the clean solve's result; a
+    solve that never meets its tolerance stops at _MAX_PASSES."""
+
+    def solve(self, faults=None):
+        """The solve at (2.5, 50) from 0.0, as test_close_gallops_and_bisects
+        drives it, with the step of pass k replaced by faults[k]; and the
+        points of its passes, and the bracket's upper end."""
+        faults = faults or {}
+        T = build_jacobi(2.5, 50)
+        sigmas = []
+
+        def step_pass(sigma):
+            sigmas.append(sigma)
+            c, step, s1 = _laguerre_pass(T.q, sigma)
+            return c, faults.get(len(sigmas), step), s1
+
+        res = _solve(step_pass, functools.partial(_count, T.q), 0.0, T.q[0], 0.0, 1e-13)
+        return res, sigmas, T.q[0]
+
+    @pytest.mark.parametrize("fault", [math.inf, None], ids=["out_of_bracket", "no_step"])
+    def test_bad_step_falls_back_to_the_midpoint(self, fault):
+        clean, clean_sigmas, hi = self.solve()
+        res, sigmas, _ = self.solve({2: fault})
+        assert sigmas[:2] == clean_sigmas[:2]
+        # the second pass counts none, so it is the bracket's lower end
+        assert sigmas[2] == 0.5 * sigmas[1] + 0.5 * hi
+        assert sigmas[2] != clean_sigmas[2]
+        assert (res.value, res.bracket) == (clean.value, clean.bracket)
+        assert res.iterations > clean.iterations
+
+    def test_pass_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_MAX_PASSES", 2)
+        with pytest.raises(RuntimeError, match="no convergence to tol=1e-13 in 2 passes"):
+            self.solve()
 
 
 def point_draws(count, seed, n_max=20000):

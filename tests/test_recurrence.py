@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -261,6 +262,41 @@ class TestReciprocal:
         assert b2 == coeffs[2] / coeffs[0]
         assert b3 == -coeffs[3] / coeffs[0]
         assert b1 > 0 and b2 > 0 and b3 > 0
+
+
+class TestCoefficientOverflow:
+    """At a float alpha, coeff_a0..coeff_a3 raise OverflowError where the
+    value would be infinite; they returned +-inf."""
+
+    @pytest.mark.parametrize("fn, alpha, n, name", [
+        (coeff_a0, 1e200, 2, "coeff_a0"),
+        (coeff_a0, 1e300, 3, "coeff_a0"),
+        # b1..b3 stay normal here; a0 overflows first
+        (coeff_a0, 1e60, 6, "coeff_a0"),
+        (coeff_a1, 1e60, 6, "coeff_a0"),
+        (coeff_a2, 1e60, 6, "coeff_a0"),
+        (coeff_a3, 1e60, 6, "coeff_a0"),
+        # a0 and a2 stay finite here; only b3 * a0 overflows
+        (coeff_a3, 300.0, 966, "coeff_a3"),
+    ])
+    def test_float_overflow_raises(self, fn, alpha, n, name):
+        with pytest.raises(OverflowError,
+                           match=re.escape(f"{name} at alpha={alpha}, n={n} overflows binary64")):
+            fn(alpha, n)
+
+    def test_finite_neighbours_are_returned(self):
+        for alpha, n in [(1e60, 6), (300.0, 966)]:
+            assert all(math.isfinite(b) and b > 0 for b in reciprocal_b123(alpha, n))
+        assert math.isfinite(coeff_a2(300.0, 966)) and math.isfinite(coeff_a0(1e60, 5))
+
+    def test_exact_paths_stay_exact(self):
+        alpha = F(10**60)
+        a0 = coeff_a0(alpha, 6)
+        assert a0 == math.prod(1 + alpha / k for k in range(1, 7))
+        coeffs = (a0, coeff_a1(alpha, 6), coeff_a2(alpha, 6), coeff_a3(alpha, 6))
+        assert coeffs == last_row(alpha, 6)[:4]
+        a3 = coeff_a3(F(300), 966)
+        assert isinstance(a3, F) and a3 == -reciprocal_b123(F(300), 966)[2] * coeff_a0(F(300), 966)
 
 
 class TestNegativeDegree:
