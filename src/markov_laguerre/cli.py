@@ -110,7 +110,7 @@ def cmd_constant(args) -> int:
         math.sqrt(c_sq),
         c_sq,
         1.0 / res.bracket[1],
-        1.0 / res.bracket[0] if res.bracket[0] > 0 else None,
+        1.0 / res.bracket[0],
         res.iterations,
         res.tol,
     )

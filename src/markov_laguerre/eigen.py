@@ -31,13 +31,13 @@ wide, where the count flips, and the result is the midpoint of that cell.
 The lattice depends on tol alone, so the result depends on the matrix and
 tol, not on the start: a caller that can predict the eigenvalue
 (``bounds._rows``, from its neighbours in n) may start there.
-``smallest_eigenvalue`` starts below the eigenvalue, at every alpha: from
-n = 300 on at Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
-c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`, where
-that lies higher, else at the larger of two proved lower bounds, the
-reciprocal of the refined upper bound on c_n(alpha)^2 and Weyl's
-(sqrt(q_{n-1}) - 1)^2.  A largest eigenvalue (``_largest``) is the
-smallest of -M, solved from above or from the caller's start.
+``smallest_eigenvalue`` starts at the largest of the reciprocal of the
+refined upper bound on c_n(alpha)^2, Weyl's (sqrt(q_{n-1}) - 1)^2 and,
+from n = 300 on, Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
+c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`.  That
+is only a start: one that the sign count places above the eigenvalue is
+kept from above.  A largest eigenvalue (``_largest``) is the smallest of
+-M, solved from above or from the caller's start.
 """
 
 from __future__ import annotations
@@ -497,61 +497,50 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
     return EigenResult(-res.value, (-hi, -lo), res.iterations + checks, tol)
 
 
-def _lower_bound(a: float, q) -> float:
-    """Proved lower bound on the smallest eigenvalue of T_n(a), n >= 2: the
-    larger of 1/refined_upper(a, n), 0 where the refined bound overflows
-    (a past about 1.3e154), and Weyl's (sqrt(q_{n-1}) - 1)^2, a margin below
-    it, so that the sign count too finds no eigenvalue below it."""
-    upper = _refined_upper(a, len(q))
-    # Weyl: sigma_min(B) >= sqrt(min q_k) - 1, and min q_k = q_{n-1} when it
-    # exceeds 1 (a > 0).  (q - 1)/(sqrt(q) + 1) is sqrt(q) - 1 without
-    # cancellation, within 4u, u = 2^-53, so w^2 is within 11u after the
-    # margin's two roundings.  The count at sigma is exact for a factor whose
-    # q_k and unit e_k moved by u and 2u relative (write each rounding of
-    # s_{k+1} into q_{k+1}, those of p_k and s_k/p_k into e_k), so by
-    # Demmel & Kahan its smallest eigenvalue is off by (3n - 2)u at most, to
-    # first order.  The margin, 4n + 12 > 3n + 9 ulps, covers both.
-    w = max(0.0, q[-1] - 1.0) / (math.sqrt(q[-1]) + 1.0)
-    return max(1.0 / upper if upper > 0.0 else 0.0, w * w * (1.0 - (4 * len(q) + 12) * 2.0**-53))
-
-
-def _start(a: float, n: int, lower: float, top: float, zero: float | None = None) -> float:
-    """Start of the smallest-eigenvalue solve on T_n(a), whose eigenvalue
-    lies in (lower, top), lower a proved lower bound and top = q_0.
+def _start(a: float, q, zero: float | None = None) -> float:
+    """Start of the smallest-eigenvalue solve on T_n(a), n = len(q) >= 2:
+    the largest of 1/refined_upper(a, n), 0 where the refined bound
+    overflows (a past about 1.3e154), Weyl's (sqrt(q_{n-1}) - 1)^2 and,
+    from n = _START_MIN_N on, Dörfler's limit.  It need not lie below the
+    eigenvalue: a start that counts it is kept from above (``_solve``).
 
     Dörfler's limit c_n(a) = c(a)(n + kappa(a)) + O(1/n), with
     c(a) = 1/j_{(a-1)/2,1} and kappa(a) < (a+3)/4 on every tabled a (0.498
     against 0.503 at a = -0.99, 23.7 against 25.75 at 100), puts
     (j/(n + (a+3)/4))^2 just below the eigenvalue: 0.02% below it at
-    a = 100, n = 20000, where 1/refined_upper is 30% below.  It is used
-    where it lies in (lower, top), where n >= _START_MIN_N, so that the zero
-    pays for itself, and where a lies in asymptotic_constant's domain
-    (a <= 2001); else the start is lower.  ``zero`` is j when the caller
-    has it, else it is computed here.
+    a = 100, n = 20000, where 1/refined_upper is 30% below.  It is taken
+    from n = _START_MIN_N on, so that the zero pays for itself, and where a
+    lies in asymptotic_constant's domain (a <= 2001).  ``zero`` is j when
+    the caller has it, else it is computed here.  Weyl's term is the
+    larger of the two bounds from a of about 100 on (30 at n = 2): at
+    n = 20000 it is 0.987 of the eigenvalue at a = 1e4 and 0.9993 at 1e8,
+    where 1/refined_upper is 0.19 and 0.0055.
     """
-    if n < _START_MIN_N:
-        return lower
-    if zero is None:
-        from .bessel import _alpha_zero  # bessel imports this module
-        zero = _alpha_zero(a, 1e-13)
+    n = len(q)
+    upper = _refined_upper(a, n)
+    # Weyl: sigma_min(B) >= sqrt(min q_k) - 1, and min q_k = q_{n-1} when it
+    # exceeds 1 (a > 0); (q - 1)/(sqrt(q) + 1) is sqrt(q) - 1 without
+    # cancellation.
+    w = max(0.0, q[-1] - 1.0) / (math.sqrt(q[-1]) + 1.0)
+    start = max(1.0 / upper if upper > 0.0 else 0.0, w * w)
+    if n >= _START_MIN_N:
         if zero is None:
-            return lower
-    sigma = (zero / (n + 0.25 * a + 0.75)) ** 2
-    return sigma if lower < sigma < top else lower
+            from .bessel import _alpha_zero  # bessel imports this module
+            zero = _alpha_zero(a, 1e-13)
+        if zero is not None:
+            start = max(start, (zero / (n + 0.25 * a + 0.75)) ** 2)
+    return start
 
 
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     """Smallest eigenvalue of T with a bracket whose ends the binary64 sign
     count places; the count does not prove them (see ``EigenResult``).
 
-    ``_solve`` searches (0, q_0] from ``_start``: for n >= _START_MIN_N,
-    Dörfler's limit (c(a)(n + (a+3)/4))^-2 where it lies above
-    ``_lower_bound``, else that bound.  Weyl's term is the larger from
-    alpha of about 100 on (30 at n = 2): at n = 20000 it is 0.987 of the
-    eigenvalue at alpha = 1e4 and 0.9993 at 1e8, where 1/refined_upper is
-    0.19 and 0.0055.  The close narrows the bracket to tol/8.  A start that
-    the sign count places above two or more eigenvalues falls back to
-    sigma = 0, where every pivot is q_k > 0.
+    ``_solve`` searches (0, q_0] from ``_start``.  A start that the
+    sign count places above the eigenvalue is the bracket's upper end and
+    the solve goes on from above; one that it places above two or more
+    eigenvalues falls back to sigma = 0, where every pivot is q_k > 0.  The
+    close narrows the bracket to tol/8.
     """
     return _smallest(T, tol)
 
@@ -559,10 +548,11 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
               zero: float | None = None) -> EigenResult:
     """``smallest_eigenvalue`` from ``start``, where the caller has a better
-    one (a start that counts one eigenvalue is kept, one that counts more
-    falls back to 0), else from ``_start``'s, given the Bessel zero ``zero``
-    when the caller has it.  The start moves only the pass count: the result
-    does not depend on it."""
+    one, else from ``_start(T.alpha, T.q, zero)``, given the Bessel zero
+    ``zero`` when the caller has it.  Either way a start that counts one
+    eigenvalue is kept from above, and one that counts more falls back to
+    0.  The start moves only the pass count: the result does not depend on
+    it."""
     _check_tol(tol)
     q = T.q
     n = len(q)
@@ -570,7 +560,7 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
     if start is None:
-        start = _start(T.alpha, n, _lower_bound(T.alpha, q), q[0], zero)
+        start = _start(T.alpha, q, zero)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
@@ -603,9 +593,4 @@ def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:
     """Sharp constant c_n(alpha): inverse square root of the smallest zero of Q_n."""
-    res = smallest_eigenvalue(build_jacobi(alpha, n), tol)
-    if res.value <= 0.0:
-        raise RuntimeError(
-            f"smallest eigenvalue {res.value} is not positive (alpha={alpha}, n={n})"
-        )
-    return math.sqrt(1.0 / res.value)
+    return math.sqrt(1.0 / smallest_eigenvalue(build_jacobi(alpha, n), tol).value)

@@ -720,9 +720,8 @@ class TestEveryBoundOnItsSide:
         # power-sum chain, Dorfler and Laguerre-Samuelson at every n, the
         # refined upper bound from n = 3 and the refined lower bound where it
         # is also valid.  The bracket is widened by 4n eps, a stand-in for
-        # the O(n eps) rounding of the binary64 sign count, which the
-        # solver's fixed margin does not yet cover at large n (ROADMAP
-        # item 1).
+        # the O(n eps) rounding of the binary64 sign count: the bracket is
+        # not proved (ROADMAP item 1).
         res = smallest_eigenvalue(build_jacobi(alpha, n))
         lo, hi = res.bracket
         slack = 4 * n * 2.0**-52

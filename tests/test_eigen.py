@@ -21,7 +21,13 @@ from markov_laguerre import (
     turan_constant,
 )
 from markov_laguerre import eigen
-from markov_laguerre.bessel import _bessel_zero_bounds, _order, _zero_eigenvalue, first_zero
+from markov_laguerre.bessel import (
+    _alpha_zero,
+    _bessel_zero_bounds,
+    _order,
+    _zero_eigenvalue,
+    first_zero,
+)
 from markov_laguerre.eigen import (
     _START_MIN_N,
     _count,
@@ -30,7 +36,6 @@ from markov_laguerre.eigen import (
     _laguerre_pass_e,
     _laguerre_step,
     _largest,
-    _lower_bound,
     _newton_pass,
     _smallest,
     _solve,
@@ -337,8 +342,9 @@ class TestKernel:
 
     def test_pass_count_on_wide_alpha_draws(self):
         # alpha log-uniform on [1e2, 1.7e308], n on [2, 2000]: from Weyl's
-        # bound 3.1 passes on average and 6 at most; from 1/refined_upper,
-        # or from 0 on T/alpha past 1.3e154, 11.9 and 30
+        # bound 2.6 passes on average and 6 at most (3.1 and 6 from
+        # (4n + 12) ulps below it); from 1/refined_upper, on the 75 draws
+        # where it does not overflow, 18.8 and 60
         rng = random.Random(5)
         passes = []
         for _ in range(150):
@@ -349,21 +355,49 @@ class TestKernel:
             lo, hi = res.bracket
             assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
             passes.append(res.iterations)
-        assert sum(passes) / len(passes) <= 4
+        assert sum(passes) / len(passes) <= 3
         assert max(passes) <= 8
 
-    def test_start_counts_no_eigenvalue_on_wide_draws(self):
-        # The start lies below where the binary64 count flips, at every
-        # alpha.  Without its margin, Weyl's bound (sqrt(q_{n-1}) - 1)^2
-        # counted an eigenvalue on 969 of these draws.
+    def test_a_start_that_counts_the_eigenvalue_moves_no_bit(self):
+        # At large alpha Weyl's bound (sqrt(q_{n-1}) - 1)^2 lies within ulps
+        # of the eigenvalue, and on most of these draws the count places it
+        # above: the solve keeps it from above.  The bits are those
+        # of the solve from (4n + 12) ulps lower, which no start counted, in
+        # 4,642 passes.
         rng = random.Random(11)
+        counted = passes = 0
         for _ in range(1500):
             alpha = math.exp(rng.uniform(math.log(1e-3), math.log(1.7e308)))
             n = round(math.exp(rng.uniform(math.log(2), math.log(20000))))
             T = build_jacobi(alpha, n)
-            lower = _lower_bound(alpha, T.q)
-            assert lower > 0.0
-            assert _count(T.q, _start(alpha, n, lower, T.q[0])) == 0, (alpha, n)
+            s = _start(alpha, T.q)
+            assert s > 0.0
+            counted += _count(T.q, s) == 1
+            res = smallest_eigenvalue(T)
+            below = _smallest(T, 1e-13, s * (1 - (4 * n + 12) * 2.0**-53))
+            assert (res.value, res.bracket) == (below.value, below.bracket), (alpha, n)
+            passes += res.iterations
+        assert counted >= 900
+        assert passes <= 4100
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(min_value=-1.0, max_value=1.7e308, exclude_min=True),
+        n=st.integers(min_value=2, max_value=3000),
+        zero_tol=st.sampled_from([None, 1e-13, 1e-3]),
+    )
+    @example(alpha=-1 + 2.0**-53, n=2, zero_tol=None)
+    @example(alpha=-1 + 2.0**-53, n=3000, zero_tol=1e-3)
+    @example(alpha=2001.0, n=300, zero_tol=1e-3)
+    @example(alpha=1.7e308, n=3000, zero_tol=None)
+    def test_start_lies_inside_the_search_interval(self, alpha, n, zero_tol):
+        # 0 < start < q_0: 1/refined_upper lies below the eigenvalue, which
+        # lies below q_0, and (sqrt(q) - 1)^2 < q; Dörfler's limit too, from
+        # the caller's zero at any tol.  A start at q_0 or past it would
+        # still be taken as the upper end of the bracket.
+        q = build_jacobi(alpha, n).q
+        zero = None if zero_tol is None else _alpha_zero(alpha, zero_tol)
+        assert 0.0 < _start(alpha, q, zero) < q[0]
 
     def test_laguerre_step_is_newtons_where_s2_underflowed(self):
         # S2 = 0 puts the discriminant below 0, which exact arithmetic never
@@ -558,12 +592,14 @@ class TestKernel:
     @pytest.mark.parametrize("n", [_START_MIN_N, 4096])
     def test_start_from_dorflers_limit(self, alpha, n):
         # (c(a)(n + (a+3)/4))^-2 with c(a) = 1/j_{(a-1)/2,1}: above the
-        # refined bound's start and below the eigenvalue
+        # refined bound's start and below the eigenvalue.  A zero of 0 puts
+        # Dörfler's term at 0, which leaves the start of the two bounds;
+        # Weyl's is the larger at a = 1000 and 2001, n = 300.
         T = build_jacobi(alpha, n)
-        lower = 1.0 / _refined_upper(alpha, n)
-        sigma = _start(alpha, n, lower, T.q[0])
-        assert sigma == (first_zero((alpha - 1) / 2) / (n + (alpha + 3) / 4)) ** 2
-        assert lower < sigma and sturm_count(T, sigma) == 0
+        dorfler = (first_zero((alpha - 1) / 2) / (n + (alpha + 3) / 4)) ** 2
+        sigma = _start(alpha, T.q)
+        assert sigma == max(dorfler, _start(alpha, T.q, 0.0))
+        assert 1.0 / _refined_upper(alpha, n) < dorfler and sturm_count(T, sigma) == 0
 
     @pytest.mark.parametrize("alpha, n", [
         (5.0, _START_MIN_N - 1),     # below the cut, a zero costs more than it saves
@@ -574,9 +610,13 @@ class TestKernel:
         (2003.0, 20000),
     ])
     def test_start_keeps_the_refined_bound(self, alpha, n):
+        # Dörfler's term is not taken: the start is that of the two bounds
+        # alone (a zero of 0 puts Dörfler's term at 0), 1/refined_upper
+        # where alpha < 100 and Weyl's at 2003
         T = build_jacobi(alpha, n)
         lower = 1.0 / _refined_upper(alpha, n)
-        assert _start(alpha, n, lower, T.q[0]) == lower
+        sigma = _start(alpha, T.q)
+        assert sigma == _start(alpha, T.q, 0.0) and (sigma == lower) == (alpha < 100)
         res = smallest_eigenvalue(T)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
