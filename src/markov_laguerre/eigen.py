@@ -25,9 +25,13 @@ from either side, both derivatives from the sign-count pass.  On the
 smallest eigenvalue of T_n, once a Laguerre step predicts that a Newton
 step from where it lands falls within tol/16 of the eigenvalue, the next
 passes are ``_newton_pass``, which needs the first derivative only and
-costs about 0.6 of a Laguerre pass.  Once a step is small, a close that
-only counts finds the cell of a fixed lattice, at most tol/8 of the value
-wide, where the count flips, and the result is the midpoint of that cell.
+costs about 0.6 of a Laguerre pass.  From Dörfler's start at
+n >= 30(alpha+1) the first pass is already Newton's: the pull of the
+other eigenvalues, which a Laguerre pass would measure, is about
+(alpha+1)/4, in closed form from the Bessel spectrum.  Once a step is
+small, a close that only counts finds the cell of a fixed lattice, at
+most tol/8 of the value wide, where the count flips, and the result is
+the midpoint of that cell.
 The lattice depends on tol alone, so the result depends on the matrix and
 tol, not on the start: a caller that can predict the eigenvalue
 (``bounds._rows``, from its neighbours in n) may start there.
@@ -67,6 +71,17 @@ _MAX_PASSES = 200
 # Python 3.11, 2 vCPUs).  The two break even near n = 280.  The bounds
 # engine computes the zero for its rows anyway and passes it in.
 _START_MIN_N = 300
+# From n = _NEWTON_FIRST (a+1) on, a solve from Dörfler's start takes
+# Newton's pass first (``_pull``).  Below it the start lies farther off, the
+# first Newton step lands 1e-6 or more from the eigenvalue, and the
+# Laguerre step after it is too long for the close: a third step pass.  On
+# 2,500 draws with n/(a+1) log-uniform on [10, 80], counting a Newton pass
+# 0.61 and a count 0.27 of a Laguerre pass (179, 79 and 292 ns an entry;
+# Python 3.11, 2 vCPUs), Newton-first took 0.58 more passes a solve and
+# cost 4.2% more at n/(a+1) in [15, 20), 0.22 and 0.10 more passes for
+# +0.4% and -3.2% in [20, 25) and [25, 30), and 0.03 more passes for 12%
+# less in [30, 40).
+_NEWTON_FIRST = 30
 # Steps of at most this share of sigma go to the close.
 _CLOSE = 1e-6
 
@@ -372,7 +387,7 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
 
 
 def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
-           newton_pass=None) -> EigenResult:
+           newton_pass=None, pull: tuple[float, float] | None = None) -> EigenResult:
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
     that it lies there.  ``step_pass(sigma)`` returns the number of
     eigenvalues of M at or below sigma and a Laguerre step towards the
@@ -387,8 +402,9 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     at lo, which must count none.  Each later pass moves one end of the
     bracket to sigma, by its count, unless its step is 0 (a zero last pivot:
     sigma is the eigenvalue).  Only steps from counts 0 and 1 are used.
-    Once |step| <= _CLOSE*|sigma|, the estimate sigma + step, clamped to the
-    bracket, goes to the close; so does the bracket's midpoint once
+    Once |step| <= _CLOSE*|sigma| (and the step is predicted to land within
+    tol/32, below), the estimate sigma + step, clamped to the bracket, goes
+    to the close; so does the bracket's midpoint once
     hi - lo <= tol * |midpoint|.  Before that, the estimate is the next sigma
     where it lies inside the bracket, and the bracket's midpoint where it
     does not or there is no step.
@@ -404,7 +420,30 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     that pull out, 1/(S1 - rho/sigma), which leaves its estimate as close
     to the eigenvalue as Laguerre's: the close then starts from the same
     cell (plain 1/S1, up to tol/16 short, moved the pass count of 4 in
-    1,000 point solves by one).
+    1,000 point solves by one).  A Laguerre step goes to the close only
+    where it is also predicted to land within tol/32, rho delta^3 <= tol/32:
+    where the smallest eigenvalues cluster (rho of order n), a step of
+    4e-7 sigma landed 3.5e-11 short (a = 2e14, n = 15400), and the close
+    galloped 14 counts from there.
+
+    Newton from the first pass.  A caller that knows the pull gives
+    ``pull`` = (pull, u), with u an allowance on the error of
+    rho = pull * sigma.  Then the first pass is Newton's, its step takes
+    that pull out, and it lands about u delta^2 from the eigenvalue.  A
+    step whose u delta^2 is at most tol/32 goes to the close.  Otherwise
+    the next pass is Newton's, with the same pull, where a Newton step from
+    where this one lands, u (u delta^2)^2, is predicted within tol/32 too,
+    and Laguerre's where it is not; from a Laguerre pass on, the rules
+    above hold.  For T_n(a) from Dörfler's start (``_pull``) the pull is
+    the Bessel spectrum's, rho = (a+1)/4: n^2 lambda_k tends to
+    x_k = j_{nu,k}^2, nu = (a-1)/2, the zeros of
+    F(x) = x^(-nu/2) J_nu(sqrt x), an entire function of order 1/2 with
+    F(0) != 0, so F(x) = F(0) prod (1 - x/x_k).  At its simple zero x_1,
+    -F''/(2F') = sum_{k>=2} 1/(x_k - x_1), so the limit of rho is
+    -x_1 F''(x_1)/(2F'(x_1)); Bessel's equation for J_nu(t) reads, in
+    x = t^2, x F'' + (nu + 1) F' + F/4 = 0, and F(x_1) = 0 leaves
+    x_1 F'' = -(nu + 1) F': rho = (nu + 1)/2 = (a + 1)/4.  The Laguerre pass
+    that measured rho is saved.
 
     The close (``_close``) returns the cell of a fixed lattice where the
     count flips, found by its integer index from the estimate's, and its
@@ -413,7 +452,10 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     binary64 resolution) raises RuntimeError.
     """
     cut = (tol / 16.0) ** (1.0 / 3.0)
-    newton = False
+    land = tol / 32.0
+    given = newton = pull is not None
+    if given:
+        pull, slack = pull
     steps = 0
     while True:
         c, step, s1 = (newton_pass if newton else step_pass)(sigma)
@@ -426,6 +468,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
                                "counts one at or below it")
         if steps == 1 and c and not (c == 1 and step is not None and lo < sigma < hi):
             hi, sigma = sigma, lo
+            given = newton = False
             continue
         if step != 0.0:
             if c == 0:
@@ -438,11 +481,22 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
         usable = c <= 1 and step is not None
-        if usable and abs(step) <= _CLOSE * abs(sigma):
-            est = min(max(sigma + step, lo), hi)
-            break
         if usable:
-            if not newton and newton_pass is not None:
+            if given:
+                # this step lands about u delta^2 from the eigenvalue, and a
+                # Newton step from there u miss^2 from it
+                delta = step / sigma
+                miss = slack * delta * delta
+                if miss <= land:
+                    est = min(max(sigma + step, lo), hi)
+                    break
+                given = newton = slack * miss * miss <= land
+            elif abs(step) <= _CLOSE * abs(sigma) and (
+                    step == 0.0 or abs(s1 * step - 1.0) * (step / sigma) ** 2 <= land):
+                # rho delta^3 = |S1 h - 1| delta^2
+                est = min(max(sigma + step, lo), hi)
+                break
+            elif not newton and newton_pass is not None:
                 # rho = pull * sigma and delta = |step/sigma|
                 pull = s1 - 1.0 / step
                 newton = abs(pull * step * step) <= cut * abs(sigma)
@@ -450,7 +504,8 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
         else:
             sigma = math.nan
         if not lo < sigma < hi:
-            sigma, newton = est, False
+            sigma = est
+            given = newton = False
             if not lo < sigma < hi:
                 raise _unresolved(tol, lo, hi)
     lo, hi, counts = _close(count, lo, hi, est, tol)
@@ -532,6 +587,25 @@ def _start(a: float, q, zero: float | None = None) -> float:
     return start
 
 
+def _pull(a: float, n: int, start: float) -> tuple[float, float] | None:
+    """The pull of the other eigenvalues on the smallest of T_n(a) from
+    ``_start``, as ``_solve`` takes it: (rho/start, u) with rho = (a+1)/4,
+    the Bessel spectrum's (``_solve``), and u = rho (a+1)/n + 0.01 the
+    allowance on its error; None outside the gate, where the solve takes a
+    Laguerre pass first.
+
+    The gate is Dörfler's start (n >= _START_MIN_N, a <= 2001) and
+    n >= _NEWTON_FIRST (a+1).  At finite n the pull, at the start or at the
+    eigenvalue, falls short of (a+1)/4 by 0.5 to 0.6 of (a+1)/n of it: by
+    up to 0.65 u on 400 draws inside the gate with n <= 3000 and a from
+    1e-15 above -1 (LAPACK's spectrum).
+    """
+    if n < max(_START_MIN_N, _NEWTON_FIRST * (a + 1.0)) or a > 2001.0:
+        return None
+    rho = 0.25 * (a + 1.0)
+    return rho / start, rho * (a + 1.0) / n + 0.01
+
+
 def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
     """Smallest eigenvalue of T with a bracket whose ends the binary64 sign
     count places; the count does not prove them (see ``EigenResult``).
@@ -549,22 +623,25 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
               zero: float | None = None) -> EigenResult:
     """``smallest_eigenvalue`` from ``start``, where the caller has a better
     one, else from ``_start(T.alpha, T.q, zero)``, given the Bessel zero
-    ``zero`` when the caller has it.  Either way a start that counts one
-    eigenvalue is kept from above, and one that counts more falls back to
-    0.  The start moves only the pass count: the result does not depend on
-    it."""
+    ``zero`` when the caller has it; that start comes with ``_pull``'s
+    pull, which sends the first pass to Newton's inside its gate.  Either
+    way a start that counts one eigenvalue is kept from above, and one that
+    counts more falls back to 0.  The start moves only the pass count: the
+    result does not depend on it."""
     _check_tol(tol)
     q = T.q
     n = len(q)
     if n == 1:
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
+    pull = None
     if start is None:
         start = _start(T.alpha, q, zero)
+        pull = _pull(T.alpha, n, start)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                  0.0, q[0], start, tol, functools.partial(_newton_pass, q))
+                  0.0, q[0], start, tol, functools.partial(_newton_pass, q), pull)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:

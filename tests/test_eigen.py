@@ -29,6 +29,7 @@ from markov_laguerre.bessel import (
     first_zero,
 )
 from markov_laguerre.eigen import (
+    _NEWTON_FIRST,
     _START_MIN_N,
     _count,
     _count_e,
@@ -37,6 +38,7 @@ from markov_laguerre.eigen import (
     _laguerre_step,
     _largest,
     _newton_pass,
+    _pull,
     _smallest,
     _solve,
     _start,
@@ -330,7 +332,8 @@ class TestKernel:
         # Draws as in the benchmark's point workload, at n <= 2000.  Newton
         # steps without the counting close took 8.5 passes on average, 11 at
         # most; Laguerre steps from 1/refined_upper 5.5 and 8; from Dörfler's
-        # limit they take 4.2 and 6.
+        # limit they take 4.2 and 6, and 4.1 and 5 with Newton's pass first
+        # from n = 30(alpha+1) on.
         rng = random.Random(7)
         passes = []
         for _ in range(60):
@@ -704,11 +707,44 @@ def point_draws(count, seed, n_max=20000):
     return draws
 
 
+def laguerre_first(monkeypatch):
+    """Turn Newton-first off: ``_smallest`` hands ``_solve`` no pull, so the
+    first step pass is Laguerre's, as on a warm start."""
+    solve = eigen._solve
+    monkeypatch.setattr(eigen, "_solve", lambda *args: solve(*args[:7]))
+
+
 def laguerre_only(monkeypatch):
-    """Turn the switch to Newton's pass off: a step pass whose S1 is nan
-    never passes ``_solve``'s test, so every step pass is Laguerre's."""
-    monkeypatch.setattr(eigen, "_laguerre_pass",
-                        lambda q, sigma: (*_laguerre_pass(q, sigma)[:2], math.nan))
+    """Turn Newton's pass off: ``_smallest`` hands ``_solve`` neither a
+    Newton pass nor a pull, so every step pass is Laguerre's."""
+    solve = eigen._solve
+    monkeypatch.setattr(eigen, "_solve", lambda *args: solve(*args[:6]))
+
+
+def gate_draws():
+    """Seeded (alpha, n) on both sides of Newton-first's gate
+    n >= max(300, 30(alpha+1)), alpha <= 2001: alpha within 1e-15 of -1,
+    uniform on (-1, 100], log-uniform on [100, 2001] and past 2001 up to
+    1e4; n log-uniform on [300, 30000], and at the gate's edge."""
+    rng = random.Random(23)
+    draws = [(-1 + 2.0**-52, 300), (-0.9999999999999999, 20000), (0.0, 300), (9.0, 300),
+             (9.0, 299), (49.0, 1499), (49.0, 1500), (2001.0, 60059), (2001.0, 60060),
+             (2003.0, 60120)]
+    for _ in range(100):
+        kind = rng.randrange(4)
+        if kind == 0:
+            alpha = -1 + 10 ** rng.uniform(-15, -1)
+        elif kind == 1:
+            alpha = 100.0 - 101.0 * rng.random()
+        elif kind == 2:
+            alpha = math.exp(rng.uniform(math.log(100), math.log(2001)))
+        else:
+            alpha = math.exp(rng.uniform(math.log(2001), math.log(1e4)))
+        n = round(math.exp(rng.uniform(math.log(300), math.log(30000))))
+        if kind < 3 and rng.random() < 0.2:
+            n = max(2, round(_NEWTON_FIRST * (alpha + 1)) + rng.randint(-2, 2))
+        draws.append((alpha, n))
+    return draws
 
 
 def mp_newton_step(q, sigma):
@@ -730,7 +766,9 @@ class TestNewtonPass:
     """``_newton_pass`` counts as ``_count`` does and steps by 1/S1;
     ``_solve`` runs it where the last Laguerre pass predicts that its
     estimate lands in the close's cell, so every result is the
-    Laguerre-only driver's, pass count included."""
+    Laguerre-only solve's, pass count included; and from the first pass
+    where ``_pull`` gives the pull in closed form, which moves the pass
+    count but no bit of the value or the bracket."""
 
     def test_count_is_the_count_pass_through_zero_pivots(self):
         # a zero pivot at the first entry (sigma = q_0), inner for n > 1 and
@@ -772,24 +810,63 @@ class TestNewtonPass:
             assert s1 == pytest.approx(_laguerre_pass(q, sigma)[2], rel=1e-14)
 
     def test_results_are_the_laguerre_drivers(self, monkeypatch):
-        # values, brackets and pass counts, on point draws up to n = 5000
+        # values, brackets and pass counts, on point draws up to n = 5000:
+        # the switch after a Laguerre pass keeps the Laguerre-only solve's
+        # results; Newton-first keeps its values and brackets
         draws = point_draws(60, 7, 5000)
-        with_newton = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        newton_first = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        laguerre_first(monkeypatch)
+        with_switch = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        assert [r[:2] for r in with_switch] == [r[:2] for r in newton_first]
+        monkeypatch.undo()
         laguerre_only(monkeypatch)
-        assert [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws] == with_newton
+        assert [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws] == with_switch
+
+    def test_newton_first_moves_no_bit(self, monkeypatch):
+        # On both sides of the gate, alpha near -1 and past 100 with
+        # n < 30(alpha+1) among them, the value and the bracket are the
+        # Laguerre-first solve's; inside the gate the first step pass is
+        # Newton's, outside it Laguerre's.
+        firsts = []
+        for name in ("_laguerre_pass", "_newton_pass"):
+            real = getattr(eigen, name)
+
+            def first(q, sigma, name=name, real=real):
+                if firsts[-1] is None:
+                    firsts[-1] = name
+                return real(q, sigma)
+            monkeypatch.setattr(eigen, name, first)
+        draws = gate_draws()
+        results = []
+        for alpha, n in draws:
+            firsts.append(None)
+            results.append(smallest_eigenvalue(build_jacobi(alpha, n)))
+        gated = [n >= max(_START_MIN_N, _NEWTON_FIRST * (a + 1)) and a <= 2001 for a, n in draws]
+        assert firsts == ["_newton_pass" if g else "_laguerre_pass" for g in gated]
+        assert sum(gated) >= 40 and len(gated) - sum(gated) >= 40
+        assert sum(a > 100 and n < _NEWTON_FIRST * (a + 1) for a, n in draws) >= 20
+        assert sum(g and a < -1 + 1e-6 for g, (a, _) in zip(gated, draws)) >= 5
+        laguerre_first(monkeypatch)
+        for (alpha, n), res in zip(draws, results):
+            other = smallest_eigenvalue(build_jacobi(alpha, n))
+            assert (res.value, res.bracket) == (other.value, other.bracket), (alpha, n)
 
     def test_newton_takes_the_laguerre_passes_it_can(self, monkeypatch):
-        # Step passes per solve on point draws, weighted by n (so by cost):
-        # 2.0 Laguerre passes on the Laguerre-only driver; with the switch,
-        # 1.1 Laguerre and 0.9 Newton, and not one pass more in all
+        # Step-pass entries per solve on point draws, weighted by n (so by
+        # cost): 2.0 Laguerre passes on the Laguerre-only solve; with the
+        # switch after a Laguerre pass, 1.1 Laguerre and 0.9 Newton; with
+        # Newton-first, 0.21 Laguerre and 1.80 Newton, in 474 passes
+        # against 483
         draws = point_draws(100, 11)
         weight = sum(n for _, n in draws)
-        entries = dict.fromkeys(("_laguerre_pass", "_newton_pass"), 0)
 
-        def solve_counted():
+        def solve_counted(turn_off=None):
+            monkeypatch.undo()
+            if turn_off:
+                turn_off(monkeypatch)
+            entries = dict.fromkeys(("_laguerre_pass", "_newton_pass"), 0)
             for name in entries:
                 real = getattr(eigen, name)
-                entries[name] = 0
 
                 def step_pass(q, sigma, name=name, real=real):
                     entries[name] += len(q)
@@ -797,27 +874,80 @@ class TestNewtonPass:
                 monkeypatch.setattr(eigen, name, step_pass)
             iterations = sum(smallest_eigenvalue(build_jacobi(a, n)).iterations
                              for a, n in draws)
-            return iterations, entries["_laguerre_pass"] / weight, entries["_newton_pass"] / weight
+            return (iterations, entries["_laguerre_pass"] / weight,
+                    entries["_newton_pass"] / weight)
 
         iterations, laguerre, newton = solve_counted()
-        assert laguerre <= 1.2 and newton >= 0.8
-        monkeypatch.undo()
-        laguerre_only(monkeypatch)
-        assert solve_counted() == (iterations, pytest.approx(laguerre + newton), 0.0)
-        assert laguerre + newton >= 1.95
+        only, only_laguerre, _ = solve_counted(laguerre_only)
+        assert iterations <= only
+        assert laguerre <= 0.25 and newton >= 1.7
+        switch, switch_laguerre, switch_newton = solve_counted(laguerre_first)
+        assert switch == only and switch_laguerre <= 1.2 and switch_newton >= 0.8
+        assert switch_laguerre + switch_newton == pytest.approx(only_laguerre) and only_laguerre >= 1.95
 
-    @pytest.mark.parametrize("alpha, n, passes", [(2e14, 15400, 27), (1.46e14, 12140, 25),
-                                                  (1e5, 20000, 13), (1e8, 20000, 7)])
+    @pytest.mark.parametrize("alpha, n, passes", [(2e14, 15400, 5), (1.46e14, 12140, 5),
+                                                  (1e5, 20000, 7), (1e8, 20000, 7)])
     def test_clustered_inputs_keep_their_passes(self, alpha, n, passes, monkeypatch):
         # where the smallest eigenvalues cluster, rho is large and the test
         # keeps the passes Laguerre's; a plain |h| <= 1e-3 sigma rule sent
         # (1e8, 20000) into the close's gallop, 58 passes, and (2e14, 15400)
-        # to 49
+        # to 49.  A Laguerre step goes to the close only where rho delta^3
+        # is within tol/32: without it, (2e14, 15400) took 27 passes,
+        # (1.46e14, 12140) 25 and (1e5, 20000) 13, most of them counts
         T = build_jacobi(alpha, n)
         res = smallest_eigenvalue(T)
         assert res.iterations == passes
         laguerre_only(monkeypatch)
         assert smallest_eigenvalue(T) == res
+
+
+class TestPull:
+    """The pull that Newton-first takes in closed form: rho = (a+1)/4 from
+    the Bessel spectrum, and the finite-n pull within ``_pull``'s
+    allowance."""
+
+    @pytest.mark.parametrize("nu", [0, 1, 2.5, 10])
+    def test_bessel_spectrum_pulls_its_first_zero_by_nu_plus_one_over_two(self, nu):
+        # j_1^2 sum_{k>=2} 1/(j_k^2 - j_1^2) = (nu+1)/2: 100 zeros, and past
+        # them McMahon's j_k^2 ~ beta_k^2 - (4nu^2 - 1)/4, beta_k = (k + nu/2
+        # - 1/4) pi, summed by polygammas: off by at most 6e-8, at nu = 10
+        K = 100
+        with mpmath.workdps(30):
+            j1 = mpmath.besseljzero(nu, 1) ** 2
+            head = sum(1 / (mpmath.besseljzero(nu, k) ** 2 - j1) for k in range(2, K + 1))
+            x = K + 1 + mpmath.mpf(nu) / 2 - mpmath.mpf(1) / 4
+            shift = (4 * mpmath.mpf(nu) ** 2 - 1) / 4 + j1
+            tail = (mpmath.polygamma(1, x) / mpmath.pi ** 2
+                    + shift * mpmath.polygamma(3, x) / (6 * mpmath.pi ** 4))
+            rho = float(j1 * (head + tail))
+        assert rho == pytest.approx((nu + 1) / 2, rel=1e-6)
+
+    def test_finite_n_pull_lies_within_the_allowance(self):
+        # rho(sigma) = sigma sum_{k>=2} 1/(lambda_k - sigma) at the start
+        # and at the eigenvalue, against the closed form's sigma * pull:
+        # within u on the gate's side (up to 0.65 u, near its edge), the
+        # spectrum from LAPACK; outside the gate there is no pull
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = random.Random(29)
+        draws = [(-1 + 2.0**-52, 300), (0.0, 300), (9.0, 300), (49.0, 1500), (99.0, 3000)]
+        for _ in range(25):
+            n = round(math.exp(rng.uniform(math.log(300), math.log(3000))))
+            alpha = (-1 + 10 ** rng.uniform(-15, -1) if rng.random() < 0.2
+                     else rng.uniform(-1, n / _NEWTON_FIRST - 1))
+            draws.append((alpha, n))
+        worst = 0.0
+        for alpha, n in draws:
+            T = build_jacobi(alpha, n)
+            start = _start(alpha, T.q)
+            pull, u = _pull(alpha, n, start)
+            q = np.array(T.q)
+            eig = linalg.eigvalsh_tridiagonal(q + np.r_[0.0, np.ones(n - 1)], np.sqrt(q[:-1]))
+            for sigma in (start, smallest_eigenvalue(T).value):
+                rho = sigma * np.sum(1.0 / (eig[1:] - sigma))
+                worst = max(worst, abs(rho - sigma * pull) / u)
+        assert worst <= 0.8
+        for alpha, n in [(9.0, 299), (49.0, 1499), (2003.0, 60120), (5.0, _START_MIN_N - 1)]:
+            assert _pull(alpha, n, 1.0) is None
 
 
 def start_cases():
