@@ -21,17 +21,15 @@ for a factor with squared subdiagonal e_k; the Bessel zeros of
 :mod:`markov_laguerre.bessel` use them.
 
 One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
-from either side, both derivatives from the sign-count pass.  On the
-smallest eigenvalue of T_n, once a Laguerre step predicts that a Newton
-step from where it lands falls within tol/16 of the eigenvalue, the next
-passes are ``_newton_pass``, which needs the first derivative only and
-costs about 0.6 of a Laguerre pass.  From Dörfler's start at
-n >= 30(alpha+1) the first pass is already Newton's: the pull of the
-other eigenvalues, which a Laguerre pass would measure, is about
-(alpha+1)/4, in closed form from the Bessel spectrum.  Once a step is
-small, a close that only counts finds the cell of a fixed lattice, at
-most tol/8 of the value wide, where the count flips, and the result is
-the midpoint of that cell.
+from either side, both derivatives from the sign-count pass.  From
+Dörfler's start at n >= 30(alpha+1) the smallest eigenvalue of T_n takes
+``_newton_pass`` instead, which needs the first derivative only and costs
+about 0.6 of a Laguerre pass: the pull of the other eigenvalues, which a
+Laguerre pass measures, is about (alpha+1)/4 there, in closed form from
+the Bessel spectrum.  Once a step is predicted to land within tol/32 of
+the eigenvalue, a close that only counts finds the cell of a fixed
+lattice, at most tol/8 of the value wide, where the count flips, and the
+result is the midpoint of that cell.
 The lattice depends on tol alone, so the result depends on the matrix and
 tol, not on the start: a caller that can predict the eigenvalue
 (``bounds._rows``, from its neighbours in n) may start there.
@@ -72,18 +70,16 @@ _MAX_PASSES = 200
 # engine computes the zero for its rows anyway and passes it in.
 _START_MIN_N = 300
 # From n = _NEWTON_FIRST (a+1) on, a solve from Dörfler's start takes
-# Newton's pass first (``_pull``).  Below it the start lies farther off, the
-# first Newton step lands 1e-6 or more from the eigenvalue, and the
-# Laguerre step after it is too long for the close: a third step pass.  On
-# 2,500 draws with n/(a+1) log-uniform on [10, 80], counting a Newton pass
-# 0.61 and a count 0.27 of a Laguerre pass (179, 79 and 292 ns an entry;
-# Python 3.11, 2 vCPUs), Newton-first took 0.58 more passes a solve and
-# cost 4.2% more at n/(a+1) in [15, 20), 0.22 and 0.10 more passes for
-# +0.4% and -3.2% in [20, 25) and [25, 30), and 0.03 more passes for 12%
-# less in [30, 40).
+# Newton's pass first (``_pull``).  Below it the start lies farther off and
+# the first Newton step lands too far for the close: a further step pass.
+# On 2,500 draws with n/(a+1) log-uniform on [10, 80] and n >= 300, a
+# uniform on (-1, 100], counting a Newton pass 0.61 and a count 0.27 of a
+# Laguerre pass (179, 79 and 292 ns an entry; Python 3.11, 2 vCPUs),
+# Newton-first took 1.0 more passes a solve than Laguerre's passes alone
+# and cost 24% more at n/(a+1) in [10, 15), 0.25 more passes for +2.7% in
+# [15, 20), and no more passes for 15% less in each of [20, 25), [25, 30)
+# and [30, 40).
 _NEWTON_FIRST = 30
-# Steps of at most this share of sigma go to the close.
-_CLOSE = 1e-6
 
 
 class TridiagMatrix(NamedTuple):
@@ -108,8 +104,10 @@ class EigenResult(NamedTuple):
     hi - lo <= tol/8 * value, or lo and hi are adjacent floats where
     binary64 cannot resolve tol/8; value is its midpoint, within tol/16 of where the count flips,
     and the same bits whatever the start of the solve.  The count places the
-    ends but does not prove them: on random inputs with n up to 20000 it is
-    wrong at about one end in eight.
+    ends but does not prove them: on the seed-7 scan, 200 draws with n
+    log-uniform on [500, 20000], drawn first, and alpha uniform on
+    (-1, 100], a proved count finds 65 of the 400 ends wrong, about one in
+    six.
     ``iterations`` is the number of passes that took: step passes, Laguerre
     and Newton, and count-only passes together, and for a largest
     eigenvalue the count-only passes that check the ends of its bracket:
@@ -177,7 +175,7 @@ def _laguerre_step(n: int, s1: float, s2: float) -> float | None:
 
 def _laguerre_pass(q, sigma: float) -> tuple[int, float | None, float]:
     """Sign count at sigma, Laguerre's step for f = det(T - sigma) and
-    S1 = -f'/f, which ``_solve`` reads to switch to Newton's step.
+    S1 = -f'/f, from which ``_solve`` predicts where the step lands.
 
     With u_k = s_k'/p_k and v_k = s_k''/p_k - u_k^2, S1 = -sum u_k,
     S2 = -sum v_k, s_0' = -1, s_{k+1}' = u_k q_k/p_k - 1, s_0'' = 0 and
@@ -215,7 +213,9 @@ def _laguerre_pass(q, sigma: float) -> tuple[int, float | None, float]:
 
 
 def _newton_pass(q, sigma: float) -> tuple[int, float | None, float]:
-    """Sign count at sigma, Newton's step 1/S1 for f = det(T - sigma) and S1.
+    """Sign count at sigma, Newton's step 1/S1 for f = det(T - sigma) and S1;
+    ``_solve`` takes it only with ``_pull``'s pull, which the step then
+    takes out.
 
     The count is ``_count``'s, bit for bit; S1 = -sum u_k, u_k = s_k'/p_k,
     is ``_laguerre_pass``'s without S2: 8 flops an entry against 15.
@@ -387,63 +387,44 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
 
 
 def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
-           newton_pass=None, pull: tuple[float, float] | None = None) -> EigenResult:
+           newton: tuple | None = None) -> EigenResult:
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
     that it lies there.  ``step_pass(sigma)`` returns the number of
-    eigenvalues of M at or below sigma and a Laguerre step towards the
+    eigenvalues of M at or below sigma, a Laguerre step towards the
     smallest one (None where it is undefined) and S1 = -f'/f;
-    ``count(sigma)`` returns the number alone.  A caller may give
-    ``newton_pass(sigma)``, which returns the same with Newton's step 1/S1.
+    ``count(sigma)`` returns the number alone.  A caller that knows the pull
+    of the other eigenvalues gives ``newton`` = (newton_pass, pull, u):
+    ``newton_pass(sigma)`` returns the same with Newton's step 1/S1, and u
+    is an allowance on the error of rho = pull * sigma.
 
-    Step phase.  The first pass is at sigma.  A start strictly inside
-    (lo, hi) that counts exactly one eigenvalue and gives a step becomes the
-    upper end and keeps its step, from above; a start that counts more, or
-    gives no step, or lies at lo, becomes the upper end, and the next pass is
-    at lo, which must count none.  Each later pass moves one end of the
-    bracket to sigma, by its count, unless its step is 0 (a zero last pivot:
-    sigma is the eigenvalue).  Only steps from counts 0 and 1 are used.
-    Once |step| <= _CLOSE*|sigma| (and the step is predicted to land within
-    tol/32, below), the estimate sigma + step, clamped to the bracket, goes
-    to the close; so does the bracket's midpoint once
-    hi - lo <= tol * |midpoint|.  Before that, the estimate is the next sigma
-    where it lies inside the bracket, and the bracket's midpoint where it
-    does not or there is no step.
+    Step phase.  The first pass is at sigma, Newton's where ``newton`` is
+    given.  A start strictly inside (lo, hi) that counts exactly one
+    eigenvalue and gives a step becomes the upper end and keeps its step,
+    from above; a start that counts more, or gives no step, or lies at lo,
+    becomes the upper end, and the next pass is Laguerre's at lo, which
+    must count none.  Each later pass moves one end of the bracket to
+    sigma, by its count, unless its step is 0 (a zero last pivot: sigma is
+    the eigenvalue).  Only steps from counts 0 and 1 are used.
 
-    Newton's pass.  A Laguerre step h from sigma lands at most about
-    rho delta^3 from the eigenvalue, relative, with delta = |h/sigma| and
-    rho = (S1 - 1/h) sigma the pull of the other eigenvalues; Newton's step
-    from there lands about rho times that squared from it.  Where
-    rho delta^2 <= (tol/16)^(1/3), that is within tol/16, and the passes
-    from sigma + h on are Newton's, at about 0.6 of the cost, until the
-    close or a step that leaves the bracket.  Where the other eigenvalues
-    crowd in (rho large) the passes stay Laguerre's.  Each Newton step takes
-    that pull out, 1/(S1 - rho/sigma), which leaves its estimate as close
-    to the eigenvalue as Laguerre's: the close then starts from the same
-    cell (plain 1/S1, up to tol/16 short, moved the pass count of 4 in
-    1,000 point solves by one).  A Laguerre step goes to the close only
-    where it is also predicted to land within tol/32, rho delta^3 <= tol/32:
-    where the smallest eigenvalues cluster (rho of order n), a step of
-    4e-7 sigma landed 3.5e-11 short (a = 2e14, n = 15400), and the close
-    galloped 14 counts from there.
-
-    Newton from the first pass.  A caller that knows the pull gives
-    ``pull`` = (pull, u), with u an allowance on the error of
-    rho = pull * sigma.  Then the first pass is Newton's, its step takes
-    that pull out, and it lands about u delta^2 from the eigenvalue.  A
-    step whose u delta^2 is at most tol/32 goes to the close.  Otherwise
-    the next pass is Newton's, with the same pull, where a Newton step from
-    where this one lands, u (u delta^2)^2, is predicted within tol/32 too,
-    and Laguerre's where it is not; from a Laguerre pass on, the rules
-    above hold.  For T_n(a) from Dörfler's start (``_pull``) the pull is
-    the Bessel spectrum's, rho = (a+1)/4: n^2 lambda_k tends to
-    x_k = j_{nu,k}^2, nu = (a-1)/2, the zeros of
-    F(x) = x^(-nu/2) J_nu(sqrt x), an entire function of order 1/2 with
-    F(0) != 0, so F(x) = F(0) prod (1 - x/x_k).  At its simple zero x_1,
-    -F''/(2F') = sum_{k>=2} 1/(x_k - x_1), so the limit of rho is
-    -x_1 F''(x_1)/(2F'(x_1)); Bessel's equation for J_nu(t) reads, in
-    x = t^2, x F'' + (nu + 1) F' + F/4 = 0, and F(x_1) = 0 leaves
-    x_1 F'' = -(nu + 1) F': rho = (nu + 1)/2 = (a + 1)/4.  The Laguerre pass
-    that measured rho is saved.
+    The hand-off.  A step goes to the close, as the estimate sigma + step
+    clamped to the bracket, when it is predicted to land within tol/32 of
+    the eigenvalue, relative; so does the bracket's midpoint once
+    hi - lo <= tol * |midpoint|.  Before that, the estimate is the next
+    sigma where it lies inside the bracket, and the bracket's midpoint
+    where it does not or there is no step.  With delta = |h/sigma| for the
+    step h from sigma, the prediction is:
+    - for Laguerre's step, rho delta^3 = |S1 h - 1| delta^2, with
+      rho = (S1 - 1/h) sigma the pull of the other eigenvalues.  Where the
+      smallest eigenvalues cluster (rho of order n) the passes go on: a
+      step of 4e-7 sigma lands 3.5e-11 short at a = 2e14, n = 15400.  The
+      prediction is the leading term; where one eigenvalue crowds in, the
+      step lands up to rho/2 times farther;
+    - for Newton's step, which takes the pull out, 1/(S1 - pull), and so
+      leaves its estimate as close to the eigenvalue as Laguerre's,
+      u delta^2.  The next pass is Newton's too where a Newton step from
+      where this one lands, u (u delta^2)^2, is predicted within tol/32,
+      and Laguerre's for the rest of the solve where it is not, or once a
+      step leaves the bracket.
 
     The close (``_close``) returns the cell of a fixed lattice where the
     count flips, found by its integer index from the estimate's, and its
@@ -451,11 +432,9 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     start or on the steps.  A cell wider than tol of its midpoint (tol below
     binary64 resolution) raises RuntimeError.
     """
-    cut = (tol / 16.0) ** (1.0 / 3.0)
     land = tol / 32.0
-    given = newton = pull is not None
-    if given:
-        pull, slack = pull
+    if newton:
+        newton_pass, pull, slack = newton
     steps = 0
     while True:
         c, step, s1 = (newton_pass if newton else step_pass)(sigma)
@@ -468,7 +447,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
                                "counts one at or below it")
         if steps == 1 and c and not (c == 1 and step is not None and lo < sigma < hi):
             hi, sigma = sigma, lo
-            given = newton = False
+            newton = None
             continue
         if step != 0.0:
             if c == 0:
@@ -480,32 +459,21 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
             break
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
-        usable = c <= 1 and step is not None
-        if usable:
-            if given:
-                # this step lands about u delta^2 from the eigenvalue, and a
-                # Newton step from there u miss^2 from it
-                delta = step / sigma
-                miss = slack * delta * delta
-                if miss <= land:
-                    est = min(max(sigma + step, lo), hi)
-                    break
-                given = newton = slack * miss * miss <= land
-            elif abs(step) <= _CLOSE * abs(sigma) and (
-                    step == 0.0 or abs(s1 * step - 1.0) * (step / sigma) ** 2 <= land):
-                # rho delta^3 = |S1 h - 1| delta^2
+        if c <= 1 and step is not None:
+            # sigma = 0 (the lower end 0) lends no scale: no hand-off there
+            delta = step / sigma if sigma else math.inf
+            miss = (slack if newton else abs(s1 * step - 1.0)) * delta * delta
+            if step == 0.0 or miss <= land:
                 est = min(max(sigma + step, lo), hi)
                 break
-            elif not newton and newton_pass is not None:
-                # rho = pull * sigma and delta = |step/sigma|
-                pull = s1 - 1.0 / step
-                newton = abs(pull * step * step) <= cut * abs(sigma)
+            if newton and slack * miss * miss > land:
+                newton = None
             sigma += step
         else:
             sigma = math.nan
         if not lo < sigma < hi:
             sigma = est
-            given = newton = False
+            newton = None
             if not lo < sigma < hi:
                 raise _unresolved(tol, lo, hi)
     lo, hi, counts = _close(count, lo, hi, est, tol)
@@ -552,11 +520,12 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
     return EigenResult(-res.value, (-hi, -lo), res.iterations + checks, tol)
 
 
-def _start(a: float, q, zero: float | None = None) -> float:
-    """Start of the smallest-eigenvalue solve on T_n(a), n = len(q) >= 2:
-    the largest of 1/refined_upper(a, n), 0 where the refined bound
-    overflows (a past about 1.3e154), Weyl's (sqrt(q_{n-1}) - 1)^2 and,
-    from n = _START_MIN_N on, Dörfler's limit.  It need not lie below the
+def _start(a: float, q, zero: float | None = None) -> tuple[float, float | None]:
+    """Start of the smallest-eigenvalue solve on T_n(a), n = len(q) >= 2,
+    and the Bessel zero of its Dörfler term, None where it took none: the
+    largest of 1/refined_upper(a, n), 0 where the refined bound overflows
+    (a past about 1.3e154), Weyl's (sqrt(q_{n-1}) - 1)^2 and, from
+    n = _START_MIN_N on, Dörfler's limit.  It need not lie below the
     eigenvalue: a start that counts it is kept from above (``_solve``).
 
     Dörfler's limit c_n(a) = c(a)(n + kappa(a)) + O(1/n), with
@@ -564,8 +533,8 @@ def _start(a: float, q, zero: float | None = None) -> float:
     against 0.503 at a = -0.99, 23.7 against 25.75 at 100), puts
     (j/(n + (a+3)/4))^2 just below the eigenvalue: 0.02% below it at
     a = 100, n = 20000, where 1/refined_upper is 30% below.  It is taken
-    from n = _START_MIN_N on, so that the zero pays for itself, and where a
-    lies in asymptotic_constant's domain (a <= 2001).  ``zero`` is j when
+    from n = _START_MIN_N on, so that the zero pays for itself, and where
+    ``bessel._alpha_zero`` gives the zero (a <= 2001).  ``zero`` is j when
     the caller has it, else it is computed here.  Weyl's term is the
     larger of the two bounds from a of about 100 on (30 at n = 2): at
     n = 20000 it is 0.987 of the eigenvalue at a = 1e4 and 0.9993 at 1e8,
@@ -578,29 +547,37 @@ def _start(a: float, q, zero: float | None = None) -> float:
     # cancellation.
     w = max(0.0, q[-1] - 1.0) / (math.sqrt(q[-1]) + 1.0)
     start = max(1.0 / upper if upper > 0.0 else 0.0, w * w)
-    if n >= _START_MIN_N:
-        if zero is None:
-            from .bessel import _alpha_zero  # bessel imports this module
-            zero = _alpha_zero(a, 1e-13)
-        if zero is not None:
-            start = max(start, (zero / (n + 0.25 * a + 0.75)) ** 2)
-    return start
+    if n < _START_MIN_N:
+        return start, None
+    if zero is None:
+        from .bessel import _alpha_zero  # bessel imports this module
+        zero = _alpha_zero(a, 1e-13)
+    if zero is not None:
+        start = max(start, (zero / (n + 0.25 * a + 0.75)) ** 2)
+    return start, zero
 
 
-def _pull(a: float, n: int, start: float) -> tuple[float, float] | None:
+def _pull(a: float, n: int, start: float, zero: float | None) -> tuple[float, float] | None:
     """The pull of the other eigenvalues on the smallest of T_n(a) from
-    ``_start``, as ``_solve`` takes it: (rho/start, u) with rho = (a+1)/4,
-    the Bessel spectrum's (``_solve``), and u = rho (a+1)/n + 0.01 the
-    allowance on its error; None outside the gate, where the solve takes a
-    Laguerre pass first.
+    ``_start``'s start and zero, as ``_solve`` takes it: (rho/start, u)
+    with rho = (a+1)/4 and u = rho (a+1)/n + 0.01 the allowance on its
+    error; None outside the gate, where the solve takes a Laguerre pass
+    first.
 
-    The gate is Dörfler's start (n >= _START_MIN_N, a <= 2001) and
-    n >= _NEWTON_FIRST (a+1).  At finite n the pull, at the start or at the
-    eigenvalue, falls short of (a+1)/4 by 0.5 to 0.6 of (a+1)/n of it: by
-    up to 0.65 u on 400 draws inside the gate with n <= 3000 and a from
-    1e-15 above -1 (LAPACK's spectrum).
+    The gate is Dörfler's start (``_start`` took its term: zero is not
+    None) and n >= _NEWTON_FIRST (a+1).  The pull is the Bessel
+    spectrum's: n^2 lambda_k tends to x_k = j_{nu,k}^2, nu = (a-1)/2, the
+    zeros of F(x) = x^(-nu/2) J_nu(sqrt x), an entire function of order 1/2
+    with F(0) != 0, so F(x) = F(0) prod (1 - x/x_k).  At its simple zero
+    x_1, -F''/(2F') = sum_{k>=2} 1/(x_k - x_1), so the limit of rho is
+    -x_1 F''(x_1)/(2F'(x_1)); Bessel's equation for J_nu(t) reads, in
+    x = t^2, x F'' + (nu + 1) F' + F/4 = 0, and F(x_1) = 0 leaves
+    x_1 F'' = -(nu + 1) F': rho = (nu + 1)/2 = (a + 1)/4.  At finite n the
+    pull, at the start or at the eigenvalue, falls short of (a+1)/4 by 0.5
+    to 0.6 of (a+1)/n of it: by up to 0.65 u on 400 draws inside the gate
+    with n <= 3000 and a from 1e-15 above -1 (LAPACK's spectrum).
     """
-    if n < max(_START_MIN_N, _NEWTON_FIRST * (a + 1.0)) or a > 2001.0:
+    if zero is None or n < _NEWTON_FIRST * (a + 1.0):
         return None
     rho = 0.25 * (a + 1.0)
     return rho / start, rho * (a + 1.0) / n + 0.01
@@ -634,14 +611,16 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
     if n == 1:
         # The only eigenvalue is q_0 itself: a zero pivot there.
         return EigenResult(q[0], (math.nextafter(q[0], 0.0), q[0]), 0, tol)
-    pull = None
+    newton = None
     if start is None:
-        start = _start(T.alpha, q, zero)
-        pull = _pull(T.alpha, n, start)
+        start, zero = _start(T.alpha, q, zero)
+        pull = _pull(T.alpha, n, start, zero)
+        if pull:
+            newton = (functools.partial(_newton_pass, q), *pull)
     # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
     # being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
-                  0.0, q[0], start, tol, functools.partial(_newton_pass, q), pull)
+                  0.0, q[0], start, tol, newton)
 
 
 def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:

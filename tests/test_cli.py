@@ -599,8 +599,8 @@ class TestSweepReference:
         counted("_laguerre_pass")
         counted("_newton_pass")
         rows = list(cli._grid_rows(pairs, 1e-13))
-        # 1.03 Laguerre and 0.19 Newton step passes per row; 2.39 step
-        # passes (1.83 and 0.56) from cold starts
+        # 1.12 Laguerre step passes per row and no Newton pass; 2.26 from
+        # cold starts
         assert sum(passes.values()) <= 1.3 * len(pairs)
         assert rows == [bounds.bounds_report(a, n) for a, n in pairs]
         for a in (0.0, 25.0):

@@ -20,7 +20,7 @@ from markov_laguerre import (
     sturm_count,
     turan_constant,
 )
-from markov_laguerre import eigen
+from markov_laguerre import bessel, bounds, eigen
 from markov_laguerre.bessel import (
     _alpha_zero,
     _bessel_zero_bounds,
@@ -373,7 +373,7 @@ class TestKernel:
             alpha = math.exp(rng.uniform(math.log(1e-3), math.log(1.7e308)))
             n = round(math.exp(rng.uniform(math.log(2), math.log(20000))))
             T = build_jacobi(alpha, n)
-            s = _start(alpha, T.q)
+            s, _ = _start(alpha, T.q)
             assert s > 0.0
             counted += _count(T.q, s) == 1
             res = smallest_eigenvalue(T)
@@ -400,7 +400,7 @@ class TestKernel:
         # still be taken as the upper end of the bracket.
         q = build_jacobi(alpha, n).q
         zero = None if zero_tol is None else _alpha_zero(alpha, zero_tol)
-        assert 0.0 < _start(alpha, q, zero) < q[0]
+        assert 0.0 < _start(alpha, q, zero)[0] < q[0]
 
     def test_laguerre_step_is_newtons_where_s2_underflowed(self):
         # S2 = 0 puts the discriminant below 0, which exact arithmetic never
@@ -600,8 +600,8 @@ class TestKernel:
         # Weyl's is the larger at a = 1000 and 2001, n = 300.
         T = build_jacobi(alpha, n)
         dorfler = (first_zero((alpha - 1) / 2) / (n + (alpha + 3) / 4)) ** 2
-        sigma = _start(alpha, T.q)
-        assert sigma == max(dorfler, _start(alpha, T.q, 0.0))
+        sigma, zero = _start(alpha, T.q)
+        assert sigma == max(dorfler, _start(alpha, T.q, 0.0)[0]) and zero is not None
         assert 1.0 / _refined_upper(alpha, n) < dorfler and sturm_count(T, sigma) == 0
 
     @pytest.mark.parametrize("alpha, n", [
@@ -618,8 +618,8 @@ class TestKernel:
         # where alpha < 100 and Weyl's at 2003
         T = build_jacobi(alpha, n)
         lower = 1.0 / _refined_upper(alpha, n)
-        sigma = _start(alpha, T.q)
-        assert sigma == _start(alpha, T.q, 0.0) and (sigma == lower) == (alpha < 100)
+        sigma, _ = _start(alpha, T.q)
+        assert sigma == _start(alpha, T.q, 0.0)[0] and (sigma == lower) == (alpha < 100)
         res = smallest_eigenvalue(T)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
@@ -707,16 +707,9 @@ def point_draws(count, seed, n_max=20000):
     return draws
 
 
-def laguerre_first(monkeypatch):
-    """Turn Newton-first off: ``_smallest`` hands ``_solve`` no pull, so the
-    first step pass is Laguerre's, as on a warm start."""
-    solve = eigen._solve
-    monkeypatch.setattr(eigen, "_solve", lambda *args: solve(*args[:7]))
-
-
 def laguerre_only(monkeypatch):
-    """Turn Newton's pass off: ``_smallest`` hands ``_solve`` neither a
-    Newton pass nor a pull, so every step pass is Laguerre's."""
+    """Turn Newton's pass off: ``_smallest`` hands ``_solve`` no Newton pass
+    and pull, so every step pass is Laguerre's, as on a warm start."""
     solve = eigen._solve
     monkeypatch.setattr(eigen, "_solve", lambda *args: solve(*args[:6]))
 
@@ -764,11 +757,8 @@ def mp_newton_step(q, sigma):
 
 class TestNewtonPass:
     """``_newton_pass`` counts as ``_count`` does and steps by 1/S1;
-    ``_solve`` runs it where the last Laguerre pass predicts that its
-    estimate lands in the close's cell, so every result is the
-    Laguerre-only solve's, pass count included; and from the first pass
-    where ``_pull`` gives the pull in closed form, which moves the pass
-    count but no bit of the value or the bracket."""
+    ``_solve`` runs it only with ``_pull``'s pull, from the first pass,
+    which moves the pass count but no bit of the value or the bracket."""
 
     def test_count_is_the_count_pass_through_zero_pivots(self):
         # a zero pivot at the first entry (sigma = q_0), inner for n > 1 and
@@ -810,17 +800,62 @@ class TestNewtonPass:
             assert s1 == pytest.approx(_laguerre_pass(q, sigma)[2], rel=1e-14)
 
     def test_results_are_the_laguerre_drivers(self, monkeypatch):
-        # values, brackets and pass counts, on point draws up to n = 5000:
-        # the switch after a Laguerre pass keeps the Laguerre-only solve's
-        # results; Newton-first keeps its values and brackets
+        # values and brackets on point draws up to n = 5000: Newton-first
+        # keeps the Laguerre-only solve's
         draws = point_draws(60, 7, 5000)
         newton_first = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
-        laguerre_first(monkeypatch)
-        with_switch = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
-        assert [r[:2] for r in with_switch] == [r[:2] for r in newton_first]
-        monkeypatch.undo()
         laguerre_only(monkeypatch)
-        assert [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws] == with_switch
+        laguerre = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        assert [r[:2] for r in laguerre] == [r[:2] for r in newton_first]
+
+    @pytest.mark.parametrize("tol, within, past_100", [(1e-6, 685, 471), (1e-4, 596, 436)])
+    def test_loose_tol_results_are_the_laguerre_drivers(self, monkeypatch, tol, within,
+                                                        past_100):
+        # Values and brackets at a loose tol on the point and gate draws,
+        # and on 100 draws with alpha log-uniform on [1e2, 1e12] and n on
+        # [2, 5000]: those of the Laguerre-only solve.  Pass totals: on the
+        # first two sets at most the 685 and 596 that a measured-pull
+        # Newton switch after a Laguerre pass took; on the third 471 and
+        # 436 against its 448 and 424, where the eigenvalues crowd in and a
+        # Laguerre step lands farther than rho delta^3.
+        rng = random.Random(37)
+        past = [(math.exp(rng.uniform(math.log(1e2), math.log(1e12))),
+                 round(math.exp(rng.uniform(math.log(2), math.log(5000))))) for _ in range(100)]
+        sets = (point_draws(60, 7, 5000) + gate_draws(), past)
+        results = [[smallest_eigenvalue(build_jacobi(a, n), tol) for a, n in draws]
+                   for draws in sets]
+        passes = [sum(r.iterations for r in rs) for rs in results]
+        assert passes[0] <= within and passes[1] <= past_100
+        laguerre_only(monkeypatch)
+        for draws, rs in zip(sets, results):
+            for (a, n), res in zip(draws, rs):
+                other = smallest_eigenvalue(build_jacobi(a, n), tol)
+                assert (res.value, res.bracket) == (other.value, other.bracket), (a, n)
+
+    def test_newton_runs_only_with_the_pull(self, monkeypatch):
+        # Warm rows of the bounds engine, cold solves at n < 300, at
+        # n < 30(alpha+1) and past alpha = 2001, largest eigenvalues and the
+        # Bessel zeros take Laguerre's steps alone
+        def refuse(q, sigma):
+            raise AssertionError("a Newton pass without _pull's pull")
+
+        monkeypatch.setattr(eigen, "_newton_pass", refuse)
+        rng = random.Random(31)
+        for alpha in (-0.9, 0.0, 2.5, 49.0):
+            bounds._rows(alpha, range(2, 400), 1e-13)
+        for _ in range(100):
+            alpha = 100.0 - 101.0 * rng.random()
+            n = rng.randint(2, _START_MIN_N - 1)
+            smallest_eigenvalue(build_jacobi(alpha, n))
+            largest_eigenvalue(build_jacobi(alpha, n))
+            alpha = math.exp(rng.uniform(math.log(10), math.log(300)))
+            n = round(math.exp(rng.uniform(math.log(_START_MIN_N),
+                                           math.log(_NEWTON_FIRST * (alpha + 1) - 1))))
+            smallest_eigenvalue(build_jacobi(alpha, n))
+            alpha = math.exp(rng.uniform(math.log(2002), math.log(1e12)))
+            smallest_eigenvalue(build_jacobi(alpha, rng.randint(_START_MIN_N, 5000)))
+        for nu in (-0.9999, -0.5, 0.5, 1.5, 37.25, 1000.0):
+            first_zero(nu)
 
     def test_newton_first_moves_no_bit(self, monkeypatch):
         # On both sides of the gate, alpha near -1 and past 100 with
@@ -846,17 +881,16 @@ class TestNewtonPass:
         assert sum(gated) >= 40 and len(gated) - sum(gated) >= 40
         assert sum(a > 100 and n < _NEWTON_FIRST * (a + 1) for a, n in draws) >= 20
         assert sum(g and a < -1 + 1e-6 for g, (a, _) in zip(gated, draws)) >= 5
-        laguerre_first(monkeypatch)
+        laguerre_only(monkeypatch)
         for (alpha, n), res in zip(draws, results):
             other = smallest_eigenvalue(build_jacobi(alpha, n))
             assert (res.value, res.bracket) == (other.value, other.bracket), (alpha, n)
 
     def test_newton_takes_the_laguerre_passes_it_can(self, monkeypatch):
         # Step-pass entries per solve on point draws, weighted by n (so by
-        # cost): 2.0 Laguerre passes on the Laguerre-only solve; with the
-        # switch after a Laguerre pass, 1.1 Laguerre and 0.9 Newton; with
-        # Newton-first, 0.21 Laguerre and 1.80 Newton, in 474 passes
-        # against 483
+        # cost): 2.0 Laguerre passes on the Laguerre-only solve; with
+        # Newton-first, 0.22 Laguerre and 1.79 Newton, in 474 passes
+        # against 486
         draws = point_draws(100, 11)
         weight = sum(n for _, n in draws)
 
@@ -878,22 +912,20 @@ class TestNewtonPass:
                     entries["_newton_pass"] / weight)
 
         iterations, laguerre, newton = solve_counted()
-        only, only_laguerre, _ = solve_counted(laguerre_only)
+        only, only_laguerre, only_newton = solve_counted(laguerre_only)
         assert iterations <= only
         assert laguerre <= 0.25 and newton >= 1.7
-        switch, switch_laguerre, switch_newton = solve_counted(laguerre_first)
-        assert switch == only and switch_laguerre <= 1.2 and switch_newton >= 0.8
-        assert switch_laguerre + switch_newton == pytest.approx(only_laguerre) and only_laguerre >= 1.95
+        assert only_newton == 0 and only_laguerre >= 1.95
 
     @pytest.mark.parametrize("alpha, n, passes", [(2e14, 15400, 5), (1.46e14, 12140, 5),
                                                   (1e5, 20000, 7), (1e8, 20000, 7)])
     def test_clustered_inputs_keep_their_passes(self, alpha, n, passes, monkeypatch):
-        # where the smallest eigenvalues cluster, rho is large and the test
-        # keeps the passes Laguerre's; a plain |h| <= 1e-3 sigma rule sent
-        # (1e8, 20000) into the close's gallop, 58 passes, and (2e14, 15400)
-        # to 49.  A Laguerre step goes to the close only where rho delta^3
-        # is within tol/32: without it, (2e14, 15400) took 27 passes,
-        # (1.46e14, 12140) 25 and (1e5, 20000) 13, most of them counts
+        # where the smallest eigenvalues cluster, rho is large, and a
+        # Laguerre step goes to the close only where rho delta^3 is within
+        # tol/32: a plain |h| <= 1e-3 sigma rule sent (1e8, 20000) into the
+        # close's gallop, 58 passes, and (2e14, 15400) to 49; |h| <= 1e-6
+        # sigma alone, (2e14, 15400) to 27 passes, (1.46e14, 12140) to 25
+        # and (1e5, 20000) to 13, most of them counts
         T = build_jacobi(alpha, n)
         res = smallest_eigenvalue(T)
         assert res.iterations == passes
@@ -938,8 +970,8 @@ class TestPull:
         worst = 0.0
         for alpha, n in draws:
             T = build_jacobi(alpha, n)
-            start = _start(alpha, T.q)
-            pull, u = _pull(alpha, n, start)
+            start, zero = _start(alpha, T.q)
+            pull, u = _pull(alpha, n, start, zero)
             q = np.array(T.q)
             eig = linalg.eigvalsh_tridiagonal(q + np.r_[0.0, np.ones(n - 1)], np.sqrt(q[:-1]))
             for sigma in (start, smallest_eigenvalue(T).value):
@@ -947,7 +979,28 @@ class TestPull:
                 worst = max(worst, abs(rho - sigma * pull) / u)
         assert worst <= 0.8
         for alpha, n in [(9.0, 299), (49.0, 1499), (2003.0, 60120), (5.0, _START_MIN_N - 1)]:
-            assert _pull(alpha, n, 1.0) is None
+            assert _pull(alpha, n, *_start(alpha, build_jacobi(alpha, n).q)) is None
+
+    def test_gate_is_the_dorfler_start(self, monkeypatch):
+        # _pull gives a pull only where _start took Dörfler's term: with
+        # bessel._alpha_zero cut to alpha <= 50, no start past it comes
+        # with one, and the solve there takes Laguerre's pass first
+        real = bessel._alpha_zero
+        monkeypatch.setattr(bessel, "_alpha_zero",
+                            lambda alpha, tol: real(alpha, tol) if alpha <= 50 else None)
+        firsts = []
+        laguerre = eigen._laguerre_pass
+        monkeypatch.setattr(eigen, "_laguerre_pass",
+                            lambda q, sigma: firsts.append(sigma) or laguerre(q, sigma))
+        for alpha, n in [(0.0, 3000), (49.0, 1500), (50.5, 20000), (100.0, 20000),
+                         (2001.0, 60060)]:
+            T = build_jacobi(alpha, n)
+            start, zero = _start(alpha, T.q)
+            assert (zero is None) == (alpha > 50)
+            assert (_pull(alpha, n, start, zero) is None) == (alpha > 50)
+            firsts.clear()
+            smallest_eigenvalue(T)
+            assert (firsts[:1] == [start]) == (alpha > 50)
 
 
 def start_cases():
