@@ -69,7 +69,7 @@ import math
 import sys
 
 from .eigen import EigenResult, _check_tol, _count_e, _laguerre_pass_e, _largest
-from .recurrence import _float_alpha, alpha_value
+from .recurrence import _float_alpha, _real, alpha_value
 
 __all__ = ["NU_MAX", "X_MAX", "ZERO_NU_MAX", "bessel_j", "first_zero", "asymptotic_constant"]
 
@@ -98,8 +98,8 @@ def bessel_j(nu: float, x: float, *, series_rel_tol: float = 1e-18) -> float:
     Summation is compensated and stops once |t_m| <= series_rel_tol * |sum|,
     after at least 30 terms.  Arguments outside the envelope raise ValueError.
     """
-    nu = float(nu)
-    x = float(x)
+    nu = _real(nu, "nu")
+    x = _real(x, "x")
     if not -1.0 < nu <= NU_MAX:
         raise ValueError(f"nu={nu} outside the certified envelope (-1, {NU_MAX}]")
     if not 0.0 < x <= X_MAX:
@@ -230,7 +230,7 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
     cut at order ``_order``, bracketed to relative width tol by sign counts
     and clamped into the paper's enclosure, rounded outward.
     """
-    nu = float(nu)
+    nu = _real(nu, "nu")
     if not -1.0 < nu <= ZERO_NU_MAX:
         raise ValueError(f"nu={nu} outside the domain (-1, {ZERO_NU_MAX}] of first_zero")
     return _first_zero(nu + 1.0, tol)

@@ -36,9 +36,9 @@ from typing import NamedTuple
 from . import bessel
 from .bessel import _bessel_zero_bounds
 from .eigen import TridiagMatrix, _smallest, build_jacobi
-from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _refined_lower_parts,
-                         _refined_upper, _refined_upper_parts, _require_degree, _require_n,
-                         alpha_value)
+from .recurrence import (_b123_float, _b123_parts, _float_alpha, _normal, _real,
+                         _refined_lower_parts, _refined_upper, _refined_upper_parts,
+                         _require_degree, _require_n, alpha_value)
 from .recurrence import reciprocal_b123  # noqa: F401  (bench/test_bench.py reads it here)
 
 __all__ = [
@@ -262,7 +262,7 @@ def bessel_zero_enclosure(nu: float) -> BoundPair:
 
     Past nu of about 9.5e153 an end leaves binary64: OverflowError.
     """
-    nu = float(nu)
+    nu = _real(nu, "nu")
     if not (nu > -1.0 and math.isfinite(nu)):
         raise ValueError(f"nu must be finite and > -1, got {nu}")
     return BoundPair(*_finite(*_bessel_zero_bounds(nu + 1.0), nu, "nu"))

@@ -38,8 +38,10 @@ refined upper bound on c_n(alpha)^2, Weyl's (sqrt(q_{n-1}) - 1)^2 and,
 from n = 300 on, Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
 c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`.  That
 is only a start: one that the sign count places above the eigenvalue is
-kept from above.  A largest eigenvalue (``_largest``) is the smallest of
--M, solved from above or from the caller's start.
+kept from above.  ``_solve`` trusts the bracket it is given; each caller
+vouches for its own.  A largest eigenvalue (``_largest``) is the smallest
+of -M, solved from above or from the caller's start once two counts have
+checked both ends of its bracket.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .recurrence import _float_alpha, _refined_upper, _require_n, _split, alpha_value
+from .recurrence import _float_alpha, _real, _refined_upper, _require_n, _split, alpha_value
 
 __all__ = [
     "TridiagMatrix",
@@ -110,9 +112,7 @@ class EigenResult(NamedTuple):
     six.
     ``iterations`` is the number of passes that took: step passes, Laguerre
     and Newton, and count-only passes together, and for a largest
-    eigenvalue the count-only passes that check the ends of its bracket:
-    the lower end always, the upper end when the solve takes a start (from
-    the upper end, its first step pass is that check).
+    eigenvalue the two count-only passes that check the ends of its bracket.
     """
 
     value: float
@@ -305,8 +305,9 @@ def _count_e(q, e, sigma: float) -> int:
 
 def sturm_count(T: TridiagMatrix, sigma: float) -> int:
     """Number of eigenvalues of T below sigma (sigma itself included when
-    it is one exactly); ValueError for an infinite or NaN sigma."""
-    sigma = float(sigma)
+    it is one exactly); ValueError for an infinite or NaN sigma, TypeError
+    for a bool or a string."""
+    sigma = _real(sigma, "sigma")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     return _count(T.q, sigma)
@@ -389,7 +390,8 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
 def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
            newton: tuple | None = None) -> EigenResult:
     """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
-    that it lies there.  ``step_pass(sigma)`` returns the number of
+    that lo counts none and hi at least one: the bracket is not checked
+    here.  ``step_pass(sigma)`` returns the number of
     eigenvalues of M at or below sigma, a Laguerre step towards the
     smallest one (None where it is undefined) and S1 = -f'/f;
     ``count(sigma)`` returns the number alone.  A caller that knows the pull
@@ -398,13 +400,10 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
     is an allowance on the error of rho = pull * sigma.
 
     Step phase.  The first pass is at sigma, Newton's where ``newton`` is
-    given.  A start strictly inside (lo, hi) that counts exactly one
-    eigenvalue and gives a step becomes the upper end and keeps its step,
-    from above; a start that counts more, or gives no step, or lies at lo,
-    becomes the upper end, and the next pass is Laguerre's at lo, which
-    must count none.  Each later pass moves one end of the bracket to
+    given.  Every pass, the first included, moves one end of the bracket to
     sigma, by its count, unless its step is 0 (a zero last pivot: sigma is
-    the eigenvalue).  Only steps from counts 0 and 1 are used.
+    the eigenvalue); so a start that counts the eigenvalue is kept from
+    above.  Only steps from counts 0 and 1 are used.
 
     The hand-off.  A step goes to the close, as the estimate sigma + step
     clamped to the bracket, when it is predicted to land within tol/32 of
@@ -442,13 +441,6 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
             # 1/(S1 - pull): the other eigenvalues' pull taken out
             step /= 1.0 - step * pull
         steps += 1
-        if c and sigma == lo:
-            raise RuntimeError("the bracket misses the eigenvalue: its lower end "
-                               "counts one at or below it")
-        if steps == 1 and c and not (c == 1 and step is not None and lo < sigma < hi):
-            hi, sigma = sigma, lo
-            newton = None
-            continue
         if step != 0.0:
             if c == 0:
                 lo = sigma
@@ -460,7 +452,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
         if c <= 1 and step is not None:
-            # sigma = 0 (the lower end 0) lends no scale: no hand-off there
+            # a start at sigma = 0 lends no scale: no hand-off there
             delta = step / sigma if sigma else math.inf
             miss = (slack if newton else abs(s1 * step - 1.0)) * delta * delta
             if step == 0.0 or miss <= land:
@@ -492,32 +484,25 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
     or from -start, where the caller has a start in (lo, hi).
 
     A lower end that counts all n eigenvalues at or below it, or an upper
-    end that counts fewer, raises RuntimeError: the count checks both ends
-    before the bracket is used.  The check at lo is a count-only pass.  So
-    is the check at hi when the solve takes a start; from -hi, the first
-    step pass is that check (the lower end of -M's bracket, in ``_solve``).
-    Every count of the close is count-only too.  The start moves only the
-    pass count: the result does not depend on it.
+    end that counts fewer, raises RuntimeError: two count-only passes check
+    both ends before any step pass, since ``_solve`` trusts its bracket.
+    The start moves only the pass count: the result does not depend on it.
     """
     if count(lo) >= n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"all {n} lie at or below its lower end")
-    checks = 1
-    if start is None:
-        start = hi
-    else:
-        checks += 1
-        if count(hi) < n:
-            raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
-                               f"fewer than all {n} lie at or below its upper end")
+    if count(hi) < n:
+        raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
+                           f"fewer than all {n} lie at or below its upper end")
 
     def negated(sigma):
         count, step, s1 = step_pass(-sigma)
         return n - count, None if step is None else -step, -s1
 
-    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo, -start, tol)
+    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo,
+                 -(hi if start is None else start), tol)
     lo, hi = res.bracket
-    return EigenResult(-res.value, (-hi, -lo), res.iterations + checks, tol)
+    return EigenResult(-res.value, (-hi, -lo), res.iterations + 2, tol)
 
 
 def _start(a: float, q, zero: float | None = None) -> tuple[float, float | None]:
@@ -589,9 +574,9 @@ def smallest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 
     ``_solve`` searches (0, q_0] from ``_start``.  A start that the
     sign count places above the eigenvalue is the bracket's upper end and
-    the solve goes on from above; one that it places above two or more
-    eigenvalues falls back to sigma = 0, where every pivot is q_k > 0.  The
-    close narrows the bracket to tol/8.
+    the solve goes on from above, by its own step where it counts the
+    eigenvalue alone, else from the bracket's midpoint.  The close narrows
+    the bracket to tol/8.
     """
     return _smallest(T, tol)
 
@@ -602,9 +587,9 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
     one, else from ``_start(T.alpha, T.q, zero)``, given the Bessel zero
     ``zero`` when the caller has it; that start comes with ``_pull``'s
     pull, which sends the first pass to Newton's inside its gate.  Either
-    way a start that counts one eigenvalue is kept from above, and one that
-    counts more falls back to 0.  The start moves only the pass count: the
-    result does not depend on it."""
+    way the start's count moves an end of the bracket, as every pass's
+    does.  The start moves only the pass count: the result does not depend
+    on it."""
     _check_tol(tol)
     q = T.q
     n = len(q)
@@ -617,8 +602,8 @@ def _smallest(T: TridiagMatrix, tol: float, start: float | None = None,
         pull = _pull(T.alpha, n, start, zero)
         if pull:
             newton = (functools.partial(_newton_pass, q), *pull)
-    # count(0) = 0, every pivot being q_k; count(q_0) >= 1, its first pivot
-    # being exactly 0.
+    # The bracket ``_solve`` trusts: count(0) = 0, every pivot being q_k;
+    # count(q_0) >= 1, its first pivot being exactly 0.
     return _solve(functools.partial(_laguerre_pass, q), functools.partial(_count, q),
                   0.0, q[0], start, tol, newton)
 

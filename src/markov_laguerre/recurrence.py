@@ -24,6 +24,7 @@ A ``Fraction`` is built once per returned value, at the API.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -81,14 +82,24 @@ def _split(a) -> tuple[int, int]:
     return a.numerator, a.denominator
 
 
-def _require_degree(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def _real(x, name: str) -> float:
+    """x as a float; TypeError for a bool or a string, which float() takes."""
+    if isinstance(x, (bool, str, bytes)):
+        raise TypeError(f"{name} must be a real number, got {type(x).__name__}")
+    return float(x)
+
+
+def _require_degree(n: int, least: int = 0, name: str = "n") -> None:
+    """TypeError for a bool or for anything ``operator.index`` refuses,
+    such as a float; ValueError for n < least."""
+    if isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got bool")
+    if operator.index(n) < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
 
 
 def _require_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_degree(n, 1)
 
 
 def _float_alpha(alpha) -> float:
@@ -168,8 +179,7 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = RATIONAL):
     :func:`_scaled_rows`, each divided by its scale as it is yielded.
     ``mode`` is RATIONAL, the one mode; any other value raises ValueError.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _require_degree(n_max, name="n_max")
     if mode != RATIONAL:
         raise ValueError(f"unknown mode {mode!r}")
     for row, scale in _scaled_rows(*_split(alpha_value(alpha)), n_max):

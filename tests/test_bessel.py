@@ -288,9 +288,9 @@ class TestFirstZero:
 
     def test_passes_per_zero(self):
         # Laguerre steps, from Olver's expansion from nu = 1 on, else from
-        # above, with the count-only checks of the bracket's ends: 5.04 per
-        # zero on this grid, 6 at most; from above everywhere they took 7.98
-        # and 9, and Newton steps 13.3 and 21
+        # above, with the two count-only checks of the bracket's ends: 5.05
+        # per zero on this grid, 6 at most; from above everywhere they take
+        # 8.98 and 10, and Newton steps took 13.3 and 21
         passes = []
         for k in range(700):
             nu = -0.999 + 0.37 * k

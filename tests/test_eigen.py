@@ -53,6 +53,19 @@ def zero_eigenvalue(nu, tol):
     return _zero_eigenvalue(h, _order(h, enclosure[1], tol), enclosure, tol)
 
 
+def record_laguerre_sigmas(monkeypatch):
+    """The list to which every ``_laguerre_pass`` from now on appends its
+    sigma."""
+    sigmas = []
+
+    def recorded(q, sigma):
+        sigmas.append(sigma)
+        return _laguerre_pass(q, sigma)
+
+    monkeypatch.setattr(eigen, "_laguerre_pass", recorded)
+    return sigmas
+
+
 def dense(T):
     """T_n = B B^T as a dense matrix, B lower bidiagonal with squared
     diagonal T.q and unit subdiagonal."""
@@ -504,14 +517,46 @@ class TestKernel:
             assert _laguerre_pass_e(q, ones, sigma)[:2] == (count, step)
             assert _count_e(q, ones, sigma) == count
 
-    def test_largest_raises_when_the_bracket_misses(self):
+    def test_largest_raises_when_the_bracket_misses(self, monkeypatch):
+        # _largest checks both ends itself, with or without a start: a
+        # bracket that misses never reaches _solve, which trusts its bracket
         T = build_jacobi(1.5, 8)
         top = largest_eigenvalue(T).value
         step_pass = lambda sigma: _laguerre_pass(T.q, sigma)
         count = lambda sigma: _count(T.q, sigma)
+
+        def unreachable(*args):
+            raise AssertionError("_solve was reached")
+
+        monkeypatch.setattr(eigen, "_solve", unreachable)
         for lo, hi in [(1.1 * top, 2 * top), (0.0, 0.9 * top)]:
-            with pytest.raises(RuntimeError, match="misses"):
-                _largest(step_pass, count, 8, lo, hi, 1e-13)
+            for start in (None, 0.5 * (lo + hi)):
+                with pytest.raises(RuntimeError, match="misses"):
+                    _largest(step_pass, count, 8, lo, hi, 1e-13, start)
+
+    @pytest.mark.parametrize("start", [None, 0.8], ids=["from_above", "from_a_start"])
+    def test_largest_checks_both_ends_before_any_step_pass(self, start):
+        # two count-only passes, at lo and then hi, come first; the first
+        # step pass is at the start, hi where there is none; every pass is
+        # one iteration
+        T = build_jacobi(1.5, 8)
+        cold = largest_eigenvalue(T)
+        lo, hi = 0.0, 1.2 * cold.value
+        start = None if start is None else start * hi
+        calls = []
+
+        def step_pass(sigma):
+            calls.append(("step", sigma))
+            return _laguerre_pass(T.q, sigma)
+
+        def count(sigma):
+            calls.append(("count", sigma))
+            return _count(T.q, sigma)
+
+        res = _largest(step_pass, count, 8, lo, hi, 1e-13, start)
+        assert calls[:3] == [("count", lo), ("count", hi), ("step", hi if start is None else start)]
+        assert res.iterations == len(calls)
+        assert (res.value, res.bracket) == (cold.value, cold.bracket)
 
     def test_largest_matches_lapack(self):
         for alpha, n in [(-0.9, 2), (0.0, 7), (3.0, 40), (1e4, 300)]:
@@ -551,17 +596,25 @@ class TestKernel:
     @pytest.mark.parametrize("alpha, n, newton_passes", [(-0.9, 2, 7), (0.0, 7, 9), (3.0, 40, 15),
                                                          (1e4, 300, 12)])
     def test_largest_takes_fewer_passes_than_newton(self, alpha, n, newton_passes):
-        # Laguerre steps from above the spectrum, against the Newton steps
-        # that took newton_passes on the same matrices
+        # Laguerre steps from above the spectrum, with the two count-only
+        # checks of the bracket's ends, take 6, 7, 9 and 6 passes, against
+        # the Newton steps that took newton_passes on the same matrices
         assert largest_eigenvalue(build_jacobi(alpha, n)).iterations < newton_passes
 
-    def test_start_above_the_eigenvalue_falls_back_to_zero(self):
+    def test_start_above_every_eigenvalue_goes_on_from_the_midpoint(self, monkeypatch):
         # The start is 1/refined_upper(alpha, n); an alpha of 100 puts it
-        # above every eigenvalue of the alpha = 0 matrix.
+        # above every eigenvalue of the alpha = 0 matrix.  It becomes the
+        # upper end, and the next pass is at the bracket's midpoint, as
+        # after any pass whose step is unused.
         T = build_jacobi(0.0, 5)
+        start = 1 / refined_bounds(100.0, 5).upper
+        assert sturm_count(T, start) == 5
+        cold = smallest_eigenvalue(T)
+        sigmas = record_laguerre_sigmas(monkeypatch)
         res = smallest_eigenvalue(T._replace(alpha=100.0))
-        assert sturm_count(T, 1 / refined_bounds(100.0, 5).upper) == 5
+        assert sigmas[:2] == [start, 0.5 * start]
         assert res.value == pytest.approx(4 * math.sin(math.pi / 22) ** 2, rel=1e-13)
+        assert (res.value, res.bracket) == (cold.value, cold.bracket)
         lo, hi = res.bracket
         assert sturm_count(T, lo) == 0 and sturm_count(T, hi) >= 1
 
@@ -1029,6 +1082,20 @@ class TestStartIndependence:
         for start in (lam * (1 - 1e-8), lam * (1 + 1e-8), above):
             res = _smallest(T, 1e-13, start)
             assert (res.value, res.bracket) == (cold.value, cold.bracket), (alpha, n, start)
+
+    def test_a_start_that_counts_two_goes_on_from_the_midpoint(self, monkeypatch):
+        # a start between the second and third eigenvalues counts two: it
+        # becomes the upper end, its step is unused, and the next pass is at
+        # the midpoint of (0, start)
+        T = build_jacobi(0.0, 1000)
+        lam = np.linalg.eigvalsh(dense(T))
+        start = 0.5 * (lam[1] + lam[2])
+        assert sturm_count(T, start) == 2
+        cold = smallest_eigenvalue(T)
+        sigmas = record_laguerre_sigmas(monkeypatch)
+        res = _smallest(T, 1e-13, start)
+        assert sigmas[:2] == [start, 0.5 * start]
+        assert (res.value, res.bracket) == (cold.value, cold.bracket)
 
     def test_a_start_that_counts_one_keeps_its_step(self):
         # from above, Laguerre's step converges as from below: a start 1e-8

@@ -10,6 +10,8 @@ from markov_laguerre import (
     RATIONAL,
     asymptotic_bounds,
     asymptotic_constant,
+    bessel_j,
+    bessel_zero_enclosure,
     bounds_report,
     build_jacobi,
     coeff_a0,
@@ -17,13 +19,18 @@ from markov_laguerre import (
     coeff_a2,
     coeff_a3,
     dorfler_bounds,
+    first_zero,
+    laguerre_samuelson,
     largest_eigenvalue,
+    largest_root_bounds,
     markov_constant,
     recurrence_coeffs,
     reciprocal_b123,
     refined_bounds,
     residual_sandwich_check,
     smallest_eigenvalue,
+    sturm_count,
+    turan_constant,
 )
 from markov_laguerre.recurrence import _scaled_rows, alpha_value, qn_coefficient_rows
 
@@ -315,6 +322,58 @@ class TestNegativeDegree:
     def test_rational_coefficients_raise(self):
         with pytest.raises(ValueError):
             next(qn_coefficient_rows(F(1, 2), -1, RATIONAL))
+
+
+# Every public function that takes a degree n, called at n; the b's are
+# those of Q_3 at alpha = 1.
+DEGREE_CALLS = {
+    "recurrence_coeffs": lambda n: recurrence_coeffs(1, n),
+    "qn_coefficient_rows": lambda n: list(qn_coefficient_rows(1, n)),
+    "coeff_a0": lambda n: coeff_a0(1, n),
+    "coeff_a1": lambda n: coeff_a1(1, n),
+    "coeff_a2": lambda n: coeff_a2(1, n),
+    "coeff_a3": lambda n: coeff_a3(1, n),
+    "reciprocal_b123": lambda n: reciprocal_b123(1, n),
+    "build_jacobi": lambda n: build_jacobi(0.0, n),
+    "markov_constant": lambda n: markov_constant(0.0, n),
+    "largest_root_bounds": lambda n: largest_root_bounds(*reciprocal_b123(1.0, 3), n),
+    "laguerre_samuelson": lambda n: laguerre_samuelson(*reciprocal_b123(1.0, 3)[:2], n),
+    "refined_bounds": lambda n: refined_bounds(1.0, n),
+    "dorfler_bounds": lambda n: dorfler_bounds(1.0, n),
+    "turan_constant": turan_constant,
+    "residual_sandwich_check": lambda n: residual_sandwich_check(1, n),
+    "bounds_report": lambda n: bounds_report(0.0, n),
+}
+
+# Every public real argument that is not alpha, called at x.
+REAL_CALLS = {
+    "sturm_count": lambda x: sturm_count(build_jacobi(0.0, 3), x),
+    "first_zero": first_zero,
+    "bessel_zero_enclosure": bessel_zero_enclosure,
+    "bessel_j_nu": lambda x: bessel_j(x, 1.0),
+    "bessel_j_x": lambda x: bessel_j(0.5, x),
+}
+
+
+class TestArgumentTypes:
+    """A degree must be an int and a real argument a number, as alpha must
+    (``alpha_value``): a bool, a float degree or a string is refused with
+    TypeError, not coerced.  markov_constant(0.0, True) was c_1,
+    dorfler_bounds(1.0, 2.5) a pair and first_zero(True) j_{1,1}."""
+
+    @pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS.keys())
+    @pytest.mark.parametrize("n", [True, False, 3.0, 2.5, F(3)], ids=repr)
+    def test_degrees_must_be_ints(self, call, n):
+        call(3)
+        with pytest.raises(TypeError):
+            call(n)
+
+    @pytest.mark.parametrize("call", REAL_CALLS.values(), ids=REAL_CALLS.keys())
+    @pytest.mark.parametrize("x", [True, "0.5", b"0.5"], ids=repr)
+    def test_real_arguments_must_be_numbers(self, call, x):
+        call(0.5)
+        with pytest.raises(TypeError):
+            call(x)
 
 
 def fraction_rows(a, n_max):
