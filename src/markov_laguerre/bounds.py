@@ -139,7 +139,7 @@ def largest_root_bounds(b1, b2, b3, n: int):
     OverflowError.
     """
     _require_n(n)
-    linear, quadratic, cubic = _root_bounds(float(b1), float(b2), float(b3), n)
+    linear, quadratic, cubic = _root_bounds(_real(b1, "b1"), _real(b2, "b2"), _real(b3, "b3"), n)
     return BoundPair(*linear), BoundPair(*quadratic), BoundPair(*cubic)
 
 
@@ -215,7 +215,7 @@ def laguerre_samuelson(b1, b2, n: int) -> BoundPair:
         (b1 -+ sqrt((n-1)^2 b1^2 - 2 (n-1) n b2)) / n.
     """
     _require_n(n)
-    return BoundPair(*_samuelson(float(b1), float(b2), n))
+    return BoundPair(*_samuelson(_real(b1, "b1"), _real(b2, "b2"), n))
 
 
 def _samuelson(b1: float, b2: float, n: int) -> tuple[float, float]:

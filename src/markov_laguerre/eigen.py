@@ -20,16 +20,18 @@ exact zero pivot counts as negative.  ``_laguerre_pass_e`` and
 for a factor with squared subdiagonal e_k; the Bessel zeros of
 :mod:`markov_laguerre.bessel` use them.
 
-One driver, ``_solve``, takes safeguarded Laguerre steps on det(M - sigma)
-from either side, both derivatives from the sign-count pass.  From
+One driver, ``_solve``, finds the eigenvalue of a matrix M where the sign
+count reaches k, k = 1 for the smallest and k = n for the largest, by
+safeguarded Laguerre steps on det(M - sigma) from either side, both
+derivatives from the sign-count pass.  From
 Dörfler's start at n >= 30(alpha+1) the smallest eigenvalue of T_n takes
 ``_newton_pass`` instead, which needs the first derivative only and costs
 about 0.6 of a Laguerre pass: the pull of the other eigenvalues, which a
 Laguerre pass measures, is about (alpha+1)/4 there, in closed form from
 the Bessel spectrum.  Once a step is predicted to land within tol/32 of
 the eigenvalue, a close that only counts finds the cell of a fixed
-lattice, at most tol/8 of the value wide, where the count flips, and the
-result is the midpoint of that cell.
+lattice, at most tol/8 of the value wide, where the count reaches k, and
+the result is the midpoint of that cell.
 The lattice depends on tol alone, so the result depends on the matrix and
 tol, not on the start: a caller that can predict the eigenvalue
 (``bounds._rows``, from its neighbours in n) may start there.
@@ -39,9 +41,9 @@ from n = 300 on, Dörfler's limit (c(alpha)(n + (alpha+3)/4))^-2,
 c(alpha) = 1/j_{(alpha-1)/2,1} from :mod:`markov_laguerre.bessel`.  That
 is only a start: one that the sign count places above the eigenvalue is
 kept from above.  ``_solve`` trusts the bracket it is given; each caller
-vouches for its own.  A largest eigenvalue (``_largest``) is the smallest
-of -M, solved from above or from the caller's start once two counts have
-checked both ends of its bracket.
+vouches for its own.  A largest eigenvalue (``_largest``) is solved from
+above or from the caller's start once two counts have checked both ends of
+its bracket.
 """
 
 from __future__ import annotations
@@ -98,18 +100,19 @@ class TridiagMatrix(NamedTuple):
 class EigenResult(NamedTuple):
     """One eigenvalue with its bracket: lo <= value <= hi.
 
-    The binary64 sign count at sigma = lo finds no eigenvalue below it, the
-    one at hi finds the wanted eigenvalue below it, and hi - lo <= tol *
-    value.  From order 2 on, (lo, hi) is the cell g of ``_close``'s lattice
-    where the count flips: lo is the float just above (K + g mod K)
-    2^(g div K), K = ceil(8/tol) or 2^52 past 2^50, and hi that of g + 1, so
-    hi - lo <= tol/8 * value, or lo and hi are adjacent floats where
-    binary64 cannot resolve tol/8; value is its midpoint, within tol/16 of where the count flips,
-    and the same bits whatever the start of the solve.  The count places the
-    ends but does not prove them: on the seed-7 scan, 200 draws with n
-    log-uniform on [500, 20000], drawn first, and alpha uniform on
-    (-1, 100], a proved count finds 65 of the 400 ends wrong, about one in
-    six.
+    The wanted eigenvalue is the k-th from below, k = 1 for the smallest and
+    k = n for the largest: the binary64 sign count at sigma = lo finds fewer
+    than k eigenvalues at or below it, the one at hi at least k, and
+    hi - lo <= tol * value.  From order 2 on, (lo, hi) is the cell g of
+    ``_close``'s lattice where the count reaches k: lo is the float just
+    above (K + g mod K) 2^(g div K), K = ceil(8/tol) or 2^52 past 2^50, and
+    hi that of g + 1, so hi - lo <= tol/8 * value, or lo and hi are adjacent
+    floats where binary64 cannot resolve tol/8; value is its midpoint,
+    within tol/16 of where the count reaches k, and the same bits whatever
+    the start of the solve.  The count places the ends but does not prove
+    them: on the seed-7 scan, 200 draws with n log-uniform on [500, 20000],
+    drawn first, and alpha uniform on (-1, 100], a proved count finds 65 of
+    the 400 ends wrong, about one in six.
     ``iterations`` is the number of passes that took: step passes, Laguerre
     and Newton, and count-only passes together, and for a largest
     eigenvalue the two count-only passes that check the ends of its bracket.
@@ -314,7 +317,7 @@ def sturm_count(T: TridiagMatrix, sigma: float) -> int:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0 < tol < 1:
+    if not 0 < _real(tol, "tol") < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
@@ -322,10 +325,10 @@ def _unresolved(tol: float, lo: float, hi: float) -> RuntimeError:
     return RuntimeError(f"tol={tol} is below binary64 resolution of bracket [{lo}, {hi}]")
 
 
-def _close(count, lo: float, hi: float, est: float, tol: float):
-    """The cell of a fixed lattice where the count flips, found from an
-    estimate est in [lo, hi], lo counting no eigenvalue and hi at least one:
-    (lo, hi, passes).
+def _close(count, lo: float, hi: float, est: float, tol: float, k: int):
+    """The cell of a fixed lattice where the count reaches k, found from an
+    estimate est > 0 in [lo, hi], lo counting fewer than k eigenvalues and
+    hi at least k: (lo, hi, passes).
 
     The lattice.  With K = ceil(8/tol), or K = 2^52 past 2^50 (tol below
     about 7e-15), cell g, for every integer g, runs from its lower edge, the
@@ -334,23 +337,19 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
     [K, 2K), so a cell is at most tol/8 of its lower end wide; at K = 2^52
     the points are the floats, and the cells the gaps between adjacent
     floats.  A float with few significant bits, such as a rational
-    eigenvalue like 3/2, lies inside a cell, not on an edge.  The close
-    works on |sigma|, so that a negative eigenvalue (the largest of -M)
-    sits on the mirror image of the same cells.
+    eigenvalue like 3/2, lies inside a cell, not on an edge.
 
     The search, in whole cells: counts at the two edges of est's cell, the
     g whose edges bracket est; where one misses, the next count is one cell
     further out, and the distance from est's cell doubles until a count
     lands; then counts bisect.  An edge outside (lo, hi) is not counted: the
-    count is taken to be monotone, 0 at and below lo and at least 1 from hi
-    on.  So the cell depends on where the count flips, not on est, lo or hi.
+    count is taken to be monotone, below k at and below lo and at least k
+    from hi on.  So the cell depends on where the count reaches k, not on
+    est, lo or hi.
     """
     K = math.ceil(8.0 / tol)
     if K > 2**50:
         K = 2**52
-    negative = est < 0.0
-    if negative:
-        lo, hi, est = -hi, -lo, -est
     # est's cell is that of the last point below est: its edge, the float
     # just above that point, is at most est.
     x = math.nextafter(est, 0.0)
@@ -359,7 +358,7 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
         s -= 1
     start = s * K + int(math.ldexp(x, -s)) - K
     passes = 0
-    # The edges of cells low and high count none and one.
+    # The edges of cells low and high count below k and at least k.
     low = high = None
     g = start
     while True:
@@ -370,7 +369,7 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
             beyond = True
         else:
             passes += 1
-            beyond = (count(-e) == 0) if negative else (count(e) > 0)
+            beyond = count(e) >= k
             lo, hi = (lo, e) if beyond else (e, hi)
         if beyond:
             high, e_high = g, e
@@ -384,31 +383,32 @@ def _close(count, lo: float, hi: float, est: float, tol: float):
             g = (low + high) // 2
         else:
             break
-    return (-e_high, -e_low, passes) if negative else (e_low, e_high, passes)
+    return e_low, e_high, passes
 
 
 def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
-           newton: tuple | None = None) -> EigenResult:
-    """Smallest eigenvalue of a matrix M in [lo, hi], the caller vouching
-    that lo counts none and hi at least one: the bracket is not checked
-    here.  ``step_pass(sigma)`` returns the number of
-    eigenvalues of M at or below sigma, a Laguerre step towards the
-    smallest one (None where it is undefined) and S1 = -f'/f;
-    ``count(sigma)`` returns the number alone.  A caller that knows the pull
-    of the other eigenvalues gives ``newton`` = (newton_pass, pull, u):
-    ``newton_pass(sigma)`` returns the same with Newton's step 1/S1, and u
-    is an allowance on the error of rho = pull * sigma.
+           newton: tuple | None = None, k: int = 1) -> EigenResult:
+    """Eigenvalue of a matrix M in [lo, hi] where the count reaches k: the
+    smallest for k = 1, the largest of an order-n M for k = n.  The caller
+    vouches that lo counts fewer than k and hi at least k: the bracket is not
+    checked here.  ``step_pass(sigma)`` returns the number of eigenvalues of
+    M at or below sigma, a Laguerre step (None where it is undefined) and
+    S1 = -f'/f; ``count(sigma)`` returns the number alone.  A caller that
+    knows the pull of the other eigenvalues gives ``newton`` = (newton_pass,
+    pull, u): ``newton_pass(sigma)`` returns the same with Newton's step
+    1/S1, and u is an allowance on the error of rho = pull * sigma.
 
     Step phase.  The first pass is at sigma, Newton's where ``newton`` is
     given.  Every pass, the first included, moves one end of the bracket to
-    sigma, by its count, unless its step is 0 (a zero last pivot: sigma is
-    the eigenvalue); so a start that counts the eigenvalue is kept from
-    above.  Only steps from counts 0 and 1 are used.
+    sigma, lo where it counts fewer than k and hi where it counts at least k,
+    unless its step is 0 (a zero last pivot: sigma is the eigenvalue); so a
+    start beyond the eigenvalue is kept as an end.  Only steps from counts
+    k - 1 and k are used.
 
     The hand-off.  A step goes to the close, as the estimate sigma + step
     clamped to the bracket, when it is predicted to land within tol/32 of
     the eigenvalue, relative; so does the bracket's midpoint once
-    hi - lo <= tol * |midpoint|.  Before that, the estimate is the next
+    hi - lo <= tol * midpoint.  Before that, the estimate is the next
     sigma where it lies inside the bracket, and the bracket's midpoint
     where it does not or there is no step.  With delta = |h/sigma| for the
     step h from sigma, the prediction is:
@@ -426,7 +426,7 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
       step leaves the bracket.
 
     The close (``_close``) returns the cell of a fixed lattice where the
-    count flips, found by its integer index from the estimate's, and its
+    count reaches k, found by its integer index from the estimate's, and its
     midpoint is the value: the result depends on M and tol, not on the
     start or on the steps.  A cell wider than tol of its midpoint (tol below
     binary64 resolution) raises RuntimeError.
@@ -442,16 +442,16 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
             step /= 1.0 - step * pull
         steps += 1
         if step != 0.0:
-            if c == 0:
+            if c < k:
                 lo = sigma
             else:
                 hi = sigma
         est = 0.5 * lo + 0.5 * hi
-        if hi - lo <= tol * abs(est):
+        if hi - lo <= tol * est:
             break
         if steps == _MAX_PASSES:
             raise RuntimeError(f"no convergence to tol={tol} in {_MAX_PASSES} passes")
-        if c <= 1 and step is not None:
+        if k - 1 <= c <= k and step is not None:
             # a start at sigma = 0 lends no scale: no hand-off there
             delta = step / sigma if sigma else math.inf
             miss = (slack if newton else abs(s1 * step - 1.0)) * delta * delta
@@ -468,20 +468,19 @@ def _solve(step_pass, count, lo: float, hi: float, sigma: float, tol: float,
             newton = None
             if not lo < sigma < hi:
                 raise _unresolved(tol, lo, hi)
-    lo, hi, counts = _close(count, lo, hi, est, tol)
+    lo, hi, counts = _close(count, lo, hi, est, tol, k)
     value = 0.5 * lo + 0.5 * hi
-    if hi - lo > tol * abs(value):
+    if hi - lo > tol * value:
         raise _unresolved(tol, lo, hi)
     return EigenResult(value, (lo, hi), steps + counts, tol)
 
 
 def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
              start: float | None = None) -> EigenResult:
-    """Largest eigenvalue in (lo, hi] of an order-n matrix M, given the
-    ``step_pass`` of M (a Laguerre pass, whose step and S1 negate with M) and its
-    ``count`` alone (a count-only pass, equal to ``step_pass(sigma)[0]``):
-    the smallest eigenvalue of -M, by ``_solve`` from -hi, i.e. from above,
-    or from -start, where the caller has a start in (lo, hi).
+    """Largest eigenvalue in (lo, hi] of an order-n matrix M, given its
+    Laguerre ``step_pass`` and its ``count`` alone (a count-only pass, equal
+    to ``step_pass(sigma)[0]``): ``_solve`` with k = n, from hi, i.e. from
+    above, or from start, where the caller has a start in (lo, hi).
 
     A lower end that counts all n eigenvalues at or below it, or an upper
     end that counts fewer, raises RuntimeError: two count-only passes check
@@ -494,15 +493,8 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
     if count(hi) < n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"fewer than all {n} lie at or below its upper end")
-
-    def negated(sigma):
-        count, step, s1 = step_pass(-sigma)
-        return n - count, None if step is None else -step, -s1
-
-    res = _solve(negated, lambda sigma: n - count(-sigma), -hi, -lo,
-                 -(hi if start is None else start), tol)
-    lo, hi = res.bracket
-    return EigenResult(-res.value, (-hi, -lo), res.iterations + 2, tol)
+    res = _solve(step_pass, count, lo, hi, hi if start is None else start, tol, k=n)
+    return res._replace(iterations=res.iterations + 2)
 
 
 def _start(a: float, q, zero: float | None = None) -> tuple[float, float | None]:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from markov_laguerre import (
     RATIONAL,
+    asymptotic_constant,
+    bounds_report,
     build_jacobi,
     largest_eigenvalue,
     markov_constant,
@@ -305,6 +307,18 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="tol"):
             first_zero(0.5, tol)
 
+    # float() takes both, and tol=True was refused as a ValueError, "1e-13"
+    # by an unrelated comparison of an int with a str
+    @pytest.mark.parametrize("tol", [True, "1e-13"])
+    def test_tolerance_that_is_not_a_number_raises(self, tol):
+        calls = (lambda: smallest_eigenvalue(build_jacobi(0.0, 10), tol),
+                 lambda: largest_eigenvalue(build_jacobi(0.0, 10), tol),
+                 lambda: markov_constant(0.0, 10, tol), lambda: first_zero(0.5, tol),
+                 lambda: asymptotic_constant(0.5, tol), lambda: bounds_report(0.5, 10, tol))
+        for call in calls:
+            with pytest.raises(TypeError, match="tol"):
+                call()
+
 
 class TestKernel:
     """The qd/Laguerre solver: relative accuracy at every n, a bracket that
@@ -525,7 +539,7 @@ class TestKernel:
         step_pass = lambda sigma: _laguerre_pass(T.q, sigma)
         count = lambda sigma: _count(T.q, sigma)
 
-        def unreachable(*args):
+        def unreachable(*args, **kwargs):
             raise AssertionError("_solve was reached")
 
         monkeypatch.setattr(eigen, "_solve", unreachable)
@@ -557,6 +571,59 @@ class TestKernel:
         assert calls[:3] == [("count", lo), ("count", hi), ("step", hi if start is None else start)]
         assert res.iterations == len(calls)
         assert (res.value, res.bracket) == (cold.value, cold.bracket)
+
+    def test_largest_is_solved_on_the_matrix_itself(self, monkeypatch):
+        # _largest hands _solve M, not -M: every estimate that reaches the
+        # close is positive, and every sigma that the close counts lies
+        # inside the bracket that _largest was given
+        brackets, closes = [], []
+        largest, close = eigen._largest, eigen._close
+
+        def recording_largest(step_pass, count, n, lo, hi, *args):
+            brackets.append((lo, hi))
+            return largest(step_pass, count, n, lo, hi, *args)
+
+        def recording_close(count, lo, hi, est, *args):
+            sigmas = []
+            closes.append((brackets[-1], est, sigmas))
+
+            def counted(sigma):
+                sigmas.append(sigma)
+                return count(sigma)
+            return close(counted, lo, hi, est, *args)
+
+        monkeypatch.setattr(eigen, "_largest", recording_largest)
+        monkeypatch.setattr(bessel, "_largest", recording_largest)
+        monkeypatch.setattr(eigen, "_close", recording_close)
+        rng = random.Random(41)
+        for _ in range(100):
+            alpha = (100.0 - 100.99 * rng.random() if rng.random() < 0.5
+                     else math.exp(rng.uniform(math.log(1e2), math.log(1e12))))
+            n = round(math.exp(rng.uniform(math.log(2), math.log(3000))))
+            largest_eigenvalue(build_jacobi(alpha, n))
+        for k in range(700):  # test_passes_per_zero's grid
+            first_zero(-0.999 + 0.37 * k)
+        assert len(closes) == 800
+        for (lo, hi), est, sigmas in closes:
+            assert 0.0 < est and lo <= est <= hi
+            assert sigmas and all(lo < sigma < hi for sigma in sigmas)
+
+    def test_solve_at_k_n_is_the_largest(self):
+        # _solve with k = n on T_3(0) itself, from the upper end of the
+        # norm bracket: the cubic's largest root, and _largest's result
+        # less its two count-only checks of the bracket's ends
+        T = build_jacobi(0.0, 3)
+        *_, coeffs = qn_coefficient_rows(F(0), 3, RATIONAL)
+        top = max(np.roots([float(c) for c in coeffs[::-1]]).real)
+        step_pass = functools.partial(_laguerre_pass, T.q)
+        count = functools.partial(_count, T.q)
+        lo, hi = norm_bracket(T)
+        res = _solve(step_pass, count, lo, hi, hi, 1e-13, k=3)
+        assert res.value == pytest.approx(top, rel=1e-12)
+        full = _largest(step_pass, count, 3, lo, hi, 1e-13)
+        assert (res.value, res.bracket, res.iterations + 2) == (full.value, full.bracket,
+                                                                 full.iterations)
+        assert res[:2] == largest_eigenvalue(T)[:2]
 
     def test_largest_matches_lapack(self):
         for alpha, n in [(-0.9, 2), (0.0, 7), (3.0, 40), (1e4, 300)]:
@@ -764,7 +831,7 @@ def laguerre_only(monkeypatch):
     """Turn Newton's pass off: ``_smallest`` hands ``_solve`` no Newton pass
     and pull, so every step pass is Laguerre's, as on a warm start."""
     solve = eigen._solve
-    monkeypatch.setattr(eigen, "_solve", lambda *args: solve(*args[:6]))
+    monkeypatch.setattr(eigen, "_solve", lambda *args, **kwargs: solve(*args[:6], **kwargs))
 
 
 def gate_draws():
@@ -854,12 +921,17 @@ class TestNewtonPass:
 
     def test_results_are_the_laguerre_drivers(self, monkeypatch):
         # values and brackets on point draws up to n = 5000: Newton-first
-        # keeps the Laguerre-only solve's
+        # keeps the Laguerre-only solve's; the patch keeps _largest's k = n,
+        # so the Bessel zeros are unchanged too
         draws = point_draws(60, 7, 5000)
         newton_first = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
+        alphas = (-0.99, 0.5, 3.0, 100.0, 2001.0)
+        zeros = [bessel._alpha_zero(a, 1e-13) for a in alphas]
         laguerre_only(monkeypatch)
         laguerre = [smallest_eigenvalue(build_jacobi(a, n)) for a, n in draws]
         assert [r[:2] for r in laguerre] == [r[:2] for r in newton_first]
+        assert [bessel._alpha_zero(a, 1e-13) for a in alphas] == zeros
+        assert zeros[1] == 2.0062996717894492
 
     @pytest.mark.parametrize("tol, within, past_100", [(1e-6, 685, 471), (1e-4, 596, 436)])
     def test_loose_tol_results_are_the_laguerre_drivers(self, monkeypatch, tol, within,

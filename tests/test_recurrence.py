@@ -352,6 +352,11 @@ REAL_CALLS = {
     "bessel_zero_enclosure": bessel_zero_enclosure,
     "bessel_j_nu": lambda x: bessel_j(x, 1.0),
     "bessel_j_x": lambda x: bessel_j(0.5, x),
+    "largest_root_bounds_b1": lambda x: largest_root_bounds(x, 0.0, 0.0, 1),
+    "largest_root_bounds_b2": lambda x: largest_root_bounds(3.0, x, 0.0, 2),
+    "largest_root_bounds_b3": lambda x: largest_root_bounds(3.0, 1.0, x, 2),
+    "laguerre_samuelson_b1": lambda x: laguerre_samuelson(x, 0.0, 2),
+    "laguerre_samuelson_b2": lambda x: laguerre_samuelson(3.0, x, 2),
 }
 
 
@@ -359,7 +364,9 @@ class TestArgumentTypes:
     """A degree must be an int and a real argument a number, as alpha must
     (``alpha_value``): a bool, a float degree or a string is refused with
     TypeError, not coerced.  markov_constant(0.0, True) was c_1,
-    dorfler_bounds(1.0, 2.5) a pair and first_zero(True) j_{1,1}."""
+    dorfler_bounds(1.0, 2.5) a pair, first_zero(True) j_{1,1} and
+    largest_root_bounds('2', '1', True, 3) a cubic pair with its lower end
+    above its upper."""
 
     @pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS.keys())
     @pytest.mark.parametrize("n", [True, False, 3.0, 2.5, F(3)], ids=repr)
