@@ -238,10 +238,10 @@ def first_zero(nu: float, tol: float = 1e-13) -> float:
 
 def _alpha_zero(alpha, tol: float) -> float | None:
     """j_{(alpha-1)/2,1} = 1/c(alpha) for the caller's alpha, exact or float;
-    None past asymptotic_constant's domain, read on the alpha as given."""
+    None past asymptotic_constant's domain, read on the alpha as given
+    before it is rounded: an exact alpha past binary64 lies past it too."""
     a = alpha_value(alpha)
-    fa = _float_alpha(a)
-    return _first_zero(0.5 * fa + 0.5, tol) if a <= _ALPHA_MAX else None
+    return _first_zero(0.5 * _float_alpha(a) + 0.5, tol) if a <= _ALPHA_MAX else None
 
 
 def asymptotic_constant(alpha, tol: float = 1e-13) -> float:

@@ -288,8 +288,8 @@ def turan_constant(n: int) -> float:
 
 def _lower_gap_parts(p, d):
     """(numerator, denominator) of the coefficients of n^1..n^5, as the
-    paper prints them, of the scaled lower residual of
-    :func:`_scaled_residual_parts` at alpha = p/d, homogeneous in (p, d)
+    paper prints them, of the lower residual (:func:`_residual_parts`)
+    times (a+1)^3 (a+2)...(a+5) at alpha = p/d, homogeneous in (p, d)
     like ``recurrence._b123_parts``: integers p, d give integer parts."""
     e1 = p + d
     return (
@@ -304,8 +304,8 @@ def _lower_gap_parts(p, d):
 
 
 def _upper_gap_parts(p, d):
-    """The coefficients of n^0..n^5 of the scaled upper residual as
-    :func:`_lower_gap_parts` gives the lower ones."""
+    """The coefficients of n^0..n^5 of the upper residual times
+    (a+1)^2 (a+2)...(a+5), as :func:`_lower_gap_parts` gives the lower ones."""
     e1 = p + d
     return (
         (8 * e1**2 * (2 * d + p) * (4 * d + p), 125 * d**4),
@@ -373,29 +373,10 @@ def _positive_above_minus_one(values) -> bool:
     return False
 
 
-def _scaled_residual_parts(p: int, d: int):
-    """The coefficients in n (n^0 .. n^6) of the two residuals of
-    :func:`residual_sandwich_check` times their scales,
-    (a+1)^3 (a+2)(a+3)(a+4)(a+5) and (a+1)^2 (a+2)(a+3)(a+4)(a+5), at
-    alpha = p/d (integers, d > 0): for each residual, a list of seven
-    integer numerators and their one denominator.  Both residuals are
-    polynomials of degree <= 6 in n, so their values at n = 0..6 fix them;
-    their denominators do not depend on n, so the numerators alone are
-    interpolated, both from one ``_residual_parts`` per n."""
-    parts = [_residual_parts(p, d, n) for n in range(7)]
-    # the two scales, over d^7 and d^6
-    tail = (p + 2 * d) * (p + 3 * d) * (p + 4 * d) * (p + 5 * d)
-    out = []
-    for side, (scale, scale_den) in enumerate((((p + d) ** 3 * tail, d**7),
-                                               ((p + d) ** 2 * tail, d**6))):
-        coeffs, top = _coefficients_from_values([part[side][0] for part in parts])
-        out.append(([c * scale for c in coeffs], top * parts[0][side][1] * scale_den))
-    return out
-
-
 def _residual_parts(p: int, d: int, n: int):
     """The two residuals of :func:`residual_sandwich_check` at alpha = p/d
-    (integers, d > 0) as (numerator, denominator) pairs of ints.  The
+    (integers, d > 0) as (numerator, denominator) pairs of ints, which the
+    ``identities`` suite compares with the printed lists at n = 0..6.  The
     denominators depend on p and d only.
 
     With b_k = B_k / D over D = lcm of the three denominators of b1..b3,
@@ -421,9 +402,9 @@ def residual_sandwich_check(alpha, n: int):
         upper_residual = upper^3 - p3         (>= 0 for n >= 2).
 
     The one place the two residuals are formed, as integer numerators over
-    one common denominator (:func:`_residual_parts`, which
-    :func:`_scaled_residual_parts` interpolates), returned as Fractions for
-    an int or Fraction alpha.  A float alpha is lifted to its exact binary
+    one common denominator (:func:`_residual_parts`, which the
+    ``identities`` suite reads), returned as Fractions for an int or
+    Fraction alpha.  A float alpha is lifted to its exact binary
     value and each residual rounded once; a nonzero one that leaves the
     binary64 range raises OverflowError.  Requires n >= 0.
     """

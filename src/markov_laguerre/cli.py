@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
 
 from . import bessel, bounds
 from .eigen import build_jacobi, smallest_eigenvalue
-from .recurrence import _a0_parts, _b123_parts, _scaled_rows, _split, coeff_a0
+from .recurrence import _a0_parts, _b123_parts, _next_row, _scaled_rows, _split, coeff_a0
 
 SWEEP_COLUMNS = bounds.BoundsReport._fields
 
@@ -259,55 +260,53 @@ def grid_pairs(alphas=GRID_ALPHAS):
     return [(a, n) for a in alphas for n in GRID_N if n > (a + 1) / 6]
 
 
+def _closed_rows(p: int, d: int, m_max: int):
+    """(D, rows): entries 0..3 of the rows of Q_0 .. Q_m_max at alpha = p/d
+    by the closed forms, as integers over D S_m, S_m the scales of
+    ``_scaled_rows``: entry k is (-1)^k num_k (D / den_k) N0(m), where
+    b_k = num_k / den_k (``_b123_parts``, b_0 = 1), D is the lcm of the
+    denominators, which are free of m, and N0 the numerator of ``_a0_parts``."""
+    parts = [((1, 1),) + _b123_parts(p, d, m) for m in range(m_max + 1)]
+    a0 = [_a0_parts(p, d, m)[0] for m in range(m_max + 1)]
+    lcm = math.lcm(*(den for _, den in parts[0]))
+    factors = [(-1) ** k * (lcm // den) for k, (_, den) in enumerate(parts[0])]
+    return lcm, [[f * num * n0 for f, (num, _) in zip(factors, part)]
+                 for part, n0 in zip(parts, a0)]
+
+
 def verify_coeffs() -> list[str]:
     """Proves, for every alpha > -1 and n >= 0, that the closed forms of
-    the constant coefficient a0 (``coeff_a0``) and of b1..b3
-    (``_b123_parts``, behind ``reciprocal_b123``) are those of Q_n, by
-    induction on n in exact integer arithmetic.
+    a0 (``coeff_a0`` over ``_a0_parts``) and of b1..b3 (``_b123_parts``,
+    behind ``reciprocal_b123``) are those of Q_n, by induction on n
+    through the triangle's own step, in exact integer arithmetic.
 
-    With b_k = (-1)^k a[k,n] / a[0,n], b_0 = 1 and the step
-    a0(m+1) = -(1 + alpha/(m+1)) a0(m), the recurrence of
-    ``qn_coefficient_rows`` reads, for m >= 1,
-
-        (m+1+alpha) b_k(m+1) = (m+1) b_{k-1}(m) + (2(m+1)+alpha) b_k(m) - (m+1) b_k(m-1).
-
-    By the form of ``_b123_parts``, b_k's denominator is free of n and
-    b_{k-1}'s divides it, and times that denominator each term is a
-    polynomial of degree <= 2k+1 in m and <= 3 in alpha.  So the identity
-    holds for every m and alpha if it holds on 2k+2 values of m by 4
-    alphas; it is checked on m = 1..12 by the 12 ``_INDUCTION_ALPHAS``,
-    cross-multiplied on the integers of ``_b123_parts(p, d, m)`` at
-    alpha = p/d (zero exactly where the identity holds).  The base cases
-    are rows 0 and 1 of ``_scaled_rows``, every entry against ``coeff_a0``
-    and b0..b3; a0, as the integer pair ``_a0_parts`` that ``coeff_a0``
-    divides, meets its step on the grid (and for every m by that form).
-    A failure prints both sides as Fractions."""
+    The base cases are rows 0 and 1 of ``_scaled_rows`` times D against
+    ``_closed_rows``, where a0 also meets ``coeff_a0``.  The step is
+    ``_next_row``, whose entry k reads entries k-1 and k of row m and k of
+    row m-1, so rows cut after entry 3 step exactly.  Divided by N0(m-1),
+    nonzero for alpha > -1, entry k of the closed row m+1 and of the step
+    from the closed rows m and m-1 are polynomials of degree <= 2k+2
+    (<= 8) in m and <= 7 in alpha, by the forms of ``_b123_parts``,
+    ``_a0_parts`` and ``_next_row``.  So they agree for every m >= 1 and
+    alpha if they agree on 9 values of m by 8 alphas; m = 1..12 by the 12
+    ``_INDUCTION_ALPHAS`` are checked.  A failure names row n and entry k
+    and prints a[k, n] of the triangle and of the closed form as Fractions."""
     failures = []
     for a in _INDUCTION_ALPHAS:
         p, d = _split(a)
-        a0 = [_a0_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
-        parts = [((1, 1),) + _b123_parts(p, d, m) for m in range(_INDUCTION_M[-1] + 2)]
-        # rows 0 and 1: row[k] / scale == (-1)^k b_k a0, with zeros past the row's end
+        lcm, closed = _closed_rows(p, d, _INDUCTION_M[-1] + 1)
+        triangle = []
         for n, (row, scale) in enumerate(_scaled_rows(p, d, 1)):
-            base = coeff_a0(a, n)
-            for k, (num, den) in enumerate(parts[n]):
-                got = row[k] if k < len(row) else 0
-                if got * den * base.denominator != (-1) ** k * num * base.numerator * scale:
-                    want = (-1) ** k * Fraction(num, den) * base
-                    failures.append(f"alpha={a} n={n} k={k}: {Fraction(got, scale)} != {want}")
-        for m in _INDUCTION_M:
-            step = d * (m + 1)  # d(m+1) + p = d(m+1+alpha)
-            if step * a0[m + 1][0] * a0[m][1] != -(step + p) * a0[m][0] * a0[m + 1][1]:
-                failures.append(f"alpha={a} m={m}: a0 step relation broken")
-            for k in (1, 2, 3):
-                (num_prev, den_prev), (num, den) = parts[m][k - 1:k + 1]
-                up, down = parts[m + 1][k][0], parts[m - 1][k][0]
-                lhs = den_prev * ((step + p) * up - (2 * step + p) * num + step * down)
-                if lhs != step * num_prev * den:
-                    want = ((m + 1) * Fraction(num_prev, den_prev)
-                            + (2 * (m + 1) + a) * Fraction(num, den) - (m + 1) * Fraction(down, den))
-                    failures.append(f"alpha={a} m={m} k={k}: (m+1+alpha) b{k}(m+1) = "
-                                    f"{(m + 1 + a) * Fraction(up, den)} != {want}")
+            triangle.append([lcm * c for c in row] + [0] * (4 - len(row)))
+            a0 = coeff_a0(a, n)
+            if a0.numerator * scale != row[0] * a0.denominator:
+                failures.append(f"alpha={a} n={n}: coeff_a0 = {a0} != {Fraction(row[0], scale)}")
+        triangle += [_next_row(p, d, m, closed[m], closed[m - 1]) for m in _INDUCTION_M]
+        for n, (got, want) in enumerate(zip(triangle, closed)):
+            if got[:4] != want:
+                scale = lcm * d**n * math.factorial(n)
+                failures += [f"alpha={a} n={n} k={k}: {Fraction(x, scale)} != {Fraction(y, scale)}"
+                             for k, (x, y) in enumerate(zip(got, want)) if x != y]
     return failures
 
 
@@ -367,16 +366,15 @@ def verify_identities() -> list[str]:
     for every alpha > -1, exactly, in three links; the fourth, the closed
     forms of b1..b3 they are built on, is ``verify_coeffs``.
 
-    (ii) Times their scales (``bounds._scaled_residual_parts``), the
-    residuals are the polynomials in n whose coefficients
-    ``bounds._lower_gap_parts`` and ``_upper_gap_parts`` list; both sides
-    are integer numerators over denominators, compared cross-multiplied.
-    By the forms of ``_b123_parts`` and of the refined bounds' parts, each
-    coefficient is a polynomial of degree <= 5 in alpha for the lower
-    residual; for the upper one it is such a polynomial over alpha + 1, of
-    degree <= 4 once that factor is cleared.  The lists have the same
-    degrees by their forms, so both sides agree for every alpha if they
-    agree at the 9 alphas of ``_GRID_ALPHAS_EXACT`` (6 would do).
+    (ii) Times (a+1)^3 (a+2)(a+3)(a+4)(a+5) and (a+1)^2 (a+2)...(a+5),
+    the residuals of ``bounds._residual_parts`` are the polynomials in n
+    that ``bounds._lower_gap_parts`` and ``_upper_gap_parts`` list, with
+    no n^0 term in the lower one: both sides, integer numerators over
+    denominators, are compared cross-multiplied by value at n = 0..6.
+    Both have degree <= 6 in n, and by the forms of ``_b123_parts`` and of
+    the refined bounds' parts, degree <= 5 in alpha, over alpha + 1 for
+    the upper residual.  So they agree for every n and alpha if they agree
+    at n = 0..6 by the 9 alphas of ``_GRID_ALPHAS_EXACT`` (6 would do).
 
     (iii) Each of the five lower-gap coefficients, of degree <= 5, is fixed
     by its values at t = alpha + 1 = 0..8 and proved positive on
@@ -389,10 +387,8 @@ def verify_identities() -> list[str]:
 
         h[j] = sum_{i >= j} g[i] C(i, j) 2^(i-j)
 
-    in m, of degree <= 4 in alpha; at each t they are interpolated
-    (``bounds._coefficients_from_values``) from the gap's values at
-    n = 2..7, and each is proved positive the same way: the upper residual
-    is positive for every n >= 2.
+    in m, of degree <= 4 in alpha; each is formed so at each t and proved
+    positive the same way: the upper residual is positive for every n >= 2.
 
     With the power-sum chain p3/p2 <= c_n^2 < p3^(1/3) (n >= 2), it follows
     that refined_lower < c_n^2 < refined_upper for every alpha > -1 and
@@ -401,31 +397,29 @@ def verify_identities() -> list[str]:
     c(alpha)^2 = lim c_n^2 / n^2 for every alpha > -1: ``verify_bessel``
     tests ``first_zero`` against a proved enclosure."""
     failures = []
-    # At alpha = t - 1, d = 1 and every denominator is a positive constant,
-    # so the numerators over their lcm, and their coefficients in m times
-    # 5!, are the values times one positive factor: the same degree and the
-    # same signs for (iii) and (iv).
+    # At alpha = t - 1, d = 1 and every denominator is a positive constant:
+    # the numerators over their lcm, and the h[j] formed from them, are the
+    # values times one positive factor, of the same degree and signs.
     lower = [bounds._numerators(bounds._lower_gap_parts(t - 1, 1)) for t in range(9)]
-    gaps = [bounds._numerators(bounds._upper_gap_parts(t - 1, 1)) for t in range(9)]
-    upper = [bounds._coefficients_from_values(
-                 [sum(c * (m + 2) ** i for i, c in enumerate(g)) for m in range(6)])[0]
-             for g in gaps]
+    upper = [[sum(g[i] * math.comb(i, j) * 2 ** (i - j) for i in range(j, 6)) for j in range(6)]
+             for g in (bounds._numerators(bounds._upper_gap_parts(t - 1, 1)) for t in range(9))]
     for name, coeffs in (("lower_gap[{}]", lower), ("upper_gap at n = m + 2, m^{}", upper)):
         for j, values in enumerate(zip(*coeffs)):
             if not bounds._positive_above_minus_one(values):
                 failures.append(f"{name.format(j)}: not proved positive for every alpha > -1")
-
-    def agree(nums, den, gap):
-        return all(num * gap_den == gap_num * den
-                   for num, (gap_num, gap_den) in zip(nums, gap, strict=True))
-
+    powers = [[n**i for i in range(6)] for n in range(7)]  # n^0..n^5 at n = 0..6
     for a in _GRID_ALPHAS_EXACT:
         p, d = _split(a)
-        (lp, lp_den), (up, up_den) = bounds._scaled_residual_parts(p, d)
-        if lp[0] or lp[6] or not agree(lp[1:6], lp_den, bounds._lower_gap_parts(p, d)):
-            failures.append(f"alpha={a}: lower residual coefficients mismatch")
-        if up[6] or not agree(up[:6], up_den, bounds._upper_gap_parts(p, d)):
-            failures.append(f"alpha={a}: upper residual coefficients mismatch")
+        # each printed list over its lcm L, and its residual's scale times L d^7
+        common = (p + d) ** 2 * (p + 2 * d) * (p + 3 * d) * (p + 4 * d) * (p + 5 * d)
+        sides = [(name, bounds._numerators(parts), scale * math.lcm(*(den for _, den in parts)))
+                 for name, parts, scale in (
+                     ("lower", ((0, 1),) + bounds._lower_gap_parts(p, d), (p + d) * common),
+                     ("upper", bounds._upper_gap_parts(p, d), d * common))]
+        for n, at_n in enumerate(powers):
+            for (name, nums, scale), (num, den) in zip(sides, bounds._residual_parts(p, d, n)):
+                if num * scale != sum(map(operator.mul, nums, at_n)) * den * d**7:
+                    failures.append(f"alpha={a} n={n}: {name} residual coefficients mismatch")
     print(
         "note: printed residual coefficient lists match the lower bound "
         "normalized by (alpha+1)(alpha+5); the alternative (alpha+3)(alpha+5) "

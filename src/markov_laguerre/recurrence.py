@@ -13,9 +13,9 @@ weighted-L2 inequality between a degree-n polynomial and its derivative.
 
 The coefficients of Q_n are stated once, as one integer triangle: an exact
 alpha (an int or ``fractions.Fraction``) is split as p/d, and row m is an
-integer row over one scale d^m m! (``_scaled_rows``).  It is the
-verification oracle of the ``verify`` suites and the tests, since the
-low-order coefficient formulas are exact identities.  Every closed form is
+integer row over one scale d^m m! (``_scaled_rows``), each a step of
+``_next_row``, the recurrence's one statement; the ``coeffs`` suite proves
+the low-order closed forms by induction through that step.  Every closed form is
 a pair of integer polynomials in (p, d, n), a numerator over a denominator;
 the closed forms also take a float ``alpha``, which yields binary64 values.
 A ``Fraction`` is built once per returned value, at the API.
@@ -142,15 +142,27 @@ def recurrence_coeffs(alpha, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(tuple(d), tuple(lam_sq))
 
 
+def _next_row(p: int, d: int, m: int, cur, prev):
+    """R_{m+1} from R_m = ``cur`` and R_{m-1} = ``prev`` at alpha = p/d, m >= 1
+    (see :func:`_scaled_rows`): the recurrence's one statement,
+
+        R_{m+1} = d(m+1) x R_m - (2d(m+1) + p) R_m - d(m+1)(dm + p) R_{m-1}.
+
+    Entry k reads only cur[k-1], cur[k] and prev[k], so rows cut after
+    entry 3 step exactly there (``cli.verify_coeffs``); over d and d^2,
+    the three factors have degree <= 2 in m and <= 1 in alpha."""
+    step = d * (m + 1)
+    shift, couple = 2 * step + p, step * (d * m + p)
+    return [step * x - shift * y - couple * z
+            for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
+
+
 def _scaled_rows(p: int, d: int, n_max: int):
     """Yield (R_m, S_m) for m = 0 .. n_max at alpha = p/d (integers, d > 0):
     the coefficient row of Q_m, low degree first, is R_m / S_m, with the
-    integer list R_m and the scale S_m = d^m m!.  Scaling the recurrence of
-    :func:`qn_coefficient_rows` by S_{m+1} = d(m+1) S_m gives
-
-        R_{m+1} = d(m+1) x R_m - (2d(m+1) + p) R_m - d(m+1)(dm + p) R_{m-1}
-
-    for m >= 1, from R_0 = 1 and R_1 = d x - (p + d).  Requires n_max >= 0.
+    integer list R_m and the scale S_m = d^m m!.  From R_0 = 1 and
+    R_1 = d x - (p + d), each row is :func:`_next_row` of the two before.
+    Requires n_max >= 0.
     """
     prev, cur, scale = [], [1], 1
     yield cur, scale
@@ -158,11 +170,8 @@ def _scaled_rows(p: int, d: int, n_max: int):
         prev, cur, scale = cur, [-(p + d), d], d
         yield cur, scale
     for m in range(1, n_max):
-        step = d * (m + 1)
-        shift, couple = 2 * step + p, step * (d * m + p)
-        prev, cur = cur, [step * x - shift * y - couple * z
-                          for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
-        scale *= step
+        prev, cur = cur, _next_row(p, d, m, cur, prev)
+        scale *= d * (m + 1)
         yield cur, scale
 
 
@@ -176,7 +185,8 @@ def qn_coefficient_rows(alpha, n_max: int, mode: str = RATIONAL):
         a[k, m+1] = a[k-1, m] - (2 + alpha/(m+1)) a[k, m] - (1 + alpha/m) a[k, m-1]
 
     with a[m, m] = 1 and a[k, m] = 0 for k < 0 or k > m; they are those of
-    :func:`_scaled_rows`, each divided by its scale as it is yielded.
+    :func:`_scaled_rows` (steps of :func:`_next_row`), each divided by its
+    scale as it is yielded.
     ``mode`` is RATIONAL, the one mode; any other value raises ValueError.
     """
     _require_degree(n_max, name="n_max")

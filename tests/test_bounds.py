@@ -33,7 +33,6 @@ from markov_laguerre.bounds import (
     _lower_gap_parts,
     _positive_above_minus_one,
     _residual_parts,
-    _scaled_residual_parts,
     _upper_gap_parts,
 )
 from markov_laguerre.recurrence import (
@@ -326,10 +325,21 @@ def upper_gap(a):
 
 
 def scaled_residual(a, side):
-    """The coefficients of n^0..n^6 of the scaled lower (side 0) or upper
-    (side 1) residual at the exact value of a."""
-    nums, den = _scaled_residual_parts(*F(a).as_integer_ratio())[side]
-    return [F(num, den) for num in nums]
+    """The printed coefficients of n^0..n^6 of the scaled lower (side 0) or
+    upper (side 1) residual at the exact value of a: the gap lists, with a
+    zero for each power they do not print."""
+    return [0] + lower_gap(a) + [0] if side == 0 else upper_gap(a) + [0]
+
+
+def residual_scales(a):
+    """The scales of the lower and upper residual, (a+1)^3 (a+2)...(a+5)
+    and (a+1)^2 (a+2)...(a+5)."""
+    tail = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
+    return (a + 1) * tail, tail
+
+
+def at_n(coeffs, n):
+    return sum(c * n**j for j, c in enumerate(coeffs))
 
 
 class TestIdentityResiduals:
@@ -499,12 +509,12 @@ class TestPositiveAboveMinusOne:
 class TestResidualPolys:
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(-9, 10), F(25), F(7, 3)])
     def test_exact_match_with_coefficient_lists(self, a):
-        lp = scaled_residual(a, 0)
-        up = scaled_residual(a, 1)
-        assert lp[0] == 0 and lp[6] == 0
-        assert lp[1:6] == lower_gap(a)
-        assert up[6] == 0
-        assert up[:6] == upper_gap(a)
+        # both sides have degree <= 6 in n, so their values at n = 0..6
+        # fix them: the printed lists are the scaled residuals
+        scales = residual_scales(a)
+        for n in range(7):
+            for side, residual in enumerate(residual_sandwich_check(a, n)):
+                assert at_n(scaled_residual(a, side), n) == residual * scales[side]
 
     def test_wrong_normalization_leaves_degree_six(self):
         # dividing the lower bound by (a+3)(a+5) instead of (a+1)(a+5)
@@ -519,7 +529,8 @@ class TestResidualPolys:
 
         wrong, _ = _coefficients_from_values([wrong_gap(n) for n in range(7)])
         assert wrong[6] != 0
-        assert scaled_residual(a, 0)[6] == 0
+        right, _ = _coefficients_from_values([residual_sandwich_check(a, n)[0] for n in range(7)])
+        assert right[6] == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -528,28 +539,24 @@ class TestResidualPolys:
     )
     def test_single_sources_agree_with_exact_arithmetic(self, a, n):
         # the exact recurrence row against coeff_a0..a3, which derive from
-        # reciprocal_b123, and the residual polynomials at n against the
-        # scaled residual_sandwich_check they are recovered from
+        # reciprocal_b123, and the printed residual lists at n against the
+        # scaled residual_sandwich_check
         *_, row = qn_coefficient_rows(a, n, RATIONAL)
         closed = (coeff_a0(a, n), coeff_a1(a, n), coeff_a2(a, n), coeff_a3(a, n))
         for k in range(min(3, n) + 1):
             assert row[k] == closed[k]
         lr, ur = residual_sandwich_check(a, n)
-        scale_up = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-        at_n = lambda coeffs: sum(c * n**j for j, c in enumerate(coeffs))
-        assert at_n(scaled_residual(a, 0)) == lr * (a + 1) * scale_up
-        assert at_n(scaled_residual(a, 1)) == ur * scale_up
+        scale_low, scale_up = residual_scales(a)
+        assert at_n(scaled_residual(a, 0), n) == lr * scale_low
+        assert at_n(scaled_residual(a, 1), n) == ur * scale_up
 
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2)])
     @pytest.mark.parametrize("n", [3, 4, 10, 57])
     def test_poly_evaluation_matches_direct_residuals(self, a, n):
         lr, ur = residual_sandwich_check(a, n)
-        lp = scaled_residual(a, 0)
-        up = scaled_residual(a, 1)
-        scale_low = (a + 1) ** 3 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-        scale_up = (a + 1) ** 2 * (a + 2) * (a + 3) * (a + 4) * (a + 5)
-        assert sum(c * n**j for j, c in enumerate(lp)) == lr * scale_low
-        assert sum(c * n**j for j, c in enumerate(up)) == ur * scale_up
+        scale_low, scale_up = residual_scales(a)
+        assert at_n(scaled_residual(a, 0), n) == lr * scale_low
+        assert at_n(scaled_residual(a, 1), n) == ur * scale_up
 
 
 class TestResidualSandwich:
@@ -648,7 +655,6 @@ class TestFractionOracle:
     @settings(max_examples=20, deadline=None)
     @given(a=exact_alphas())
     def test_residual_denominators_do_not_depend_on_n(self, a):
-        # the residual polynomials interpolate the numerators alone
         for side in (0, 1):
             dens = {_residual_parts(a.numerator, a.denominator, n)[side][1] for n in range(7)}
             assert len(dens) == 1
@@ -662,7 +668,7 @@ class TestNegativeDegree:
             residual_sandwich_check(alpha, -2)
 
     def test_degree_zero_stays_valid(self):
-        # the residual polynomials interpolate n = 0..6
+        # the identities suite compares the residuals from n = 0 on
         assert residual_sandwich_check(F(1, 2), 0) == fraction_residuals(F(1, 2), 0)
         assert residual_sandwich_check(0.5, 0) == pytest.approx(fraction_residuals(F(1, 2), 0))
 

@@ -789,10 +789,12 @@ class TestVerify:
         assert "PASS" not in out
 
     def test_coeffs_failure_prints_both_sides_as_fractions(self, monkeypatch):
-        # The suite compares cross-multiplied integers; a failure still
-        # prints both sides of the induction step as Fractions.  b1(5) + 1
-        # at alpha = 3/4 breaks the steps that read b1(5): k = 1 at
-        # m = 4, 5, 6, and k = 2 at m = 5, where b1 is b_{k-1}.
+        # The suite compares integer rows; a failure still prints both sides
+        # of the failing entry, a[k, n] of the triangle and of the closed
+        # form, as Fractions.  b1(5) + 1 at alpha = 3/4 breaks entry 1 of
+        # row 5 and the steps that read it: entries 1 and 2 of row 6, where
+        # row 5 is the current row, and entry 1 of row 7, where it is the
+        # previous one.
         real = cli._b123_parts
 
         def perturbed(p, d, n):
@@ -803,15 +805,16 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "_b123_parts", perturbed)
         assert cli.verify_coeffs() == [
-            "alpha=3/4 m=4 k=1: (m+1+alpha) b1(m+1) = 1541/28 != 345/7",
-            "alpha=3/4 m=5 k=1: (m+1+alpha) b1(m+1) = 81 != 375/4",
-            "alpha=3/4 m=5 k=2: (m+1+alpha) b2(m+1) = 2268/11 != 2334/11",
-            "alpha=3/4 m=6 k=1: (m+1+alpha) b1(m+1) = 124 != 117",
+            "alpha=3/4 n=5 k=1: 72105/2048 != 322069/8192",
+            "alpha=3/4 n=6 k=1: -4206125/65536 != -908523/16384",
+            "alpha=3/4 n=6 k=2: 1189951/8192 != 578151/4096",
+            "alpha=3/4 n=7 k=1: 5061771/65536 != 1341153/16384",
         ]
 
     def test_coeffs_checks_the_a0_step(self, monkeypatch):
-        # a0(5) doubled breaks the steps that read it, m = 4 and m = 5, at
-        # every alpha; the base cases read coeff_a0, which stays right
+        # a0(5) doubled scales all of the closed row 5, so it breaks the
+        # steps that read row 5, m = 4, 5 and 6 (rows 5, 6 and 7), at every
+        # alpha; the base cases read coeff_a0, which stays right
         real = cli._a0_parts
 
         def perturbed(p, d, m):
@@ -819,8 +822,33 @@ class TestVerify:
             return (2 * num if m == 5 else num), den
 
         monkeypatch.setattr(cli, "_a0_parts", perturbed)
-        assert cli.verify_coeffs() == [f"alpha={a} m={m}: a0 step relation broken"
-                                       for a in cli._INDUCTION_ALPHAS for m in (4, 5)]
+        failures = cli.verify_coeffs()
+        assert len(failures) == len(cli._INDUCTION_ALPHAS) * 3 * 4
+        assert {f.split(" k=")[0] for f in failures} == {
+            f"alpha={a} n={n}" for a in cli._INDUCTION_ALPHAS for n in (5, 6, 7)}
+
+    def test_a_broken_step_fails_the_suite(self, capsys, monkeypatch):
+        # The triangle and the suite take one step, _next_row: entry 1 of
+        # row 3 off by one changes the triangle's rows, and the suite names
+        # row 3, the first wrong one, at every alpha.
+        real = recurrence._next_row
+
+        def broken(p, d, m, cur, prev):
+            row = real(p, d, m, cur, prev)
+            if m == 2:
+                row[1] += 1
+            return row
+
+        before = list(recurrence.qn_coefficient_rows(F(3, 4), 5))
+        monkeypatch.setattr(recurrence, "_next_row", broken)
+        monkeypatch.setattr(cli, "_next_row", broken)
+        assert list(recurrence.qn_coefficient_rows(F(3, 4), 5)) != before
+        failures = cli.verify_coeffs()
+        assert [f.split(": ")[0] for f in failures] == [
+            f"alpha={a} n=3 k=1" for a in cli._INDUCTION_ALPHAS]
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verify", "--mode", "coeffs")
+        assert code == 1 and out.startswith("FAIL ")
 
     def test_identities_proves_what_a_grid_scan_misses(self, capsys, monkeypatch):
         # (a - 1/20)^2 - 1e-6 is negative only on (0.049, 0.051), between
@@ -881,14 +909,14 @@ class TestVerify:
     def test_identities_upper_gap_at_n_plus_two_is_the_binomial_sum(self, monkeypatch):
         # The values certified in (iv) at t = alpha + 1 are
         # h[j] = sum_i g[i] C(i, j) 2^(i-j), the coefficients in m of the
-        # upper gap at n = m + 2, times one positive factor: 5! times the
-        # lcm of the gap's denominators.
+        # upper gap at n = m + 2, times one positive factor: the lcm of the
+        # gap's denominators.
         certified = []
         monkeypatch.setattr(bounds, "_positive_above_minus_one",
                             lambda values: certified.append(list(values)) or True)
         assert cli.verify_identities() == []
         assert len(certified) == 11  # the five lower-gap lists, then the six h[j]
-        scale = 120 * math.lcm(*(den for _, den in bounds._upper_gap_parts(0, 1)))
+        scale = math.lcm(*(den for _, den in bounds._upper_gap_parts(0, 1)))
         for j, values in enumerate(certified[5:]):
             want = []
             for t in range(9):
@@ -1043,38 +1071,46 @@ def differences(values, order):
 
 class TestProofPremises:
     """The degrees that the proofs of the ``coeffs`` and ``identities``
-    suites count from the forms of ``_b123_parts`` and
-    ``_refined_lower_parts``, measured: a polynomial of degree <= D takes
-    values whose differences of order D + 1 vanish, here at 22 equally
-    spaced exact alphas, at m = 1..21 or at n = 0..21.  An edit that raised
-    a degree past the suite's grid would void its proof; these tests fail
-    instead."""
+    suites count from the forms of ``_b123_parts``, ``_a0_parts``,
+    ``_next_row`` and ``_refined_lower_parts``, measured: a polynomial of
+    degree <= D takes values whose differences of order D + 1 vanish,
+    here at 22 equally spaced exact alphas, at m = 1..21 or at n = 0..21.
+    An edit that raised a degree past the suite's grid would void its
+    proof; these tests fail instead."""
 
     ALPHAS = [F(k - 2, 3) for k in range(22)]  # -2/3 .. 19/3
 
     @staticmethod
-    def induction_terms(a, m, k):
-        """The four terms of the induction step of ``verify_coeffs`` at
-        (alpha, m, k), times b_k's denominator, from ``_b123_parts(a, 1, m)``:
-        (m+1+a) b_k(m+1), (m+1) b_{k-1}(m), (2(m+1)+a) b_k(m), (m+1) b_k(m-1)."""
-        parts = [((1, 1),) + recurrence._b123_parts(a, 1, j) for j in (m - 1, m, m + 1)]
-        (down, den), (num, _), (up, _) = (part[k] for part in parts)
-        assert {part[k][1] for part in parts} == {den}  # free of m
-        num_prev, den_prev = parts[1][k - 1]
-        return ((m + 1 + a) * up, (m + 1) * F(num_prev) * den / den_prev,
-                (2 * (m + 1) + a) * num, (m + 1) * down)
+    def step_sides(a, m_max):
+        """For m = 1 .. m_max, the pairs (closed row m+1, step from the
+        closed rows m and m-1) of entries 0..3 in ``verify_coeffs`` at
+        alpha = a, divided by N0(m-1) d^7: functions of alpha alone, as
+        the rows are homogeneous of degree m + 6 in (p, d)."""
+        p, d = a.numerator, a.denominator
+        _, rows = cli._closed_rows(p, d, m_max + 1)
+        out = []
+        for m in range(1, m_max + 1):
+            scale = recurrence._a0_parts(p, d, m - 1)[0] * d**7
+            step = recurrence._next_row(p, d, m, rows[m], rows[m - 1])
+            out.append([(F(x, scale), F(y, scale)) for x, y in zip(rows[m + 1], step)])
+        return out
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_induction_step_degrees(self, k):
-        for m in (1, 2, 5, 12):
-            terms = [self.induction_terms(a, m, k) for a in self.ALPHAS]
-            for values in zip(*terms):
-                assert not any(differences(values, 4)), (m, "degree in alpha > 3")
-            assert all(t[0] - t[1] - t[2] + t[3] == 0 for t in terms)
+        if k:  # _closed_rows reads b_k's denominator at m = 0
+            for a in self.ALPHAS:
+                parts = [recurrence._b123_parts(a.numerator, a.denominator, m) for m in range(22)]
+                assert len({part[k - 1][1] for part in parts}) == 1, (a, "denominator has m")
+        by_alpha = [self.step_sides(a, 21) for a in self.ALPHAS]
+        for m in range(1, 22):
+            pairs = [sides[m - 1][k] for sides in by_alpha]
+            assert all(closed == step for closed, step in pairs)
+            for values in zip(*pairs):
+                assert not any(differences(values, 8)), (m, "degree in alpha > 7")
         for a in (F(-9, 10), F(7, 3), F(50)):
-            terms = [self.induction_terms(a, m, k) for m in range(1, 22)]
-            for values in zip(*terms):
-                assert not any(differences(values, 2 * k + 2)), (a, f"degree in m > {2 * k + 1}")
+            pairs = [sides[k] for sides in self.step_sides(a, 21)]
+            for values in zip(*pairs):
+                assert not any(differences(values, 2 * k + 3)), (a, f"degree in m > {2 * k + 2}")
 
     @pytest.mark.parametrize("n", [3, 5, 7, 12])
     def test_scaled_residual_degrees(self, n):
@@ -1088,7 +1124,7 @@ class TestProofPremises:
 
     @pytest.mark.parametrize("a", [F(-9, 10), F(1, 3), F(25)])
     def test_residuals_have_degree_six_in_n(self, a):
-        # bounds._scaled_residual_parts interpolates them at n = 0..6
+        # the identities suite compares them by value at n = 0..6
         for residual in zip(*(bounds.residual_sandwich_check(a, n) for n in range(22))):
             assert not any(differences(residual, 7))
 

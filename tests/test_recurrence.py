@@ -87,14 +87,22 @@ class TestWeightAlpha:
     @pytest.mark.parametrize("call", [
         lambda a: markov_constant(a, 3),
         lambda a: refined_bounds(a, 3),
-        lambda a: asymptotic_constant(a),
-    ], ids=["markov_constant", "refined_bounds", "asymptotic_constant"])
+    ], ids=["markov_constant", "refined_bounds"])
     def test_float_paths_name_the_binary64_range(self, call):
         # Each float path rounds alpha once, and an exact alpha past the
         # range says so; float() raised "integer division result too large
         # for a float".
         with pytest.raises(OverflowError, match="past the binary64 range"):
             call(F(10**400))
+
+    @pytest.mark.parametrize("alpha", [F(10**400), 10**400, 1e300, F(2002)],
+                             ids=["fraction", "int", "float", "just_past"])
+    def test_asymptotic_constant_reads_its_domain_before_rounding(self, alpha):
+        # c(alpha) is defined for alpha <= 2001: an exact alpha past
+        # binary64 raised OverflowError from the rounding, where a float
+        # one past the domain raised this ValueError.
+        with pytest.raises(ValueError, match="outside the domain"):
+            asymptotic_constant(alpha)
 
     @pytest.mark.parametrize("call", [
         lambda a: markov_constant(a, 5),
