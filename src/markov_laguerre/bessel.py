@@ -186,10 +186,19 @@ def _ikebe_factor(h: float, m: int) -> tuple[list[float], list[float]]:
     """Squared diagonal q and squared subdiagonal e of B at order m (e has
     m entries; the last one, past the cut, is unused).
 
+    q_i and e_i share the term u = h + 2i + 1, formed once from t = h + 2i:
+    q_i = 1/(t u), e_i = 1/(u (t + 2)).  Python adds left to right, so t + 1
+    and t + 2 are the bits of h + 2i + 1 and h + 2i + 2.
+
     Lists, not tuples: short tuples freed by the thousand (one pair per
     zero) grew the resident set of a long run by ~1 MiB; lists do not."""
-    q = [1.0 / ((h + 2 * i) * (h + 2 * i + 1)) for i in range(m)]
-    e = [1.0 / ((h + 2 * i + 1) * (h + 2 * i + 2)) for i in range(m)]
+    q = []
+    e = []
+    for i in range(m):
+        t = h + 2 * i
+        u = t + 1
+        q.append(1.0 / (t * u))
+        e.append(1.0 / (u * (t + 2)))
     return q, e
 
 

@@ -5,10 +5,13 @@ Output is CSV (default) or JSON (--format json); floats are serialized with
 17 significant digits so the decimal form round-trips binary64 exactly.
 Every command prints through one emitter: ``_format_rows`` turns rows into
 text, ``_emit`` frames the texts with the CSV header or the JSON brackets.
+``main`` builds the parser of the invoked subcommand alone, and the full
+parser only for help, a missing or an unknown command.
 ``sweep`` cuts its sorted (alpha, n) grid into contiguous chunks, eight per
 job, and ``_sweep_chunk`` computes and formats one chunk; a process pool of
-at most one worker per chunk runs them, and the parent prints the texts in
-grid order, so the output does not depend on ``--jobs``.  ``--jobs 1``, or
+at most one worker per chunk, and per CPU the process may run on, runs
+them, and the parent prints the texts in grid order, so the output does
+not depend on ``--jobs``.  ``--jobs 1``, or
 a single row, computes the whole grid as one chunk in this process.  Each
 run of rows that share alpha is one ``_grid_rows`` group: one call of the
 bounds engine ``bounds._rows`` (alpha validated, the factor built once,
@@ -183,6 +186,14 @@ def _chunks(tasks: list, jobs: int) -> list[list]:
     return [tasks[i:i + size] for i in range(0, len(tasks), size)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -194,7 +205,8 @@ def cmd_sweep(args) -> int:
     if not ns:
         raise ValueError("sweep needs at least one alpha and one n")
     tasks = [(a, n) for a in sorted(alphas) for n in sorted(ns)]
-    jobs = args.jobs or os.cpu_count() or 1
+    cpus = _cpus()
+    jobs = min(args.jobs or cpus, cpus)
     chunks = _chunks(tasks, jobs)
     workers = min(jobs, len(chunks))
     if workers > 1:
@@ -471,23 +483,7 @@ def _add_common(sub, alpha=False, n=False, tol=True):
         sub.add_argument("--n", type=int, required=True, help="polynomial degree, >= 1")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="markov-laguerre",
-        description="Sharp constant and certified bounds for the Laguerre-weight "
-        "L2 inequality between a polynomial and its derivative.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constant", help="exact c_n(alpha) with the bracket the sign count places")
-    _add_common(p, alpha=True, n=True)
-    p.set_defaults(func=cmd_constant)
-
-    p = sub.add_parser("bounds", help="full bounds report at one (alpha, n)")
-    _add_common(p, alpha=True, n=True)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("sweep", help="bounds report over an (alpha, n) grid")
+def _sweep_args(p):
     _add_common(p)
     p.add_argument("--alpha", type=float, help="single alpha instead of a range")
     p.add_argument("--alpha-min", type=float, default=0.0)
@@ -496,30 +492,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="e.g. '1,2,5' or '3..100'")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, >= 1 (default: one per core)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("--mode", choices=sorted(VERIFY_MODES), required=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bessel-zero", help="first positive zero of J_nu")
+def _bessel_zero_args(p):
     _add_common(p)
     p.add_argument("--nu", type=float, required=True, help="order, -1 < nu <= 1000")
-    p.set_defaults(func=cmd_bessel_zero)
 
-    p = sub.add_parser("figure1", help="ratio of asymptotic-constant bounds vs alpha")
+
+def _figure1_args(p):
     _add_common(p, tol=False)
     p.add_argument("--alpha-min", type=float, default=-0.99)
     p.add_argument("--alpha-max", type=float, default=500.0)
     p.add_argument("--alpha-step", type=float, default=0.1)
-    p.set_defaults(func=cmd_figure1)
 
+
+# Each subcommand: its help line, its function, and what adds its arguments.
+_COMMANDS = {
+    "constant": ("exact c_n(alpha) with the bracket the sign count places", cmd_constant,
+                 lambda p: _add_common(p, alpha=True, n=True)),
+    "bounds": ("full bounds report at one (alpha, n)", cmd_bounds,
+               lambda p: _add_common(p, alpha=True, n=True)),
+    "sweep": ("bounds report over an (alpha, n) grid", cmd_sweep, _sweep_args),
+    "verify": ("run one verification suite", cmd_verify,
+               lambda p: p.add_argument("--mode", choices=sorted(VERIFY_MODES), required=True)),
+    "bessel-zero": ("first positive zero of J_nu", cmd_bessel_zero, _bessel_zero_args),
+    "figure1": ("ratio of asymptotic-constant bounds vs alpha", cmd_figure1, _figure1_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  Built for
+    one, it names all six in its usage line, as the full parser does, so
+    its errors print the same bytes."""
+    parser = argparse.ArgumentParser(
+        prog="markov-laguerre",
+        description="Sharp constant and certified bounds for the Laguerre-weight "
+        "L2 inequality between a polynomial and its derivative.",
+    )
+    # None is argparse's default, which spells out the parsers built.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_, func, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Only the invoked subcommand's parser is built;
+    help, a missing or an unknown command take the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -493,8 +493,9 @@ def _largest(step_pass, count, n: int, lo: float, hi: float, tol: float,
     if count(hi) < n:
         raise RuntimeError(f"the bracket [{lo}, {hi}] misses the largest eigenvalue: "
                            f"fewer than all {n} lie at or below its upper end")
-    res = _solve(step_pass, count, lo, hi, hi if start is None else start, tol, k=n)
-    return res._replace(iterations=res.iterations + 2)
+    value, bracket, iterations, tol = _solve(step_pass, count, lo, hi,
+                                             hi if start is None else start, tol, k=n)
+    return EigenResult(value, bracket, iterations + 2, tol)
 
 
 def _start(a: float, q, zero: float | None = None) -> tuple[float, float | None]:
@@ -625,5 +626,12 @@ def largest_eigenvalue(T: TridiagMatrix, tol: float = 1e-13) -> EigenResult:
 
 
 def markov_constant(alpha, n: int, tol: float = 1e-13) -> float:
-    """Sharp constant c_n(alpha): inverse square root of the smallest zero of Q_n."""
+    """Sharp constant c_n(alpha): inverse square root of the smallest zero of Q_n.
+
+    The zero is the midpoint of a bracket of relative width tol that the
+    binary64 sign count places but does not prove, so c_n is not proved to
+    lie within tol either; the count's bias grows with n.  At alpha = 0,
+    against Turán's closed form, c is 1.9e-14 off at n = 20000, 8.0e-14 at
+    30000, 1.5e-13 at 50000 and 2.6e-13 at 100000 (relative), against the
+    default tol = 1e-13, the bracket's width on 1/c^2."""
     return math.sqrt(1.0 / smallest_eigenvalue(build_jacobi(alpha, n), tol).value)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -455,6 +456,36 @@ class TestOrder:
         z = first_zero(nu)
         assert bessel._olver(nu) < z < bessel._qu_wong(nu)
         assert (z - bessel._olver(nu)) / z == pytest.approx(error, rel=0.05)
+
+
+def two_pass_factor(h, m):
+    """Ikebe's factor as two comprehensions that form h + 2i anew for each
+    term."""
+    q = [1.0 / ((h + 2 * i) * (h + 2 * i + 1)) for i in range(m)]
+    e = [1.0 / ((h + 2 * i + 1) * (h + 2 * i + 2)) for i in range(m)]
+    return q, e
+
+
+# sha256 of the ``float.hex`` of first_zero at the nu grid of ``verify
+# bessel``, comma-joined, as the two-comprehension factor gave them.
+VERIFY_BESSEL_ZEROS_SHA256 = "c57b6a62cff031a42f776a19becb78bfb0db7533e8cf358dcec39f8b4a594e4c"
+
+
+class TestIkebeFactor:
+    def test_one_pass_is_the_two_pass_factor_to_the_bit(self):
+        rng = random.Random(11)
+        hs = [10 ** rng.uniform(-16, 3) for _ in range(100)] + [1.0, 2.0, 1001.0]
+        for h in hs:
+            for m in range(50):
+                got, want = _ikebe_factor(h, m), two_pass_factor(h, m)
+                assert [list(map(float.hex, x)) for x in got] == \
+                    [list(map(float.hex, x)) for x in want], (h, m)
+
+    def test_the_verify_bessel_zeros_keep_their_bits(self):
+        grid = cli._grid(-0.75, 25.0, 0.25) + cli._grid(27.5, 250.0, 2.5)
+        text = ",".join(first_zero(nu).hex() for nu in grid)
+        assert len(grid) == 194
+        assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_BESSEL_ZEROS_SHA256
 
 
 class TestAsymptoticConstant:

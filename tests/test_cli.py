@@ -1,3 +1,4 @@
+import argparse
 import collections
 import concurrent.futures
 import contextlib
@@ -100,7 +101,9 @@ def sweep_tasks(argv):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """max_workers of each process pool the CLI starts; the pools are real."""
+    """max_workers of each process pool the CLI starts, as on two CPUs; the
+    pools are real."""
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -114,8 +117,9 @@ def pool_sizes(monkeypatch):
 
 @pytest.fixture
 def fake_pool_sizes(monkeypatch):
-    """max_workers of each process pool the CLI asks for; none is started,
-    the pool's map is the builtin one."""
+    """max_workers of each process pool the CLI asks for, as on 64 CPUs;
+    none is started, the pool's map is the builtin one."""
+    monkeypatch.setattr(cli, "_cpus", lambda: 64)
     sizes = []
 
     class FakePool:
@@ -485,10 +489,29 @@ class TestSweepPool:
         assert code == 0 and out == serial
         assert fake_pool_sizes == pools
 
-    def test_default_jobs_are_capped_too(self, capsys, monkeypatch, fake_pool_sizes):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    def test_default_jobs_are_capped_too(self, capsys, fake_pool_sizes):
         code, _, _ = run_cli(capsys, "sweep", "--alpha", "0", "--n-list", "3,4")
         assert code == 0 and fake_pool_sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "3"], ["--jobs", "100000"]])
+    def test_pool_is_capped_at_the_cpus(self, capsys, monkeypatch, fake_pool_sizes, jobs):
+        # 100000 jobs cut this grid into 18 chunks of one row; no more
+        # workers than CPUs are asked for all the same
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        argv = ["sweep", "--alpha", "0", "--n-list", "3..20"]
+        _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+        code, out, _ = run_cli(capsys, *argv, *jobs)
+        assert code == 0 and out == serial
+        assert fake_pool_sizes == [3]
+
+    def test_cpus_are_those_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert cli._cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cpus() == 1
 
     def test_numeric_failure_in_a_worker_exits_1(self, capsys, pool_sizes):
         # b3 overflows binary64 past alpha ~ 1.5e61 in every row
@@ -1236,6 +1259,78 @@ def loaded_after_cli_import(*names):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+# One valid command line per subcommand.
+VALID_ARGV = {
+    "constant": ["constant", "--alpha", "0.5", "--n", "10"],
+    "bounds": ["bounds", "--alpha", "2.5", "--n", "40", "--format", "json"],
+    "sweep": ["sweep", "--alpha-min", "-0.9", "--n-list", "3..10", "--jobs", "1"],
+    "verify": ["verify", "--mode", "coeffs"],
+    "bessel-zero": ["bessel-zero", "--nu", "0.5", "--tol", "1e-8"],
+    "figure1": ["figure1", "--alpha-max", "5", "--format", "json"],
+}
+
+# Command lines that argparse answers itself: help, or a usage error.
+PARSER_EXITS = [
+    [],
+    ["frob"],
+    ["--help"],
+    ["--tol", "1", "constant"],
+    *([name, "--help"] for name in VALID_ARGV),
+    ["constant", "--alpha", "1", "--n", "3", "extra"],
+    ["verify", "--mode", "coeffs", "constant"],
+    ["constant", "--alpha", "x", "--n", "3"],
+    ["verify", "--mode", "frob"],
+    ["sweep", "--n-list", "3", "--jobs", "x"],
+    ["bessel-zero"],
+    ["bounds", "--n", "3"],
+]
+
+
+def _subparsers(parser) -> dict:
+    """The subcommand parsers that ``parser`` holds, by name, in order."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _exit_of(capsys, parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    def test_the_full_parser_has_every_subcommand(self):
+        assert list(_subparsers(cli.build_parser())) == list(VALID_ARGV)
+
+    @pytest.mark.parametrize("name", list(VALID_ARGV))
+    def test_one_command_parses_as_the_full_parser(self, name):
+        full, one = cli.build_parser(), cli.build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        assert one.parse_args(VALID_ARGV[name]) == full.parse_args(VALID_ARGV[name])
+        assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+        assert one.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, capsys, argv):
+        want = _exit_of(capsys, cli.build_parser().parse_args, argv)
+        assert _exit_of(capsys, main, argv) == want
+        assert want[0] in (0, 2)
+
+    def test_main_builds_the_invoked_subcommand_only(self, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        code, out, _ = run_cli(capsys, "verify", "--mode", "coeffs")
+        assert code == 0 and out.startswith("PASS ")
+        assert built == ["verify"]
 
 
 def test_closed_pipe_ends_quietly():
